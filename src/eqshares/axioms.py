@@ -93,7 +93,11 @@ def relative_satisfaction(
     satisfies everyone maximally).
     """
     base = satisfaction(election, utilitarian(election, config), model)
-    value = satisfaction(election, outcome, model)
+    return _relative(satisfaction(election, outcome, model), base)
+
+
+def _relative(value: Num, base: Num) -> Num:
+    """value / base, with 0/0 read as 1."""
     if base == 0:
         if value == 0:
             return ONE
@@ -484,14 +488,18 @@ def audit(
         violations = ejr_plus_violations(election, outcome)[0]
     else:
         violations = None
+    score = satisfaction(election, outcome, UtilityModel.SCORE)
+    cost = satisfaction(election, outcome, UtilityModel.COST)
+    # The baseline selection does not depend on the utility model.
+    baseline = utilitarian(election, config)
     return AuditReport(
-        score_satisfaction=satisfaction(election, outcome, UtilityModel.SCORE),
-        cost_satisfaction=satisfaction(election, outcome, UtilityModel.COST),
-        relative_score_satisfaction=relative_satisfaction(
-            election, outcome, UtilityModel.SCORE, config
+        score_satisfaction=score,
+        cost_satisfaction=cost,
+        relative_score_satisfaction=_relative(
+            score, satisfaction(election, baseline, UtilityModel.SCORE)
         ),
-        relative_cost_satisfaction=relative_satisfaction(
-            election, outcome, UtilityModel.COST, config
+        relative_cost_satisfaction=_relative(
+            cost, satisfaction(election, baseline, UtilityModel.COST)
         ),
         exclusion_ratio=exclusion_ratio(election, outcome),
         budget_spent_fraction=budget_spent_fraction(election, outcome),

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -71,21 +74,21 @@ class TieBreaker:
     """
 
     order: tuple[int, ...] | None = None
+    _positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order is not None:
             object.__setattr__(self, "order", tuple(self.order))
             if len(set(self.order)) != len(self.order):
                 raise ValueError("tie-break order contains duplicate project ids")
+        object.__setattr__(
+            self, "_positions", {c: k for k, c in enumerate(self.order or ())}
+        )
 
     def rank(self, project: int) -> tuple[int, int]:
         """Sort key: lower rank wins a tie."""
-        if self.order is None:
-            return (1, project)
-        try:
-            return (0, self.order.index(project))
-        except ValueError:
-            return (1, project)
+        position = self._positions.get(project)
+        return (1, project) if position is None else (0, position)
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,158 @@ def _moneyed_supporters(
 ) -> list[tuple[int, Num, Num]]:
     """(voter, utility, balance) for supporters with a positive balance."""
     balances = budgets.balances
+    rows = utilities.rows
+    c = project.id
+    # Balances never go negative, so a nonzero balance is a positive one.
     return [
-        (i, utilities.value(i, project.id), balances[i])
-        for i in utilities.supporters[project.id]
-        if balances[i] > 0
+        (i, rows[i][c], b) for i in utilities.supporters[c] if (b := balances[i])
     ]
+
+
+def _over_lcm(
+    parts: list[tuple[int, int]], scale: int = 1
+) -> tuple[list[int], int]:
+    """Numerators of n/d over L = lcm(scale, every d), and L itself."""
+    scale = math.lcm(scale, *[d for _, d in parts])
+    return [n * (scale // d) for n, d in parts], scale
+
+
+def _pays_exactly(payments: Mapping[int, Num], cost: Num) -> bool:
+    """Whether the payments add up to ``cost``, summed as integers over the
+    lcm of their denominators."""
+    paid, scale = _over_lcm([p.as_integer_ratio() for p in payments.values()])
+    num, den = cost.as_integer_ratio()
+    return sum(paid) * den == num * scale
+
+
+def _integers(
+    sup: list[tuple[int, Num, Num]], cost: Num
+) -> tuple[list[int], list[int], int, int, int]:
+    """Balances, utilities and cost as integers over common denominators.
+
+    Returns ``(money, weights, due, m_scale, u_scale)`` with
+    money[j] = b_j * m_scale, weights[j] = u_j * u_scale and
+    due = cost * m_scale, where each scale is the lcm of the denominators it
+    clears. Sums of these integers are exact sums of the rationals, and
+    ratios of them order and price exactly like the rationals.
+    """
+    num, den = cost.as_integer_ratio()
+    money, m_scale = _over_lcm([b.as_integer_ratio() for _, _, b in sup], den)
+    weights, u_scale = _over_lcm([u.as_integer_ratio() for _, u, _ in sup])
+    return money, weights, num * (m_scale // den), m_scale, u_scale
+
+
+def _ratio_order(
+    money: list[int], weights: list[int], m_scale: int, u_scale: int
+) -> list[int]:
+    """Indices in ascending b/u order, exact and stable.
+
+    Voter j's b/u is money[j] * u_scale / (weights[j] * m_scale). Floats
+    only propose the order: each key is the correctly rounded value of b/u
+    (integer true division), so an exactly smaller ratio never gets a larger
+    key. Every run of equal keys whose members are not all exactly equal is
+    then re-sorted by the exact ratio; exactly equal ones stay in supporter
+    order, as a stable exact sort leaves them.
+    """
+    k = len(money)
+    try:
+        keys = [m * u_scale / (w * m_scale) for m, w in zip(money, weights)]
+    except OverflowError:
+        return sorted(range(k), key=lambda j: Fraction(money[j], weights[j]))
+    order = sorted(range(k), key=keys.__getitem__)
+    if len(set(keys)) == k:
+        return order
+    start = 0
+    for end in range(1, k + 1):
+        if end < k and keys[order[end]] == keys[order[start]]:
+            continue
+        if end - start > 1:
+            run = order[start:end]
+            m0, w0 = money[run[0]], weights[run[0]]
+            if any(money[j] * w0 != m0 * weights[j] for j in run):
+                run.sort(key=lambda j: Fraction(money[j], weights[j]))
+                order[start:end] = run
+        start = end
+    return order
+
+
+def _proportional_price(
+    money: list[int], weights: list[int], due: int, m_scale: int, u_scale: int
+) -> Optional[Num]:
+    """cost / sum(u) if no supporter is capped at that price, else None."""
+    total_w = sum(weights)
+    if all(w * due <= m * total_w for m, w in zip(money, weights)):
+        return Fraction(due * u_scale, m_scale * total_w)
+    return None
+
+
+def _ascending(
+    sup: list[tuple[int, Num, Num]],
+    money: list[int],
+    weights: list[int],
+    m_scale: int,
+    u_scale: int,
+) -> tuple[list[tuple[int, Num, Num]], list[int], list[int], list[int], list[int]]:
+    """Supporters, money and weights in ascending b/u order, with prefix sums.
+
+    ``paid[j]`` is the money of the first j supporters and ``held[j]`` their
+    weight, so both lists have one more entry than there are supporters.
+    """
+    order = _ratio_order(money, weights, m_scale, u_scale)
+    money = [money[j] for j in order]
+    weights = [weights[j] for j in order]
+    return (
+        [sup[j] for j in order],
+        money,
+        weights,
+        list(accumulate(money, initial=0)),
+        list(accumulate(weights, initial=0)),
+    )
+
+
+def _first_uncapped(
+    money: list[int], weights: list[int], paid: list[int], held: list[int],
+    due: int,
+) -> int:
+    """First index s whose voter is not capped at rho_s, or len(money).
+
+    With the first s voters (ascending b/u) capped at their balance and the
+    rest paying u_j * rho_s, the price is rho_s = (cost - paid_s) / (sum of
+    the remaining u). Voter s is uncapped when rho_s * u_s <= b_s, checked
+    here in exact integers. The check is monotone in s: if it holds at s
+    then rho_{s+1} <= rho_s <= b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at
+    s + 1, and bisection finds the unique first s where it holds.
+    """
+    total_w = held[-1]
+
+    def uncapped(s: int) -> bool:
+        return (due - paid[s]) * weights[s] <= money[s] * (total_w - held[s])
+
+    return bisect_left(range(len(money)), True, key=uncapped)
+
+
+def _full_quote(
+    project: Project,
+    sup: list[tuple[int, Num, Num]],
+    weights: list[int],
+    s: int,
+    rho: Num,
+    u_scale: int,
+) -> AffordabilityQuote:
+    """Quote for alpha = 1 at price rho: the first s supporters pay their
+    balance, the rest u_i * rho (one division per distinct utility)."""
+    payments = {i: b for i, _, b in sup[:s]}
+    num, den = rho.as_integer_ratio()
+    den *= u_scale
+    charge: dict[int, Num] = {}
+    for (i, _, _), w in zip(sup[s:], weights[s:]):
+        pay = charge.get(w)
+        if pay is None:
+            pay = charge[w] = Fraction(w * num, den)
+        payments[i] = pay
+    if __debug__:
+        assert _pays_exactly(payments, project.cost)
+    return AffordabilityQuote(project.id, ONE, rho, payments)
 
 
 def min_rho(
@@ -154,30 +304,29 @@ def min_rho(
     supporters' combined balances fall short. Voters with the highest
     balance-to-utility ratio pay proportionally; the rest are capped at
     their full balance.
+
+    Every decision is exact. Balances and utilities are turned into
+    integers over common denominators (:func:`_integers`), so sums are
+    integer sums and each price is normalised once. When somebody is capped
+    at the fully proportional price, floats propose the b/u order and exact
+    checks repair it (:func:`_ratio_order`); the capped prefix is then found
+    by bisection on an exact monotone check (:func:`_first_uncapped`).
     """
-    cost = project.cost
     sup = _moneyed_supporters(project, budgets, utilities)
     if not sup:
         return None
-    total_money = sum((b for _, _, b in sup), ZERO)
-    if total_money < cost:
+    money, weights, due, m_scale, u_scale = _integers(sup, project.cost)
+    if sum(money) < due:
         return None
-    # Voters capped at their balance are exactly those with b_i/u_i below
-    # rho; scanning them in that order yields the unique fixed point.
-    sup.sort(key=lambda rec: rec[2] / rec[1])
-    suffix_u = sum((u for _, u, _ in sup), ZERO)
-    prefix_b = ZERO
-    for s, (_, u, b) in enumerate(sup):
-        rho = (cost - prefix_b) / suffix_u
-        if rho * u <= b:
-            payments = {i: b_j for (i, _, b_j) in sup[:s]}
-            payments.update((i, u_j * rho) for (i, u_j, _) in sup[s:])
-            if __debug__:
-                assert sum(payments.values(), ZERO) == cost
-            return AffordabilityQuote(project.id, ONE, rho, payments)
-        prefix_b += b
-        suffix_u -= u
-    raise AssertionError("unreachable: enough money implies a valid price")
+    rho = _proportional_price(money, weights, due, m_scale, u_scale)
+    if rho is not None:
+        return _full_quote(project, sup, weights, 0, rho, u_scale)
+    sup, money, weights, paid, held = _ascending(
+        sup, money, weights, m_scale, u_scale
+    )
+    s = _first_uncapped(money, weights, paid, held, due)
+    rho = Fraction((due - paid[s]) * u_scale, m_scale * (held[-1] - held[s]))
+    return _full_quote(project, sup, weights, s, rho, u_scale)
 
 
 def utilitarian(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -455,6 +604,10 @@ def bos_quote(
     plus the fully proportional price, can be optimal, so exactly those are
     examined. Returns None when the project exceeds the remaining public
     budget or no supporter has money.
+
+    Arithmetic is exact on integers over common denominators, as in
+    :func:`min_rho`: floats only propose the b/u order, and every candidate
+    comparison is an exact integer cross-multiplication.
     """
     cost = project.cost
     if cost > remaining_budget:
@@ -462,52 +615,46 @@ def bos_quote(
     sup = _moneyed_supporters(project, budgets, utilities)
     if not sup:
         return None
-    total_money = sum((b for _, _, b in sup), ZERO)
-    total_u = sum((u for _, u, _ in sup), ZERO)
+    money, weights, due, m_scale, u_scale = _integers(sup, cost)
+    rho = _proportional_price(money, weights, due, m_scale, u_scale)
+    if rho is not None:
+        # Nobody is capped at the fully proportional price: alpha = 1.
+        return _full_quote(project, sup, weights, 0, rho, u_scale)
 
-    def finish(alpha: Num, lam: Num) -> AffordabilityQuote:
-        payments = {i: min(b, u * lam) / alpha for i, u, b in sup}
-        if __debug__:
-            assert sum(payments.values(), ZERO) == cost
-        return AffordabilityQuote(project.id, alpha, lam / alpha, payments)
-
-    # Fully proportional price with nobody capped: alpha = 1 immediately.
-    lam_eq = cost / total_u
-    if all(u * lam_eq <= b for _, u, b in sup):
-        return AffordabilityQuote(
-            project.id, ONE, lam_eq, {i: u * lam_eq for i, u, _ in sup}
-        )
-
-    sup.sort(key=lambda rec: rec[2] / rec[1])
-    best_key = None
-    best: tuple[Num, Num] | None = None
-    prefix_b = ZERO
-    suffix_u = total_u
-    for _, u, b in sup:
-        lam = b / u
-        raised = prefix_b + lam * suffix_u
-        if raised >= cost:
-            # Every later cap price raises at least the cost as well, and
-            # is dominated by the exact full-coverage price found below.
-            break
-        alpha = raised / cost
-        key = (lam / (alpha * alpha), -alpha, lam / alpha)
-        if best_key is None or key < best_key:
-            best_key, best = key, (alpha, lam)
-        prefix_b += b
-        suffix_u -= u
-    else:
-        if total_money < cost:
-            assert best is not None
-            return finish(*best)
-    # Full coverage is reachable: the price solving sum(min(b_i, u_i*x)) =
-    # cost lies in the current segment and quotes alpha = 1.
-    lam_full = (cost - prefix_b) / suffix_u
-    key = (lam_full, -ONE, lam_full)
-    if best_key is None or key < best_key:
-        return finish(ONE, lam_full)
-    assert best is not None
-    return finish(*best)
+    sup, money, weights, paid, held = _ascending(
+        sup, money, weights, m_scale, u_scale
+    )
+    total_w = held[-1]
+    # Cap prices from the first uncapped index on raise at least the cost,
+    # and are dominated by the exact full-coverage price of that segment.
+    s = _first_uncapped(money, weights, paid, held, due)
+    # Below s, cap price lam_j = b_j/u_j raises R_j / (m_scale * w_j) with
+    # R_j = paid_j * w_j + money_j * (weight from j on), so alpha_j =
+    # R_j / (due * w_j) < 1, and rho_j / alpha_j = lam_j / alpha_j**2 is
+    # money_j * w_j / R_j**2 times a factor common to every candidate.
+    best, best_r, best_mw = 0, money[0] * total_w, money[0] * weights[0]
+    for j in range(1, s):
+        w = weights[j]
+        r = paid[j] * w + money[j] * (total_w - held[j])
+        mw = money[j] * w
+        lhs, rhs = mw * best_r * best_r, best_mw * r * r
+        if lhs < rhs or (lhs == rhs and r * weights[best] > best_r * w):
+            best, best_r, best_mw = j, r, mw
+    if s < len(money):
+        # The full-coverage price (alpha = 1) wins ties on rho / alpha.
+        rest, rest_w = due - paid[s], total_w - held[s]
+        if rest * best_r * best_r <= due * due * best_mw * rest_w:
+            rho = Fraction(rest * u_scale, m_scale * rest_w)
+            return _full_quote(project, sup, weights, s, rho, u_scale)
+    alpha = Fraction(best_r, due * weights[best])
+    rho = Fraction(money[best] * u_scale * due, m_scale * best_r)
+    # Voters up to the pinning one are capped at lam = b/u and pay b/alpha;
+    # the rest pay u * lam / alpha = u * rho.
+    payments = {i: b / alpha for i, _, b in sup[: best + 1]}
+    payments.update((i, u * rho) for i, u, _ in sup[best + 1 :])
+    if __debug__:
+        assert _pays_exactly(payments, cost)
+    return AffordabilityQuote(project.id, alpha, rho, payments)
 
 
 def _approval_scored(election: Election) -> bool:

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .axioms import AuditReport, audit
 from .model import Election, FractionalOutcome, Outcome
@@ -319,11 +319,23 @@ def records_to_jsonl(records: Iterable[RunRecord]) -> str:
 
 def records_from_jsonl(text: str) -> list[RunRecord]:
     records = []
-    for line in text.splitlines():
+    for line in _lines(text):
         line = line.strip()
         if line:
             records.append(RunRecord.from_json(json.loads(line)))
     return records
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The text's lines one at a time, so that no list of them all holds a
+    second copy of the text while records are built from it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
 
 
 # Flat CSV schema: scalar fields plus metrics; round logs and fractional

@@ -94,6 +94,39 @@ def naive_min_rho(
     return None
 
 
+def naive_bos_quote(
+    cost: Fraction, supporters: list[tuple[Fraction, Fraction]]
+) -> Optional[tuple[Fraction, Fraction, list[Fraction]]]:
+    """Best buyout quote (alpha, rho, payments), or None without supporters.
+
+    ``supporters`` holds (utility, balance) pairs with balance > 0, and the
+    payments come back in the same order. A quote at spending level
+    lam = alpha * rho charges min(b_i, u_i*lam) / alpha to every supporter,
+    which covers the cost when sum(min(b_i, u_i*lam)) = alpha * cost. The
+    quote minimizing rho/alpha = lam/alpha**2 wins, then larger alpha, then
+    smaller rho. On each linear segment of the sum, lam/alpha**2 first rises
+    and then falls, so its minimum sits at a segment end: a breakpoint b/u
+    whose sum falls short of the cost (alpha < 1), or the price where the
+    sum first reaches the cost (alpha = 1).
+    """
+    if not supporters:
+        return None
+
+    def raised(lam: Fraction) -> Fraction:
+        return sum(min(b, u * lam) for u, b in supporters)
+
+    candidates = []
+    for lam in sorted({b / u for u, b in supporters}):
+        alpha = raised(lam) / cost
+        if alpha < 1:
+            candidates.append((lam / alpha**2, -alpha, lam / alpha, alpha, lam))
+    full = naive_min_rho(cost, supporters)
+    if full is not None:
+        candidates.append((full, -ONE, full, ONE, full))
+    _, _, rho, alpha, lam = min(candidates)
+    return alpha, rho, [min(b, u * lam) / alpha for u, b in supporters]
+
+
 def naive_mes(
     election: Election,
     order: Sequence[int] | None = None,

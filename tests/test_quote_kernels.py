@@ -1,0 +1,226 @@
+"""Differential tests of the quote kernels against the naive oracles.
+
+``min_rho`` and ``bos_quote`` order supporters by float keys and decide on
+exact integers. The instances here aim at the places where floats alone
+would decide wrongly: exact b/u ties, near-ties far below float resolution,
+numerators and denominators around 10^12, zero balances, and ratios that
+overflow or underflow a float.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eqshares
+import oracles
+from eqshares.model import BudgetState, Project, UtilityProfile
+from eqshares.rules import _ratio_order, bos_quote, min_rho
+
+ZERO = F(0)
+TINY = F(1, 10**30)
+
+# Anchor ratios b/u: plain, 10^12-sized terms, float overflow, float underflow.
+ANCHORS = [F(1), F(3, 7), F(10**12 + 39, 10**12 - 11), F(10**400, 3), F(7, 10**400)]
+
+utilities = st.one_of(
+    st.sampled_from([F(1), F(2), F(1, 3), F(5, 2), F(10**12)]),
+    st.builds(
+        F,
+        st.integers(10**12 - 50, 10**12 + 50),
+        st.integers(10**12 - 50, 10**12 + 50),
+    ),
+)
+
+
+@st.composite
+def supporter_lists(draw, max_size=12):
+    """(cost, [(utility, balance)]) drawn around one anchor ratio."""
+    anchor = draw(st.sampled_from(ANCHORS))
+    pairs = []
+    for _ in range(draw(st.integers(1, max_size))):
+        u = draw(utilities)
+        kind = draw(st.sampled_from(["tie", "near", "free", "zero"]))
+        if kind == "tie":
+            b = u * anchor
+        elif kind == "near":
+            delta = draw(st.sampled_from([TINY, -TINY, anchor * TINY, -anchor * TINY]))
+            b = u * anchor + delta
+            if b <= 0:
+                b = u * anchor
+        elif kind == "free":
+            b = u * anchor * F(
+                draw(st.integers(1, 10**12)), draw(st.integers(1, 10**12))
+            )
+        else:
+            b = ZERO
+        pairs.append((u, b))
+    money = sum((b for _, b in pairs), ZERO)
+    cost = money * F(draw(st.integers(1, 40)), 20) if money else F(1)
+    return cost, pairs
+
+
+@st.composite
+def small_supporter_lists(draw):
+    """Small-number instances, where exact key ties between quotes are common."""
+    pairs = draw(st.lists(
+        st.tuples(
+            st.sampled_from([F(1), F(2), F(3)]),
+            st.sampled_from([F(0), F(1, 2), F(1), F(3, 2), F(2), F(3), F(5)]),
+        ),
+        min_size=1, max_size=4,
+    ))
+    return F(draw(st.integers(1, 24)), 2), pairs
+
+
+def kernel_inputs(cost, pairs):
+    n = len(pairs)
+    profile = UtilityProfile.from_rows(n, 1, [{0: u} for u, _ in pairs])
+    budgets = BudgetState([b for _, b in pairs])
+    return Project(0, "p", cost), budgets, profile
+
+
+def moneyed(pairs):
+    return [(i, u, b) for i, (u, b) in enumerate(pairs) if b > 0]
+
+
+class TestMinRho:
+    @given(st.one_of(supporter_lists(), small_supporter_lists()))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_oracle(self, instance):
+        cost, pairs = instance
+        quote = min_rho(*kernel_inputs(cost, pairs))
+        sup = moneyed(pairs)
+        rho = oracles.naive_min_rho(cost, [(u, b) for _, u, b in sup])
+        if rho is None:
+            assert quote is None
+            return
+        assert quote.alpha == 1
+        assert quote.rho == rho
+        assert dict(quote.payments) == {i: min(b, u * rho) for i, u, b in sup}
+
+    @given(supporter_lists(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_long_lists(self, instance):
+        cost, pairs = instance
+        quote = min_rho(*kernel_inputs(cost, pairs))
+        sup = moneyed(pairs)
+        rho = oracles.naive_min_rho(cost, [(u, b) for _, u, b in sup])
+        assert (quote is None) == (rho is None)
+        if rho is not None:
+            assert quote.rho == rho
+
+
+class TestBosQuote:
+    @given(st.one_of(supporter_lists(), small_supporter_lists()))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_oracle(self, instance):
+        cost, pairs = instance
+        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        sup = moneyed(pairs)
+        expected = oracles.naive_bos_quote(cost, [(u, b) for _, u, b in sup])
+        if expected is None:
+            assert quote is None
+            return
+        alpha, rho, payments = expected
+        assert (quote.alpha, quote.rho) == (alpha, rho)
+        assert dict(quote.payments) == {
+            i: pay for (i, _, _), pay in zip(sup, payments)
+        }
+
+    @pytest.mark.parametrize("cost, pairs", [
+        # rho/alpha ties between two cap prices: the larger alpha wins.
+        (F(2), [(F(1), F(1)), (F(2), F(1, 2))]),
+        # A cap price ties the full-coverage price, which wins.
+        (F(3, 2), [(F(1), F(1)), (F(2), F(1, 2))]),
+        (F(3), [(F(1), F(3)), (F(2), F(1))]),
+    ])
+    def test_exact_key_ties(self, cost, pairs):
+        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        alpha, rho, payments = oracles.naive_bos_quote(cost, pairs)
+        assert (quote.alpha, quote.rho) == (alpha, rho)
+        assert dict(quote.payments) == dict(enumerate(payments))
+
+    @given(supporter_lists(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_long_lists(self, instance):
+        cost, pairs = instance
+        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        sup = moneyed(pairs)
+        expected = oracles.naive_bos_quote(cost, [(u, b) for _, u, b in sup])
+        assert (quote is None) == (expected is None)
+        if expected is not None:
+            assert (quote.alpha, quote.rho) == expected[:2]
+
+
+class TestRatioOrder:
+    @given(supporter_lists(max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_exact_stable_sort(self, instance):
+        _, pairs = instance
+        pairs = [(u, b) for u, b in pairs if b > 0]
+        m_scale = 1
+        for _, b in pairs:
+            m_scale = m_scale * b.denominator
+        u_scale = 1
+        for u, _ in pairs:
+            u_scale = u_scale * u.denominator
+        money = [int(b * m_scale) for _, b in pairs]
+        weights = [int(u * u_scale) for u, _ in pairs]
+        expected = sorted(range(len(pairs)), key=lambda j: pairs[j][1] / pairs[j][0])
+        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+
+
+# ---------------------------------------------------------------------------
+# Optimized mode: no kernel decision may depend on debug-only code.
+
+FIXTURE_MODELS = {
+    "reference": "cost", "minority": "cost", "tail": "score", "blocks": "cost",
+}
+
+ROUNDS_SCRIPT = """
+import json, sys
+from eqshares.model import UtilityModel
+from eqshares.pabulib import load_election
+from eqshares.rules import run_rule
+from eqshares.stats import build_record
+
+out = {}
+for path, model in json.loads(sys.argv[1]):
+    election = load_election(path, UtilityModel(model))
+    for rule in ("mes", "bos", "bos-plus"):
+        record = build_record(path, rule, election, run_rule(rule, election), 0.0)
+        out[f"{path}|{rule}"] = [list(record.selected), list(record.rounds)]
+print(json.dumps({"optimized": not __debug__, "runs": out}, sort_keys=True))
+"""
+
+
+def rounds_in_subprocess(fixtures_dir: Path, *flags: str) -> dict:
+    jobs = [
+        (str(fixtures_dir / f"{name}.pb"), model)
+        for name, model in FIXTURE_MODELS.items()
+    ]
+    src = str(Path(eqshares.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", ROUNDS_SCRIPT, json.dumps(jobs)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_optimized_mode_gives_the_same_rounds(fixtures_dir):
+    normal = rounds_in_subprocess(fixtures_dir)
+    optimized = rounds_in_subprocess(fixtures_dir, "-O")
+    assert normal["optimized"] is False and optimized["optimized"] is True
+    assert len(normal["runs"]) == 12
+    assert optimized["runs"] == normal["runs"]
