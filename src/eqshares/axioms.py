@@ -59,10 +59,6 @@ def _funded_shares(outcome: AnyOutcome) -> Mapping[int, Num]:
     return {c: ONE for c in outcome.selected}
 
 
-def _is_approval(election: Election) -> bool:
-    return all(u == 1 for row in election.scores.rows for u in row.values())
-
-
 def satisfaction(
     election: Election, outcome: AnyOutcome, model: UtilityModel
 ) -> Num:
@@ -178,7 +174,7 @@ def ejr_plus_violations(
     count (one per project, however many groups certify it) and one witness
     per violating project.
     """
-    if not _is_approval(election):
+    if not election.scores.is_approval:
         raise ValueError("violation counting requires approval ballots")
     n = election.n_voters
     if n == 0:
@@ -250,7 +246,7 @@ def ejr_up_to_witnesses(
         raise ValueError(
             f"instance size ({n} voters, {m} projects) exceeds caps {caps}"
         )
-    if not _is_approval(election):
+    if not election.scores.is_approval:
         raise ValueError("witness search requires approval ballots")
     if n == 0:
         return []
@@ -484,7 +480,7 @@ def audit(
 ) -> AuditReport:
     """Compute the full statistics bundle for one outcome."""
     violations: Optional[int]
-    if _is_approval(election):
+    if election.scores.is_approval:
         violations = ejr_plus_violations(election, outcome)[0]
     else:
         violations = None

@@ -141,6 +141,11 @@ class UtilityProfile:
                 totals[project] += value
         return tuple(totals)
 
+    @cached_property
+    def is_approval(self) -> bool:
+        """Whether every positive entry is 1 (approval ballots)."""
+        return all(u == 1 for row in self.rows for u in row.values())
+
     def scaled(self, factor: Num) -> "UtilityProfile":
         """A copy with every entry multiplied by a positive rational."""
         if factor <= 0:

@@ -12,6 +12,10 @@ Five rule families operate on :class:`~eqshares.model.Election`:
 * :func:`bos_plus` - a two-phase variant that converts the would-be
   overcharge into a temporary equal boost of everyone's balance.
 
+The equal-shares rules pick each purchase through one lazy best-quote
+selector (:class:`_LazyBest`): quotes are cached and recomputed only when a
+purchase may have changed them, and the pick equals a full rescan's.
+
 All rules are pure functions: identical inputs give byte-identical logs.
 Ties are resolved by an injectable total order on projects.
 """
@@ -24,7 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .model import (
     BudgetState,
@@ -62,6 +67,7 @@ logger = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Q = TypeVar("Q")
 
 
 @dataclass(frozen=True)
@@ -329,6 +335,109 @@ def min_rho(
     return _full_quote(project, sup, weights, s, rho, u_scale)
 
 
+class _LazyBest(Generic[Q]):
+    """Lazy best-quote selection over a live set of projects, after
+    Minoux's lazy greedy (1978, "Accelerated greedy algorithms").
+
+    ``quote(c)`` prices project c, or returns None when c cannot be bought;
+    the smallest (``key(quote)``, ``tie.rank(c)``) wins. A heap holds
+    (lower bound on the key, rank, c) entries; quotes stay cached until
+    :meth:`stale` forgets them.
+
+    Invariant the caller keeps: between two :meth:`stale` calls naming c,
+    c's key can only grow, and a None quote stays None. Every bound then
+    stays a lower bound, so a heap top that carries its project's cached
+    key (that very object; older entries are discarded) is the pick of a
+    full rescan. A key that may fall must be re-entered with :meth:`push`.
+    """
+
+    def __init__(
+        self,
+        tie: TieBreaker,
+        quote: Callable[[int], Optional[Q]],
+        key: Callable[[Q], Num],
+        live: Iterable[int],
+        floor: Callable[[int], Num] = lambda c: ZERO,
+    ) -> None:
+        self._rank = tie.rank
+        self._quote = quote
+        self._key = key
+        self._cached: dict[int, Optional[tuple[Num, Q]]] = {}
+        self._heap: list[tuple[Num, tuple[int, int], int]] = []
+        self.live = set(live)
+        self.push(self.live, floor)
+
+    def best(self) -> Optional[Q]:
+        """The best live quote; its project stays live and in the heap."""
+        heap, cached, live = self._heap, self._cached, self.live
+        while heap:
+            bound, rank, c = heap[0]
+            if c in live:
+                if c not in cached:
+                    quote = self._quote(c)
+                    if quote is None:
+                        cached[c] = None
+                    else:
+                        key = self._key(quote)
+                        cached[c] = (key, quote)
+                        heapq.heapreplace(heap, (key, rank, c))
+                        continue
+                elif (entry := cached[c]) is not None and entry[0] is bound:
+                    return entry[1]
+            heapq.heappop(heap)
+        return None
+
+    def stale(self, projects: Iterable[int]) -> None:
+        """Forget the quotes of projects whose key may have risen."""
+        for c in projects:
+            self._cached.pop(c, None)
+
+    def push(
+        self, projects: Iterable[int], floor: Callable[[int], Num] = lambda c: ZERO
+    ) -> None:
+        """Re-enter projects whose key may have fallen, each at floor(c)."""
+        rank = self._rank
+        for c in projects:
+            self._cached.pop(c, None)
+            self._heap.append((floor(c), rank(c), c))
+        heapq.heapify(self._heap)
+
+    def drop(self, projects: Iterable[int]) -> None:
+        """Remove projects from the live set for good."""
+        self.live.difference_update(projects)
+
+
+def _utilitarian_tail(
+    election: Election,
+    config: RuleConfig,
+    selected: Sequence[int] = (),
+    rounds: Sequence[PurchaseRecord] = (),
+) -> Outcome:
+    """Extend a selection with still-affordable projects by descending
+    total score.
+
+    Tail purchases are funded centrally from the leftover public budget
+    (rho is None, no voter payments).
+    """
+    totals = election.scores.project_totals
+    tie = config.tie_breaker
+    selected, rounds = list(selected), list(rounds)
+    remaining = election.budget - sum(
+        (election.projects[c].cost for c in selected), ZERO
+    )
+    chosen = set(selected)
+    ranked = sorted(
+        (p for p in election.projects if p.id not in chosen),
+        key=lambda p: (-totals[p.id], tie.rank(p.id)),
+    )
+    for project in ranked:
+        if project.cost <= remaining:
+            remaining -= project.cost
+            selected.append(project.id)
+            rounds.append(PurchaseRecord(project.id, ONE, None, {}))
+    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+
+
 def utilitarian(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Greedy selection by descending total ballot score.
 
@@ -337,20 +446,7 @@ def utilitarian(election: Election, config: RuleConfig = RuleConfig()) -> Outcom
     each project whose cost still fits is added. The result is exhaustive
     by construction: every skipped project stayed unaffordable forever.
     """
-    totals = election.scores.project_totals
-    tie = config.tie_breaker
-    ranked = sorted(
-        election.projects, key=lambda p: (-totals[p.id], tie.rank(p.id))
-    )
-    remaining = election.budget
-    selected: list[int] = []
-    rounds: list[PurchaseRecord] = []
-    for project in ranked:
-        if project.cost <= remaining:
-            remaining -= project.cost
-            selected.append(project.id)
-            rounds.append(PurchaseRecord(project.id, ONE, None, {}))
-    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+    return _utilitarian_tail(election, config)
 
 
 def mes(
@@ -374,85 +470,31 @@ def mes(
         raise ValueError("initial endowment must be positive")
     utilities = election.utilities
     budgets = BudgetState.equal_endowment(endowment, election.n_voters)
-    tie = config.tie_breaker
-
-    unselected = set(range(len(election.projects)))
-    quotes: dict[int, Optional[AffordabilityQuote]] = {}
-    dirty = set(unselected)
-    # Balances only fall, so every cached price is a lower bound; projects
-    # are recomputed lazily, only when their bound reaches the heap top.
-    heap: list[tuple[Num, int, int]] = [
-        (ZERO, tie.rank(c), c) for c in unselected
-    ]
-    heapq.heapify(heap)
+    projects = election.projects
+    # Balances only fall, so prices only rise and short supporters stay
+    # short; only projects sharing a payer can see their price move.
+    selector = _LazyBest(
+        config.tie_breaker,
+        lambda c: min_rho(projects[c], budgets, utilities),
+        attrgetter("rho"),
+        range(len(projects)),
+    )
     selected: list[int] = []
     rounds: list[PurchaseRecord] = []
-    while True:
-        best: Optional[AffordabilityQuote] = None
-        while heap:
-            bound, rank, c = heapq.heappop(heap)
-            if c not in unselected:
-                continue
-            if c in dirty:
-                quote = min_rho(election.projects[c], budgets, utilities)
-                dirty.discard(c)
-                quotes[c] = quote
-                # Short supporters stay short forever: drop None quotes.
-                if quote is not None:
-                    heapq.heappush(heap, (quote.rho, rank, c))
-                continue
-            quote = quotes[c]
-            if quote is None or bound != quote.rho:
-                continue
-            best = quote
-            break
-        if best is None:
-            break
+    while (best := selector.best()) is not None:
         logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
         for i, pay in best.payments.items():
             budgets.balances[i] -= pay
-        unselected.discard(best.project)
+            selector.stale(utilities.support_set(i))
+        selector.drop((best.project,))
         selected.append(best.project)
         rounds.append(
             PurchaseRecord(best.project, ONE, best.rho, best.payments)
         )
-        # Only projects sharing a payer can see their cheapest price move.
-        for i in best.payments:
-            dirty.update(
-                c for c in utilities.support_set(i) if c in unselected
-            )
     outcome = Outcome(tuple(selected), tuple(rounds), feasible=True)
     if not is_feasible(election, outcome):
         outcome = Outcome(outcome.selected, outcome.rounds, feasible=False)
     return outcome
-
-
-def _utilitarian_tail(
-    election: Election,
-    config: RuleConfig,
-    selected: list[int],
-    rounds: list[PurchaseRecord],
-) -> None:
-    """Append still-affordable projects by descending total score, in place.
-
-    Tail purchases are funded centrally from the leftover public budget
-    (rho is None, no voter payments).
-    """
-    totals = election.scores.project_totals
-    tie = config.tie_breaker
-    remaining = election.budget - sum(
-        (election.projects[c].cost for c in selected), ZERO
-    )
-    chosen = set(selected)
-    ranked = sorted(
-        (p for p in election.projects if p.id not in chosen),
-        key=lambda p: (-totals[p.id], tie.rank(p.id)),
-    )
-    for project in ranked:
-        if project.cost <= remaining:
-            remaining -= project.cost
-            selected.append(project.id)
-            rounds.append(PurchaseRecord(project.id, ONE, None, {}))
 
 
 def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -480,10 +522,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         if endowment >= election.budget:
             break
         k += 1
-    selected = list(best.selected)
-    rounds = list(best.rounds)
-    _utilitarian_tail(election, config, selected, rounds)
-    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+    return _utilitarian_tail(election, config, best.selected, best.rounds)
 
 
 def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOutcome:
@@ -501,26 +540,22 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     balances = budgets.balances
-    tie = config.tie_breaker
+    projects = election.projects
 
     active = [True] * n
-    # Per-project support mass over active voters, kept incrementally.
+    # Per-project support mass over active voters, kept incrementally. It
+    # only falls, so prices only rise, and only when a supporter drains.
     support = list(utilities.project_totals)
+    selector = _LazyBest(
+        config.tie_breaker,
+        lambda c: (projects[c].cost / support[c], c) if support[c] > 0 else None,
+        itemgetter(0),
+        range(len(projects)),
+    )
     fractions: dict[int, Num] = {}
     purchases: list[PurchaseRecord] = []
-    while True:
-        best_c = None
-        best_key = None
-        for project in election.projects:
-            c = project.id
-            if fractions.get(c, ZERO) == 1 or support[c] <= 0:
-                continue
-            key = (project.cost / support[c], tie.rank(c))
-            if best_key is None or key < best_key:
-                best_c, best_key = c, key
-        if best_c is None:
-            break
-        rho = best_key[0]
+    while (best := selector.best()) is not None:
+        rho, best_c = best
         payers = [
             (i, utilities.value(i, best_c))
             for i in utilities.supporters[best_c]
@@ -540,10 +575,13 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
                 drained.append(i)
         fractions[best_c] = fractions.get(best_c, ZERO) + alpha
         purchases.append(PurchaseRecord(best_c, alpha, rho, payments))
+        if fractions[best_c] == 1:
+            selector.drop((best_c,))
         for i in drained:
             active[i] = False
-            for c in utilities.support_set(i):
-                support[c] -= utilities.value(i, c)
+            for c, u in utilities.support_set(i).items():
+                support[c] -= u
+            selector.stale(utilities.support_set(i))
     return FractionalOutcome(fractions, tuple(purchases))
 
 
@@ -657,12 +695,6 @@ def bos_quote(
     return AffordabilityQuote(project.id, alpha, rho, payments)
 
 
-def _approval_scored(election: Election) -> bool:
-    return all(
-        u == 1 for row in election.scores.rows for u in row.values()
-    )
-
-
 def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Integral purchases through the best (price, coverage) quotes.
 
@@ -681,29 +713,27 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     balances = budgets.balances
-    tie = config.tie_breaker
     redistribute = config.exhaustive_redistribution
-
-    unselected = set(range(len(election.projects)))
+    projects = election.projects
     remaining = election.budget
     selected: list[int] = []
     rounds: list[PurchaseRecord] = []
-    quotes: dict[int, Optional[AffordabilityQuote]] = {}
-    dirty = set(unselected)
-    # Without redistribution balances only fall, so cached ratios are lower
-    # bounds; recompute lazily at the heap top. Redistribution can raise a
-    # balance, so it re-seeds the heap with zero bounds instead.
-    heap: list[tuple[Num, int, int]] = [
-        (ZERO, tie.rank(c), c) for c in unselected
-    ]
-    heapq.heapify(heap)
+    # Without redistribution balances only fall, so ratios only rise and
+    # quotes of projects without a moneyed supporter stay None.
+    # Redistribution can raise a balance, so it pushes every project back.
+    selector = _LazyBest(
+        config.tie_breaker,
+        lambda c: bos_quote(projects[c], budgets, utilities, remaining),
+        attrgetter("ratio"),
+        (c for c in range(len(projects)) if projects[c].cost <= remaining),
+    )
 
     # Claim check scope: per-voter approval stakes and default accounting.
     check_overspend = (
         __debug__
         and election.utility_model is UtilityModel.COST
         and not redistribute
-        and _approval_scored(election)
+        and election.scores.is_approval
     )
 
     removed = [False] * n
@@ -729,38 +759,12 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         share = pot / len(stayers)
         for i in stayers:
             balances[i] += share
-        dirty.update(unselected)
-        for c in unselected:
-            heapq.heappush(heap, (ZERO, tie.rank(c), c))
+        selector.push(selector.live)
 
     if redistribute:
         redistribute_satisfied()
 
-    while True:
-        best: Optional[AffordabilityQuote] = None
-        while heap:
-            bound, rank, c = heapq.heappop(heap)
-            if c not in unselected:
-                continue
-            # The public budget never grows back: drop the entry for good.
-            if election.projects[c].cost > remaining:
-                continue
-            if c in dirty:
-                quote = bos_quote(
-                    election.projects[c], budgets, utilities, remaining
-                )
-                dirty.discard(c)
-                quotes[c] = quote
-                if quote is not None:
-                    heapq.heappush(heap, (quote.ratio, rank, c))
-                continue
-            quote = quotes[c]
-            if quote is None or bound != quote.ratio:
-                continue
-            best = quote
-            break
-        if best is None:
-            break
+    while (best := selector.best()) is not None:
         c = best.project
         logger.debug(
             "bos: buy %d at alpha=%s rho=%s", c, best.alpha, best.rho
@@ -779,11 +783,12 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
                 balances[i] = max(
                     ZERO, balances[i] - utilities.value(i, c) * best.rho
                 )
-                dirty.update(
-                    d for d in utilities.support_set(i) if d in unselected
-                )
-        remaining -= election.projects[c].cost
-        unselected.discard(c)
+                selector.stale(utilities.support_set(i))
+        remaining -= projects[c].cost
+        # The public budget never grows back: drop what no longer fits.
+        selector.drop(
+            [c, *(d for d in selector.live if projects[d].cost > remaining)]
+        )
         selected.append(c)
         rounds.append(
             PurchaseRecord(c, best.alpha, best.rho, best.payments, overspent)
@@ -812,56 +817,50 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     balances = budgets.balances
     over = budgets.over
-    tie = config.tie_breaker
-
-    unselected = set(range(len(election.projects)))
+    projects = election.projects
+    totals = utilities.project_totals
     remaining = election.budget
     selected: list[int] = []
     rounds: list[PurchaseRecord] = []
+    # Projects that fit and have supporters; nobody else can ever be bought.
+    # Real balances only fall, so phase-1 ratios only rise and a None quote
+    # stays None: one selector serves every round. Boosted balances are not
+    # monotone, so phase 2 starts afresh each round from the floor
+    # cost / (total support): rho * (moneyed support) >= cost.
+    phase1 = _LazyBest(
+        config.tie_breaker,
+        lambda c: bos_quote(projects[c], budgets, utilities, remaining),
+        attrgetter("ratio"),
+        (
+            c for c in range(len(projects))
+            if projects[c].cost <= remaining and totals[c]
+        ),
+    )
+    floors = {c: projects[c].cost / totals[c] for c in phase1.live}
     while True:
-        fits = [
-            c
-            for c in unselected
-            if election.projects[c].cost <= remaining
-        ]
-        if not fits:
-            break
-        phase1: Optional[AffordabilityQuote] = None
-        phase1_key = None
-        for c in fits:
-            quote = bos_quote(
-                election.projects[c], budgets, utilities, remaining
-            )
-            if quote is None:
-                continue
-            key = (quote.ratio, tie.rank(c))
-            if phase1_key is None or key < phase1_key:
-                phase1, phase1_key = quote, key
+        quote = phase1.best()
         boost = ZERO
-        if phase1 is not None and phase1.alpha < 1:
-            cost1 = election.projects[phase1.project].cost
+        if quote is not None and quote.alpha < 1:
             capped = [
                 i
-                for i in utilities.supporters[phase1.project]
+                for i in utilities.supporters[quote.project]
                 if balances[i] > 0
-                and utilities.value(i, phase1.project) * phase1.rho
-                >= balances[i]
+                and utilities.value(i, quote.project) * quote.rho >= balances[i]
             ]
             # A partial-coverage quote always caps the voter whose balance
             # pinned its price, so the divisor is at least one.
-            boost = cost1 * (ONE - phase1.alpha) / len(capped)
+            cost1 = projects[quote.project].cost
+            boost = cost1 * (ONE - quote.alpha) / len(capped)
         boosted = BudgetState(
             [balances[i] + max(ZERO, boost - over[i]) for i in range(n)]
         )
-        best: Optional[AffordabilityQuote] = None
-        best_key = None
-        for c in fits:
-            quote = min_rho(election.projects[c], boosted, utilities)
-            if quote is None:
-                continue
-            key = (quote.rho, tie.rank(c))
-            if best_key is None or key < best_key:
-                best, best_key = quote, key
+        best = _LazyBest(
+            config.tie_breaker,
+            lambda c: min_rho(projects[c], boosted, utilities),
+            attrgetter("rho"),
+            phase1.live,
+            floors.__getitem__,
+        ).best()
         if best is None:
             break
         c = best.project
@@ -870,14 +869,18 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         )
         overspent = []
         for i, pay in best.payments.items():
+            if balances[i]:
+                phase1.stale(utilities.support_set(i))
             if pay > balances[i]:
                 over[i] += pay - balances[i]
                 balances[i] = ZERO
                 overspent.append(i)
             else:
                 balances[i] -= pay
-        remaining -= election.projects[c].cost
-        unselected.discard(c)
+        remaining -= projects[c].cost
+        phase1.drop(
+            [c, *(d for d in phase1.live if projects[d].cost > remaining)]
+        )
         selected.append(c)
         rounds.append(
             PurchaseRecord(
@@ -887,33 +890,25 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     return Outcome(tuple(selected), tuple(rounds), feasible=True)
 
 
-RULE_NAMES = (
-    "utilitarian",
-    "mes",
-    "mes-add1u",
-    "fres",
-    "fres-complete",
-    "bos",
-    "bos-plus",
-)
+_RULES: dict[str, Callable[[Election, RuleConfig], Outcome | FractionalOutcome]] = {
+    "utilitarian": utilitarian,
+    "mes": mes,
+    "mes-add1u": add1u,
+    "fres": fres,
+    "fres-complete": lambda election, config: fres_utilitarian_completion(
+        election, fres(election, config), config
+    ),
+    "bos": bos,
+    "bos-plus": bos_plus,
+}
+RULE_NAMES = tuple(_RULES)
 
 
 def run_rule(
     name: str, election: Election, config: RuleConfig = RuleConfig()
 ) -> Outcome | FractionalOutcome:
     """Dispatch a rule by its public name (see ``RULE_NAMES``)."""
-    if name == "utilitarian":
-        return utilitarian(election, config)
-    if name == "mes":
-        return mes(election, config)
-    if name == "mes-add1u":
-        return add1u(election, config)
-    if name == "fres":
-        return fres(election, config)
-    if name == "fres-complete":
-        return fres_utilitarian_completion(election, fres(election, config), config)
-    if name == "bos":
-        return bos(election, config)
-    if name == "bos-plus":
-        return bos_plus(election, config)
-    raise ValueError(f"unknown rule {name!r}")
+    rule = _RULES.get(name)
+    if rule is None:
+        raise ValueError(f"unknown rule {name!r}")
+    return rule(election, config)

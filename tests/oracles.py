@@ -164,6 +164,205 @@ def naive_mes(
     return sorted(c for c, _ in trace), trace
 
 
+def _moneyed(
+    election: Election, balances: list[Fraction], c: int
+) -> list[tuple[int, Fraction, Fraction]]:
+    """(voter, utility, balance) for every supporter of c with money left."""
+    utilities = election.utilities
+    return [
+        (i, utilities.value(i, c), balances[i])
+        for i in range(election.n_voters)
+        if utilities.value(i, c) > 0 and balances[i] > 0
+    ]
+
+
+def naive_fres(
+    election: Election, order: Sequence[int] | None = None
+) -> tuple[dict[int, Fraction], list[tuple]]:
+    """Full-rescan FrES; returns (fractions, round log).
+
+    Each round prices every project that is not fully bought at
+    cost / (utility of its supporters who still have money), takes the
+    cheapest, and buys the largest share that neither passes full funding
+    nor overdraws a supporter. Log entries are (project, alpha, rho,
+    payments, overspent), with overspent always empty.
+    """
+    n = election.n_voters
+    balances = [election.budget / n] * n
+    key = tie_key(order)
+    fractions: dict[int, Fraction] = {}
+    log: list[tuple] = []
+    while True:
+        best = None
+        for c, project in enumerate(election.projects):
+            if fractions.get(c, ZERO) == 1:
+                continue
+            support = sum(u for _, u, _ in _moneyed(election, balances, c))
+            if support == 0:
+                continue
+            rho = project.cost / support
+            if best is None or (rho, key(c)) < (best[1], key(best[0])):
+                best = (c, rho)
+        if best is None:
+            break
+        c, rho = best
+        payers = _moneyed(election, balances, c)
+        alpha = min(
+            [ONE - fractions.get(c, ZERO)] + [b / (rho * u) for _, u, b in payers]
+        )
+        payments = {i: alpha * rho * u for i, u, _ in payers}
+        for i, pay in payments.items():
+            balances[i] -= pay
+        fractions[c] = fractions.get(c, ZERO) + alpha
+        log.append((c, alpha, rho, payments, ()))
+    return fractions, log
+
+
+def _best_bos_quote(
+    election: Election,
+    balances: list[Fraction],
+    candidates: list[int],
+    key,
+):
+    """(alpha, rho, payments) of the candidate minimizing (rho/alpha, tie)."""
+    best = None
+    for c in candidates:
+        sup = _moneyed(election, balances, c)
+        if not sup:
+            continue
+        alpha, rho, pays = naive_bos_quote(
+            election.projects[c].cost, [(u, b) for _, u, b in sup]
+        )
+        rank = (rho / alpha, key(c))
+        if best is None or rank < best[0]:
+            payments = {i: pay for (i, _, _), pay in zip(sup, pays)}
+            best = (rank, c, alpha, rho, payments)
+    return None if best is None else best[1:]
+
+
+def naive_bos(
+    election: Election,
+    order: Sequence[int] | None = None,
+    redistribute: bool = False,
+) -> list[tuple]:
+    """Full-rescan BOS; returns the round log.
+
+    Each round quotes every unselected project that fits the remaining
+    budget and buys the one with the smallest rho/alpha. Each moneyed
+    supporter's balance falls by u*rho, floored at zero; payments above the
+    balance are overspent. With ``redistribute``, voters whose every
+    supported project is funded leave, and their money is split equally
+    among the voters still in play. Log entries are (project, alpha, rho,
+    payments, overspent).
+    """
+    n = election.n_voters
+    utilities = election.utilities
+    balances = [election.budget / n] * n
+    remaining = election.budget
+    key = tie_key(order)
+    unselected = set(range(len(election.projects)))
+    removed = [False] * n
+    log: list[tuple] = []
+
+    def share_out() -> None:
+        leaving = [
+            i for i in range(n)
+            if not removed[i]
+            and all(c not in unselected for c in election.scores.support_set(i))
+        ]
+        pot = sum((balances[i] for i in leaving), ZERO)
+        for i in leaving:
+            removed[i] = True
+            balances[i] = ZERO
+        stayers = [i for i in range(n) if not removed[i]]
+        if stayers and pot != 0:
+            for i in stayers:
+                balances[i] += pot / len(stayers)
+
+    if redistribute:
+        share_out()
+    while True:
+        fits = [
+            c for c in sorted(unselected)
+            if election.projects[c].cost <= remaining
+        ]
+        best = _best_bos_quote(election, balances, fits, key)
+        if best is None:
+            break
+        c, alpha, rho, payments = best
+        overspent = tuple(sorted(i for i, p in payments.items() if p > balances[i]))
+        for i, u, b in _moneyed(election, balances, c):
+            balances[i] = max(ZERO, b - u * rho)
+        remaining -= election.projects[c].cost
+        unselected.discard(c)
+        log.append((c, alpha, rho, payments, overspent))
+        if redistribute:
+            share_out()
+    return log
+
+
+def naive_bos_plus(
+    election: Election, order: Sequence[int] | None = None
+) -> list[tuple]:
+    """Full-rescan BOS+; returns the round log.
+
+    Each round finds the best BOS quote among the projects that fit. If it
+    covers only a share alpha < 1, the uncovered cost is split equally
+    among the voters it caps (u*rho >= b), and every voter's balance is
+    raised by that boost less the overdraft she has already used. The
+    round buys the project with the smallest MES price under the boosted
+    balances; each supporter pays min(b, u*rho) of her boosted balance, and
+    whatever exceeds her real balance is overspent and added to her
+    overdraft. Log entries are (project, alpha, rho, payments, overspent).
+    """
+    n = election.n_voters
+    balances = [election.budget / n] * n
+    over = [ZERO] * n
+    remaining = election.budget
+    key = tie_key(order)
+    unselected = set(range(len(election.projects)))
+    log: list[tuple] = []
+    while True:
+        fits = [
+            c for c in sorted(unselected)
+            if election.projects[c].cost <= remaining
+        ]
+        phase1 = _best_bos_quote(election, balances, fits, key)
+        boost = ZERO
+        if phase1 is not None and phase1[1] < 1:
+            c1, alpha1, rho1, _ = phase1
+            capped = [
+                i for i, u, b in _moneyed(election, balances, c1) if u * rho1 >= b
+            ]
+            boost = election.projects[c1].cost * (ONE - alpha1) / len(capped)
+        boosted = [balances[i] + max(ZERO, boost - over[i]) for i in range(n)]
+        best = None
+        for c in fits:
+            sup = _moneyed(election, boosted, c)
+            rho = naive_min_rho(
+                election.projects[c].cost, [(u, b) for _, u, b in sup]
+            )
+            if rho is not None and (
+                best is None or (rho, key(c)) < (best[1], key(best[0]))
+            ):
+                best = (c, rho, {i: min(b, u * rho) for i, u, b in sup})
+        if best is None:
+            break
+        c, rho, payments = best
+        overspent = []
+        for i, pay in payments.items():
+            if pay > balances[i]:
+                over[i] += pay - balances[i]
+                balances[i] = ZERO
+                overspent.append(i)
+            else:
+                balances[i] -= pay
+        remaining -= election.projects[c].cost
+        unselected.discard(c)
+        log.append((c, ONE, rho, payments, tuple(sorted(overspent))))
+    return log
+
+
 def naive_add1u(
     election: Election,
     order: Sequence[int] | None = None,

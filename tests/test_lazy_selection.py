@@ -1,0 +1,73 @@
+"""The equal-shares rules price projects through the quote kernels' module
+attributes, and they price lazily.
+
+Tracing tools count kernel calls by replacing ``rules.min_rho`` and
+``rules.bos_quote``, so a rule that bound a kernel at import time would
+hide its work from them.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from eqshares import rules
+from eqshares.rules import RULE_NAMES, run_rule
+
+KERNELS = {
+    "utilitarian": set(),
+    "mes": {"min_rho"},
+    "mes-add1u": {"min_rho"},
+    "fres": set(),
+    "fres-complete": set(),
+    "bos": {"bos_quote"},
+    "bos-plus": {"min_rho", "bos_quote"},
+}
+
+
+@pytest.fixture
+def quote_calls(monkeypatch):
+    """Per-kernel lists of the project ids each call priced."""
+    calls: dict[str, list[int]] = {}
+    for name in ("min_rho", "bos_quote"):
+        kernel = getattr(rules, name)
+        seen = calls[name] = []
+
+        def counted(project, *args, _kernel=kernel, _seen=seen):
+            _seen.append(project.id)
+            return _kernel(project, *args)
+
+        monkeypatch.setattr(rules, name, counted)
+    return calls
+
+
+def full_rescan_quotes(election, outcome) -> int:
+    """Quotes a full rescan makes: two per fitting project in each round."""
+    remaining = election.budget
+    unselected = set(range(len(election.projects)))
+    fitting = 0
+    for record in outcome.rounds:
+        fitting += sum(
+            1 for c in unselected if election.projects[c].cost <= remaining
+        )
+        remaining -= election.projects[record.project].cost
+        unselected.discard(record.project)
+    return 2 * fitting
+
+
+def test_rules_reach_the_kernels_through_module_attributes(
+    blocks_election, quote_calls
+):
+    assert set(KERNELS) == set(RULE_NAMES)
+    for name in RULE_NAMES:
+        for seen in quote_calls.values():
+            seen.clear()
+        run_rule(name, blocks_election)
+        used = {kernel for kernel, seen in quote_calls.items() if seen}
+        assert used == KERNELS[name], name
+
+
+def test_bos_plus_quotes_fewer_than_a_full_rescan(blocks_election, quote_calls):
+    outcome = run_rule("bos-plus", blocks_election)
+    quotes = len(quote_calls["min_rho"]) + len(quote_calls["bos_quote"])
+    assert outcome.rounds
+    assert 0 < quotes < full_rescan_quotes(blocks_election, outcome)

@@ -72,6 +72,24 @@ def approval_elections(draw, max_voters=5, max_projects=4, max_budget=14):
                     utility_model=UtilityModel.COST)
 
 
+@st.composite
+def with_tie_order(draw, elections):
+    """An election and a tie order: none, or a random prefix of a shuffle."""
+    e = draw(elections)
+    order = None
+    if draw(st.booleans()):
+        shuffled = draw(st.permutations(range(len(e.projects))))
+        order = tuple(shuffled[: draw(st.integers(0, len(shuffled)))])
+    return e, order
+
+
+def round_log(rounds):
+    return [
+        (r.project, r.alpha, r.rho, dict(r.payments), r.overspent)
+        for r in rounds
+    ]
+
+
 def replay(election, rounds, charge):
     """Yield (pre-round balances, record) pairs under a charging scheme."""
     balances = [election.budget / election.n_voters] * election.n_voters
@@ -109,6 +127,56 @@ class TestOracleEquality:
         items = [(p.cost, e.utilities.value(0, p.id)) for p in e.projects]
         expected = oracles.fractional_knapsack(e.budget, items)
         assert dict(fres(e).fractions) == expected
+
+    @given(st.one_of(
+        with_tie_order(cardinal_elections(max_voters=6, max_projects=6)),
+        with_tie_order(approval_elections(max_voters=6, max_projects=6)),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_fres_round_log(self, case):
+        e, order = case
+        out = fres(e, RuleConfig(tie_breaker=TieBreaker(order)))
+        fractions, log = oracles.naive_fres(e, order)
+        assert dict(out.fractions) == fractions
+        assert round_log(out.purchases) == log
+
+    @given(
+        st.one_of(
+            with_tie_order(cardinal_elections(max_voters=6, max_projects=6)),
+            with_tie_order(approval_elections(max_voters=6, max_projects=6)),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bos_round_log(self, case, redistribute):
+        e, order = case
+        config = RuleConfig(
+            tie_breaker=TieBreaker(order),
+            exhaustive_redistribution=redistribute,
+        )
+        assert round_log(bos(e, config).rounds) == oracles.naive_bos(
+            e, order, redistribute
+        )
+
+    def test_bos_redistribution_requotes(self):
+        # Voter 0 leaves once project 1 is funded; her leftover lets voter 1
+        # cover all of project 0, which a stale quote would buy only 2/3 of.
+        prof = UtilityProfile.from_rows(2, 2, [{1: 1}, {0: 2}])
+        e = Election((Project(0, "p0", 3), Project(1, "p1", 1)), 2, F(4), prof,
+                     utility_model=UtilityModel.SCORE)
+        log = round_log(bos(e, RuleConfig(exhaustive_redistribution=True)).rounds)
+        assert log == oracles.naive_bos(e, redistribute=True)
+        assert [(c, alpha) for c, alpha, *_ in log] == [(1, 1), (0, 1)]
+
+    @given(st.one_of(
+        with_tie_order(cardinal_elections(max_voters=6, max_projects=6)),
+        with_tie_order(approval_elections(max_voters=6, max_projects=6)),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_bos_plus_round_log(self, case):
+        e, order = case
+        out = bos_plus(e, RuleConfig(tie_breaker=TieBreaker(order)))
+        assert round_log(out.rounds) == oracles.naive_bos_plus(e, order)
 
 
 class TestFeasibilityAndShape:
