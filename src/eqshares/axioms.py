@@ -25,6 +25,7 @@ from .model import (
     Outcome,
     UtilityModel,
     as_num,
+    voter_utilities,
 )
 from .rules import RuleConfig, utilitarian
 
@@ -52,13 +53,6 @@ ONE = Fraction(1)
 AnyOutcome = Union[Outcome, FractionalOutcome]
 
 
-def _funded_shares(outcome: AnyOutcome) -> Mapping[int, Num]:
-    """Project id -> funded share; integral selections map to share 1."""
-    if isinstance(outcome, FractionalOutcome):
-        return {c: w for c, w in outcome.fractions.items() if w > 0}
-    return {c: ONE for c in outcome.selected}
-
-
 def satisfaction(
     election: Election, outcome: AnyOutcome, model: UtilityModel
 ) -> Num:
@@ -66,13 +60,9 @@ def satisfaction(
 
     Fractional outcomes weight each project by its funded share.
     """
-    profile = (
-        election.cost_utilities if model is UtilityModel.COST else election.scores
-    )
-    totals = profile.project_totals
+    totals = election.profile(model).project_totals
     return sum(
-        (share * totals[c] for c, share in _funded_shares(outcome).items()),
-        ZERO,
+        (share * totals[c] for c, share in outcome.shares.items()), ZERO
     )
 
 
@@ -105,25 +95,14 @@ def exclusion_ratio(election: Election, outcome: AnyOutcome) -> Num:
     """Fraction of voters with zero utility for every funded project."""
     if election.n_voters == 0:
         return ZERO
-    funded = set(_funded_shares(outcome))
-    excluded = sum(
-        1
-        for i in range(election.n_voters)
-        if funded.isdisjoint(election.scores.support_set(i))
-    )
+    funded = outcome.shares.keys()
+    excluded = sum(1 for row in election.scores.rows if funded.isdisjoint(row))
     return Fraction(excluded, election.n_voters)
 
 
 def budget_spent_fraction(election: Election, outcome: AnyOutcome) -> Num:
     """Spent funds as a fraction of the budget (Σ share·cost / b)."""
-    spent = sum(
-        (
-            share * election.projects[c].cost
-            for c, share in _funded_shares(outcome).items()
-        ),
-        ZERO,
-    )
-    return spent / election.budget
+    return election.spent(outcome) / election.budget
 
 
 def is_exhaustive(election: Election, outcome: AnyOutcome) -> bool:
@@ -132,13 +111,11 @@ def is_exhaustive(election: Election, outcome: AnyOutcome) -> bool:
     Integral: no unselected project fits the remaining budget. Fractional:
     the budget is fully spent or every project is fully funded.
     """
+    remaining = election.budget - election.spent(outcome)
     if isinstance(outcome, FractionalOutcome):
-        return budget_spent_fraction(election, outcome) == 1 or all(
+        return remaining == 0 or all(
             outcome.fraction(p.id) == 1 for p in election.projects
         )
-    remaining = election.budget - sum(
-        (election.projects[c].cost for c in outcome.selected), ZERO
-    )
     chosen = set(outcome.selected)
     return all(
         p.cost > remaining for p in election.projects if p.id not in chosen
@@ -180,15 +157,8 @@ def ejr_plus_violations(
     if n == 0:
         return 0, []
     share = election.budget / n
-    funded = _funded_shares(outcome)
-    cu = election.cost_utilities
-    sat = [
-        sum(
-            (funded[c] * u for c, u in cu.support_set(i).items() if c in funded),
-            ZERO,
-        )
-        for i in range(n)
-    ]
+    funded = outcome.shares
+    sat = voter_utilities(election, outcome, UtilityModel.COST)
     witnesses: list[EjrPlusWitness] = []
     for project in election.projects:
         if funded.get(project.id, ZERO) >= 1:
@@ -251,17 +221,9 @@ def ejr_up_to_witnesses(
     if n == 0:
         return []
     share = election.budget / n
-    funded = _funded_shares(outcome)
-    cu = election.cost_utilities
-    sat = [
-        sum(
-            (funded[c] * u for c, u in cu.support_set(i).items() if c in funded),
-            ZERO,
-        )
-        for i in range(n)
-    ]
+    sat = voter_utilities(election, outcome, UtilityModel.COST)
     costs = [p.cost for p in election.projects]
-    fully_funded = {c for c, w in funded.items() if w == 1}
+    fully_funded = {c for c, w in outcome.shares.items() if w == 1}
 
     if callable(t):
         t_cache: dict[int, Num] = {}
@@ -378,16 +340,7 @@ def fractional_ejr_falsifier(
     rng = random.Random(seed)
     n = election.n_voters
     utilities = election.utilities
-    sat = [
-        sum(
-            (
-                fractional_outcome.fractions.get(c, ZERO) * u
-                for c, u in utilities.support_set(i).items()
-            ),
-            ZERO,
-        )
-        for i in range(n)
-    ]
+    sat = voter_utilities(election, fractional_outcome)
     if n == 0:
         return FalsifierReport(None, trials)
     entitlement = election.budget / n

@@ -32,6 +32,7 @@ from .stats import (
     records_from_csv,
     records_from_jsonl,
     records_to_csv,
+    records_to_jsonl,
 )
 from .synth import EuclideanConfig, PropOneConfig, gen_euclidean, gen_prop_one, standard_clusters
 
@@ -43,7 +44,7 @@ log = logging.getLogger("eqshares")
 # produces a complete budget allocation.
 BENCH_RULES = ("utilitarian", "mes-add1u", "fres-complete", "bos", "bos-plus")
 
-MODEL_CHOICES = ("score", "cost")
+MODEL_CHOICES = tuple(model.value for model in UtilityModel)
 
 
 class InputDataError(Exception):
@@ -76,9 +77,11 @@ def _load(path: Path, model: str) -> Election:
 def _read_tie_names(path: Optional[Path]) -> tuple[str, ...]:
     if path is None:
         return ()
-    names = []
+    names: list[str] = []
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
+        if line in names:
+            raise click.UsageError(f"{path}: tie-order lists {line!r} twice")
         if line:
             names.append(line)
     return tuple(names)
@@ -120,6 +123,15 @@ def _timed_run(rule: str, election: Election, config: RuleConfig, repeats: int):
         outcome = run_rule(rule, election, config)
         times.append(time.perf_counter() - start)
     return outcome, statistics.median(times)
+
+
+def _write_out(text: str, out_path: Optional[Path]) -> None:
+    """Print ``text`` on stdout, or write it to ``out_path`` when given."""
+    if out_path is None:
+        click.echo(text, nl=False)
+    else:
+        out_path.write_text(text, encoding="utf-8")
+        log.info("wrote %s", out_path)
 
 
 def _parse_rules(spec: str) -> tuple[str, ...]:
@@ -184,14 +196,10 @@ def cmd_run(instance, rule, model, tie_order, add1u_step,
     outcome, runtime = _timed_run(rule, election, config, repeats)
     record = build_record(instance.stem, rule, election, outcome, runtime, config)
     text = json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n"
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        out_path.write_text(text, encoding="utf-8")
-        log.info("wrote %s", out_path)
+    _write_out(text, out_path)
 
 
-def _batch_worker(args: tuple) -> tuple[str, list[dict], Optional[str]]:
+def _batch_worker(args: tuple) -> tuple[str, list[RunRecord], Optional[str]]:
     (path_str, rules, model, tie_names, step_str,
      exhaustive_redistribution, repeats) = args
     path = Path(path_str)
@@ -205,9 +213,7 @@ def _batch_worker(args: tuple) -> tuple[str, list[dict], Optional[str]]:
         for rule in rules:
             outcome, runtime = _timed_run(rule, election, config, repeats)
             records.append(
-                build_record(
-                    path.stem, rule, election, outcome, runtime, config
-                ).to_json()
+                build_record(path.stem, rule, election, outcome, runtime, config)
             )
         return (path_str, records, None)
     except (PbParseError, InputDataError) as exc:
@@ -268,7 +274,7 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_batch_worker, items))
-    records: list[dict] = []
+    records: list[RunRecord] = []
     failures = 0
     for path_str, file_records, error in results:
         if error is not None:
@@ -279,16 +285,9 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
             log.info("done %s", path_str)
     if failures == len(files):
         raise InputDataError("every input file failed to parse")
-    records.sort(key=lambda r: (r["instance"], r["rule"]))
-    if out_path is not None and out_path.suffix == ".csv":
-        text = records_to_csv(RunRecord.from_json(r) for r in records)
-    else:
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        out_path.write_text(text, encoding="utf-8")
-        log.info("wrote %d records to %s", len(records), out_path)
+    records.sort(key=lambda r: (r.instance, r.rule))
+    csv_out = out_path is not None and out_path.suffix == ".csv"
+    _write_out((records_to_csv if csv_out else records_to_jsonl)(records), out_path)
 
 
 def _read_records(path: Path) -> list[RunRecord]:
@@ -297,7 +296,7 @@ def _read_records(path: Path) -> list[RunRecord]:
         if path.suffix == ".csv":
             return records_from_csv(text)
         return records_from_jsonl(text)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"could not read records from {path}: {exc}") from exc
 
 
@@ -318,12 +317,11 @@ def cmd_aggregate(records_path, buckets, out_path) -> None:
     records = _read_records(records_path)
     if not records:
         raise EmptyInputError(f"no records in {records_path}")
-    text = aggregate_to_csv(aggregate_records(records, buckets))
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        out_path.write_text(text, encoding="utf-8")
-        log.info("wrote %s", out_path)
+    try:
+        rows = aggregate_records(records, buckets)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"malformed record in {records_path}: {exc!r}") from exc
+    _write_out(aggregate_to_csv(rows), out_path)
 
 
 @cli.group("gen")
@@ -500,10 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 130
-    except PbParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except InputDataError as exc:
+    except (PbParseError, InputDataError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except EmptyInputError as exc:

@@ -4,6 +4,14 @@ Every monetary amount, utility, price, and fraction in this package is a
 :class:`fractions.Fraction`. Selections made by the sequential funding rules
 hinge on exact comparisons of prices, so no floating-point value may enter
 the decision path. Decimal strings convert to rationals without loss.
+
+What an outcome funds, spends and gives each voter is defined here once:
+``shares`` on both outcome types maps each funded project to its funded
+share (1 for an integral selection), :meth:`Election.spent` is the sum of
+share times cost, :meth:`Election.profile` picks the score or cost profile
+for a utility model, and :func:`voter_utilities` is every voter's
+share-weighted utility. Rules, audits and records use these rather than
+deriving any of the four again.
 """
 from __future__ import annotations
 
@@ -15,6 +23,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Num = Fraction
 NumLike = Union[Fraction, int, str]
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 __all__ = [
     "Num",
@@ -30,6 +40,7 @@ __all__ = [
     "BudgetState",
     "derive_cost_utilities",
     "outcome_utility",
+    "voter_utilities",
     "is_feasible",
 ]
 
@@ -210,9 +221,20 @@ class Election:
     @property
     def utilities(self) -> UtilityProfile:
         """The effective profile under the election's utility model."""
-        if self.utility_model is UtilityModel.COST:
+        return self.profile()
+
+    def profile(self, model: UtilityModel | None = None) -> UtilityProfile:
+        """The profile a utility model induces; the election's own if None."""
+        if (model or self.utility_model) is UtilityModel.COST:
             return self.cost_utilities
         return self.scores
+
+    def spent(self, outcome: Outcome | FractionalOutcome) -> Num:
+        """Funds the outcome spends: the sum of share times cost."""
+        return sum(
+            (share * self.projects[c].cost for c, share in outcome.shares.items()),
+            ZERO,
+        )
 
     def with_model(self, model: UtilityModel) -> "Election":
         if model is self.utility_model:
@@ -273,6 +295,11 @@ class Outcome:
     rounds: tuple[PurchaseRecord, ...]
     feasible: bool = True
 
+    @property
+    def shares(self) -> dict[int, Num]:
+        """Funded share of each selected project: 1."""
+        return dict.fromkeys(self.selected, ONE)
+
 
 @dataclass(frozen=True)
 class FractionalOutcome:
@@ -288,6 +315,11 @@ class FractionalOutcome:
 
     def fraction(self, project: int) -> Num:
         return self.fractions.get(project, Fraction(0))
+
+    @property
+    def shares(self) -> dict[int, Num]:
+        """Funded share of each project funded at all."""
+        return {c: share for c, share in self.fractions.items() if share > 0}
 
 
 class BudgetState:
@@ -325,6 +357,24 @@ class BudgetState:
         return sum(self.balances, Fraction(0))
 
 
+def _row_utility(row: Mapping[int, Num], shares: Mapping[int, Num]) -> Num:
+    return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
+
+
+def voter_utilities(
+    election: Election,
+    outcome: Outcome | FractionalOutcome,
+    model: UtilityModel | None = None,
+) -> list[Num]:
+    """Every voter's additive utility from an outcome, in voter order.
+
+    Each project's utility is weighted by its funded share. ``model``
+    overrides the election's utility model when given.
+    """
+    shares = outcome.shares
+    return [_row_utility(row, shares) for row in election.profile(model).rows]
+
+
 def outcome_utility(
     election: Election,
     voter: int,
@@ -338,29 +388,9 @@ def outcome_utility(
     """
     if not 0 <= voter < election.n_voters:
         raise IndexError(f"voter index {voter} out of range")
-    profile = (
-        election.utilities
-        if model is None
-        else (election.cost_utilities if model is UtilityModel.COST else election.scores)
-    )
-    row = profile.support_set(voter)
-    if isinstance(outcome, FractionalOutcome):
-        return sum(
-            (u * outcome.fractions[c] for c, u in row.items() if c in outcome.fractions),
-            Fraction(0),
-        )
-    return sum((row[c] for c in outcome.selected if c in row), Fraction(0))
+    return _row_utility(election.profile(model).rows[voter], outcome.shares)
 
 
 def is_feasible(election: Election, outcome: Outcome | FractionalOutcome) -> bool:
     """Whether the outcome's total cost stays within the budget, exactly."""
-    if isinstance(outcome, FractionalOutcome):
-        spent = sum(
-            (share * election.projects[c].cost for c, share in outcome.fractions.items()),
-            Fraction(0),
-        )
-    else:
-        spent = sum(
-            (election.projects[c].cost for c in outcome.selected), Fraction(0)
-        )
-    return spent <= election.budget
+    return election.spent(outcome) <= election.budget

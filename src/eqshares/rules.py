@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Callable, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Optional, TypeVar
 
 from .model import (
     BudgetState,
@@ -43,7 +43,6 @@ from .model import (
     UtilityModel,
     UtilityProfile,
     as_num,
-    is_feasible,
 )
 
 __all__ = [
@@ -408,12 +407,9 @@ class _LazyBest(Generic[Q]):
 
 
 def _utilitarian_tail(
-    election: Election,
-    config: RuleConfig,
-    selected: Sequence[int] = (),
-    rounds: Sequence[PurchaseRecord] = (),
+    election: Election, config: RuleConfig, start: Outcome = Outcome((), ())
 ) -> Outcome:
-    """Extend a selection with still-affordable projects by descending
+    """Extend an outcome with still-affordable projects by descending
     total score.
 
     Tail purchases are funded centrally from the leftover public budget
@@ -421,10 +417,8 @@ def _utilitarian_tail(
     """
     totals = election.scores.project_totals
     tie = config.tie_breaker
-    selected, rounds = list(selected), list(rounds)
-    remaining = election.budget - sum(
-        (election.projects[c].cost for c in selected), ZERO
-    )
+    selected, rounds = list(start.selected), list(start.rounds)
+    remaining = election.budget - election.spent(start)
     chosen = set(selected)
     ranked = sorted(
         (p for p in election.projects if p.id not in chosen),
@@ -481,6 +475,7 @@ def mes(
     )
     selected: list[int] = []
     rounds: list[PurchaseRecord] = []
+    spent = ZERO
     while (best := selector.best()) is not None:
         logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
         for i, pay in best.payments.items():
@@ -488,13 +483,13 @@ def mes(
             selector.stale(utilities.support_set(i))
         selector.drop((best.project,))
         selected.append(best.project)
+        spent += projects[best.project].cost
         rounds.append(
             PurchaseRecord(best.project, ONE, best.rho, best.payments)
         )
-    outcome = Outcome(tuple(selected), tuple(rounds), feasible=True)
-    if not is_feasible(election, outcome):
-        outcome = Outcome(outcome.selected, outcome.rounds, feasible=False)
-    return outcome
+    return Outcome(
+        tuple(selected), tuple(rounds), feasible=spent <= election.budget
+    )
 
 
 def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -522,7 +517,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         if endowment >= election.budget:
             break
         k += 1
-    return _utilitarian_tail(election, config, best.selected, best.rounds)
+    return _utilitarian_tail(election, config, best)
 
 
 def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOutcome:
@@ -602,10 +597,7 @@ def fres_utilitarian_completion(
     tie = config.tie_breaker
     fractions = dict(partial.fractions)
     purchases = list(partial.purchases)
-    remaining = election.budget - sum(
-        (share * election.projects[c].cost for c, share in fractions.items()),
-        ZERO,
-    )
+    remaining = election.budget - election.spent(partial)
     if remaining < 0:
         raise ValueError("partial outcome already exceeds the budget")
     totals = utilities.project_totals

@@ -105,6 +105,8 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "RunRecord":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a record must be an object, not {type(data).__name__}")
         fractions = data.get("fractions")
         return cls(
             instance=str(data["instance"]),
@@ -170,19 +172,18 @@ def build_record(
     report = audit(election, outcome, config)
     names = {p.id: p.name for p in election.projects}
     if isinstance(outcome, FractionalOutcome):
-        selected = tuple(
-            names[c] for c in sorted(c for c, f in outcome.fractions.items() if f == 1)
-        )
         fractions: Optional[dict[str, str]] = {
             names[c]: str(f) for c, f in sorted(outcome.fractions.items())
         }
         rounds = outcome.purchases
         feasible = True
     else:
-        selected = tuple(names[c] for c in sorted(outcome.selected))
         fractions = None
         rounds = outcome.rounds
         feasible = outcome.feasible
+    selected = tuple(
+        names[c] for c in sorted(c for c, f in outcome.shares.items() if f == 1)
+    )
     return RunRecord(
         instance=instance,
         rule=rule,

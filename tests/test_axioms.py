@@ -30,6 +30,8 @@ from eqshares.model import (
     PurchaseRecord,
     UtilityModel,
     UtilityProfile,
+    is_feasible,
+    outcome_utility,
 )
 from eqshares.rules import add1u, bos, fres, fres_utilitarian_completion, mes
 
@@ -52,6 +54,56 @@ def approval_elections(draw, max_voters=5, max_projects=4):
     prof = UtilityProfile.from_rows(n, m, rows)
     return Election(projects, n, F(budget), prof,
                     utility_model=UtilityModel.COST)
+
+
+@st.composite
+def elections_with_outcomes(draw, max_voters=5, max_projects=4):
+    """A cardinal election and a random integral or fractional outcome,
+    which may overspend and may list zero shares."""
+    n = draw(st.integers(1, max_voters))
+    m = draw(st.integers(1, max_projects))
+    budget = draw(st.integers(2, 14))
+    projects = tuple(
+        Project(c, f"p{c}", F(draw(st.integers(1, budget)))) for c in range(m)
+    )
+    values = st.sampled_from([0, 0, 1, 2, F(1, 2), F(7, 3)])
+    rows = [{c: draw(values) for c in range(m)} for _ in range(n)]
+    model = draw(st.sampled_from(list(UtilityModel)))
+    e = Election(projects, n, F(budget), UtilityProfile.from_rows(n, m, rows),
+                 utility_model=model)
+    chosen = sorted(draw(st.sets(st.integers(0, m - 1))))
+    if draw(st.booleans()):
+        return e, Outcome(tuple(chosen), ())
+    shares = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1)])
+    return e, FractionalOutcome({c: draw(shares) for c in chosen}, ())
+
+
+class TestOutcomeView:
+    """Satisfaction, spending, feasibility and exclusion agree with sums
+    written out here from the funded shares."""
+
+    @given(elections_with_outcomes())
+    @settings(max_examples=200, deadline=None)
+    def test_metrics_match_funded_shares(self, case):
+        e, out = case
+        if isinstance(out, FractionalOutcome):
+            shares = dict(out.fractions)
+        else:
+            shares = {c: F(1) for c in out.selected}
+        for model in UtilityModel:
+            per_voter = sum(
+                (outcome_utility(e, i, out, model) for i in range(e.n_voters)),
+                F(0),
+            )
+            assert per_voter == satisfaction(e, out, model)
+        spent = sum((w * e.projects[c].cost for c, w in shares.items()), F(0))
+        assert budget_spent_fraction(e, out) * e.budget == spent
+        assert is_feasible(e, out) == (spent <= e.budget)
+        unserved = [
+            i for i in range(e.n_voters)
+            if outcome_utility(e, i, out, UtilityModel.SCORE) == 0
+        ]
+        assert exclusion_ratio(e, out) == F(len(unserved), e.n_voters)
 
 
 class TestExclusionRatio:

@@ -108,6 +108,17 @@ class TestRun:
         ]) == 3
         capsys.readouterr()
 
+    def test_tie_order_repeated_name_exits_3(self, fixtures_dir, tmp_path,
+                                             capsys):
+        tie = tmp_path / "tie.txt"
+        tie.write_text("A\nA\n", encoding="utf-8")
+        assert main([
+            "run", str(fixtures_dir / "reference.pb"),
+            "--rule", "mes", "--tie-order", str(tie),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert str(tie) in err and "'A' twice" in err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.pb"
         bad.write_text("PROJECTS\n", encoding="utf-8")
@@ -216,6 +227,17 @@ class TestBatch:
         capsys.readouterr()
 
 
+    def test_tie_order_repeated_name_exits_3(self, batch_dir, tmp_path,
+                                             capsys):
+        tie = tmp_path / "tie.txt"
+        tie.write_text("A\nNotAProject\nA\n", encoding="utf-8")
+        assert main([
+            "batch", str(batch_dir), "--rules", "mes", "--tie-order", str(tie),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert str(tie) in err and "'A' twice" in err
+
+
 class TestAggregate:
     def write_records(self, batch_dir, tmp_path, capsys) -> str:
         target = tmp_path / "records.jsonl"
@@ -260,6 +282,23 @@ class TestAggregate:
         garbage.write_text("{not json\n", encoding="utf-8")
         assert main(["aggregate", str(garbage)]) == 2
         capsys.readouterr()
+
+    def test_non_object_record_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("42\n", encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        assert "error: could not read records" in capsys.readouterr().err
+
+    def test_record_missing_metric_exits_2(self, batch_dir, tmp_path, capsys):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            record = json.loads(handle.readline())
+        del record["metrics"]["cost_satisfaction"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error: malformed record" in err and "cost_satisfaction" in err
 
 
 class TestGen:

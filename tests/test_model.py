@@ -20,6 +20,7 @@ from eqshares.model import (
     derive_cost_utilities,
     is_feasible,
     outcome_utility,
+    voter_utilities,
 )
 
 
@@ -212,6 +213,17 @@ class TestOutcomeUtility:
         parts = (outcome_utility(reference_election, 1, Outcome((0,), ()))
                  + outcome_utility(reference_election, 1, Outcome((3, 4), ())))
         assert whole == parts
+
+
+    def test_voter_utilities_row_by_row(self, reference_election):
+        fo = FractionalOutcome({0: F(1), 3: F(0), 5: F(1, 2)}, ())
+        assert fo.shares == {0: 1, 5: F(1, 2)}
+        for out in (fo, Outcome((0, 3, 4), ())):
+            for model in (None, UtilityModel.SCORE):
+                assert voter_utilities(reference_election, out, model) == [
+                    outcome_utility(reference_election, i, out, model)
+                    for i in range(reference_election.n_voters)
+                ]
 
 
 class TestIsFeasible:
