@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Union
 
 from .model import (
@@ -25,6 +26,7 @@ from .model import (
     Outcome,
     UtilityModel,
     as_num,
+    scaled_voter_utilities,
     voter_utilities,
 )
 from .rules import RuleConfig, utilitarian
@@ -142,35 +144,54 @@ def ejr_plus_violations(
     """Count unselected projects whose approver groups are underserved.
 
     Requires approval ballots; satisfaction is measured in cost utilities.
-    For each project with funded share below 1, its approvers are sorted by
-    ascending satisfaction; the project counts as one violation if some
-    prefix of size s has s·b/n ≥ cost and every member's satisfaction plus
-    the project's cost still fits within s·b/n (the up-to-one relaxation).
-    Checking prefixes is complete: any certifying group can be replaced by
-    the least-satisfied approvers of the same size. Returns the violation
-    count (one per project, however many groups certify it) and one witness
-    per violating project.
+    For each project with funded share below 1, its approvers are taken in
+    ascending satisfaction, ties by voter id; the project counts as one
+    violation if some prefix of size s has s·b/n ≥ cost and every member's
+    satisfaction plus the project's cost still fits within s·b/n (the
+    up-to-one relaxation). Checking prefixes is complete: any certifying
+    group can be replaced by the least-satisfied approvers of the same size.
+    Returns the violation count (one per project, however many groups
+    certify it) and one witness per violating project: its shortest
+    certifying prefix.
+
+    The check runs in exact integers. Satisfactions, b/n and the costs are
+    put on one scale (the lcm of their denominators); all voters are sorted
+    once, and handing them out to the projects' approver lists in that
+    order gives every list in satisfaction order. Each prefix test is then
+    sat + cost ≤ s·b/n, scanned from the least s with s·b/n ≥ cost.
     """
     if not election.scores.is_approval:
         raise ValueError("violation counting requires approval ballots")
     n = election.n_voters
     if n == 0:
         return 0, []
-    share = election.budget / n
     funded = outcome.shares
-    sat = voter_utilities(election, outcome, UtilityModel.COST)
+    open_projects = [
+        p for p in election.projects if funded.get(p.id, ZERO) < 1
+    ]
+    sat, sat_scale = scaled_voter_utilities(election, outcome, UtilityModel.COST)
+    share = election.budget / n
+    scale = lcm(
+        sat_scale, share.denominator, *(p.cost.denominator for p in open_projects)
+    )
+    if scale != sat_scale:
+        sat = [s * (scale // sat_scale) for s in sat]
+    share_units = share.numerator * (scale // share.denominator)
+
+    approvers: dict[int, list[int]] = {p.id: [] for p in open_projects}
+    rows = election.scores.rows
+    for i in sorted(range(n), key=sat.__getitem__):
+        for c in rows[i]:
+            if c in approvers:
+                approvers[c].append(i)
     witnesses: list[EjrPlusWitness] = []
-    for project in election.projects:
-        if funded.get(project.id, ZERO) >= 1:
-            continue
-        approvers = sorted(
-            election.scores.supporters[project.id], key=lambda i: (sat[i], i)
-        )
-        for s, voter in enumerate(approvers, start=1):
-            if s * share >= project.cost and sat[voter] + project.cost <= s * share:
-                witnesses.append(
-                    EjrPlusWitness(project.id, tuple(approvers[:s]))
-                )
+    for project in open_projects:
+        group = approvers[project.id]
+        cost = project.cost.numerator * (scale // project.cost.denominator)
+        first = max(1, -(-cost // share_units))
+        for s in range(first, len(group) + 1):
+            if sat[group[s - 1]] + cost <= s * share_units:
+                witnesses.append(EjrPlusWitness(project.id, tuple(group[:s])))
                 break
     return len(witnesses), witnesses
 

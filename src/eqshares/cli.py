@@ -291,11 +291,13 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
 
 
 def _read_records(path: Path) -> list[RunRecord]:
+    """Records for ``aggregate`` and ``plotdata``; neither reads round logs,
+    so JSONL logs are dropped as each line is read."""
     text = path.read_text(encoding="utf-8")
     try:
         if path.suffix == ".csv":
             return records_from_csv(text)
-        return records_from_jsonl(text)
+        return records_from_jsonl(text, keep_rounds=False)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"could not read records from {path}: {exc}") from exc
 

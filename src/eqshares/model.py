@@ -11,7 +11,9 @@ share (1 for an integral selection), :meth:`Election.spent` is the sum of
 share times cost, :meth:`Election.profile` picks the score or cost profile
 for a utility model, and :func:`voter_utilities` is every voter's
 share-weighted utility. Rules, audits and records use these rather than
-deriving any of the four again.
+deriving any of the four again. :func:`scaled_voter_utilities` is the same
+satisfaction as integers over one common scale, for audits that compare
+many voters at once.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Num = Fraction
@@ -41,6 +44,7 @@ __all__ = [
     "derive_cost_utilities",
     "outcome_utility",
     "voter_utilities",
+    "scaled_voter_utilities",
     "is_feasible",
 ]
 
@@ -116,11 +120,14 @@ class UtilityProfile:
             clean: dict[int, Num] = {}
             for project, raw in row.items():
                 value = as_num(raw)
-                if value < 0:
+                # A rational's sign is its numerator's (denominators are
+                # positive), and an int test is far cheaper than a rational one.
+                sign = value.numerator
+                if sign < 0:
                     raise ValueError(f"voter {i}: negative utility for project {project}")
                 if not 0 <= project < n_projects:
                     raise ValueError(f"voter {i}: unknown project id {project}")
-                if value > 0:
+                if sign:
                     clean[project] = value
             packed.append(clean)
         if len(packed) != n_voters:
@@ -145,12 +152,22 @@ class UtilityProfile:
 
     @cached_property
     def project_totals(self) -> tuple[Num, ...]:
-        """Total utility each project receives across all voters."""
-        totals = [Fraction(0)] * self.n_projects
+        """Total utility each project receives across all voters.
+
+        Entries are summed as integer numerators per (project, denominator),
+        and each project's total is built from one exact rational per
+        distinct denominator, so no per-entry rational addition is made.
+        """
+        sums: list[dict[int, int]] = [{} for _ in range(self.n_projects)]
         for row in self.rows:
             for project, value in row.items():
-                totals[project] += value
-        return tuple(totals)
+                by_den = sums[project]
+                den = value.denominator
+                by_den[den] = by_den.get(den, 0) + value.numerator
+        return tuple(
+            sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+            for by_den in sums
+        )
 
     @cached_property
     def is_approval(self) -> bool:
@@ -175,10 +192,27 @@ def derive_cost_utilities(
     """
     if len(projects) != scores.n_projects:
         raise ValueError("project list does not match profile width")
-    rows = tuple(
-        {c: u * projects[c].cost for c, u in row.items()} for row in scores.rows
-    )
-    return UtilityProfile(scores.n_voters, scores.n_projects, rows)
+    # One product per distinct (project, score), shared by every row. Rows
+    # often share their score objects, so each column first checks the last
+    # score it saw by identity. Values are looked up by their integer pair:
+    # hashing a Fraction costs a modular inverse, more than the product.
+    products: list[dict[tuple[int, int], Num]] = [{} for _ in projects]
+    last: list[tuple[Num | None, Num | None]] = [(None, None)] * len(projects)
+    rows = []
+    for row in scores.rows:
+        out: dict[int, Num] = {}
+        for c, u in row.items():
+            seen, product = last[c]
+            if seen is not u:
+                column = products[c]
+                key = u.as_integer_ratio()
+                product = column.get(key)
+                if product is None:
+                    product = column[key] = u * projects[c].cost
+                last[c] = (u, product)
+            out[c] = product
+        rows.append(out)
+    return UtilityProfile(scores.n_voters, scores.n_projects, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -357,8 +391,42 @@ class BudgetState:
         return sum(self.balances, Fraction(0))
 
 
-def _row_utility(row: Mapping[int, Num], shares: Mapping[int, Num]) -> Num:
-    return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
+def scaled_voter_utilities(
+    election: Election,
+    outcome: Outcome | FractionalOutcome,
+    model: UtilityModel | None = None,
+) -> tuple[list[int], int]:
+    """Every voter's utility from an outcome as integers over one scale.
+
+    Returns ``(sats, scale)`` with ``sats[i] / scale`` voter i's additive
+    utility, each project's utility weighted by its funded share; ``scale``
+    is the lcm of the denominators of the products share·u. Each distinct
+    (project, utility) product is formed once, and the per-voter sums are
+    integer sums. ``model`` overrides the election's utility model.
+    """
+    profile = election.profile(model)
+    rows, supporters = profile.rows, profile.supporters
+    # Each funded project's supporters grouped by utility, keyed by its
+    # integer pair as in derive_cost_utilities. Entries of one column are
+    # often one shared object, so a run of the same object skips the lookup.
+    terms: list[tuple[Num, list[int]]] = []
+    for c, share in outcome.shares.items():
+        groups: dict[tuple[int, int], tuple[Num, list[int]]] = {}
+        last = voters = None
+        for i in supporters[c]:
+            u = rows[i][c]
+            if u is not last:
+                last = u
+                voters = groups.setdefault(u.as_integer_ratio(), (u, []))[1]
+            voters.append(i)
+        terms.extend((share * u, voters) for u, voters in groups.values())
+    scale = lcm(*(product.denominator for product, _ in terms))
+    sats = [0] * profile.n_voters
+    for product, voters in terms:
+        weight = product.numerator * (scale // product.denominator)
+        for i in voters:
+            sats[i] += weight
+    return sats, scale
 
 
 def voter_utilities(
@@ -369,10 +437,11 @@ def voter_utilities(
     """Every voter's additive utility from an outcome, in voter order.
 
     Each project's utility is weighted by its funded share. ``model``
-    overrides the election's utility model when given.
+    overrides the election's utility model when given. This is the exact
+    rational view of :func:`scaled_voter_utilities`.
     """
-    shares = outcome.shares
-    return [_row_utility(row, shares) for row in election.profile(model).rows]
+    sats, scale = scaled_voter_utilities(election, outcome, model)
+    return [Fraction(s, scale) if s else ZERO for s in sats]
 
 
 def outcome_utility(
@@ -388,7 +457,9 @@ def outcome_utility(
     """
     if not 0 <= voter < election.n_voters:
         raise IndexError(f"voter index {voter} out of range")
-    return _row_utility(election.profile(model).rows[voter], outcome.shares)
+    shares = outcome.shares
+    row = election.profile(model).rows[voter]
+    return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
 
 
 def is_feasible(election: Election, outcome: Outcome | FractionalOutcome) -> bool:

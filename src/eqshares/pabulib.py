@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .model import (
+    ONE,
     Election,
     Num,
     Project,
@@ -349,7 +350,7 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
                 )
             for pid in vote.vote:
                 if pid in index:
-                    row[index[pid]] = Fraction(1)
+                    row[index[pid]] = ONE
         elif ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING):
             assert vote.points is not None
             for pid, score in zip(vote.vote, vote.points):

@@ -46,6 +46,7 @@ from .model import (
 )
 
 __all__ = [
+    "InvariantError",
     "TieBreaker",
     "RuleConfig",
     "AffordabilityQuote",
@@ -67,6 +68,14 @@ logger = logging.getLogger(__name__)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 Q = TypeVar("Q")
+
+
+class InvariantError(RuntimeError):
+    """A rule reached a state its construction rules out.
+
+    Raised by explicit checks rather than ``assert``, so that the check
+    also runs under ``python -O``.
+    """
 
 
 @dataclass(frozen=True)
@@ -506,7 +515,8 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     base = election.budget / election.n_voters
     step = config.add1u_step
     best = mes(election, config, b_ini=base)
-    assert best.feasible
+    if not best.feasible:
+        raise InvariantError("add1u: mes at the equal share b/n overspent")
     k = 1
     while True:
         endowment = base + k * step
@@ -565,7 +575,8 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
             pay = alpha * rho * u
             payments[i] = pay
             balances[i] -= pay
-            assert balances[i] >= 0
+            if balances[i] < 0:
+                raise InvariantError(f"fres: voter {i} overdrawn buying {best_c}")
             if balances[i] == 0:
                 drained.append(i)
         fractions[best_c] = fractions.get(best_c, ZERO) + alpha

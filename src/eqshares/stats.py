@@ -104,7 +104,10 @@ class RunRecord:
         return out
 
     @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "RunRecord":
+    def from_json(
+        cls, data: Mapping[str, object], keep_rounds: bool = True
+    ) -> "RunRecord":
+        """Rebuild a record; ``keep_rounds=False`` leaves ``rounds`` empty."""
         if not isinstance(data, Mapping):
             raise TypeError(f"a record must be an object, not {type(data).__name__}")
         fractions = data.get("fractions")
@@ -119,7 +122,10 @@ class RunRecord:
             selected=tuple(data["selected"]),
             fractions=dict(fractions) if fractions is not None else None,
             feasible=bool(data["feasible"]),
-            rounds=tuple(dict(r) for r in data.get("rounds", ())),
+            rounds=(
+                tuple(dict(r) for r in data.get("rounds", ()))
+                if keep_rounds else ()
+            ),
             metrics=dict(data["metrics"]),
             runtime_sec=float(data["runtime_sec"]),
             config_hash=str(data["config_hash"]),
@@ -318,12 +324,17 @@ def records_to_jsonl(records: Iterable[RunRecord]) -> str:
     return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
 
 
-def records_from_jsonl(text: str) -> list[RunRecord]:
+def records_from_jsonl(text: str, keep_rounds: bool = True) -> list[RunRecord]:
+    """Records of a JSONL text, one per non-blank line.
+
+    With ``keep_rounds=False`` each record's round log is dropped as its
+    line is read, for readers that need only the outcome and metrics.
+    """
     records = []
     for line in _lines(text):
         line = line.strip()
         if line:
-            records.append(RunRecord.from_json(json.loads(line)))
+            records.append(RunRecord.from_json(json.loads(line), keep_rounds))
     return records
 
 

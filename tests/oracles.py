@@ -468,6 +468,40 @@ def brute_force_ejr_plus(
     return violating
 
 
+def naive_ejr_plus(
+    election: Election, funded: dict[int, Fraction]
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Violation count and (project, group) witnesses by a rational prefix scan.
+
+    For each project funded below 1, its approvers are sorted by (cost-utility
+    satisfaction, id) and every prefix is tried from size 1; the first prefix
+    of size s with s·b/n ≥ cost and sat + cost ≤ s·b/n for its last (most
+    satisfied) member is the witness. All arithmetic is on Fractions.
+    """
+    n = election.n_voters
+    if n == 0:
+        return 0, []
+    share = election.budget / n
+    cu = election.cost_utilities
+    sat = [
+        sum((w * cu.value(i, c) for c, w in funded.items()), ZERO)
+        for i in range(n)
+    ]
+    witnesses = []
+    for project in election.projects:
+        if funded.get(project.id, ZERO) >= 1:
+            continue
+        approvers = sorted(
+            (i for i in range(n) if election.scores.value(i, project.id) > 0),
+            key=lambda i: (sat[i], i),
+        )
+        for s, voter in enumerate(approvers, start=1):
+            if s * share >= project.cost and sat[voter] + project.cost <= s * share:
+                witnesses.append((project.id, tuple(approvers[:s])))
+                break
+    return len(witnesses), witnesses
+
+
 # ---------------------------------------------------------------------------
 # Dense-sweep lower-envelope check for purchase quotes.
 

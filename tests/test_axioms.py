@@ -234,6 +234,65 @@ class TestEjrPlusViolations:
             assert count == len(expected)
 
 
+@st.composite
+def ejr_plus_cases(draw, max_voters=7, max_projects=5):
+    """Approval elections with fractional costs and a b/n with a large
+    denominator, under integral, fractional (zero and full shares
+    included) and over-budget outcomes."""
+    n = draw(st.integers(1, max_voters))
+    m = draw(st.integers(1, max_projects))
+    costs = [
+        F(draw(st.integers(1, 60)), draw(st.sampled_from([1, 2, 3, 7, 10, 11, 13])))
+        for _ in range(m)
+    ]
+    big = draw(st.sampled_from([1, 999_983, 10**9 + 7]))
+    budget = max(costs) + F(draw(st.integers(0, 200 * big)), big)
+    projects = tuple(Project(c, f"p{c}", costs[c]) for c in range(m))
+    rows = [
+        {c: 1 for c in draw(st.sets(st.integers(0, m - 1)))} for _ in range(n)
+    ]
+    e = Election(projects, n, budget, UtilityProfile.from_rows(n, m, rows),
+                 utility_model=UtilityModel.COST)
+    if draw(st.booleans()):
+        # Any subset of projects, so the selection may exceed the budget.
+        selected = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+        return e, Outcome(selected, ()), {c: F(1) for c in selected}
+    fractions = {
+        c: F(draw(st.integers(0, d)), d)
+        for c, d in draw(
+            st.dictionaries(st.integers(0, m - 1), st.integers(1, 12))
+        ).items()
+    }
+    return e, FractionalOutcome(fractions, ()), fractions
+
+
+class TestEjrPlusAgainstPrefixScan:
+    """The integer audit against the rational prefix scan, witnesses included."""
+
+    @staticmethod
+    def _result(e, outcome):
+        count, witnesses = ejr_plus_violations(e, outcome)
+        return count, [(w.project, w.group) for w in witnesses]
+
+    @given(ejr_plus_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, case):
+        e, outcome, funded = case
+        assert self._result(e, outcome) == oracles.naive_ejr_plus(e, funded)
+
+    def test_voter_id_breaks_satisfaction_ties(self):
+        # Voters 0 and 1 got project 1; voters 2 and 3 are tied at zero
+        # satisfaction, so the lower id alone forms the witness for project 0.
+        prof = UtilityProfile.from_rows(
+            4, 2, [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1}]
+        )
+        e = Election((Project(0, "a", 1), Project(1, "b", 1)), 4, F(4), prof,
+                     utility_model=UtilityModel.COST)
+        outcome = Outcome((1,), ())
+        assert self._result(e, outcome) == (1, [(0, (2,))])
+        assert oracles.naive_ejr_plus(e, {1: F(1)}) == (1, [(0, (2,))])
+
+
 class TestEjrUpToWitnesses:
     def test_rejects_oversized_instances(self):
         n = 13

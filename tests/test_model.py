@@ -20,8 +20,46 @@ from eqshares.model import (
     derive_cost_utilities,
     is_feasible,
     outcome_utility,
+    scaled_voter_utilities,
     voter_utilities,
 )
+
+ZERO = F(0)
+# Rationals with mixed denominators, drawn as fresh objects per entry.
+mixed = st.builds(F, st.integers(1, 30), st.sampled_from([1, 2, 3, 6, 7, 10, 999_983]))
+# Entries shared between rows and columns, as parsed approval ballots share 1.
+shared = st.sampled_from([F(1), F(2, 3), F(5)])
+
+
+@st.composite
+def mixed_profiles(draw, min_voters=0, max_voters=6, max_projects=4):
+    n = draw(st.integers(min_voters, max_voters))
+    m = draw(st.integers(1, max_projects))
+    rows = [
+        draw(st.dictionaries(st.integers(0, m - 1), st.one_of(mixed, shared)))
+        for _ in range(n)
+    ]
+    return UtilityProfile.from_rows(n, m, rows)
+
+
+@st.composite
+def elections_with_outcomes(draw):
+    """Cardinal elections with integral or fractional outcomes; fractional
+    shares include 0 and 1."""
+    scores = draw(mixed_profiles(min_voters=1))
+    m = scores.n_projects
+    projects = tuple(Project(c, f"p{c}", draw(mixed)) for c in range(m))
+    budget = max(p.cost for p in projects) + draw(mixed)
+    e = Election(projects, scores.n_voters, budget, scores)
+    if draw(st.booleans()):
+        return e, Outcome(tuple(sorted(draw(st.sets(st.integers(0, m - 1))))), ())
+    fractions = {
+        c: F(draw(st.integers(0, d)), d)
+        for c, d in draw(
+            st.dictionaries(st.integers(0, m - 1), st.integers(1, 9))
+        ).items()
+    }
+    return e, FractionalOutcome(fractions, ())
 
 
 class TestAsNum:
@@ -111,6 +149,51 @@ class TestUtilityProfile:
                 in_support = c in prof.support_set(i)
                 in_supporters = i in prof.supporters[c]
                 assert in_support == in_supporters == (prof.value(i, c) > 0)
+
+
+class TestDerivationsAgainstNaiveSums:
+    @given(mixed_profiles())
+    @settings(max_examples=100, deadline=None)
+    def test_project_totals(self, prof):
+        expected = [ZERO] * prof.n_projects
+        for row in prof.rows:
+            for c, u in row.items():
+                expected[c] += u
+        assert prof.project_totals == tuple(expected)
+
+    @given(mixed_profiles())
+    @settings(max_examples=100, deadline=None)
+    def test_cost_utilities_entry_by_entry(self, prof):
+        costs = [F(7 * c + 3, c + 2) for c in range(prof.n_projects)]
+        projects = tuple(Project(c, f"p{c}", costs[c]) for c in range(prof.n_projects))
+        out = derive_cost_utilities(prof, projects)
+        assert len(out.rows) == len(prof.rows)
+        for row, derived in zip(prof.rows, out.rows):
+            assert derived == {c: u * costs[c] for c, u in row.items()}
+
+    @given(elections_with_outcomes())
+    @settings(max_examples=150, deadline=None)
+    def test_voter_utilities(self, case):
+        e, outcome = case
+        shares = (
+            dict.fromkeys(outcome.selected, F(1)) if isinstance(outcome, Outcome)
+            else outcome.fractions
+        )
+        for model in (UtilityModel.SCORE, UtilityModel.COST):
+            weight = (
+                (lambda c: e.projects[c].cost) if model is UtilityModel.COST
+                else (lambda c: 1)
+            )
+            naive = [
+                sum((shares[c] * u * weight(c) for c, u in row.items()
+                     if c in shares), ZERO)
+                for row in e.scores.rows
+            ]
+            sats, scale = scaled_voter_utilities(e, outcome, model)
+            assert isinstance(scale, int) and scale > 0
+            assert all(isinstance(s, int) for s in sats)
+            assert [F(s, scale) for s in sats] == naive
+            assert voter_utilities(e, outcome, model) == naive
 
 
 class TestDeriveCostUtilities:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eqshares import rules
 from eqshares.model import (
     Election,
+    Outcome,
     Project,
     UtilityModel,
     UtilityProfile,
@@ -385,3 +388,29 @@ class TestDeterminismAndTies:
 
         with pytest.raises(ValueError):
             TieBreaker(order=(1, 1))
+
+
+class TestInvariantChecks:
+    """Load-bearing invariants raise a named error, not a bare assert, so
+    they also fire under ``python -O``."""
+
+    def test_fres_overdrawn_balance(self, monkeypatch):
+        prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
+        e = Election((Project(0, "a", 1),), 1, F(1), prof)
+        # A supporter list naming voter 0 twice charges her full balance twice.
+        monkeypatch.setitem(vars(prof), "supporters", ((0, 0),))
+        with pytest.raises(rules.InvariantError, match="fres: voter 0 overdrawn"):
+            fres(e)
+
+    def test_add1u_infeasible_start(self, monkeypatch):
+        prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
+        e = Election((Project(0, "a", 1),), 1, F(1), prof)
+        real_mes = rules.mes
+
+        def overspending_mes(*args, **kwargs):
+            out = real_mes(*args, **kwargs)
+            return Outcome(out.selected, out.rounds, feasible=False)
+
+        monkeypatch.setattr(rules, "mes", overspending_mes)
+        with pytest.raises(rules.InvariantError, match="add1u"):
+            add1u(e)

@@ -289,6 +289,13 @@ class TestSerialization:
         assert text.count("\n") == 3
         assert records_from_jsonl(text) == records
 
+    def test_jsonl_without_rounds(self, reference_election):
+        records = self.sample_records(reference_election)
+        assert all(r.rounds for r in records[:2])
+        light = records_from_jsonl(records_to_jsonl(records), keep_rounds=False)
+        assert light == [dataclasses.replace(r, rounds=()) for r in records]
+        assert aggregate_records(light) == aggregate_records(records)
+
     def test_csv_round_trip(self, reference_election):
         records = self.sample_records(reference_election)
         assert records_from_csv(records_to_csv(records)) == records
