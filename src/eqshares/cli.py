@@ -22,7 +22,7 @@ import click
 
 from .model import Election, UtilityModel
 from .pabulib import BallotType, PbParseError, load_election, write_pb
-from .rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
+from .rules import RULE_NAMES, InvariantError, RuleConfig, TieBreaker, run_rule
 from .stats import (
     BUCKET_PRESETS,
     RunRecord,
@@ -199,7 +199,11 @@ def cmd_run(instance, rule, model, tie_order, add1u_step,
     _write_out(text, out_path)
 
 
-def _batch_worker(args: tuple) -> tuple[str, list[RunRecord], Optional[str]]:
+def _batch_worker(
+    args: tuple,
+) -> tuple[str, list[RunRecord], Optional[str], list[tuple[str, str]]]:
+    """One file's records, the error that skipped the whole file if any,
+    and the (rule, error) of each cell whose rule broke an invariant."""
     (path_str, rules, model, tie_names, step_str,
      exhaustive_redistribution, repeats) = args
     path = Path(path_str)
@@ -209,15 +213,18 @@ def _batch_worker(args: tuple) -> tuple[str, list[RunRecord], Optional[str]]:
             election, tie_names, Fraction(step_str),
             exhaustive_redistribution, strict=False,
         )
-        records = []
-        for rule in rules:
+    except (PbParseError, InputDataError) as exc:
+        return (path_str, [], str(exc), [])
+    records, failed = [], []
+    for rule in rules:
+        try:
             outcome, runtime = _timed_run(rule, election, config, repeats)
             records.append(
                 build_record(path.stem, rule, election, outcome, runtime, config)
             )
-        return (path_str, records, None)
-    except (PbParseError, InputDataError) as exc:
-        return (path_str, [], str(exc))
+        except InvariantError as exc:
+            failed.append((rule, str(exc)))
+    return (path_str, records, None, failed)
 
 
 @cli.command("batch")
@@ -253,8 +260,9 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
               out_path) -> None:
     """Run rules over every .pb file in a directory.
 
-    Files that fail to parse are reported on stderr and skipped; the
-    command fails only if no file succeeds. Records are sorted by
+    Files that fail to parse are reported on stderr and skipped, and so
+    is each (instance, rule) cell whose rule breaks an invariant; the
+    command fails only if no cell succeeds. Records are sorted by
     (instance, rule).
     """
     rules = _parse_rules(rules_spec)
@@ -275,16 +283,20 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_batch_worker, items))
     records: list[RunRecord] = []
-    failures = 0
-    for path_str, file_records, error in results:
+    unread = 0
+    for path_str, file_records, error, failed in results:
         if error is not None:
-            failures += 1
+            unread += 1
             click.echo(f"warning: skipped {path_str}: {error}", err=True)
-        else:
-            records.extend(file_records)
-            log.info("done %s", path_str)
-    if failures == len(files):
+            continue
+        for rule, cell_error in failed:
+            click.echo(f"warning: skipped {path_str} {rule}: {cell_error}", err=True)
+        records.extend(file_records)
+        log.info("done %s", path_str)
+    if unread == len(files):
         raise InputDataError("every input file failed to parse")
+    if not records:
+        raise InputDataError("every (instance, rule) cell failed")
     records.sort(key=lambda r: (r.instance, r.rule))
     csv_out = out_path is not None and out_path.suffix == ".csv"
     _write_out((records_to_csv if csv_out else records_to_jsonl)(records), out_path)

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Num = Fraction
@@ -168,6 +168,30 @@ class UtilityProfile:
             sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
             for by_den in sums
         )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Sequence[int], list[int], int], ...]:
+        """For each project, ``(voters, weights, scale)``: its supporters and
+        their utilities as integers over one scale.
+
+        ``weights[j] / scale`` is the utility of ``voters[j]``, which runs
+        through :attr:`supporters`, and ``scale`` is the lcm of the column's
+        denominators. Entries of a column are often one shared object, so a
+        run of the same object reuses its weight.
+        """
+        rows = self.rows
+        out = []
+        for c, voters in enumerate(self.supporters):
+            column = [rows[i][c] for i in voters]
+            scale = lcm(*{u.denominator for u in column})
+            weights = []
+            last = weight = None
+            for u in column:
+                if u is not last:
+                    last, weight = u, u.numerator * (scale // u.denominator)
+                weights.append(weight)
+            out.append((voters, weights, scale))
+        return tuple(out)
 
     @cached_property
     def is_approval(self) -> bool:
@@ -357,25 +381,33 @@ class FractionalOutcome:
 
 
 class BudgetState:
-    """Per-voter virtual balances plus an overdraft ledger.
+    """Per-voter virtual balances on an integer ledger, plus overdrafts.
 
-    The ledger (``over``) records how much each voter has already paid beyond
-    her balance; only the budget-boosting rule consults it, every other rule
-    leaves it at zero. Balances never go negative.
+    Voter i's balance is ``units[i] / scale``: every balance is an integer
+    over one shared scale, kept minimal (the lcm of the balances'
+    denominators) by dividing out ``gcd(scale, *units)`` after each change.
+    The rules change balances only through :meth:`debit`,
+    :meth:`redistribute` and :meth:`boosted`; ``balances`` is a read-only
+    ``Fraction`` view. ``over`` records how much each voter has already paid
+    beyond her balance; only the budget-boosting rule consults it, every
+    other rule leaves it at zero. Balances are built nonnegative, and only
+    an unfloored debit, which the caller checks, can take one below zero.
     """
 
-    __slots__ = ("balances", "over")
+    __slots__ = ("units", "scale", "over")
 
     def __init__(
         self, balances: Iterable[Num], over: Iterable[Num] | None = None
     ) -> None:
-        self.balances: list[Num] = list(balances)
-        if any(b < 0 for b in self.balances):
+        pairs = [b.as_integer_ratio() for b in balances]
+        if any(num < 0 for num, _ in pairs):
             raise ValueError("balances must be nonnegative")
+        self.scale = lcm(*(den for _, den in pairs))
+        self.units = [num * (self.scale // den) for num, den in pairs]
         self.over: list[Num] = (
-            list(over) if over is not None else [Fraction(0)] * len(self.balances)
+            list(over) if over is not None else [ZERO] * len(pairs)
         )
-        if len(self.over) != len(self.balances):
+        if len(self.over) != len(pairs):
             raise ValueError("ledger length does not match balance count")
 
     @classmethod
@@ -384,11 +416,76 @@ class BudgetState:
             raise ValueError("endowment must be nonnegative")
         return cls([per_voter] * n_voters)
 
+    @property
+    def balances(self) -> list[Num]:
+        """Every voter's balance as an exact rational (a fresh list)."""
+        scale = self.scale
+        return [Fraction(u, scale) for u in self.units]
+
     def copy(self) -> "BudgetState":
         return BudgetState(self.balances, self.over)
 
     def total(self) -> Num:
-        return sum(self.balances, Fraction(0))
+        return Fraction(sum(self.units), self.scale)
+
+    def debit(
+        self, amounts: Iterable[tuple[int, int]], den: int, floor: bool = False
+    ) -> list[tuple[int, Num]]:
+        """Take ``amount / den`` from each ``(voter, amount)`` in turn.
+
+        Without ``floor`` a balance may go below zero, which the caller must
+        check. With ``floor`` a balance stops at zero, and the result lists
+        ``(voter, shortfall)`` for each voter charged more than she held.
+        """
+        scale = lcm(self.scale, den)
+        if scale != self.scale:
+            factor = scale // self.scale
+            self.units = [u * factor for u in self.units]
+            self.scale = scale
+        factor = scale // den
+        units = self.units
+        short = []
+        for i, amount in amounts:
+            left = units[i] - amount * factor
+            if floor and left < 0:
+                short.append((i, Fraction(-left, scale)))
+                left = 0
+            units[i] = left
+        self._reduce()
+        return short
+
+    def redistribute(self, leaving: Sequence[int], stayers: Sequence[int]) -> bool:
+        """Empty the ``leaving`` voters' balances into equal shares for the
+        ``stayers``; whether any money moved."""
+        units = self.units
+        pot = sum(units[i] for i in leaving)
+        for i in leaving:
+            units[i] = 0
+        moved = bool(stayers) and pot > 0
+        if moved:
+            k = len(stayers)
+            self.units = units = [u * k for u in units]
+            self.scale *= k
+            for i in stayers:
+                units[i] += pot
+        self._reduce()
+        return moved
+
+    def boosted(self, boost: Num) -> "BudgetState":
+        """A copy in which each voter holds her balance plus what is left of
+        ``boost`` after her overdraft, max(0, boost - over)."""
+        return BudgetState(
+            [b + max(ZERO, boost - o) for b, o in zip(self.balances, self.over)],
+            self.over,
+        )
+
+    def _reduce(self) -> None:
+        """Divide out the common factor of the scale and every unit."""
+        if self.scale > 1:
+            g = gcd(self.scale, *self.units)
+            if g > 1:
+                self.units = [u // g for u in self.units]
+                self.scale //= g
 
 
 def scaled_voter_utilities(

@@ -16,6 +16,13 @@ The equal-shares rules pick each purchase through one lazy best-quote
 selector (:class:`_LazyBest`): quotes are cached and recomputed only when a
 purchase may have changed them, and the pick equals a full rescan's.
 
+Balances live on one integer ledger (:class:`~eqshares.model.BudgetState`)
+that every rule charges through its debit methods. The quote kernels
+(:func:`min_rho`, :func:`bos_quote`) read the moneyed supporters' units
+from it and their utilities from the profile's cached integer columns, and
+a quote builds its payment map only when a rule reads it, which is for the
+winner alone.
+
 All rules are pure functions: identical inputs give byte-identical logs.
 Ties are resolved by an injectable total order on projects.
 """
@@ -27,9 +34,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import attrgetter, itemgetter
-from typing import Callable, Generic, Iterable, Mapping, Optional, TypeVar
+from typing import (
+    Callable, Generic, Iterable, Mapping, Optional, Sequence, TypeVar,
+)
 
 from .model import (
     BudgetState,
@@ -125,7 +134,7 @@ class RuleConfig:
             raise ValueError("add1u_step must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class AffordabilityQuote:
     """One candidate purchase: a share ``alpha`` of a project at utility
     price ``rho``, with the per-voter payments that cover the full cost.
@@ -133,64 +142,125 @@ class AffordabilityQuote:
     ``ratio`` (rho/alpha) is the price of buying one utility unit through
     this quote when the fractional share is accounted for; integral rules
     with alpha = 1 reduce it to rho.
+
+    A quote keeps the integers its kernel found: the moneyed supporters
+    (in ascending b/u order whenever anybody is capped), their balances
+    times ``m_scale`` and their utilities times the column scale. The first
+    ``capped`` of them pay ``money * cap / den`` and the rest pay
+    ``weight * rate / den``, which is u * rho. ``payments`` is built from
+    these when first read, so only the quotes a rule buys pay for it.
     """
 
     project: int
     alpha: Num
     rho: Num
-    payments: Mapping[int, Num]
+    voters: Sequence[int]
+    money: list[int]
+    weights: list[int]
+    capped: int
+    cap: int
+    rate: int
+    den: int
+    m_scale: int
+    cost: Num
+    _payments: Optional[tuple[dict[int, int], dict[int, Num]]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def ratio(self) -> Num:
         return self.rho / self.alpha
 
+    def _owed(self) -> tuple[dict[int, int], dict[int, Num]]:
+        """Payment numerators over ``den`` and the payments themselves.
 
-def _moneyed_supporters(
-    project: Project,
-    budgets: BudgetState,
-    utilities: UtilityProfile,
-) -> list[tuple[int, Num, Num]]:
-    """(voter, utility, balance) for supporters with a positive balance."""
-    balances = budgets.balances
-    rows = utilities.rows
-    c = project.id
-    # Balances never go negative, so a nonzero balance is a positive one.
-    return [
-        (i, rows[i][c], b) for i in utilities.supporters[c] if (b := balances[i])
-    ]
+        Raises :class:`InvariantError` unless the payments add up to the
+        cost exactly.
+        """
+        if self._payments is None:
+            s, cap, rate = self.capped, self.cap, self.rate
+            owed = dict(zip(self.voters[:s], [m * cap for m in self.money[:s]]))
+            owed.update(zip(self.voters[s:], [w * rate for w in self.weights[s:]]))
+            num, den = self.cost.as_integer_ratio()
+            if sum(owed.values()) * den != num * self.den:
+                raise InvariantError(
+                    f"payments for project {self.project} do not add up to its cost"
+                )
+            self._payments = owed, _rationals(owed.items(), self.den)
+        return self._payments
+
+    @property
+    def payments(self) -> Mapping[int, Num]:
+        return self._owed()[1]
+
+    def charge(self, budgets: BudgetState, floor: bool = False) -> list[tuple[int, Num]]:
+        """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
+        return budgets.debit(self._owed()[0].items(), self.den, floor)
+
+    def charge_price(self, budgets: BudgetState) -> None:
+        """Debit u * rho from every voter of the quote, stopping at zero."""
+        rate = self.rate
+        budgets.debit(
+            zip(self.voters, [w * rate for w in self.weights]), self.den, True
+        )
+
+    def drained(self) -> int:
+        """How many voters u * rho would drain (b <= u * rho).
+
+        For a partial quote (alpha < 1) the voters are in ascending b/u
+        order, so these are a prefix of them.
+        """
+        money, weights, rate = self.money, self.weights, self.rate
+        factor = self.den // self.m_scale
+        return bisect_left(
+            range(len(money)), True,
+            key=lambda j: money[j] * factor > weights[j] * rate,
+        )
 
 
-def _over_lcm(
-    parts: list[tuple[int, int]], scale: int = 1
-) -> tuple[list[int], int]:
-    """Numerators of n/d over L = lcm(scale, every d), and L itself."""
-    scale = math.lcm(scale, *[d for _, d in parts])
-    return [n * (scale // d) for n, d in parts], scale
+def _rationals(owed: Iterable[tuple[int, int]], den: int) -> dict[int, Num]:
+    """``{voter: n / den}``, with one rational per distinct numerator n:
+    voters paying u * rho share one per distinct utility."""
+    made: dict[int, Num] = {}
+    out = {}
+    for i, n in owed:
+        pay = made.get(n)
+        if pay is None:
+            pay = made[n] = Fraction(n, den)
+        out[i] = pay
+    return out
 
 
-def _pays_exactly(payments: Mapping[int, Num], cost: Num) -> bool:
-    """Whether the payments add up to ``cost``, summed as integers over the
-    lcm of their denominators."""
-    paid, scale = _over_lcm([p.as_integer_ratio() for p in payments.values()])
-    num, den = cost.as_integer_ratio()
-    return sum(paid) * den == num * scale
+def _moneyed(
+    project: Project, budgets: BudgetState, utilities: UtilityProfile
+) -> Optional[tuple[Sequence[int], list[int], list[int], int, int, int]]:
+    """The project's moneyed supporters as integers, or None if there are
+    none: ``(voters, money, weights, due, m_scale, u_scale)``.
 
-
-def _integers(
-    sup: list[tuple[int, Num, Num]], cost: Num
-) -> tuple[list[int], list[int], int, int, int]:
-    """Balances, utilities and cost as integers over common denominators.
-
-    Returns ``(money, weights, due, m_scale, u_scale)`` with
     money[j] = b_j * m_scale, weights[j] = u_j * u_scale and
-    due = cost * m_scale, where each scale is the lcm of the denominators it
-    clears. Sums of these integers are exact sums of the rationals, and
-    ratios of them order and price exactly like the rationals.
+    due = cost * m_scale, where m_scale is the lcm of the ledger's scale and
+    the cost's denominator and u_scale is the column's scale
+    (:attr:`UtilityProfile.columns`). Sums of these integers are exact sums
+    of the rationals, and ratios of them order and price exactly like the
+    rationals.
     """
-    num, den = cost.as_integer_ratio()
-    money, m_scale = _over_lcm([b.as_integer_ratio() for _, _, b in sup], den)
-    weights, u_scale = _over_lcm([u.as_integer_ratio() for _, u, _ in sup])
-    return money, weights, num * (m_scale // den), m_scale, u_scale
+    voters, weights, u_scale = utilities.columns[project.id]
+    units = budgets.units
+    money = [units[i] for i in voters]
+    # Balances never go negative, so a nonzero balance is a positive one.
+    if 0 in money:
+        voters = list(compress(voters, money))
+        weights = list(compress(weights, money))
+        money = [m for m in money if m]
+    if not money:
+        return None
+    num, den = project.cost.as_integer_ratio()
+    m_scale = budgets.scale
+    if m_scale % den:
+        m_scale = math.lcm(m_scale, den)
+        factor = m_scale // budgets.scale
+        money = [m * factor for m in money]
+    return voters, money, weights, num * (m_scale // den), m_scale, u_scale
 
 
 def _ratio_order(
@@ -227,24 +297,20 @@ def _ratio_order(
     return order
 
 
-def _proportional_price(
-    money: list[int], weights: list[int], due: int, m_scale: int, u_scale: int
-) -> Optional[Num]:
-    """cost / sum(u) if no supporter is capped at that price, else None."""
+def _uncapped_at_cost(money: list[int], weights: list[int], due: int) -> bool:
+    """Whether nobody is capped at the fully proportional price cost / sum(u)."""
     total_w = sum(weights)
-    if all(w * due <= m * total_w for m, w in zip(money, weights)):
-        return Fraction(due * u_scale, m_scale * total_w)
-    return None
+    return all(w * due <= m * total_w for m, w in zip(money, weights))
 
 
 def _ascending(
-    sup: list[tuple[int, Num, Num]],
+    voters: Sequence[int],
     money: list[int],
     weights: list[int],
     m_scale: int,
     u_scale: int,
-) -> tuple[list[tuple[int, Num, Num]], list[int], list[int], list[int], list[int]]:
-    """Supporters, money and weights in ascending b/u order, with prefix sums.
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Voters, money and weights in ascending b/u order, with prefix sums.
 
     ``paid[j]`` is the money of the first j supporters and ``held[j]`` their
     weight, so both lists have one more entry than there are supporters.
@@ -253,7 +319,7 @@ def _ascending(
     money = [money[j] for j in order]
     weights = [weights[j] for j in order]
     return (
-        [sup[j] for j in order],
+        [voters[j] for j in order],
         money,
         weights,
         list(accumulate(money, initial=0)),
@@ -284,26 +350,23 @@ def _first_uncapped(
 
 def _full_quote(
     project: Project,
-    sup: list[tuple[int, Num, Num]],
+    voters: Sequence[int],
+    money: list[int],
     weights: list[int],
     s: int,
-    rho: Num,
+    rest: int,
+    rest_w: int,
+    m_scale: int,
     u_scale: int,
 ) -> AffordabilityQuote:
-    """Quote for alpha = 1 at price rho: the first s supporters pay their
-    balance, the rest u_i * rho (one division per distinct utility)."""
-    payments = {i: b for i, _, b in sup[:s]}
-    num, den = rho.as_integer_ratio()
-    den *= u_scale
-    charge: dict[int, Num] = {}
-    for (i, _, _), w in zip(sup[s:], weights[s:]):
-        pay = charge.get(w)
-        if pay is None:
-            pay = charge[w] = Fraction(w * num, den)
-        payments[i] = pay
-    if __debug__:
-        assert _pays_exactly(payments, project.cost)
-    return AffordabilityQuote(project.id, ONE, rho, payments)
+    """Quote for alpha = 1: the first s voters pay their balance and the
+    rest share ``rest`` (the cost left, times m_scale) in proportion to
+    their weights, at rho = rest * u_scale / (m_scale * rest_w)."""
+    rho = Fraction(rest * u_scale, m_scale * rest_w)
+    return AffordabilityQuote(
+        project.id, ONE, rho, voters, money, weights,
+        s, rest_w, rest, m_scale * rest_w, m_scale, project.cost,
+    )
 
 
 def min_rho(
@@ -319,28 +382,46 @@ def min_rho(
     balance-to-utility ratio pay proportionally; the rest are capped at
     their full balance.
 
-    Every decision is exact. Balances and utilities are turned into
-    integers over common denominators (:func:`_integers`), so sums are
-    integer sums and each price is normalised once. When somebody is capped
-    at the fully proportional price, floats propose the b/u order and exact
-    checks repair it (:func:`_ratio_order`); the capped prefix is then found
-    by bisection on an exact monotone check (:func:`_first_uncapped`).
+    Every decision is exact and made on integers: the moneyed supporters'
+    balances are read straight from the ledger's units and their utilities
+    from the profile's cached integer column (:func:`_moneyed`), so sums
+    are integer sums and the price is normalised once. When somebody is
+    capped at the fully proportional price, floats propose the b/u order
+    and exact checks repair it (:func:`_ratio_order`); the capped prefix is
+    then found by bisection on an exact monotone check
+    (:func:`_first_uncapped`). The quote's payments are built only when
+    read.
     """
-    sup = _moneyed_supporters(project, budgets, utilities)
-    if not sup:
+    sup = _moneyed(project, budgets, utilities)
+    if sup is None:
         return None
-    money, weights, due, m_scale, u_scale = _integers(sup, project.cost)
+    voters, money, weights, due, m_scale, u_scale = sup
     if sum(money) < due:
         return None
-    rho = _proportional_price(money, weights, due, m_scale, u_scale)
-    if rho is not None:
-        return _full_quote(project, sup, weights, 0, rho, u_scale)
-    sup, money, weights, paid, held = _ascending(
-        sup, money, weights, m_scale, u_scale
+    if _uncapped_at_cost(money, weights, due):
+        return _full_quote(
+            project, voters, money, weights, 0, due, sum(weights), m_scale, u_scale
+        )
+    voters, money, weights, paid, held = _ascending(
+        voters, money, weights, m_scale, u_scale
     )
     s = _first_uncapped(money, weights, paid, held, due)
-    rho = Fraction((due - paid[s]) * u_scale, m_scale * (held[-1] - held[s]))
-    return _full_quote(project, sup, weights, s, rho, u_scale)
+    return _full_quote(
+        project, voters, money, weights, s, due - paid[s], held[-1] - held[s],
+        m_scale, u_scale,
+    )
+
+
+def _proposal(key: Num) -> float:
+    """The correctly rounded float of a nonnegative key, or inf.
+
+    Rounding is monotone: an exactly smaller key never gets a larger float,
+    so ordering by (float, key) is ordering by key.
+    """
+    try:
+        return key.numerator / key.denominator
+    except OverflowError:
+        return math.inf
 
 
 class _LazyBest(Generic[Q]):
@@ -349,8 +430,10 @@ class _LazyBest(Generic[Q]):
 
     ``quote(c)`` prices project c, or returns None when c cannot be bought;
     the smallest (``key(quote)``, ``tie.rank(c)``) wins. A heap holds
-    (lower bound on the key, rank, c) entries; quotes stay cached until
-    :meth:`stale` forgets them.
+    (float of the bound, lower bound on the key, rank, c) entries; quotes
+    stay cached until :meth:`stale` forgets them. The float is correctly
+    rounded (:func:`_proposal`), so it orders the heap like the exact bound
+    and leaves exact comparisons to entries whose floats are equal.
 
     Invariant the caller keeps: between two :meth:`stale` calls naming c,
     c's key can only grow, and a None quote stays None. Every bound then
@@ -371,7 +454,7 @@ class _LazyBest(Generic[Q]):
         self._quote = quote
         self._key = key
         self._cached: dict[int, Optional[tuple[Num, Q]]] = {}
-        self._heap: list[tuple[Num, tuple[int, int], int]] = []
+        self._heap: list[tuple[float, Num, tuple[int, int], int]] = []
         self.live = set(live)
         self.push(self.live, floor)
 
@@ -379,7 +462,7 @@ class _LazyBest(Generic[Q]):
         """The best live quote; its project stays live and in the heap."""
         heap, cached, live = self._heap, self._cached, self.live
         while heap:
-            bound, rank, c = heap[0]
+            _, bound, rank, c = heap[0]
             if c in live:
                 if c not in cached:
                     quote = self._quote(c)
@@ -388,7 +471,7 @@ class _LazyBest(Generic[Q]):
                     else:
                         key = self._key(quote)
                         cached[c] = (key, quote)
-                        heapq.heapreplace(heap, (key, rank, c))
+                        heapq.heapreplace(heap, (_proposal(key), key, rank, c))
                         continue
                 elif (entry := cached[c]) is not None and entry[0] is bound:
                     return entry[1]
@@ -407,7 +490,8 @@ class _LazyBest(Generic[Q]):
         rank = self._rank
         for c in projects:
             self._cached.pop(c, None)
-            self._heap.append((floor(c), rank(c), c))
+            bound = floor(c)
+            self._heap.append((_proposal(bound), bound, rank(c), c))
         heapq.heapify(self._heap)
 
     def drop(self, projects: Iterable[int]) -> None:
@@ -484,18 +568,19 @@ def mes(
     )
     selected: list[int] = []
     rounds: list[PurchaseRecord] = []
-    spent = ZERO
     while (best := selector.best()) is not None:
         logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
-        for i, pay in best.payments.items():
-            budgets.balances[i] -= pay
+        best.charge(budgets)
+        for i in best.voters:
             selector.stale(utilities.support_set(i))
         selector.drop((best.project,))
         selected.append(best.project)
-        spent += projects[best.project].cost
         rounds.append(
             PurchaseRecord(best.project, ONE, best.rho, best.payments)
         )
+    # Each purchase's payments add up to its cost, so the money that left
+    # the ledger is what the outcome spends.
+    spent = endowment * election.n_voters - budgets.total()
     return Outcome(
         tuple(selected), tuple(rounds), feasible=spent <= election.budget
     )
@@ -544,7 +629,6 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
-    balances = budgets.balances
     projects = election.projects
 
     active = [True] * n
@@ -561,24 +645,31 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     purchases: list[PurchaseRecord] = []
     while (best := selector.best()) is not None:
         rho, best_c = best
-        payers = [
-            (i, utilities.value(i, best_c))
-            for i in utilities.supporters[best_c]
-            if active[i]
-        ]
+        voters, weights, u_scale = utilities.columns[best_c]
+        payers = [(i, w) for i, w in zip(voters, weights) if active[i]]
+        # The largest share every payer affords is min b / (rho * u), at the
+        # payer with the least units / weight.
+        units = budgets.units
+        low_m, low_w = units[payers[0][0]], payers[0][1]
+        for i, w in payers:
+            if units[i] * low_w < low_m * w:
+                low_m, low_w = units[i], w
         gap = ONE - fractions.get(best_c, ZERO)
-        alpha = min(gap, min(balances[i] / (rho * u) for i, u in payers))
+        alpha = min(gap, Fraction(low_m * u_scale, budgets.scale * low_w) / rho)
         logger.debug("fres: buy %s of %d at rho=%s", alpha, best_c, rho)
-        payments: dict[int, Num] = {}
+        # Each payer pays alpha * rho * u = weight * num / den.
+        num, den = (alpha * rho).as_integer_ratio()
+        den *= u_scale
+        owed = [(i, w * num) for i, w in payers]
+        budgets.debit(owed, den)
+        units = budgets.units
         drained: list[int] = []
-        for i, u in payers:
-            pay = alpha * rho * u
-            payments[i] = pay
-            balances[i] -= pay
-            if balances[i] < 0:
+        for i, _ in payers:
+            if units[i] < 0:
                 raise InvariantError(f"fres: voter {i} overdrawn buying {best_c}")
-            if balances[i] == 0:
+            if units[i] == 0:
                 drained.append(i)
+        payments = _rationals(owed, den)
         fractions[best_c] = fractions.get(best_c, ZERO) + alpha
         purchases.append(PurchaseRecord(best_c, alpha, rho, payments))
         if fractions[best_c] == 1:
@@ -646,24 +737,26 @@ def bos_quote(
     examined. Returns None when the project exceeds the remaining public
     budget or no supporter has money.
 
-    Arithmetic is exact on integers over common denominators, as in
-    :func:`min_rho`: floats only propose the b/u order, and every candidate
-    comparison is an exact integer cross-multiplication.
+    Arithmetic is exact on the same integers as :func:`min_rho`: floats
+    only propose the b/u order, every candidate comparison is an exact
+    integer cross-multiplication, and the payments are built only when
+    read.
     """
     cost = project.cost
     if cost > remaining_budget:
         return None
-    sup = _moneyed_supporters(project, budgets, utilities)
-    if not sup:
+    sup = _moneyed(project, budgets, utilities)
+    if sup is None:
         return None
-    money, weights, due, m_scale, u_scale = _integers(sup, cost)
-    rho = _proportional_price(money, weights, due, m_scale, u_scale)
-    if rho is not None:
+    voters, money, weights, due, m_scale, u_scale = sup
+    if _uncapped_at_cost(money, weights, due):
         # Nobody is capped at the fully proportional price: alpha = 1.
-        return _full_quote(project, sup, weights, 0, rho, u_scale)
+        return _full_quote(
+            project, voters, money, weights, 0, due, sum(weights), m_scale, u_scale
+        )
 
-    sup, money, weights, paid, held = _ascending(
-        sup, money, weights, m_scale, u_scale
+    voters, money, weights, paid, held = _ascending(
+        voters, money, weights, m_scale, u_scale
     )
     total_w = held[-1]
     # Cap prices from the first uncapped index on raise at least the cost,
@@ -685,17 +778,18 @@ def bos_quote(
         # The full-coverage price (alpha = 1) wins ties on rho / alpha.
         rest, rest_w = due - paid[s], total_w - held[s]
         if rest * best_r * best_r <= due * due * best_mw * rest_w:
-            rho = Fraction(rest * u_scale, m_scale * rest_w)
-            return _full_quote(project, sup, weights, s, rho, u_scale)
+            return _full_quote(
+                project, voters, money, weights, s, rest, rest_w, m_scale, u_scale
+            )
     alpha = Fraction(best_r, due * weights[best])
     rho = Fraction(money[best] * u_scale * due, m_scale * best_r)
-    # Voters up to the pinning one are capped at lam = b/u and pay b/alpha;
-    # the rest pay u * lam / alpha = u * rho.
-    payments = {i: b / alpha for i, _, b in sup[: best + 1]}
-    payments.update((i, u * rho) for i, u, _ in sup[best + 1 :])
-    if __debug__:
-        assert _pays_exactly(payments, cost)
-    return AffordabilityQuote(project.id, alpha, rho, payments)
+    # Voters up to the pinning one are capped at lam = b/u and pay
+    # b / alpha = money * due * w_best / (m_scale * R); the rest pay
+    # u * lam / alpha = u * rho = weight * money_best * due / (m_scale * R).
+    return AffordabilityQuote(
+        project.id, alpha, rho, voters, money, weights, best + 1,
+        due * weights[best], money[best] * due, m_scale * best_r, m_scale, cost,
+    )
 
 
 def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -715,7 +809,6 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
-    balances = budgets.balances
     redistribute = config.exhaustive_redistribution
     projects = election.projects
     remaining = election.budget
@@ -733,8 +826,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
 
     # Claim check scope: per-voter approval stakes and default accounting.
     check_overspend = (
-        __debug__
-        and election.utility_model is UtilityModel.COST
+        election.utility_model is UtilityModel.COST
         and not redistribute
         and election.scores.is_approval
     )
@@ -751,18 +843,11 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         ]
         if not leaving:
             return
-        pot = ZERO
         for i in leaving:
             removed[i] = True
-            pot += balances[i]
-            balances[i] = ZERO
         stayers = [i for i in range(n) if not removed[i]]
-        if not stayers or pot == 0:
-            return
-        share = pot / len(stayers)
-        for i in stayers:
-            balances[i] += share
-        selector.push(selector.live)
+        if budgets.redistribute(leaving, stayers):
+            selector.push(selector.live)
 
     if redistribute:
         redistribute_satisfied()
@@ -772,21 +857,22 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         logger.debug(
             "bos: buy %d at alpha=%s rho=%s", c, best.alpha, best.rho
         )
+        held = budgets.balances
         overspent = tuple(
-            sorted(i for i, pay in best.payments.items() if pay > balances[i])
+            sorted(i for i, pay in best.payments.items() if pay > held[i])
         )
         if check_overspend and overspent:
             payers = [i for i, pay in best.payments.items() if pay > 0]
-            drained = [i for i in payers if best.payments[i] >= balances[i]]
-            assert 2 * len(drained) > len(payers), (
-                "an overspending round must drain a strict majority of payers"
-            )
-        for i in utilities.supporters[c]:
-            if balances[i] > 0:
-                balances[i] = max(
-                    ZERO, balances[i] - utilities.value(i, c) * best.rho
+            drained = [i for i in payers if best.payments[i] >= held[i]]
+            if 2 * len(drained) <= len(payers):
+                raise InvariantError(
+                    f"bos: overspending round buying {c} drains no strict "
+                    "majority of its payers"
                 )
-                selector.stale(utilities.support_set(i))
+        # Every moneyed supporter pays u * rho, floored at her balance.
+        best.charge_price(budgets)
+        for i in best.voters:
+            selector.stale(utilities.support_set(i))
         remaining -= projects[c].cost
         # The public budget never grows back: drop what no longer fits.
         selector.drop(
@@ -818,7 +904,6 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
-    balances = budgets.balances
     over = budgets.over
     projects = election.projects
     totals = utilities.project_totals
@@ -844,19 +929,13 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         quote = phase1.best()
         boost = ZERO
         if quote is not None and quote.alpha < 1:
-            capped = [
-                i
-                for i in utilities.supporters[quote.project]
-                if balances[i] > 0
-                and utilities.value(i, quote.project) * quote.rho >= balances[i]
-            ]
-            # A partial-coverage quote always caps the voter whose balance
-            # pinned its price, so the divisor is at least one.
+            # The voters the quote caps (b <= u * rho) are a prefix of its
+            # b/u order. They include the voter whose balance pinned its
+            # price, so the divisor is at least one.
             cost1 = projects[quote.project].cost
-            boost = cost1 * (ONE - quote.alpha) / len(capped)
-        boosted = BudgetState(
-            [balances[i] + max(ZERO, boost - over[i]) for i in range(n)]
-        )
+            boost = cost1 * (ONE - quote.alpha) / quote.drained()
+        # With no boost every voter holds just her balance.
+        boosted = budgets.boosted(boost) if boost else budgets
         best = _LazyBest(
             config.tie_breaker,
             lambda c: min_rho(projects[c], boosted, utilities),
@@ -870,16 +949,15 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         logger.debug(
             "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost
         )
-        overspent = []
-        for i, pay in best.payments.items():
-            if balances[i]:
+        units = budgets.units
+        for i in best.voters:
+            if units[i]:
                 phase1.stale(utilities.support_set(i))
-            if pay > balances[i]:
-                over[i] += pay - balances[i]
-                balances[i] = ZERO
-                overspent.append(i)
-            else:
-                balances[i] -= pay
+        # A payment beyond the real balance empties it; the rest is overdraft.
+        overspent = []
+        for i, short in best.charge(budgets, floor=True):
+            over[i] += short
+            overspent.append(i)
         remaining -= projects[c].cost
         phase1.drop(
             [c, *(d for d in phase1.live if projects[d].cost > remaining)]

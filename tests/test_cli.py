@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from eqshares import rules
 from eqshares.cli import BENCH_RULES, main
 from eqshares.stats import records_from_csv, records_from_jsonl
 
@@ -236,6 +237,41 @@ class TestBatch:
         ]) == 3
         err = capsys.readouterr().err
         assert str(tie) in err and "'A' twice" in err
+
+    @staticmethod
+    def break_bos(monkeypatch, on_voters):
+        """Make bos raise an InvariantError on elections of that size."""
+        real = rules._RULES["bos"]
+
+        def broken(election, config):
+            if election.n_voters in on_voters:
+                raise rules.InvariantError("bos: forced failure")
+            return real(election, config)
+
+        monkeypatch.setitem(rules._RULES, "bos", broken)
+
+    def test_invariant_error_skips_only_its_cell(self, batch_dir, monkeypatch,
+                                                 minority_election, capsys):
+        self.break_bos(monkeypatch, {minority_election.n_voters})
+        assert main([
+            "batch", str(batch_dir), "--model", "cost", "--rules", "mes,bos",
+        ]) == 0
+        captured = capsys.readouterr()
+        minority = str(batch_dir / "minority.pb")
+        assert f"warning: skipped {minority} bos: bos: forced failure" in captured.err
+        records = records_from_jsonl(captured.out)
+        assert [(r.instance, r.rule) for r in records] == [
+            ("minority", "mes"), ("tail", "bos"), ("tail", "mes"),
+        ]
+
+    def test_every_cell_failing_exits_2(self, batch_dir, monkeypatch,
+                                        minority_election, tail_election,
+                                        capsys):
+        self.break_bos(
+            monkeypatch, {minority_election.n_voters, tail_election.n_voters}
+        )
+        assert main(["batch", str(batch_dir), "--rules", "bos"]) == 2
+        assert "every (instance, rule) cell failed" in capsys.readouterr().err
 
 
 class TestAggregate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from eqshares.model import (
 )
 
 ZERO = F(0)
+ONE = F(1)
 # Rationals with mixed denominators, drawn as fresh objects per entry.
 mixed = st.builds(F, st.integers(1, 30), st.sampled_from([1, 2, 3, 6, 7, 10, 999_983]))
 # Entries shared between rows and columns, as parsed approval ballots share 1.
@@ -339,3 +341,69 @@ class TestBudgetState:
         dup = state.copy()
         dup.balances[0] = F(0)
         assert state.balances[0] == F(1)
+
+
+# Balances and amounts with mixed, sometimes large, denominators.
+amounts = st.builds(
+    F, st.integers(0, 40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10**9 + 7])
+)
+
+
+class TestBudgetLedger:
+    """The integer ledger against a plain list of rationals."""
+
+    @staticmethod
+    def assert_matches(state, balances):
+        assert state.balances == balances
+        assert state.total() == sum(balances, ZERO)
+        assert state.scale == math.lcm(*(b.denominator for b in balances))
+
+    @given(st.lists(amounts, min_size=1, max_size=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_fraction_list(self, start, data):
+        state = BudgetState(start)
+        balances, over = list(start), [ZERO] * len(start)
+        self.assert_matches(state, balances)
+        voters = st.integers(0, len(start) - 1)
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["charge", "floor", "share", "boost"]))
+            if op in ("charge", "floor"):
+                charges = data.draw(st.lists(st.tuples(voters, amounts), max_size=5))
+                if op == "charge":
+                    # An unfloored charge takes at most what the voter holds,
+                    # as in mes and fres: here a share of it.
+                    left = list(balances)
+                    for k, (i, a) in enumerate(charges):
+                        charges[k] = (i, left[i] * min(a, ONE))
+                        left[i] -= charges[k][1]
+                den = math.lcm(*(a.denominator for _, a in charges))
+                short = state.debit(
+                    [(i, int(a * den)) for i, a in charges], den, op == "floor"
+                )
+                expected = []
+                for i, a in charges:
+                    balances[i] -= a
+                    if op == "floor" and balances[i] < 0:
+                        expected.append((i, -balances[i]))
+                        balances[i] = ZERO
+                assert short == expected
+                for i, gone in short:
+                    state.over[i] += gone
+                    over[i] += gone
+            elif op == "share":
+                leaving = data.draw(st.sets(voters))
+                stayers = [i for i in range(len(start)) if i not in leaving]
+                pot = sum((balances[i] for i in leaving), ZERO)
+                for i in leaving:
+                    balances[i] = ZERO
+                moved = bool(stayers) and pot > 0
+                if moved:
+                    for i in stayers:
+                        balances[i] += pot / len(stayers)
+                assert state.redistribute(sorted(leaving), stayers) == moved
+            else:
+                boost = data.draw(amounts)
+                state = state.boosted(boost)
+                balances = [b + max(ZERO, boost - o) for b, o in zip(balances, over)]
+                assert state.over == over
+            self.assert_matches(state, balances)

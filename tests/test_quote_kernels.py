@@ -224,3 +224,52 @@ def test_optimized_mode_gives_the_same_rounds(fixtures_dir):
     assert normal["optimized"] is False and optimized["optimized"] is True
     assert len(normal["runs"]) == 12
     assert optimized["runs"] == normal["runs"]
+
+
+# The completions run every purchase through the balance ledger as well:
+# fres-complete by fractional debits, mes-add1u by one mes run per probe.
+# The reference fixture is left out, since its add1u scan makes 16k probes.
+COMPLETION_FIXTURES = ("minority", "tail", "blocks")
+COMPLETION_RULES = ("fres-complete", "mes-add1u")
+
+COMPLETIONS_SCRIPT = """
+import json, sys
+from eqshares.model import UtilityModel
+from eqshares.pabulib import load_election
+from eqshares.rules import run_rule
+from eqshares.stats import build_record
+
+jobs, rules = json.loads(sys.argv[1])
+out = {}
+for path, model in jobs:
+    election = load_election(path, UtilityModel(model))
+    for rule in rules:
+        record = build_record(path, rule, election, run_rule(rule, election), 0.0)
+        out[f"{path}|{rule}"] = [list(record.selected), list(record.rounds)]
+print(json.dumps({"optimized": not __debug__, "runs": out}, sort_keys=True))
+"""
+
+
+def completions_in_subprocess(fixtures_dir: Path, *flags: str) -> dict:
+    jobs = [
+        (str(fixtures_dir / f"{name}.pb"), FIXTURE_MODELS[name])
+        for name in COMPLETION_FIXTURES
+    ]
+    src = str(Path(eqshares.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", COMPLETIONS_SCRIPT,
+         json.dumps([jobs, COMPLETION_RULES])],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_optimized_mode_gives_the_same_completions(fixtures_dir):
+    normal = completions_in_subprocess(fixtures_dir)
+    optimized = completions_in_subprocess(fixtures_dir, "-O")
+    assert normal["optimized"] is False and optimized["optimized"] is True
+    assert len(normal["runs"]) == 6
+    assert optimized["runs"] == normal["runs"]

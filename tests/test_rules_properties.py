@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from eqshares.rules import (
     utilitarian,
 )
 from eqshares.model import BudgetState
+from eqshares.pabulib import load_election
 
 ZERO = F(0)
 
@@ -119,6 +121,26 @@ class TestOracleEquality:
         assert sorted(out.selected) == expected_sorted
         assert [(r.project, r.rho) for r in out.rounds] == expected_trace
 
+    @given(cardinal_elections())
+    @settings(max_examples=40, deadline=None)
+    def test_mes_with_prices_beyond_float_range(self, e):
+        # Utilities of 10^-400 on the even projects price them above the
+        # largest float, so the selector's float proposals read inf there
+        # and stay finite on the odd projects.
+        tiny = F(1, 10**400)
+        rows = [
+            {c: u * tiny if c % 2 == 0 else u for c, u in row.items()}
+            for row in e.utilities.rows
+        ]
+        e = Election(
+            e.projects, e.n_voters, e.budget,
+            UtilityProfile.from_rows(e.n_voters, len(e.projects), rows),
+        )
+        out = mes(e)
+        expected_sorted, expected_trace = oracles.naive_mes(e)
+        assert sorted(out.selected) == expected_sorted
+        assert [(r.project, r.rho) for r in out.rounds] == expected_trace
+
     @given(approval_elections())
     @settings(max_examples=40, deadline=None)
     def test_add1u(self, e):
@@ -180,6 +202,18 @@ class TestOracleEquality:
         e, order = case
         out = bos_plus(e, RuleConfig(tie_breaker=TieBreaker(order)))
         assert round_log(out.rounds) == oracles.naive_bos_plus(e, order)
+
+    def test_bos_plus_boost_counts_a_voter_exactly_at_the_price(self):
+        # Every voter holds 9/5. The first buyout quote has alpha = 1/2 and
+        # rho = 9/5: voters 0 and 3 (u = 4, 2) are capped, and voter 1
+        # (u = 1) holds exactly u * rho. The boost is split among every
+        # voter with b <= u * rho, so voter 1 counts too.
+        prof = UtilityProfile.from_rows(5, 1, [{0: 4}, {0: 1}, {}, {0: 2}, {}])
+        e = Election((Project(0, "p0", 9),), 5, F(9), prof,
+                     utility_model=UtilityModel.SCORE)
+        log = round_log(bos_plus(e).rounds)
+        assert log == oracles.naive_bos_plus(e)
+        assert log[0][4] == (0, 1, 3)
 
 
 class TestFeasibilityAndShape:
@@ -414,3 +448,57 @@ class TestInvariantChecks:
         monkeypatch.setattr(rules, "mes", overspending_mes)
         with pytest.raises(rules.InvariantError, match="add1u"):
             add1u(e)
+
+    @pytest.mark.parametrize("rule", [mes, bos], ids=["mes", "bos"])
+    def test_payments_must_add_up_to_the_cost(self, monkeypatch, rule):
+        prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
+        e = Election((Project(0, "a", 1),), 1, F(1), prof)
+        # With voter 0 named twice, the quote splits the cost between two
+        # payers, and the payment map, keyed by voter, holds only half of it.
+        monkeypatch.setitem(vars(prof), "supporters", ((0, 0),))
+        with pytest.raises(
+            rules.InvariantError, match="payments for project 0 do not add up"
+        ):
+            rule(e)
+
+    def test_bos_overspending_round_drains_a_majority(self, monkeypatch):
+        prof = UtilityProfile.from_rows(3, 1, [{0: 1}] * 3)
+        e = Election(
+            (Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST
+        )
+        # Voter 0 pays beyond her balance of 1/3 while the other two keep
+        # money: one drained payer out of three.
+        lopsided = {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
+        monkeypatch.setattr(
+            rules.AffordabilityQuote, "payments", property(lambda q: lopsided)
+        )
+        with pytest.raises(rules.InvariantError, match="strict majority"):
+            bos(e)
+
+
+class TestUtilityColumns:
+    def test_one_add1u_run_derives_the_columns_once(
+        self, monkeypatch, fixtures_dir
+    ):
+        election = load_election(
+            str(fixtures_dir / "minority.pb"), UtilityModel.COST
+        )
+        derived, probes = [], []
+        real_columns, real_mes = UtilityProfile.columns.func, rules.mes
+
+        def counted_columns(profile):
+            derived.append(profile)
+            return real_columns(profile)
+
+        def counted_mes(*args, **kwargs):
+            probes.append(kwargs.get("b_ini"))
+            return real_mes(*args, **kwargs)
+
+        columns = functools.cached_property(counted_columns)
+        columns.__set_name__(UtilityProfile, "columns")
+        monkeypatch.setattr(UtilityProfile, "columns", columns)
+        monkeypatch.setattr(rules, "mes", counted_mes)
+        add1u(election)
+        # Every mes probe of the scan priced from the one derivation.
+        assert len(probes) > 2
+        assert derived == [election.utilities]
