@@ -306,12 +306,6 @@ class Election:
             metadata=self.metadata,
         )
 
-    def project_by_name(self, name: str) -> Project:
-        for project in self.projects:
-            if project.name == name:
-                return project
-        raise KeyError(name)
-
     def same_instance(self, other: "Election") -> bool:
         """Structural equality ignoring metadata and utility model."""
         return (
@@ -381,34 +375,25 @@ class FractionalOutcome:
 
 
 class BudgetState:
-    """Per-voter virtual balances on an integer ledger, plus overdrafts.
+    """Per-voter virtual balances on an integer ledger.
 
     Voter i's balance is ``units[i] / scale``: every balance is an integer
     over one shared scale, kept minimal (the lcm of the balances'
     denominators) by dividing out ``gcd(scale, *units)`` after each change.
-    The rules change balances only through :meth:`debit`,
-    :meth:`redistribute` and :meth:`boosted`; ``balances`` is a read-only
-    ``Fraction`` view. ``over`` records how much each voter has already paid
-    beyond her balance; only the budget-boosting rule consults it, every
-    other rule leaves it at zero. Balances are built nonnegative, and only
-    an unfloored debit, which the caller checks, can take one below zero.
+    The rules change balances only through :meth:`debit` and
+    :meth:`redistribute`; ``balances`` is a read-only ``Fraction`` view.
+    Balances are built nonnegative and a debit stops each one at zero, so
+    no balance is ever negative.
     """
 
-    __slots__ = ("units", "scale", "over")
+    __slots__ = ("units", "scale")
 
-    def __init__(
-        self, balances: Iterable[Num], over: Iterable[Num] | None = None
-    ) -> None:
+    def __init__(self, balances: Iterable[Num]) -> None:
         pairs = [b.as_integer_ratio() for b in balances]
         if any(num < 0 for num, _ in pairs):
             raise ValueError("balances must be nonnegative")
         self.scale = lcm(*(den for _, den in pairs))
         self.units = [num * (self.scale // den) for num, den in pairs]
-        self.over: list[Num] = (
-            list(over) if over is not None else [ZERO] * len(pairs)
-        )
-        if len(self.over) != len(pairs):
-            raise ValueError("ledger length does not match balance count")
 
     @classmethod
     def equal_endowment(cls, per_voter: Num, n_voters: int) -> "BudgetState":
@@ -422,20 +407,17 @@ class BudgetState:
         scale = self.scale
         return [Fraction(u, scale) for u in self.units]
 
-    def copy(self) -> "BudgetState":
-        return BudgetState(self.balances, self.over)
-
     def total(self) -> Num:
         return Fraction(sum(self.units), self.scale)
 
     def debit(
-        self, amounts: Iterable[tuple[int, int]], den: int, floor: bool = False
+        self, amounts: Iterable[tuple[int, int]], den: int
     ) -> list[tuple[int, Num]]:
         """Take ``amount / den`` from each ``(voter, amount)`` in turn.
 
-        Without ``floor`` a balance may go below zero, which the caller must
-        check. With ``floor`` a balance stops at zero, and the result lists
-        ``(voter, shortfall)`` for each voter charged more than she held.
+        A balance stops at zero. The result lists ``(voter, shortfall)``,
+        in charge order, for each voter charged more than she held; the
+        rules decide whether a shortfall is an overdraft or a fault.
         """
         scale = lcm(self.scale, den)
         if scale != self.scale:
@@ -447,7 +429,7 @@ class BudgetState:
         short = []
         for i, amount in amounts:
             left = units[i] - amount * factor
-            if floor and left < 0:
+            if left < 0:
                 short.append((i, Fraction(-left, scale)))
                 left = 0
             units[i] = left
@@ -470,14 +452,6 @@ class BudgetState:
                 units[i] += pot
         self._reduce()
         return moved
-
-    def boosted(self, boost: Num) -> "BudgetState":
-        """A copy in which each voter holds her balance plus what is left of
-        ``boost`` after her overdraft, max(0, boost - over)."""
-        return BudgetState(
-            [b + max(ZERO, boost - o) for b, o in zip(self.balances, self.over)],
-            self.over,
-        )
 
     def _reduce(self) -> None:
         """Divide out the common factor of the scale and every unit."""

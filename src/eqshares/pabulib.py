@@ -352,7 +352,10 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
                 if pid in index:
                     row[index[pid]] = ONE
         elif ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING):
-            assert vote.points is not None
+            if vote.points is None:
+                raise ValueError(
+                    f"voter {vote.voter_id!r}: {ballot_type.value} ballot has no points"
+                )
             for pid, score in zip(vote.vote, vote.points):
                 if score < 0:
                     raise ValueError(

@@ -17,7 +17,8 @@ selector (:class:`_LazyBest`): quotes are cached and recomputed only when a
 purchase may have changed them, and the pick equals a full rescan's.
 
 Balances live on one integer ledger (:class:`~eqshares.model.BudgetState`)
-that every rule charges through its debit methods. The quote kernels
+that every rule charges through one debit, which stops each balance at zero
+and reports who was charged more than she held. The quote kernels
 (:func:`min_rho`, :func:`bos_quote`) read the moneyed supporters' units
 from it and their utilities from the profile's cached integer columns, and
 a quote builds its payment map only when a rule reads it, which is for the
@@ -149,6 +150,8 @@ class AffordabilityQuote:
     ``capped`` of them pay ``money * cap / den`` and the rest pay
     ``weight * rate / den``, which is u * rho. ``payments`` is built from
     these when first read, so only the quotes a rule buys pay for it.
+    :meth:`charge` debits them, each balance stopping at zero, and reports
+    every voter charged more than she held.
     """
 
     project: int
@@ -193,16 +196,9 @@ class AffordabilityQuote:
     def payments(self) -> Mapping[int, Num]:
         return self._owed()[1]
 
-    def charge(self, budgets: BudgetState, floor: bool = False) -> list[tuple[int, Num]]:
+    def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
         """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
-        return budgets.debit(self._owed()[0].items(), self.den, floor)
-
-    def charge_price(self, budgets: BudgetState) -> None:
-        """Debit u * rho from every voter of the quote, stopping at zero."""
-        rate = self.rate
-        budgets.debit(
-            zip(self.voters, [w * rate for w in self.weights]), self.den, True
-        )
+        return budgets.debit(self._owed()[0].items(), self.den)
 
     def drained(self) -> int:
         """How many voters u * rho would drain (b <= u * rho).
@@ -570,7 +566,9 @@ def mes(
     rounds: list[PurchaseRecord] = []
     while (best := selector.best()) is not None:
         logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
-        best.charge(budgets)
+        # Nobody pays more than min(b, u * rho), so nobody falls short.
+        for i, _ in best.charge(budgets):
+            raise InvariantError(f"mes: voter {i} overdrawn buying {best.project}")
         for i in best.voters:
             selector.stale(utilities.support_set(i))
         selector.drop((best.project,))
@@ -624,14 +622,14 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     funding nor overdraws any active supporter, and charges every active
     voter alpha * rho * u_i. Voters whose balance reaches zero drop out of
     the pricing; the rule ends when no partially funded project has any
-    remaining support.
+    remaining support. A voter is active exactly while her balance is
+    nonzero.
     """
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     projects = election.projects
 
-    active = [True] * n
     # Per-project support mass over active voters, kept incrementally. It
     # only falls, so prices only rise, and only when a supporter drains.
     support = list(utilities.project_totals)
@@ -646,10 +644,10 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     while (best := selector.best()) is not None:
         rho, best_c = best
         voters, weights, u_scale = utilities.columns[best_c]
-        payers = [(i, w) for i, w in zip(voters, weights) if active[i]]
+        units = budgets.units
+        payers = [(i, w) for i, w in zip(voters, weights) if units[i]]
         # The largest share every payer affords is min b / (rho * u), at the
         # payer with the least units / weight.
-        units = budgets.units
         low_m, low_w = units[payers[0][0]], payers[0][1]
         for i, w in payers:
             if units[i] * low_w < low_m * w:
@@ -661,21 +659,16 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         num, den = (alpha * rho).as_integer_ratio()
         den *= u_scale
         owed = [(i, w * num) for i, w in payers]
-        budgets.debit(owed, den)
+        for i, _ in budgets.debit(owed, den):
+            raise InvariantError(f"fres: voter {i} overdrawn buying {best_c}")
         units = budgets.units
-        drained: list[int] = []
-        for i, _ in payers:
-            if units[i] < 0:
-                raise InvariantError(f"fres: voter {i} overdrawn buying {best_c}")
-            if units[i] == 0:
-                drained.append(i)
+        drained = [i for i, _ in payers if not units[i]]
         payments = _rationals(owed, den)
         fractions[best_c] = fractions.get(best_c, ZERO) + alpha
         purchases.append(PurchaseRecord(best_c, alpha, rho, payments))
         if fractions[best_c] == 1:
             selector.drop((best_c,))
         for i in drained:
-            active[i] = False
             for c, u in utilities.support_set(i).items():
                 support[c] -= u
             selector.stale(utilities.support_set(i))
@@ -798,9 +791,10 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     Each round considers every unselected project that fits the remaining
     public budget and has at least one moneyed supporter, asks
     :func:`bos_quote` for its best quote, and buys the project minimizing
-    rho / alpha. Supporters are charged u_i * rho with their balance floored
-    at zero, so capped voters in a partial-coverage round pay more than
-    they own; those overspend events are recorded per round.
+    rho / alpha. The quote's payments are debited with every balance
+    stopping at zero, so capped voters in a partial-coverage round pay more
+    than they own; the debit's shortfalls are those overspend events, and
+    they are recorded per round.
 
     With ``config.exhaustive_redistribution`` enabled, any voter whose
     entire support set is already funded is removed and her leftover
@@ -857,20 +851,21 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         logger.debug(
             "bos: buy %d at alpha=%s rho=%s", c, best.alpha, best.rho
         )
-        held = budgets.balances
-        overspent = tuple(
-            sorted(i for i, pay in best.payments.items() if pay > held[i])
-        )
+        # The paper charges every moneyed supporter u * rho, stopping at her
+        # balance. Charging the quote's payments leaves the same ledger: the
+        # uncapped voters pay u * rho, and a capped voter's payment (b when
+        # alpha = 1, b / alpha otherwise) and u * rho are both at least b,
+        # so either way her balance stops at zero.
+        overspent = tuple(sorted(i for i, _ in best.charge(budgets)))
         if check_overspend and overspent:
-            payers = [i for i, pay in best.payments.items() if pay > 0]
-            drained = [i for i in payers if best.payments[i] >= held[i]]
-            if 2 * len(drained) <= len(payers):
+            # Every moneyed supporter pays a positive amount, and those
+            # charged at least their balance are now at zero.
+            drained = sum(1 for i in best.voters if not budgets.units[i])
+            if 2 * drained <= len(best.voters):
                 raise InvariantError(
                     f"bos: overspending round buying {c} drains no strict "
                     "majority of its payers"
                 )
-        # Every moneyed supporter pays u * rho, floored at her balance.
-        best.charge_price(budgets)
         for i in best.voters:
             selector.stale(utilities.support_set(i))
         remaining -= projects[c].cost
@@ -898,13 +893,15 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     cap, and every voter's balance is temporarily raised by that amount
     minus whatever boost she has already consumed in earlier rounds. The
     round then buys the cheapest fully covered project under the boosted
-    balances; consumed boost is tracked so later rounds do not grant it
-    twice. Rounds stop when even boosted balances cover nothing.
+    balances and debits its payments from the real ones, each stopping at
+    zero. The debit's shortfalls are the boost consumed, tracked so later
+    rounds do not grant it twice. Rounds stop when even boosted balances
+    cover nothing.
     """
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
-    over = budgets.over
+    over = [ZERO] * n  # the boost each voter has consumed so far
     projects = election.projects
     totals = utilities.project_totals
     remaining = election.budget
@@ -934,8 +931,11 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             # price, so the divisor is at least one.
             cost1 = projects[quote.project].cost
             boost = cost1 * (ONE - quote.alpha) / quote.drained()
-        # With no boost every voter holds just her balance.
-        boosted = budgets.boosted(boost) if boost else budgets
+        # Each voter holds her balance plus what is left of the boost after
+        # her overdraft; with no boost, just her balance.
+        boosted = budgets if not boost else BudgetState(
+            [b + max(ZERO, boost - o) for b, o in zip(budgets.balances, over)]
+        )
         best = _LazyBest(
             config.tie_breaker,
             lambda c: min_rho(projects[c], boosted, utilities),
@@ -953,9 +953,8 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         for i in best.voters:
             if units[i]:
                 phase1.stale(utilities.support_set(i))
-        # A payment beyond the real balance empties it; the rest is overdraft.
         overspent = []
-        for i, short in best.charge(budgets, floor=True):
+        for i, short in best.charge(budgets):
             over[i] += short
             overspent.append(i)
         remaining -= projects[c].cost

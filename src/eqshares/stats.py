@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -37,8 +38,6 @@ __all__ = [
     "metric_values",
     "bucket_label",
     "aggregate_records",
-    "exact_mean",
-    "exact_population_variance",
     "exact_quantile",
     "records_to_jsonl",
     "records_from_jsonl",
@@ -244,19 +243,12 @@ def bucket_label(n_projects: int, preset: str = "split15") -> str:
     return f"{bounds[0][0]}-{bounds[0][1]}"
 
 
-def exact_mean(values: Sequence[Fraction]) -> Fraction:
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values, Fraction(0)) / len(values)
-
-
-def exact_population_variance(values: Sequence[Fraction]) -> Fraction:
-    mean = exact_mean(values)
-    return sum(((v - mean) ** 2 for v in values), Fraction(0)) / len(values)
-
-
 def exact_quantile(sorted_values: Sequence[Fraction], percent: int) -> Fraction:
-    """Linear-interpolation quantile at rank h = p * (k - 1), exact."""
+    """Linear-interpolation quantile at rank h = p * (k - 1), exact.
+
+    ``statistics.quantiles`` computes every cut point, and before Python
+    3.13 it rejects a single value.
+    """
     k = len(sorted_values)
     if k == 0:
         raise ValueError("quantile of empty sequence")
@@ -301,8 +293,10 @@ def aggregate_records(
     rows = []
     for (rule, metric, bucket, ballot_type), values in groups.items():
         values.sort()
-        mean = exact_mean(values)
-        std = math.sqrt(exact_population_variance(values))
+        # Both are exact on rationals. The variance is not handed the mean:
+        # given one, it takes a slower path of per-value rationals.
+        mean = statistics.mean(values)
+        std = math.sqrt(statistics.pvariance(values))
         quantiles = {p: exact_quantile(values, p) for p in QUANTILE_POINTS}
         rows.append(
             AggregateRow(
@@ -399,31 +393,18 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
-    reader = csv.DictReader(io.StringIO(text))
     records = []
-    for row in reader:
+    for row in csv.DictReader(io.StringIO(text)):
         metrics: dict[str, object] = {}
+        data: dict[str, object] = {"metrics": metrics}
         for key, raw in row.items():
             if key.startswith("metric_"):
                 metrics[key[len("metric_"):]] = None if raw == "" else json.loads(raw)
-        records.append(
-            RunRecord(
-                instance=row["instance"],
-                rule=row["rule"],
-                model=row["model"],
-                ballot_type=row["ballot_type"],
-                n_voters=int(row["n_voters"]),
-                n_projects=int(row["n_projects"]),
-                budget=row["budget"],
-                selected=tuple(json.loads(row["selected"])),
-                fractions=json.loads(row["fractions"]) if row["fractions"] else None,
-                feasible=bool(int(row["feasible"])),
-                rounds=tuple(json.loads(row["rounds"])),
-                metrics=metrics,
-                runtime_sec=float(row["runtime_sec"]),
-                config_hash=row["config_hash"],
-            )
-        )
+            elif key in ("selected", "fractions", "feasible", "rounds"):
+                data[key] = None if raw == "" else json.loads(raw)
+            else:
+                data[key] = raw
+        records.append(RunRecord.from_json(data))
     return records
 
 

@@ -544,15 +544,17 @@ def sweep_quote_min_ratio(
 
 
 # ---------------------------------------------------------------------------
-# Second statistics implementation (stdlib-based).
+# Second statistics implementation: plain rational sums for the mean and
+# variance (the package uses the stdlib's), the stdlib for quantiles.
 
 
 def second_mean(values: list[Fraction]) -> Fraction:
-    return statistics.mean(values)
+    return sum(values, Fraction(0)) / len(values)
 
 
 def second_std(values: list[Fraction]) -> float:
-    return math.sqrt(statistics.pvariance(values))
+    mean = second_mean(values)
+    return math.sqrt(sum(((v - mean) ** 2 for v in values), Fraction(0)) / len(values))
 
 
 def second_quantiles(values: list[Fraction]) -> dict[int, Fraction]:

@@ -26,7 +26,6 @@ from eqshares.model import (
 )
 
 ZERO = F(0)
-ONE = F(1)
 # Rationals with mixed denominators, drawn as fresh objects per entry.
 mixed = st.builds(F, st.integers(1, 30), st.sampled_from([1, 2, 3, 6, 7, 10, 999_983]))
 # Entries shared between rows and columns, as parsed approval ballots share 1.
@@ -264,12 +263,6 @@ class TestElection:
         other = e.with_model(UtilityModel.COST)
         assert e.same_instance(other)
 
-    def test_project_by_name(self):
-        e = tiny_election([4], [{0: 2}], 10)
-        assert e.project_by_name("p0").id == 0
-        with pytest.raises(KeyError):
-            e.project_by_name("nope")
-
 
 class TestOutcomeUtility:
     def test_integral_sum(self, reference_election):
@@ -327,20 +320,10 @@ class TestBudgetState:
         with pytest.raises(ValueError):
             BudgetState((F(-1),))
 
-    def test_over_length_must_match(self):
-        with pytest.raises(ValueError):
-            BudgetState((F(1), F(2)), over=(F(0),))
-
     def test_equal_endowment(self):
         state = BudgetState.equal_endowment(F(5, 2), 3)
         assert state.balances == [F(5, 2)] * 3
         assert state.total() == F(15, 2)
-
-    def test_copy_is_independent(self):
-        state = BudgetState((F(1), F(2)))
-        dup = state.copy()
-        dup.balances[0] = F(0)
-        assert state.balances[0] == F(1)
 
 
 # Balances and amounts with mixed, sometimes large, denominators.
@@ -357,6 +340,7 @@ class TestBudgetLedger:
         assert state.balances == balances
         assert state.total() == sum(balances, ZERO)
         assert state.scale == math.lcm(*(b.denominator for b in balances))
+        assert min(state.units) >= 0
 
     @given(st.lists(amounts, min_size=1, max_size=6), st.data())
     @settings(max_examples=300, deadline=None)
@@ -366,29 +350,19 @@ class TestBudgetLedger:
         self.assert_matches(state, balances)
         voters = st.integers(0, len(start) - 1)
         for _ in range(data.draw(st.integers(1, 8))):
-            op = data.draw(st.sampled_from(["charge", "floor", "share", "boost"]))
-            if op in ("charge", "floor"):
+            op = data.draw(st.sampled_from(["charge", "share", "boost"]))
+            if op == "charge":
                 charges = data.draw(st.lists(st.tuples(voters, amounts), max_size=5))
-                if op == "charge":
-                    # An unfloored charge takes at most what the voter holds,
-                    # as in mes and fres: here a share of it.
-                    left = list(balances)
-                    for k, (i, a) in enumerate(charges):
-                        charges[k] = (i, left[i] * min(a, ONE))
-                        left[i] -= charges[k][1]
                 den = math.lcm(*(a.denominator for _, a in charges))
-                short = state.debit(
-                    [(i, int(a * den)) for i, a in charges], den, op == "floor"
-                )
+                short = state.debit([(i, int(a * den)) for i, a in charges], den)
                 expected = []
                 for i, a in charges:
                     balances[i] -= a
-                    if op == "floor" and balances[i] < 0:
+                    if balances[i] < 0:
                         expected.append((i, -balances[i]))
                         balances[i] = ZERO
                 assert short == expected
                 for i, gone in short:
-                    state.over[i] += gone
                     over[i] += gone
             elif op == "share":
                 leaving = data.draw(st.sets(voters))
@@ -402,8 +376,9 @@ class TestBudgetLedger:
                         balances[i] += pot / len(stayers)
                 assert state.redistribute(sorted(leaving), stayers) == moved
             else:
+                # A boosted ledger, as bos-plus builds one: each balance
+                # plus what is left of the boost after the overdraft.
                 boost = data.draw(amounts)
-                state = state.boosted(boost)
                 balances = [b + max(ZERO, boost - o) for b, o in zip(balances, over)]
-                assert state.over == over
+                state = BudgetState(balances)
             self.assert_matches(state, balances)

@@ -9,7 +9,10 @@ import pytest
 from eqshares.model import Election, Project, UtilityModel, UtilityProfile
 from eqshares.pabulib import (
     BallotType,
+    PbFile,
     PbParseError,
+    PbProject,
+    PbVote,
     PbWriteError,
     ballots_to_utilities,
     load_election,
@@ -309,6 +312,17 @@ class TestBallotsToUtilities:
         with pytest.raises(ValueError, match="negative points"):
             ballots_to_utilities(parse_pb(text), UtilityModel.SCORE)
 
+    def test_scoring_ballot_without_points_rejected(self):
+        # The parser always fills points for scoring files; a hand-built
+        # file may not, and the check must survive ``python -O``.
+        pb = PbFile(
+            {"budget": "10", "vote_type": "scoring"},
+            (PbProject("p1", F(5)),),
+            (PbVote("v1", ("p1",), points=None),),
+        )
+        with pytest.raises(ValueError, match="'v1': scoring ballot has no points"):
+            ballots_to_utilities(pb, UtilityModel.SCORE)
+
     def test_choose1_needs_exactly_one(self):
         text = build(meta="budget;10\nvote_type;choose1")
         with pytest.raises(ValueError, match="exactly one"):
@@ -479,4 +493,4 @@ class TestLoadElection:
         e = load_election(str(fixtures_dir / "minority.pb"), UtilityModel.COST)
         assert e.n_voters == 414
         assert e.utility_model is UtilityModel.COST
-        assert e.project_by_name("B").cost == 6000
+        assert next(p for p in e.projects if p.name == "B").cost == 6000

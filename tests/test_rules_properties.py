@@ -461,17 +461,29 @@ class TestInvariantChecks:
         ):
             rule(e)
 
-    def test_bos_overspending_round_drains_a_majority(self, monkeypatch):
+    @staticmethod
+    def lopsided_election(monkeypatch):
+        """Three voters holding 1/3 each and one project of cost 1, whose
+        quotes charge voter 0 beyond her balance while the other two keep
+        money."""
         prof = UtilityProfile.from_rows(3, 1, [{0: 1}] * 3)
-        e = Election(
-            (Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST
-        )
-        # Voter 0 pays beyond her balance of 1/3 while the other two keep
-        # money: one drained payer out of three.
-        lopsided = {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
-        monkeypatch.setattr(
-            rules.AffordabilityQuote, "payments", property(lambda q: lopsided)
-        )
+        lopsided = {0: F(5, 9), 1: F(2, 9), 2: F(2, 9)}
+
+        def owed(quote):
+            # The quote's payments are integers over its den, here 9.
+            return {i: int(p * quote.den) for i, p in lopsided.items()}, lopsided
+
+        monkeypatch.setattr(rules.AffordabilityQuote, "_owed", owed)
+        return Election((Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST)
+
+    def test_mes_charges_nobody_beyond_her_balance(self, monkeypatch):
+        e = self.lopsided_election(monkeypatch)
+        with pytest.raises(rules.InvariantError, match="mes: voter 0 overdrawn"):
+            mes(e)
+
+    def test_bos_overspending_round_drains_a_majority(self, monkeypatch):
+        # One drained payer out of three.
+        e = self.lopsided_election(monkeypatch)
         with pytest.raises(rules.InvariantError, match="strict majority"):
             bos(e)
 

@@ -26,8 +26,6 @@ from eqshares.stats import (
     bucket_label,
     build_record,
     config_digest,
-    exact_mean,
-    exact_population_variance,
     exact_quantile,
     metric_values,
     records_from_csv,
@@ -194,15 +192,20 @@ class TestBucketLabel:
 
 
 class TestExactSummaries:
+    @staticmethod
+    def summary(values):
+        """The aggregate row of records whose exclusion ratios are ``values``."""
+        rows = aggregate_records(make_record(exclusion=v) for v in values)
+        return next(r for r in rows if r.metric == "exclusion_ratio")
+
     def test_empty_sequences_rejected(self):
-        with pytest.raises(ValueError):
-            exact_mean([])
+        assert aggregate_records([]) == []
         with pytest.raises(ValueError):
             exact_quantile([], 50)
 
     def test_single_value(self):
-        assert exact_mean([F(3, 7)]) == F(3, 7)
-        assert exact_population_variance([F(3, 7)]) == 0
+        row = self.summary([F(3, 7)])
+        assert (row.mean, row.std) == (F(3, 7), 0)
         for p in QUANTILE_POINTS:
             assert exact_quantile([F(3, 7)], p) == F(3, 7)
 
@@ -215,9 +218,9 @@ class TestExactSummaries:
     @given(st.lists(FRACTIONS, min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_matches_independent_statistics(self, values):
-        assert exact_mean(values) == oracles.second_mean(values)
-        std = exact_population_variance(values) ** F(1, 2)
-        assert float(std) == pytest.approx(oracles.second_std(values))
+        row = self.summary(values)
+        assert row.mean == oracles.second_mean(values)
+        assert row.std == pytest.approx(oracles.second_std(values))
         expected = oracles.second_quantiles(values)
         ordered = sorted(values)
         for p in QUANTILE_POINTS:
