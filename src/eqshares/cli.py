@@ -333,7 +333,7 @@ def cmd_aggregate(records_path, buckets, out_path) -> None:
         raise EmptyInputError(f"no records in {records_path}")
     try:
         rows = aggregate_records(records, buckets)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed record in {records_path}: {exc!r}") from exc
     _write_out(aggregate_to_csv(rows), out_path)
 

@@ -141,6 +141,11 @@ class UtilityProfile:
         """Projects the voter values positively, with their utilities."""
         return self.rows[voter]
 
+    def supported_by(self, voters: Iterable[int]) -> set[int]:
+        """Projects at least one of the voters values positively."""
+        rows = self.rows
+        return set().union(*(rows[i] for i in voters))
+
     @cached_property
     def supporters(self) -> tuple[tuple[int, ...], ...]:
         """For each project, the sorted ids of voters valuing it positively."""

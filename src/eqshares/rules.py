@@ -269,7 +269,8 @@ def _ratio_order(
     (integer true division), so an exactly smaller ratio never gets a larger
     key. Every run of equal keys whose members are not all exactly equal is
     then re-sorted by the exact ratio; exactly equal ones stay in supporter
-    order, as a stable exact sort leaves them.
+    order, as a stable exact sort leaves them. ``stats`` orders aggregated
+    metric values num/den with it, at scales 1.
     """
     k = len(money)
     try:
@@ -569,8 +570,7 @@ def mes(
         # Nobody pays more than min(b, u * rho), so nobody falls short.
         for i, _ in best.charge(budgets):
             raise InvariantError(f"mes: voter {i} overdrawn buying {best.project}")
-        for i in best.voters:
-            selector.stale(utilities.support_set(i))
+        selector.stale(utilities.supported_by(best.voters))
         selector.drop((best.project,))
         selected.append(best.project)
         rounds.append(
@@ -866,8 +866,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
                     f"bos: overspending round buying {c} drains no strict "
                     "majority of its payers"
                 )
-        for i in best.voters:
-            selector.stale(utilities.support_set(i))
+        selector.stale(utilities.supported_by(best.voters))
         remaining -= projects[c].cost
         # The public budget never grows back: drop what no longer fits.
         selector.drop(
@@ -950,9 +949,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost
         )
         units = budgets.units
-        for i in best.voters:
-            if units[i]:
-                phase1.stale(utilities.support_set(i))
+        phase1.stale(utilities.supported_by(i for i in best.voters if units[i]))
         overspent = []
         for i, short in best.charge(budgets):
             over[i] += short

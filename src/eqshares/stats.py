@@ -11,6 +11,18 @@ ballot type) and reports count, mean, standard deviation, and the
 rationals. Quantiles use linear interpolation at rank h = p * (k - 1)
 over the sorted values. The standard deviation is the binary64 square
 root of the exact population variance (divisor k, not k - 1).
+
+Aggregation works on integers. Each metric is parsed once into a
+(num, den) pair; the mean and variance come from per-denominator integer
+sums of num and num**2, and each group is ordered by floats that exact
+checks repair (:func:`eqshares.rules._ratio_order`). Only the mean, the
+variance and the values a quantile reads become ``Fraction`` objects.
+
+Reading records without their round logs (``keep_rounds=False``, which
+``aggregate`` and ``plotdata`` use) cuts each line's top-level round log
+out before decoding, when the line is in the layout
+:func:`records_to_jsonl` writes; other lines are decoded whole. The JSON
+syntax of a round log that is cut out is therefore not checked.
 """
 from __future__ import annotations
 
@@ -19,14 +31,13 @@ import hashlib
 import io
 import json
 import math
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .axioms import AuditReport, audit
 from .model import Election, FractionalOutcome, Outcome
-from .rules import RuleConfig
+from .rules import RuleConfig, _ratio_order
 
 __all__ = [
     "RunRecord",
@@ -207,6 +218,39 @@ def build_record(
     )
 
 
+def _ratio(value: object) -> tuple[int, int]:
+    """An exact metric value as an integer (num, den) pair, den > 0.
+
+    ``"p/q"`` and ``"p"`` in ASCII digits are split directly, and the pair
+    is not reduced. Any other form (a sign, a decimal point, a zero
+    denominator) goes through ``Fraction(str(value))``, so it is accepted or
+    rejected exactly as ``Fraction`` does it.
+    """
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        if num.isdecimal() and value.isascii():
+            if not slash:
+                return int(num), 1
+            if den.isdecimal() and (d := int(den)):
+                return int(num), d
+    exact = Fraction(str(value))
+    return exact.numerator, exact.denominator
+
+
+def _metric_pairs(record: RunRecord) -> dict[str, tuple[int, int]]:
+    """The numeric metrics of :func:`metric_values`, as (num, den) pairs."""
+    metrics = record.metrics
+    out = {name: _ratio(metrics[name]) for name in RATIONAL_METRICS}
+    out["exhaustive"] = (1 if metrics["exhaustive"] else 0, 1)
+    violations = metrics.get("ejr_plus_violations")
+    if violations is not None:
+        count = int(violations)
+        out["ejr_plus_violations"] = (count, 1)
+        out["ejr_plus_violated"] = (1 if count > 0 else 0, 1)
+    out["runtime_sec"] = record.runtime_sec.as_integer_ratio()
+    return out
+
+
 def metric_values(record: RunRecord) -> dict[str, Fraction]:
     """Numeric metrics of one record, as exact rationals.
 
@@ -216,16 +260,10 @@ def metric_values(record: RunRecord) -> dict[str, Fraction]:
     ballots) contribute neither EJR+ metric. Runtimes convert exactly
     from binary64.
     """
-    out: dict[str, Fraction] = {}
-    for name in RATIONAL_METRICS:
-        out[name] = Fraction(str(record.metrics[name]))
-    out["exhaustive"] = Fraction(1 if record.metrics["exhaustive"] else 0)
-    violations = record.metrics.get("ejr_plus_violations")
-    if violations is not None:
-        out["ejr_plus_violations"] = Fraction(int(violations))
-        out["ejr_plus_violated"] = Fraction(1 if int(violations) > 0 else 0)
-    out["runtime_sec"] = Fraction(record.runtime_sec)
-    return out
+    return {
+        name: Fraction(num, den)
+        for name, (num, den) in _metric_pairs(record).items()
+    }
 
 
 def bucket_label(n_projects: int, preset: str = "split15") -> str:
@@ -260,6 +298,20 @@ def exact_quantile(sorted_values: Sequence[Fraction], percent: int) -> Fraction:
     return sorted_values[low] + rest * (sorted_values[low + 1] - sorted_values[low])
 
 
+class _Ranked(Sequence[Fraction]):
+    """num[j] / den[j] for j in ``order``, each built only when read."""
+
+    def __init__(self, nums: list[int], dens: list[int], order: list[int]):
+        self._nums, self._dens, self._order = nums, dens, order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, i):
+        j = self._order[i]
+        return Fraction(self._nums[j], self._dens[j])
+
+
 @dataclass(frozen=True)
 class AggregateRow:
     """Summary of one metric for one (rule, bucket, ballot type) group."""
@@ -274,6 +326,37 @@ class AggregateRow:
     quantiles: Mapping[int, Fraction] = field(default_factory=dict)
 
 
+def _summary(
+    pairs: list[tuple[int, int]],
+) -> tuple[Fraction, float, dict[int, Fraction]]:
+    """Exact mean, population standard deviation and quantiles of the
+    values num/den.
+
+    The mean and variance come from per-denominator integer sums of num and
+    num**2, the way ``statistics.pvariance`` forms them for rationals, but
+    without a ``Fraction`` per value.
+    """
+    sums: dict[int, list[int]] = {}
+    for num, den in pairs:
+        acc = sums.get(den)
+        if acc is None:
+            sums[den] = [num, num * num]
+        else:
+            acc[0] += num
+            acc[1] += num * num
+    k = len(pairs)
+    sx = sum(Fraction(s, den) for den, (s, _) in sums.items())
+    sxx = sum(Fraction(ss, den * den) for den, (_, ss) in sums.items())
+    nums = [num for num, _ in pairs]
+    dens = [den for _, den in pairs]
+    ranked = _Ranked(nums, dens, _ratio_order(nums, dens, 1, 1))
+    return (
+        sx / k,
+        math.sqrt((k * sxx - sx * sx) / (k * k)),
+        {p: exact_quantile(ranked, p) for p in QUANTILE_POINTS},
+    )
+
+
 def aggregate_records(
     records: Iterable[RunRecord], preset: str = "split15"
 ) -> list[AggregateRow]:
@@ -282,34 +365,23 @@ def aggregate_records(
     Rows come back sorted by rule, metric, bucket lower bound, and
     ballot type.
     """
-    groups: dict[tuple[str, str, str, str], list[Fraction]] = {}
+    groups: dict[tuple[str, str, str], list[dict[str, tuple[int, int]]]] = {}
+    labels: dict[int, str] = {}
     bucket_low: dict[str, int] = {}
     for record in records:
-        bucket = bucket_label(record.n_projects, preset)
-        bucket_low[bucket] = int(bucket.rstrip("+").split("-")[0])
-        for metric, value in metric_values(record).items():
-            key = (record.rule, metric, bucket, record.ballot_type)
-            groups.setdefault(key, []).append(value)
+        bucket = labels.get(record.n_projects)
+        if bucket is None:
+            bucket = labels[record.n_projects] = bucket_label(record.n_projects, preset)
+            bucket_low[bucket] = int(bucket.rstrip("+").split("-")[0])
+        key = (record.rule, bucket, record.ballot_type)
+        groups.setdefault(key, []).append(_metric_pairs(record))
     rows = []
-    for (rule, metric, bucket, ballot_type), values in groups.items():
-        values.sort()
-        # Both are exact on rationals. The variance is not handed the mean:
-        # given one, it takes a slower path of per-value rationals.
-        mean = statistics.mean(values)
-        std = math.sqrt(statistics.pvariance(values))
-        quantiles = {p: exact_quantile(values, p) for p in QUANTILE_POINTS}
-        rows.append(
-            AggregateRow(
-                rule=rule,
-                metric=metric,
-                bucket=bucket,
-                ballot_type=ballot_type,
-                count=len(values),
-                mean=mean,
-                std=std,
-                quantiles=quantiles,
-            )
-        )
+    for (rule, bucket, ballot_type), group in groups.items():
+        for metric in dict.fromkeys(name for values in group for name in values):
+            pairs = [values[metric] for values in group if metric in values]
+            rows.append(AggregateRow(
+                rule, metric, bucket, ballot_type, len(pairs), *_summary(pairs)
+            ))
     rows.sort(key=lambda r: (r.rule, r.metric, bucket_low[r.bucket], r.ballot_type))
     return rows
 
@@ -318,17 +390,62 @@ def records_to_jsonl(records: Iterable[RunRecord]) -> str:
     return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
 
 
+# records_to_jsonl sorts keys and keeps the default separators, and "rule"
+# sorts right after "rounds", so a record's round log sits between these.
+_ROUNDS_OPEN = '"rounds": ['
+_ROUNDS_CLOSE = '], "rule": '
+_RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__)
+_decode = json.JSONDecoder().raw_decode
+
+
+def _without_rounds(line: str) -> Optional[dict]:
+    """The record object of a line, decoded without its round log, or None
+    when the line is not in the layout :func:`records_to_jsonl` writes.
+
+    The round log runs from the first ``"rounds": [`` to the last
+    ``], "rule": ``. The text before it, closed as ``"rounds": []}``, and
+    the text after it, opened as ``{"rounds": [``, must each decode. That
+    proves both cuts sit at the top level of one object, and it finds
+    malformed JSON outside the round log. The round log's own text is not
+    read. A cut that swallowed a key :class:`RunRecord` reads is caught
+    because the key is then missing; only a line that repeats a top-level
+    key, which :func:`records_to_jsonl` never writes, can read differently
+    from a full decode.
+    """
+    start = line.find(_ROUNDS_OPEN)
+    end = line.rfind(_ROUNDS_CLOSE)
+    if start < 0 or end < start:
+        return None
+    head = line[:start] + '"rounds": []}'
+    tail = '{"rounds": [' + line[end:]
+    try:
+        data, stop = _decode(head)
+        rest, stop_rest = _decode(tail)
+    except ValueError:
+        return None
+    if stop != len(head) or stop_rest != len(tail):
+        return None
+    data.update(rest)
+    return data if data.keys() >= _RECORD_KEYS else None
+
+
 def records_from_jsonl(text: str, keep_rounds: bool = True) -> list[RunRecord]:
     """Records of a JSONL text, one per non-blank line.
 
     With ``keep_rounds=False`` each record's round log is dropped as its
-    line is read, for readers that need only the outcome and metrics.
+    line is read, for readers that need only the outcome and metrics; on a
+    line in the layout :func:`records_to_jsonl` writes, the round log is cut
+    out undecoded (:func:`_without_rounds`).
     """
     records = []
     for line in _lines(text):
         line = line.strip()
-        if line:
-            records.append(RunRecord.from_json(json.loads(line), keep_rounds))
+        if not line:
+            continue
+        data = None if keep_rounds else _without_rounds(line)
+        if data is None:
+            data = json.loads(line)
+        records.append(RunRecord.from_json(data, keep_rounds))
     return records
 
 

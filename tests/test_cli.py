@@ -13,7 +13,12 @@ import pytest
 
 from eqshares import rules
 from eqshares.cli import BENCH_RULES, main
-from eqshares.stats import records_from_csv, records_from_jsonl
+from eqshares.stats import (
+    records_from_csv,
+    records_from_jsonl,
+    records_to_csv,
+    records_to_jsonl,
+)
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +340,40 @@ class TestAggregate:
         assert main(["aggregate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error: malformed record" in err and "cost_satisfaction" in err
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_zero_denominator_metric_exits_2(
+        self, batch_dir, tmp_path, capsys, suffix
+    ):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            record, *_ = records_from_jsonl(handle.read())
+        record = dataclasses.replace(
+            record, metrics=dict(record.metrics, exclusion_ratio="1/0")
+        )
+        write = records_to_csv if suffix == ".csv" else records_to_jsonl
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(write([record]), encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        assert "error: malformed record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [('"budget": "', '"budget": '), ('"runtime_sec": ', '"runtime_sec" '),
+         ('"selected": [', '"selected": [[')],
+    )
+    def test_malformed_json_outside_round_log_exits_2(
+        self, batch_dir, tmp_path, capsys, old, new
+    ):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert '"rounds": [{' in lines[0]
+        lines[0] = lines[0].replace(old, new, 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        assert "error: could not read records" in capsys.readouterr().err
 
 
 class TestGen:

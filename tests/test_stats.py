@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import time
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +35,7 @@ from eqshares.stats import (
     records_to_csv,
     records_to_jsonl,
 )
+from eqshares.stats import _without_rounds
 
 FRACTIONS = st.fractions(
     min_value=0, max_value=10, max_denominator=20
@@ -67,6 +70,14 @@ def make_record(
         metrics=metrics,
         runtime_sec=runtime,
         config_hash="0" * 16,
+    )
+
+
+def with_exclusion(written) -> RunRecord:
+    """A record whose exclusion ratio is written as ``written``."""
+    record = make_record()
+    return dataclasses.replace(
+        record, metrics=dict(record.metrics, exclusion_ratio=written)
     )
 
 
@@ -164,6 +175,24 @@ class TestMetricValues:
         values = metric_values(make_record(runtime=0.1))
         assert values["runtime_sec"] == F(0.1)
         assert float(values["runtime_sec"]) == 0.1
+
+    @pytest.mark.parametrize(
+        "written,value",
+        [("2/4", F(1, 2)), ("-6/4", F(-3, 2)), ("0.5", F(1, 2)), ("7", F(7)),
+         (7, F(7)), (" 3/9 ", F(1, 3)), ("1e2", F(100)), ("+2/3", F(2, 3))],
+    )
+    def test_written_forms(self, written, value):
+        assert metric_values(with_exclusion(written))["exclusion_ratio"] == value
+
+    @pytest.mark.parametrize(
+        "written,error",
+        [("1/0", ZeroDivisionError), ("3/", ValueError), ("1/-2", ValueError),
+         ("", ValueError), ("-", ValueError), ("½", ValueError),
+         (True, ValueError)],
+    )
+    def test_rejects_what_fraction_rejects(self, written, error):
+        with pytest.raises(error):
+            metric_values(with_exclusion(written))
 
 
 class TestBucketLabel:
@@ -336,3 +365,275 @@ class TestSerialization:
         assert parsed[1][5] == "1/3"
         assert parsed[1][6] == repr(0.25)
         assert parsed[1][7] == "1/10"
+
+
+# Text pieces that look like JSON syntax or like the points where the
+# reader cuts a round log out of a line.
+TRICKY = st.lists(
+    st.sampled_from([
+        '"rounds": [', '], "rule": ', "[", "]", "{", "}", '"', "\\", '\\"',
+        ",", ":", " ", "a", "rounds", "rule", "\u00e9",
+    ]),
+    max_size=6,
+).map("".join)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | TRICKY,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TRICKY, inner, max_size=3),
+    max_leaves=8,
+)
+ROUNDS = st.fixed_dictionaries({
+    "project": st.integers(0, 50),
+    "alpha": st.sampled_from(["1", "1/2"]),
+    "rho": st.none() | st.sampled_from(["1/3", "7"]),
+    "payments": st.dictionaries(
+        st.integers(0, 99).map(str) | TRICKY, TRICKY, max_size=4
+    ),
+    "overspent": st.lists(st.integers(0, 99), max_size=3),
+}) | st.dictionaries(TRICKY, JSON_VALUES, max_size=3)
+
+
+@st.composite
+def run_records(draw) -> RunRecord:
+    """Records whose names, keys and round logs hold the reader's cut
+    patterns, brackets, quotes and backslashes."""
+    metrics = draw(st.dictionaries(TRICKY, JSON_VALUES, max_size=3))
+    metrics.update({name: str(draw(FRACTIONS)) for name in RATIONAL_METRICS})
+    metrics["exhaustive"] = draw(st.booleans())
+    metrics["ejr_plus_violations"] = draw(st.none() | st.integers(0, 5))
+    return RunRecord(
+        instance=draw(TRICKY),
+        rule=draw(TRICKY),
+        model=draw(st.sampled_from(["cost", "score"])),
+        ballot_type=draw(TRICKY),
+        n_voters=draw(st.integers(0, 10**6)),
+        n_projects=draw(st.integers(1, 60)),
+        budget=draw(TRICKY),
+        selected=tuple(draw(st.lists(TRICKY, max_size=3))),
+        fractions=draw(st.none() | st.dictionaries(TRICKY, TRICKY, max_size=3)),
+        feasible=draw(st.booleans()),
+        rounds=tuple(draw(st.lists(ROUNDS, max_size=3))),
+        metrics=metrics,
+        runtime_sec=draw(st.floats(0, 1e6)),
+        config_hash=draw(TRICKY),
+    )
+
+
+def read_light(text: str):
+    """``records_from_jsonl(text, keep_rounds=False)``, or the class of the
+    error it raised."""
+    try:
+        return records_from_jsonl(text, keep_rounds=False)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def read_full(text: str):
+    """The same, by decoding every line whole: the reference."""
+    try:
+        return [
+            RunRecord.from_json(json.loads(line), False)
+            for line in text.split("\n") if line.strip()
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def reordered(record: RunRecord, order) -> dict:
+    data = record.to_json()
+    keys = sorted(data)
+    return {keys[k]: data[keys[k]] for k in order}
+
+
+class TestReadWithoutRounds:
+    """Differential tests of the reader's round-log cut against full decoding."""
+
+    def test_written_layout_takes_the_cut(self, reference_election):
+        records = TestSerialization().sample_records(reference_election)
+        for line in records_to_jsonl(records).splitlines():
+            data = _without_rounds(line)
+            assert data is not None and data["rounds"] == []
+        assert read_light(records_to_jsonl(records)) == read_full(
+            records_to_jsonl(records)
+        )
+
+    @given(st.lists(run_records(), max_size=4), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_decode_on_written_records(self, records, newline):
+        text = records_to_jsonl(records).replace("\n", newline)
+        assert read_light(text) == read_full(text)
+        assert read_light(text) == [
+            dataclasses.replace(r, rounds=()) for r in records
+        ]
+
+    @given(
+        run_records(),
+        st.permutations(range(len(RunRecord.__dataclass_fields__))),
+        st.sampled_from([(", ", ": "), (",", ":"), (" , ", " :  "), ("\t,", ":\t")]),
+        st.sampled_from(["", " ", "\t "]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_decode_on_reformatted_lines(
+        self, record, order, separators, pad
+    ):
+        line = pad + json.dumps(reordered(record, order), separators=separators)
+        text = line + pad + "\r\n"
+        assert read_light(text) == read_full(text)
+        assert read_light(text) == [dataclasses.replace(record, rounds=())]
+
+    def test_key_between_rounds_and_rule(self):
+        record = make_record()
+        data = record.to_json()
+        data["rounds"] = [{"overspent": [1], "project": 0}]
+        keys = [k for k in sorted(data) if k not in ("rounds", "rule")]
+        layout = {k: data[k] for k in keys[:-1]}
+        layout.update(rounds=data["rounds"], selected=data["selected"],
+                      rule=data["rule"])
+        line = json.dumps(layout)
+        assert '"rounds": [' in line and '], "rule": ' in line
+        assert _without_rounds(line) is None
+        assert read_light(line) == read_full(line) == [record]
+
+    def test_cut_points_inside_a_nested_object(self):
+        record = make_record()
+        data = record.to_json()
+        metrics = dict(data.pop("metrics"))
+        metrics.update(rounds=["x"], x="5", z=[2], rule=3)
+        line = json.dumps({"rule": data.pop("rule"), "metrics": metrics, **data})
+        assert _without_rounds(line) is None
+        [back] = read_light(line)
+        assert back.metrics == metrics
+        assert read_light(line) == read_full(line)
+
+    @pytest.mark.parametrize("value", [["a", "1/2"], "1/2", {"rule": []}])
+    def test_metrics_key_named_rounds(self, value):
+        record = make_record()
+        record = dataclasses.replace(
+            record, metrics=dict(record.metrics, rounds=value)
+        )
+        text = records_to_jsonl([record])
+        assert read_light(text) == read_full(text) == [record]
+
+    def test_names_that_look_like_cut_points(self):
+        names = ['"rounds": [', '], "rule": ', "a]b[c", 'q\\"', "\\", "\\\\"]
+        record = dataclasses.replace(
+            make_record(instance=names[0], rule=names[1]),
+            ballot_type=names[2],
+            selected=tuple(names),
+            fractions={name: "1/2" for name in names},
+            rounds=({"payments": {name: name for name in names}},),
+            metrics=dict(make_record().metrics, **{name: [name] for name in names}),
+        )
+        text = records_to_jsonl([record])
+        assert _without_rounds(text.strip()) is not None
+        assert read_light(text) == read_full(text)
+        assert read_light(text) == [dataclasses.replace(record, rounds=())]
+
+    def test_line_cut_off_inside_its_round_log(self, reference_election):
+        record = build_record("ref", "mes", reference_election,
+                              mes(reference_election), 0.25)
+        line = records_to_jsonl([record])
+        cut = line[: line.index('"payments"') + 5]
+        assert read_light(cut) is read_full(cut) is json.JSONDecodeError
+        two = records_to_jsonl([make_record()]) + cut
+        assert read_light(two) is read_full(two) is json.JSONDecodeError
+
+    def test_round_log_syntax_is_not_checked(self):
+        line = records_to_jsonl([make_record()]).replace(
+            '"rounds": []', '"rounds": [{"alpha": ]'
+        )
+        assert read_light(line) == [make_record()]
+        assert read_full(line) is json.JSONDecodeError
+        with pytest.raises(json.JSONDecodeError):
+            records_from_jsonl(line)
+
+
+BIG_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1, 10**9 + 7, 998244353)
+
+
+@st.composite
+def written_values(draw):
+    """A metric as a record may write it: ``p/q`` over large coprime or
+    unreduced denominators, a decimal string, or an integer."""
+    kind = draw(st.sampled_from(["ratio", "unreduced", "decimal", "integer", "half"]))
+    if kind == "half":
+        return draw(st.sampled_from(["1/2", "2/4", "0.5", "500/1000"]))
+    if kind == "integer":
+        value = draw(st.integers(-10**30, 10**30))
+        return draw(st.sampled_from([value, str(value)]))
+    if kind == "decimal":
+        sign = draw(st.sampled_from(["", "-"]))
+        digits = draw(st.text("0123456789", min_size=1, max_size=20))
+        return f"{sign}{draw(st.integers(0, 10**12))}.{digits}"
+    den = draw(st.sampled_from(BIG_PRIMES) | st.integers(1, 10**40))
+    value = F(draw(st.integers(-10**40, 10**40)), den)
+    if kind == "unreduced":
+        k = draw(st.integers(2, 10**9))
+        return f"{value.numerator * k}/{value.denominator * k}"
+    return str(value)
+
+
+@st.composite
+def metric_records(draw) -> RunRecord:
+    metrics = {name: draw(written_values()) for name in RATIONAL_METRICS}
+    metrics["exhaustive"] = draw(st.booleans())
+    metrics["ejr_plus_violations"] = draw(st.none() | st.integers(0, 3))
+    return dataclasses.replace(
+        make_record(
+            rule=draw(st.sampled_from(["mes", "bos"])),
+            n_projects=draw(st.sampled_from([3, 12, 30])),
+            ballot_type=draw(st.sampled_from(["approval", "cardinal"])),
+            runtime=draw(st.floats(0, 1e9) | st.sampled_from([0.1, 0.5, 5e-324])),
+        ),
+        metrics=metrics,
+    )
+
+
+def oracle_rows(records) -> dict[tuple, AggregateRow]:
+    """Aggregate rows from values read by ``Fraction``, the independent mean
+    and std of ``oracles``, and quantiles over a ``Fraction``-sorted list."""
+    groups: dict[tuple, list[F]] = defaultdict(list)
+    for record in records:
+        metrics = record.metrics
+        values = {name: F(str(metrics[name])) for name in RATIONAL_METRICS}
+        values["exhaustive"] = F(int(bool(metrics["exhaustive"])))
+        violations = metrics["ejr_plus_violations"]
+        if violations is not None:
+            values["ejr_plus_violations"] = F(violations)
+            values["ejr_plus_violated"] = F(int(violations > 0))
+        values["runtime_sec"] = F(record.runtime_sec)
+        bucket = bucket_label(record.n_projects)
+        for metric, value in values.items():
+            groups[(record.rule, metric, bucket, record.ballot_type)].append(value)
+    return {
+        key: AggregateRow(
+            *key,
+            count=len(values),
+            mean=oracles.second_mean(values),
+            std=oracles.second_std(values),
+            quantiles={p: exact_quantile(sorted(values), p) for p in QUANTILE_POINTS},
+        )
+        for key, values in groups.items()
+    }
+
+
+class TestIntegerAggregation:
+    """Differential tests of the integer aggregation against Fractions."""
+
+    @given(st.lists(metric_records(), min_size=1, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_oracle(self, records):
+        rows = aggregate_records(records)
+        assert {(r.rule, r.metric, r.bucket, r.ballot_type): r for r in rows} == (
+            oracle_rows(records)
+        )
+
+    def test_equal_values_written_differently(self):
+        written = ["1/2", "2/4", "0.5", "3/7", "6/14", "0.4285714285714285714"]
+        records = [with_exclusion(text) for text in written]
+        rows = aggregate_records(records)
+        row = next(r for r in rows if r.metric == "exclusion_ratio")
+        assert row == oracle_rows(records)[
+            ("mes", "exclusion_ratio", "1-8", "approval")
+        ]
+        assert row.quantiles[50] == F(1, 2) - (F(1, 2) - F(3, 7)) / 2
