@@ -22,7 +22,7 @@ import click
 
 from .model import Election, UtilityModel
 from .pabulib import BallotType, PbParseError, load_election, write_pb
-from .rules import RULE_NAMES, InvariantError, RuleConfig, TieBreaker, run_rule
+from .rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
 from .stats import (
     BUCKET_PRESETS,
     RunRecord,
@@ -203,7 +203,8 @@ def _batch_worker(
     args: tuple,
 ) -> tuple[str, list[RunRecord], Optional[str], list[tuple[str, str]]]:
     """One file's records, the error that skipped the whole file if any,
-    and the (rule, error) of each cell whose rule broke an invariant."""
+    and the (rule, error) of each cell whose rule raised, naming the
+    exception's type."""
     (path_str, rules, model, tie_names, step_str,
      exhaustive_redistribution, repeats) = args
     path = Path(path_str)
@@ -222,8 +223,11 @@ def _batch_worker(
             records.append(
                 build_record(path.stem, rule, election, outcome, runtime, config)
             )
-        except InvariantError as exc:
-            failed.append((rule, str(exc)))
+        except Exception as exc:
+            # One failing cell must not sink the file's other cells or the
+            # batch; the traceback goes to the debug log.
+            log.debug("%s %s failed", path_str, rule, exc_info=True)
+            failed.append((rule, f"{exc} ({type(exc).__name__})"))
     return (path_str, records, None, failed)
 
 
@@ -261,8 +265,8 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
     """Run rules over every .pb file in a directory.
 
     Files that fail to parse are reported on stderr and skipped, and so
-    is each (instance, rule) cell whose rule breaks an invariant; the
-    command fails only if no cell succeeds. Records are sorted by
+    is each (instance, rule) cell whose rule or audit raises; the command
+    fails only if no cell succeeds. Records are sorted by
     (instance, rule).
     """
     rules = _parse_rules(rules_spec)
@@ -310,7 +314,7 @@ def _read_records(path: Path) -> list[RunRecord]:
         if path.suffix == ".csv":
             return records_from_csv(text)
         return records_from_jsonl(text, keep_rounds=False)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise InputDataError(f"could not read records from {path}: {exc}") from exc
 
 

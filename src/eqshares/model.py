@@ -402,9 +402,19 @@ class BudgetState:
 
     @classmethod
     def equal_endowment(cls, per_voter: Num, n_voters: int) -> "BudgetState":
-        if per_voter < 0:
+        return cls.equal_units(*per_voter.as_integer_ratio(), n_voters)
+
+    @classmethod
+    def equal_units(cls, num: int, den: int, n_voters: int) -> "BudgetState":
+        """``n_voters`` balances of ``num / den`` each, built from the one
+        integer pair."""
+        if num < 0:
             raise ValueError("endowment must be nonnegative")
-        return cls([per_voter] * n_voters)
+        g = gcd(num, den)
+        state = cls.__new__(cls)
+        state.units = [num // g] * n_voters
+        state.scale = den // g
+        return state
 
     @property
     def balances(self) -> list[Num]:

@@ -20,9 +20,10 @@ Balances live on one integer ledger (:class:`~eqshares.model.BudgetState`)
 that every rule charges through one debit, which stops each balance at zero
 and reports who was charged more than she held. The quote kernels
 (:func:`min_rho`, :func:`bos_quote`) read the moneyed supporters' units
-from it and their utilities from the profile's cached integer columns, and
-a quote builds its payment map only when a rule reads it, which is for the
-winner alone.
+from it and their utilities from the profile's cached integer columns. A
+quote charges its integer payment numerators and builds its payment map
+only when a rule records it: the winner of a round, and in an add1u scan
+only the winners of the kept probe.
 
 All rules are pure functions: identical inputs give byte-identical logs.
 Ties are resolved by an injectable total order on projects.
@@ -148,10 +149,10 @@ class AffordabilityQuote:
     (in ascending b/u order whenever anybody is capped), their balances
     times ``m_scale`` and their utilities times the column scale. The first
     ``capped`` of them pay ``money * cap / den`` and the rest pay
-    ``weight * rate / den``, which is u * rho. ``payments`` is built from
-    these when first read, so only the quotes a rule buys pay for it.
-    :meth:`charge` debits them, each balance stopping at zero, and reports
-    every voter charged more than she held.
+    ``weight * rate / den``, which is u * rho. :meth:`charge` debits these
+    integer numerators, each balance stopping at zero, and reports every
+    voter charged more than she held; ``payments`` builds the rationals
+    from them on each read, so only the quotes a rule records pay for it.
     """
 
     project: int
@@ -166,7 +167,7 @@ class AffordabilityQuote:
     den: int
     m_scale: int
     cost: Num
-    _payments: Optional[tuple[dict[int, int], dict[int, Num]]] = field(
+    _numerators: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False
     )
 
@@ -174,13 +175,13 @@ class AffordabilityQuote:
     def ratio(self) -> Num:
         return self.rho / self.alpha
 
-    def _owed(self) -> tuple[dict[int, int], dict[int, Num]]:
-        """Payment numerators over ``den`` and the payments themselves.
+    def _owed(self) -> dict[int, int]:
+        """Payment numerators over ``den``.
 
         Raises :class:`InvariantError` unless the payments add up to the
         cost exactly.
         """
-        if self._payments is None:
+        if self._numerators is None:
             s, cap, rate = self.capped, self.cap, self.rate
             owed = dict(zip(self.voters[:s], [m * cap for m in self.money[:s]]))
             owed.update(zip(self.voters[s:], [w * rate for w in self.weights[s:]]))
@@ -189,16 +190,31 @@ class AffordabilityQuote:
                 raise InvariantError(
                     f"payments for project {self.project} do not add up to its cost"
                 )
-            self._payments = owed, _rationals(owed.items(), self.den)
-        return self._payments
+            self._numerators = owed
+        return self._numerators
 
     @property
     def payments(self) -> Mapping[int, Num]:
-        return self._owed()[1]
+        return _rationals(self._owed().items(), self.den)
 
     def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
         """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
-        return budgets.debit(self._owed()[0].items(), self.den)
+        return budgets.debit(self._owed().items(), self.den)
+
+    def compact(self) -> AffordabilityQuote:
+        """The same purchase holding only what ``payments`` reads.
+
+        It keeps the capped prefix's balances, not the others, and no
+        cached numerators, so a caller can hold many of them cheaply. Its
+        ``money`` is that prefix alone, so it serves ``payments`` and
+        nothing else: :meth:`drained` needs every balance.
+        """
+        s = self.capped
+        return AffordabilityQuote(
+            self.project, self.alpha, self.rho, self.voters, self.money[:s],
+            self.weights, s, self.cap, self.rate, self.den, self.m_scale,
+            self.cost,
+        )
 
     def drained(self) -> int:
         """How many voters u * rho would drain (b <= u * rho).
@@ -421,6 +437,10 @@ def _proposal(key: Num) -> float:
         return math.inf
 
 
+# A selector heap entry: (float of the bound, bound, tie rank, project).
+_Entry = tuple[float, Num, tuple[int, int], int]
+
+
 class _LazyBest(Generic[Q]):
     """Lazy best-quote selection over a live set of projects, after
     Minoux's lazy greedy (1978, "Accelerated greedy algorithms").
@@ -437,6 +457,9 @@ class _LazyBest(Generic[Q]):
     stays a lower bound, so a heap top that carries its project's cached
     key (that very object; older entries are discarded) is the pick of a
     full rescan. A key that may fall must be re-entered with :meth:`push`.
+
+    ``heap``, when given, is the selector's starting heap, made by
+    :meth:`floor_heap` over exactly ``live``; the selector takes it over.
     """
 
     def __init__(
@@ -446,14 +469,28 @@ class _LazyBest(Generic[Q]):
         key: Callable[[Q], Num],
         live: Iterable[int],
         floor: Callable[[int], Num] = lambda c: ZERO,
+        heap: Optional[list[_Entry]] = None,
     ) -> None:
-        self._rank = tie.rank
+        self._tie = tie
         self._quote = quote
         self._key = key
         self._cached: dict[int, Optional[tuple[Num, Q]]] = {}
-        self._heap: list[tuple[float, Num, tuple[int, int], int]] = []
         self.live = set(live)
-        self.push(self.live, floor)
+        if heap is None:
+            heap = self.floor_heap(tie, self.live, floor)
+        self._heap = heap
+
+    @staticmethod
+    def floor_heap(
+        tie: TieBreaker,
+        projects: Iterable[int],
+        floor: Callable[[int], Num] = lambda c: ZERO,
+    ) -> list[_Entry]:
+        """A heap entering each project at floor(c), with its tie rank."""
+        rank = tie.rank
+        heap = [(_proposal(b := floor(c)), b, rank(c), c) for c in projects]
+        heapq.heapify(heap)
+        return heap
 
     def best(self) -> Optional[Q]:
         """The best live quote; its project stays live and in the heap."""
@@ -484,11 +521,9 @@ class _LazyBest(Generic[Q]):
         self, projects: Iterable[int], floor: Callable[[int], Num] = lambda c: ZERO
     ) -> None:
         """Re-enter projects whose key may have fallen, each at floor(c)."""
-        rank = self._rank
-        for c in projects:
-            self._cached.pop(c, None)
-            bound = floor(c)
-            self._heap.append((_proposal(bound), bound, rank(c), c))
+        projects = list(projects)
+        self.stale(projects)
+        self._heap += self.floor_heap(self._tie, projects, floor)
         heapq.heapify(self._heap)
 
     def drop(self, projects: Iterable[int]) -> None:
@@ -533,6 +568,61 @@ def utilitarian(election: Election, config: RuleConfig = RuleConfig()) -> Outcom
     return _utilitarian_tail(election, config)
 
 
+def _equal_shares(
+    election: Election,
+    config: RuleConfig,
+    num: int,
+    den: int,
+    keep: Callable[[AffordabilityQuote], Q],
+    heap: Optional[list[_Entry]] = None,
+) -> tuple[list[Q], bool]:
+    """The MES purchase loop from an endowment of num / den per voter.
+
+    Returns ``keep(quote)`` of each purchase in order, and whether the
+    money spent stays within the budget. ``heap``, if given, is a fresh
+    :meth:`_LazyBest.floor_heap` over every project, which the loop
+    consumes.
+    """
+    utilities = election.utilities
+    n = election.n_voters
+    budgets = BudgetState.equal_units(num, den, n)
+    projects = election.projects
+    # Balances only fall, so prices only rise and short supporters stay
+    # short; only projects sharing a payer can see their price move.
+    selector = _LazyBest(
+        config.tie_breaker,
+        lambda c: min_rho(projects[c], budgets, utilities),
+        attrgetter("rho"),
+        range(len(projects)),
+        heap=heap,
+    )
+    bought = []
+    while (best := selector.best()) is not None:
+        logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
+        # Nobody pays more than min(b, u * rho), so nobody falls short.
+        for i, _ in best.charge(budgets):
+            raise InvariantError(f"mes: voter {i} overdrawn buying {best.project}")
+        selector.stale(utilities.supported_by(best.voters))
+        selector.drop((best.project,))
+        bought.append(keep(best))
+    # Each purchase's payments add up to its cost, so the money that left
+    # the ledger is what the outcome spends: n * num / den - sum / scale.
+    scale = budgets.scale
+    spent = num * n * scale - sum(budgets.units) * den
+    b_num, b_den = election.budget.as_integer_ratio()
+    return bought, spent * b_den <= b_num * den * scale
+
+
+def _record(quote: AffordabilityQuote) -> PurchaseRecord:
+    return PurchaseRecord(quote.project, ONE, quote.rho, quote.payments)
+
+
+def _outcome(records: Sequence[PurchaseRecord], feasible: bool) -> Outcome:
+    return Outcome(
+        tuple(r.project for r in records), tuple(records), feasible=feasible
+    )
+
+
 def mes(
     election: Election,
     config: RuleConfig = RuleConfig(),
@@ -552,65 +642,62 @@ def mes(
     )
     if endowment <= 0:
         raise ValueError("initial endowment must be positive")
-    utilities = election.utilities
-    budgets = BudgetState.equal_endowment(endowment, election.n_voters)
-    projects = election.projects
-    # Balances only fall, so prices only rise and short supporters stay
-    # short; only projects sharing a payer can see their price move.
-    selector = _LazyBest(
-        config.tie_breaker,
-        lambda c: min_rho(projects[c], budgets, utilities),
-        attrgetter("rho"),
-        range(len(projects)),
+    records, feasible = _equal_shares(
+        election, config, *endowment.as_integer_ratio(), _record
     )
-    selected: list[int] = []
-    rounds: list[PurchaseRecord] = []
-    while (best := selector.best()) is not None:
-        logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
-        # Nobody pays more than min(b, u * rho), so nobody falls short.
-        for i, _ in best.charge(budgets):
-            raise InvariantError(f"mes: voter {i} overdrawn buying {best.project}")
-        selector.stale(utilities.supported_by(best.voters))
-        selector.drop((best.project,))
-        selected.append(best.project)
-        rounds.append(
-            PurchaseRecord(best.project, ONE, best.rho, best.payments)
-        )
-    # Each purchase's payments add up to its cost, so the money that left
-    # the ledger is what the outcome spends.
-    spent = endowment * election.n_voters - budgets.total()
-    return Outcome(
-        tuple(selected), tuple(rounds), feasible=spent <= election.budget
-    )
+    return _outcome(records, feasible)
 
 
 def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Equal-shares selection completed by endowment growth plus a greedy tail.
 
-    Reruns :func:`mes` with per-voter endowments b/n, b/n + step, ... and
-    keeps the outcome of the last endowment that stayed within the budget.
-    The scan is a plain linear walk: feasibility is not monotone in the
-    endowment, so no bisection is sound. It stops at the first infeasible
-    probe, or once the endowment reaches the full budget, at which point any
-    single supporter could buy any affordable project alone. Finally,
-    projects that still fit are appended in descending total score order.
+    Reruns the :func:`mes` loop with per-voter endowments b/n, b/n + step,
+    ... and keeps the outcome of the last endowment that stayed within the
+    budget. The scan is a plain linear walk: feasibility is not monotone in
+    the endowment, so no bisection is sound. It stops at the first
+    infeasible probe, or once the endowment reaches the full budget, at
+    which point any single supporter could buy any affordable project alone.
+    Finally, projects that still fit are appended in descending total score
+    order.
+
+    A probe keeps each purchase as a compact quote
+    (:meth:`AffordabilityQuote.compact`); only the kept probe's purchases
+    become round records.
     """
-    base = election.budget / election.n_voters
-    step = config.add1u_step
-    best = mes(election, config, b_ini=base)
-    if not best.feasible:
+    n = election.n_voters
+    b_num, b_den = election.budget.as_integer_ratio()
+    s_num, s_den = config.add1u_step.as_integer_ratio()
+    # Endowments as integers over one scale: b/n is units / scale, the
+    # step inc / scale and the budget full / scale.
+    scale = n * b_den * s_den
+    units, inc, full = b_num * s_den, s_num * b_den * n, b_num * s_den * n
+    heap = _LazyBest.floor_heap(config.tie_breaker, range(len(election.projects)))
+
+    def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
+        return _equal_shares(
+            election, config, num, scale, AffordabilityQuote.compact, list(heap)
+        )
+
+    kept, feasible = probe(units)
+    if not feasible:
         raise InvariantError("add1u: mes at the equal share b/n overspent")
-    k = 1
+    probes, kept_units = 1, units
     while True:
-        endowment = base + k * step
-        probe = mes(election, config, b_ini=endowment)
-        if not probe.feasible:
+        units += inc
+        bought, feasible = probe(units)
+        probes += 1
+        if not feasible:
             break
-        best = probe
-        if endowment >= election.budget:
+        kept, kept_units = bought, units
+        if units >= full:
             break
-        k += 1
-    return _utilitarian_tail(election, config, best)
+    logger.debug(
+        "add1u: %d probes, kept endowment %s",
+        probes, Fraction(kept_units, scale),
+    )
+    return _utilitarian_tail(
+        election, config, _outcome([_record(q) for q in kept], True)
+    )
 
 
 def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOutcome:

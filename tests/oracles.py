@@ -367,8 +367,12 @@ def naive_add1u(
     election: Election,
     order: Sequence[int] | None = None,
     step: Fraction = ONE,
-) -> list[int]:
-    """Linear endowment scan plus a vote-count tail, straight from the text."""
+) -> tuple[list[int], Fraction]:
+    """Linear endowment scan plus a vote-count tail, straight from the text.
+
+    Returns the sorted selection and the per-voter endowment whose equal-
+    shares outcome the scan kept.
+    """
     base = election.budget / election.n_voters
     costs = [p.cost for p in election.projects]
 
@@ -376,13 +380,14 @@ def naive_add1u(
         return sum(costs[c] for c in chosen) <= election.budget
 
     best, _ = naive_mes(election, order, b_ini=base)
+    kept = base
     k = 1
     while True:
         endowment = base + k * step
         probe, _ = naive_mes(election, order, b_ini=endowment)
         if not feasible(probe):
             break
-        best = probe
+        best, kept = probe, endowment
         if endowment >= election.budget:
             break
         k += 1
@@ -400,7 +405,7 @@ def naive_add1u(
         if costs[c] <= remaining:
             remaining -= costs[c]
             chosen.append(c)
-    return sorted(chosen)
+    return sorted(chosen), kept
 
 
 # ---------------------------------------------------------------------------

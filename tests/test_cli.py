@@ -244,13 +244,13 @@ class TestBatch:
         assert str(tie) in err and "'A' twice" in err
 
     @staticmethod
-    def break_bos(monkeypatch, on_voters):
-        """Make bos raise an InvariantError on elections of that size."""
+    def break_bos(monkeypatch, on_voters, error=rules.InvariantError):
+        """Make bos raise ``error`` on elections of that size."""
         real = rules._RULES["bos"]
 
         def broken(election, config):
             if election.n_voters in on_voters:
-                raise rules.InvariantError("bos: forced failure")
+                raise error("bos: forced failure")
             return real(election, config)
 
         monkeypatch.setitem(rules._RULES, "bos", broken)
@@ -264,6 +264,25 @@ class TestBatch:
         captured = capsys.readouterr()
         minority = str(batch_dir / "minority.pb")
         assert f"warning: skipped {minority} bos: bos: forced failure" in captured.err
+        records = records_from_jsonl(captured.out)
+        assert [(r.instance, r.rule) for r in records] == [
+            ("minority", "mes"), ("tail", "bos"), ("tail", "mes"),
+        ]
+
+    def test_any_exception_skips_only_its_cell(self, batch_dir, monkeypatch,
+                                               minority_election, capsys):
+        self.break_bos(
+            monkeypatch, {minority_election.n_voters}, ZeroDivisionError
+        )
+        assert main([
+            "batch", str(batch_dir), "--model", "cost", "--rules", "mes,bos",
+        ]) == 0
+        captured = capsys.readouterr()
+        minority = str(batch_dir / "minority.pb")
+        assert (
+            f"warning: skipped {minority} bos: bos: forced failure "
+            "(ZeroDivisionError)"
+        ) in captured.err
         records = records_from_jsonl(captured.out)
         assert [(r.instance, r.rule) for r in records] == [
             ("minority", "mes"), ("tail", "bos"), ("tail", "mes"),
@@ -373,6 +392,18 @@ class TestAggregate:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["aggregate", str(bad)]) == 2
+        assert "error: could not read records" in capsys.readouterr().err
+
+
+    def test_records_nested_too_deep_exit_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        assert main(["aggregate", str(deep)]) == 2
+        assert "error: could not read records" in capsys.readouterr().err
+        assert main([
+            "plotdata", "--records", str(deep), "--coords", str(tmp_path),
+            "--out", str(tmp_path / "plots"),
+        ]) == 2
         assert "error: could not read records" in capsys.readouterr().err
 
 

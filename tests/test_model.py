@@ -325,6 +325,14 @@ class TestBudgetState:
         assert state.balances == [F(5, 2)] * 3
         assert state.total() == F(15, 2)
 
+    @pytest.mark.parametrize("num,den", [(6, 4), (0, 5), (7, 1), (10**20, 10**18)])
+    def test_equal_units_builds_the_minimal_ledger(self, num, den):
+        state = BudgetState.equal_units(num, den, 3)
+        expected = BudgetState([F(num, den)] * 3)
+        assert (state.units, state.scale) == (expected.units, expected.scale)
+        with pytest.raises(ValueError):
+            BudgetState.equal_units(-num - 1, den, 3)
+
 
 # Balances and amounts with mixed, sometimes large, denominators.
 amounts = st.builds(

@@ -6,14 +6,13 @@ import functools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from eqshares import rules
 from eqshares.model import (
     Election,
-    Outcome,
     Project,
     UtilityModel,
     UtilityProfile,
@@ -75,6 +74,35 @@ def approval_elections(draw, max_voters=5, max_projects=4, max_budget=14):
     prof = UtilityProfile.from_rows(n, m, rows)
     return Election(projects, n, F(budget), prof,
                     utility_model=UtilityModel.COST)
+
+
+@st.composite
+def add1u_cases(draw, max_voters=5, max_projects=4):
+    """An election with a rational budget and costs, a tie order and an
+    add1u step. Half the steps reach the budget exactly after 1-4 probes."""
+    n = draw(st.integers(1, max_voters))
+    m = draw(st.integers(1, max_projects))
+    budget = F(draw(st.integers(2, 24)), draw(st.sampled_from([1, 2, 3, 7])))
+    projects = tuple(
+        Project(c, f"p{c}", budget * F(draw(st.integers(1, 12)), 12))
+        for c in range(m)
+    )
+    rows = [
+        {c: u for c in range(m) if (u := draw(st.sampled_from(
+            [0, 0, 1, 2, F(1, 2), F(5, 3)]
+        )))}
+        for _ in range(n)
+    ]
+    model = draw(st.sampled_from([UtilityModel.SCORE, UtilityModel.COST]))
+    prof = UtilityProfile.from_rows(n, m, rows)
+    e = Election(projects, n, budget, prof, utility_model=model)
+    base = budget / n
+    if n > 1 and draw(st.booleans()):
+        step = (budget - base) / draw(st.integers(1, 4))
+    else:
+        step = budget * F(draw(st.integers(1, 12)), draw(st.integers(8, 24)))
+    order = tuple(draw(st.permutations(range(m)))[: draw(st.integers(0, m))])
+    return e, order or None, step
 
 
 @st.composite
@@ -144,7 +172,55 @@ class TestOracleEquality:
     @given(approval_elections())
     @settings(max_examples=40, deadline=None)
     def test_add1u(self, e):
-        assert sorted(add1u(e).selected) == oracles.naive_add1u(e)
+        assert sorted(add1u(e).selected) == oracles.naive_add1u(e)[0]
+
+    @given(add1u_cases())
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_add1u_scan_with_rational_steps(self, caplog, case):
+        e, order, step = case
+        config = RuleConfig(TieBreaker(order), add1u_step=step)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="eqshares.rules"):
+            out = add1u(e, config)
+        expected, kept = oracles.naive_add1u(e, order, step)
+        assert sorted(out.selected) == expected
+        # The scan probes b/n and k steps up to the kept endowment. Then it
+        # makes one more, infeasible probe, unless a step reached the budget.
+        k = (kept - e.budget / e.n_voters) / step
+        probes = k + 1 + (k == 0 or kept < e.budget)
+        [line] = [r for r in caplog.records if r.getMessage().startswith("add1u")]
+        assert line.args == (probes, kept)
+        # The equal-shares part of the round log is the run at the kept
+        # endowment, rho and payments included; the tail is central.
+        ref = mes(e, config, b_ini=kept)
+        assert out.rounds[: len(ref.rounds)] == ref.rounds
+        assert all(r.rho is None for r in out.rounds[len(ref.rounds):])
+        _, trace = oracles.naive_mes(e, order, b_ini=kept)
+        assert [(r.project, r.rho) for r in ref.rounds] == trace
+
+    def test_add1u_scan_records_only_the_kept_probe(
+        self, monkeypatch, fixtures_dir
+    ):
+        e = load_election(str(fixtures_dir / "minority.pb"), UtilityModel.COST)
+        built, probes = [], []
+        real_record, real_loop = rules.PurchaseRecord, rules._equal_shares
+
+        def counted_record(*args, **kwargs):
+            built.append(args[0])
+            return real_record(*args, **kwargs)
+
+        def counted_loop(*args, **kwargs):
+            probes.append(args[2:4])
+            return real_loop(*args, **kwargs)
+
+        monkeypatch.setattr(rules, "PurchaseRecord", counted_record)
+        monkeypatch.setattr(rules, "_equal_shares", counted_loop)
+        out = add1u(e)
+        assert len(probes) > 2
+        assert built == [r.project for r in out.rounds]
 
     @given(cardinal_elections(max_voters=1, max_projects=4))
     @settings(max_examples=40, deadline=None)
@@ -439,13 +515,13 @@ class TestInvariantChecks:
     def test_add1u_infeasible_start(self, monkeypatch):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        real_mes = rules.mes
+        real_loop = rules._equal_shares
 
-        def overspending_mes(*args, **kwargs):
-            out = real_mes(*args, **kwargs)
-            return Outcome(out.selected, out.rounds, feasible=False)
+        def overspending_loop(*args, **kwargs):
+            bought, _ = real_loop(*args, **kwargs)
+            return bought, False
 
-        monkeypatch.setattr(rules, "mes", overspending_mes)
+        monkeypatch.setattr(rules, "_equal_shares", overspending_loop)
         with pytest.raises(rules.InvariantError, match="add1u"):
             add1u(e)
 
@@ -471,7 +547,7 @@ class TestInvariantChecks:
 
         def owed(quote):
             # The quote's payments are integers over its den, here 9.
-            return {i: int(p * quote.den) for i, p in lopsided.items()}, lopsided
+            return {i: int(p * quote.den) for i, p in lopsided.items()}
 
         monkeypatch.setattr(rules.AffordabilityQuote, "_owed", owed)
         return Election((Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST)
@@ -496,20 +572,20 @@ class TestUtilityColumns:
             str(fixtures_dir / "minority.pb"), UtilityModel.COST
         )
         derived, probes = [], []
-        real_columns, real_mes = UtilityProfile.columns.func, rules.mes
+        real_columns, real_loop = UtilityProfile.columns.func, rules._equal_shares
 
         def counted_columns(profile):
             derived.append(profile)
             return real_columns(profile)
 
-        def counted_mes(*args, **kwargs):
-            probes.append(kwargs.get("b_ini"))
-            return real_mes(*args, **kwargs)
+        def counted_loop(*args, **kwargs):
+            probes.append(args[2:4])
+            return real_loop(*args, **kwargs)
 
         columns = functools.cached_property(counted_columns)
         columns.__set_name__(UtilityProfile, "columns")
         monkeypatch.setattr(UtilityProfile, "columns", columns)
-        monkeypatch.setattr(rules, "mes", counted_mes)
+        monkeypatch.setattr(rules, "_equal_shares", counted_loop)
         add1u(election)
         # Every mes probe of the scan priced from the one derivation.
         assert len(probes) > 2
