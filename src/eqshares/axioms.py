@@ -12,6 +12,7 @@ fresh greedy-by-score baseline on the same election.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,8 @@ from math import lcm
 from typing import Callable, Mapping, Optional, Union
 
 from .model import (
+    ONE,
+    ZERO,
     Election,
     FractionalOutcome,
     Num,
@@ -48,9 +51,6 @@ __all__ = [
     "overspend_rounds_exhaust_majority",
     "audit",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 AnyOutcome = Union[Outcome, FractionalOutcome]
 
@@ -95,8 +95,6 @@ def _relative(value: Num, base: Num) -> Num:
 
 def exclusion_ratio(election: Election, outcome: AnyOutcome) -> Num:
     """Fraction of voters with zero utility for every funded project."""
-    if election.n_voters == 0:
-        return ZERO
     funded = outcome.shares.keys()
     excluded = sum(1 for row in election.scores.rows if funded.isdisjoint(row))
     return Fraction(excluded, election.n_voters)
@@ -163,8 +161,6 @@ def ejr_plus_violations(
     if not election.scores.is_approval:
         raise ValueError("violation counting requires approval ballots")
     n = election.n_voters
-    if n == 0:
-        return 0, []
     funded = outcome.shares
     open_projects = [
         p for p in election.projects if funded.get(p.id, ZERO) < 1
@@ -239,26 +235,17 @@ def ejr_up_to_witnesses(
         )
     if not election.scores.is_approval:
         raise ValueError("witness search requires approval ballots")
-    if n == 0:
-        return []
     share = election.budget / n
     sat = voter_utilities(election, outcome, UtilityModel.COST)
     costs = [p.cost for p in election.projects]
     fully_funded = {c for c, w in outcome.shares.items() if w == 1}
 
-    if callable(t):
-        t_cache: dict[int, Num] = {}
+    # A constant t is converted here, so a bad one raises at the call.
+    slack_for = t if callable(t) else (lambda size, slack=as_num(t): slack)
 
-        def t_of(size: int) -> Num:
-            if size not in t_cache:
-                t_cache[size] = as_num(t(size))
-            return t_cache[size]
-
-    else:
-        t_const = as_num(t)
-
-        def t_of(size: int) -> Num:
-            return t_const
+    @functools.cache
+    def t_of(size: int) -> Num:
+        return as_num(slack_for(size))
 
     # Subset sums over bitmasks: cost of each project set, its cheapest
     # unfunded member, each group's common approval set and max satisfaction.
@@ -362,8 +349,6 @@ def fractional_ejr_falsifier(
     n = election.n_voters
     utilities = election.utilities
     sat = voter_utilities(election, fractional_outcome)
-    if n == 0:
-        return FalsifierReport(None, trials)
     entitlement = election.budget / n
     for _ in range(trials):
         size = rng.randint(1, n)

@@ -467,10 +467,16 @@ def cmd_plotdata(records_path, coords_dir, out_dir) -> None:
                 raise InputDataError(f"no coordinate sidecar for {record.instance}")
             sidecar = sidecars[record.instance] = _read_sidecar(path)
         if record.fractions is not None:
-            weighted = [
-                (name, share) for name, share in record.fractions.items()
-                if Fraction(share) > 0
-            ]
+            try:
+                weighted = [
+                    (name, share) for name, share in record.fractions.items()
+                    if Fraction(share) > 0
+                ]
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InputDataError(
+                    f"{records_path}: {record.instance} {record.rule}: "
+                    f"bad funded share: {exc}"
+                ) from exc
         else:
             weighted = [(name, "1") for name in record.selected]
         rows = by_rule.setdefault(record.rule, [])

@@ -265,6 +265,8 @@ class Election:
             object.__setattr__(self, "budget", as_num(self.budget))
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if self.n_voters < 1:
+            raise ValueError("an election needs at least one voter")
         for index, project in enumerate(self.projects):
             if project.id != index:
                 raise ValueError("project ids must be dense 0-based input order")
@@ -325,12 +327,16 @@ class Election:
 class PurchaseRecord:
     """One funding decision: which project, how much of it, at what price.
 
-    ``alpha`` is the share bought this round (always 1 for integral rules).
-    ``rho`` is the price per utility unit the buyers paid, or None when the
-    purchase was funded centrally (completion tails pay from the leftover
-    public budget, not from voter accounts). ``payments`` maps voter id to
-    the amount charged against the full project cost; ``overspent`` lists
-    voters whose payment exceeded their remaining balance.
+    ``alpha`` is the share bought this round by a fractional rule. An
+    integral purchase buys the whole project and records 1, except a
+    :func:`~eqshares.rules.bos` round, which records its quote's coverage
+    (the share its supporters' balances covered). ``rho`` is the price per
+    utility unit the buyers paid, or None when the purchase was funded
+    centrally (completion tails pay from the leftover public budget, not
+    from voter accounts). ``payments`` maps voter id to the amount charged
+    this round; a voter-funded integral purchase's payments add up to the
+    project's cost, a fractional one's to alpha times it. ``overspent``
+    lists voters whose payment exceeded their remaining balance.
     """
 
     project: int

@@ -16,14 +16,14 @@ The equal-shares rules pick each purchase through one lazy best-quote
 selector (:class:`_LazyBest`): quotes are cached and recomputed only when a
 purchase may have changed them, and the pick equals a full rescan's.
 
-Balances live on one integer ledger (:class:`~eqshares.model.BudgetState`)
-that every rule charges through one debit, which stops each balance at zero
-and reports who was charged more than she held. The quote kernels
-(:func:`min_rho`, :func:`bos_quote`) read the moneyed supporters' units
-from it and their utilities from the profile's cached integer columns. A
-quote charges its integer payment numerators and builds its payment map
-only when a rule records it: the winner of a round, and in an add1u scan
-only the winners of the kept probe.
+Every voter-funded purchase is an :class:`AffordabilityQuote` over the
+moneyed supporters' units on one integer ledger
+(:class:`~eqshares.model.BudgetState`) and their utilities in the
+profile's cached integer columns. A quote checks that its payments add up
+to what it buys, charges them through the ledger's one debit, which stops
+each balance at zero and reports who was charged more than she held, and
+builds its payment map only when :func:`_record` records it: the winner of
+a round, and in an add1u scan only the winners of the kept probe.
 
 All rules are pure functions: identical inputs give byte-identical logs.
 Ties are resolved by an injectable total order on projects.
@@ -43,6 +43,8 @@ from typing import (
 )
 
 from .model import (
+    ONE,
+    ZERO,
     BudgetState,
     Election,
     FractionalOutcome,
@@ -76,8 +78,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 Q = TypeVar("Q")
 
 
@@ -138,21 +138,24 @@ class RuleConfig:
 
 @dataclass(eq=False, slots=True)
 class AffordabilityQuote:
-    """One candidate purchase: a share ``alpha`` of a project at utility
-    price ``rho``, with the per-voter payments that cover the full cost.
+    """One purchase: a share ``alpha`` of a project at utility price
+    ``rho``, with the per-voter payments that fund it.
 
-    ``ratio`` (rho/alpha) is the price of buying one utility unit through
-    this quote when the fractional share is accounted for; integral rules
+    ``cost`` is what the payments add up to: the project's cost, even for
+    a bos quote whose coverage alpha is below 1, and alpha times it for a
+    :func:`fres` share. ``ratio`` (rho/alpha) is the price of one utility
+    unit through this quote with the share accounted for; integral rules
     with alpha = 1 reduce it to rho.
 
     A quote keeps the integers its kernel found: the moneyed supporters
     (in ascending b/u order whenever anybody is capped), their balances
     times ``m_scale`` and their utilities times the column scale. The first
     ``capped`` of them pay ``money * cap / den`` and the rest pay
-    ``weight * rate / den``, which is u * rho. :meth:`charge` debits these
-    integer numerators, each balance stopping at zero, and reports every
-    voter charged more than she held; ``payments`` builds the rationals
-    from them on each read, so only the quotes a rule records pay for it.
+    ``weight * rate / den``, which is u * rho (u * alpha * rho for a fres
+    share). :meth:`charge` debits these integer numerators, each balance
+    stopping at zero, and reports every voter charged more than she held;
+    ``payments`` builds the rationals from them on each read, so only the
+    quotes a rule records pay for it.
     """
 
     project: int
@@ -178,8 +181,8 @@ class AffordabilityQuote:
     def _owed(self) -> dict[int, int]:
         """Payment numerators over ``den``.
 
-        Raises :class:`InvariantError` unless the payments add up to the
-        cost exactly.
+        Raises :class:`InvariantError` unless the payments add up to
+        ``cost`` exactly.
         """
         if self._numerators is None:
             s, cap, rate = self.capped, self.cap, self.rate
@@ -531,6 +534,20 @@ class _LazyBest(Generic[Q]):
         self.live.difference_update(projects)
 
 
+def _record(
+    quote: AffordabilityQuote, overspent: tuple[int, ...] = ()
+) -> PurchaseRecord:
+    """The round record of a voter-funded purchase."""
+    return PurchaseRecord(
+        quote.project, quote.alpha, quote.rho, quote.payments, overspent
+    )
+
+
+def _outcome(records: Sequence[PurchaseRecord], feasible: bool = True) -> Outcome:
+    """The integral outcome selecting the recorded projects in order."""
+    return Outcome(tuple(r.project for r in records), tuple(records), feasible)
+
+
 def _utilitarian_tail(
     election: Election, config: RuleConfig, start: Outcome = Outcome((), ())
 ) -> Outcome:
@@ -542,9 +559,9 @@ def _utilitarian_tail(
     """
     totals = election.scores.project_totals
     tie = config.tie_breaker
-    selected, rounds = list(start.selected), list(start.rounds)
+    rounds = list(start.rounds)
     remaining = election.budget - election.spent(start)
-    chosen = set(selected)
+    chosen = set(start.selected)
     ranked = sorted(
         (p for p in election.projects if p.id not in chosen),
         key=lambda p: (-totals[p.id], tie.rank(p.id)),
@@ -552,9 +569,8 @@ def _utilitarian_tail(
     for project in ranked:
         if project.cost <= remaining:
             remaining -= project.cost
-            selected.append(project.id)
             rounds.append(PurchaseRecord(project.id, ONE, None, {}))
-    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+    return _outcome(rounds)
 
 
 def utilitarian(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -611,16 +627,6 @@ def _equal_shares(
     spent = num * n * scale - sum(budgets.units) * den
     b_num, b_den = election.budget.as_integer_ratio()
     return bought, spent * b_den <= b_num * den * scale
-
-
-def _record(quote: AffordabilityQuote) -> PurchaseRecord:
-    return PurchaseRecord(quote.project, ONE, quote.rho, quote.payments)
-
-
-def _outcome(records: Sequence[PurchaseRecord], feasible: bool) -> Outcome:
-    return Outcome(
-        tuple(r.project for r in records), tuple(records), feasible=feasible
-    )
 
 
 def mes(
@@ -696,7 +702,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         probes, Fraction(kept_units, scale),
     )
     return _utilitarian_tail(
-        election, config, _outcome([_record(q) for q in kept], True)
+        election, config, _outcome([_record(q) for q in kept])
     )
 
 
@@ -710,55 +716,63 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     voter alpha * rho * u_i. Voters whose balance reaches zero drop out of
     the pricing; the rule ends when no partially funded project has any
     remaining support. A voter is active exactly while her balance is
-    nonzero.
+    nonzero. Each share is bought as an uncapped
+    :class:`AffordabilityQuote` costing alpha times the project's cost.
     """
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     projects = election.projects
-
-    # Per-project support mass over active voters, kept incrementally. It
-    # only falls, so prices only rise, and only when a supporter drains.
-    support = list(utilities.project_totals)
+    columns = utilities.columns
+    # Per-project support of the active voters, in the column's integer
+    # weights, kept incrementally. It only falls, so prices only rise, and
+    # only when a supporter drains.
+    support = [sum(weights) for _, weights, _ in columns]
     selector = _LazyBest(
         config.tie_breaker,
-        lambda c: (projects[c].cost / support[c], c) if support[c] > 0 else None,
+        lambda c: (
+            (Fraction(projects[c].cost * columns[c][2], support[c]), c)
+            if support[c] else None
+        ),
         itemgetter(0),
         range(len(projects)),
     )
     fractions: dict[int, Num] = {}
     purchases: list[PurchaseRecord] = []
     while (best := selector.best()) is not None:
-        rho, best_c = best
-        voters, weights, u_scale = utilities.columns[best_c]
-        units = budgets.units
-        payers = [(i, w) for i, w in zip(voters, weights) if units[i]]
+        rho, c = best
+        # The supporters still pricing c are exactly its moneyed ones.
+        voters, money, weights, _, m_scale, u_scale = _moneyed(
+            projects[c], budgets, utilities
+        )
         # The largest share every payer affords is min b / (rho * u), at the
-        # payer with the least units / weight.
-        low_m, low_w = units[payers[0][0]], payers[0][1]
-        for i, w in payers:
-            if units[i] * low_w < low_m * w:
-                low_m, low_w = units[i], w
-        gap = ONE - fractions.get(best_c, ZERO)
-        alpha = min(gap, Fraction(low_m * u_scale, budgets.scale * low_w) / rho)
-        logger.debug("fres: buy %s of %d at rho=%s", alpha, best_c, rho)
-        # Each payer pays alpha * rho * u = weight * num / den.
-        num, den = (alpha * rho).as_integer_ratio()
-        den *= u_scale
-        owed = [(i, w * num) for i, w in payers]
-        for i, _ in budgets.debit(owed, den):
-            raise InvariantError(f"fres: voter {i} overdrawn buying {best_c}")
+        # payer with the least money / weight.
+        low_m, low_w = money[0], weights[0]
+        for m, w in zip(money, weights):
+            if m * low_w < low_m * w:
+                low_m, low_w = m, w
+        gap = ONE - fractions.get(c, ZERO)
+        alpha = min(gap, Fraction(low_m * u_scale, m_scale * low_w) / rho)
+        logger.debug("fres: buy %s of %d at rho=%s", alpha, c, rho)
+        # Each payer pays alpha * rho * u = weight * rate / (den * u_scale).
+        rate, den = (alpha * rho).as_integer_ratio()
+        quote = AffordabilityQuote(
+            c, alpha, rho, voters, money, weights, 0, 0, rate, den * u_scale,
+            m_scale, alpha * projects[c].cost,
+        )
+        for i, _ in quote.charge(budgets):
+            raise InvariantError(f"fres: voter {i} overdrawn buying {c}")
+        purchases.append(_record(quote))
+        fractions[c] = fractions.get(c, ZERO) + alpha
+        if fractions[c] == 1:
+            selector.drop((c,))
         units = budgets.units
-        drained = [i for i, _ in payers if not units[i]]
-        payments = _rationals(owed, den)
-        fractions[best_c] = fractions.get(best_c, ZERO) + alpha
-        purchases.append(PurchaseRecord(best_c, alpha, rho, payments))
-        if fractions[best_c] == 1:
-            selector.drop((best_c,))
-        for i in drained:
-            for c, u in utilities.support_set(i).items():
-                support[c] -= u
-            selector.stale(utilities.support_set(i))
+        for i in voters:
+            if not units[i]:
+                row = utilities.support_set(i)
+                for d, u in row.items():
+                    support[d] -= u.numerator * (columns[d][2] // u.denominator)
+                selector.stale(row)
     return FractionalOutcome(fractions, tuple(purchases))
 
 
@@ -893,7 +907,6 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     redistribute = config.exhaustive_redistribution
     projects = election.projects
     remaining = election.budget
-    selected: list[int] = []
     rounds: list[PurchaseRecord] = []
     # Without redistribution balances only fall, so ratios only rise and
     # quotes of projects without a moneyed supporter stay None.
@@ -912,26 +925,20 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         and election.scores.is_approval
     )
 
-    removed = [False] * n
+    # A voter leaves once this count reaches zero; it never rises again.
     unfunded_support = [len(election.scores.support_set(i)) for i in range(n)]
 
-    def redistribute_satisfied() -> None:
-        """Drop voters with nothing left to fund; share out their money."""
-        leaving = [
-            i
-            for i in range(n)
-            if not removed[i] and unfunded_support[i] == 0
-        ]
-        if not leaving:
-            return
-        for i in leaving:
-            removed[i] = True
-        stayers = [i for i in range(n) if not removed[i]]
-        if budgets.redistribute(leaving, stayers):
-            selector.push(selector.live)
+    def redistribute_satisfied(voters: Iterable[int]) -> None:
+        """Drop those of ``voters`` with nothing left to fund; share out
+        their money among the voters still in play."""
+        leaving = [i for i in voters if unfunded_support[i] == 0]
+        if leaving:
+            stayers = [i for i in range(n) if unfunded_support[i]]
+            if budgets.redistribute(leaving, stayers):
+                selector.push(selector.live)
 
     if redistribute:
-        redistribute_satisfied()
+        redistribute_satisfied(range(n))
 
     while (best := selector.best()) is not None:
         c = best.project
@@ -959,15 +966,14 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         selector.drop(
             [c, *(d for d in selector.live if projects[d].cost > remaining)]
         )
-        selected.append(c)
-        rounds.append(
-            PurchaseRecord(c, best.alpha, best.rho, best.payments, overspent)
-        )
-        for i in utilities.supporters[c]:
+        rounds.append(_record(best, overspent))
+        supporters = utilities.supporters[c]
+        for i in supporters:
             unfunded_support[i] -= 1
         if redistribute:
-            redistribute_satisfied()
-    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+            # Only the round's supporters can have run out of projects.
+            redistribute_satisfied(supporters)
+    return _outcome(rounds)
 
 
 def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -991,7 +997,6 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     projects = election.projects
     totals = utilities.project_totals
     remaining = election.budget
-    selected: list[int] = []
     rounds: list[PurchaseRecord] = []
     # Projects that fit and have supporters; nobody else can ever be bought.
     # Real balances only fall, so phase-1 ratios only rise and a None quote
@@ -1037,21 +1042,15 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         )
         units = budgets.units
         phase1.stale(utilities.supported_by(i for i in best.voters if units[i]))
-        overspent = []
-        for i, short in best.charge(budgets):
+        overspent = best.charge(budgets)
+        for i, short in overspent:
             over[i] += short
-            overspent.append(i)
         remaining -= projects[c].cost
         phase1.drop(
             [c, *(d for d in phase1.live if projects[d].cost > remaining)]
         )
-        selected.append(c)
-        rounds.append(
-            PurchaseRecord(
-                c, ONE, best.rho, best.payments, tuple(sorted(overspent))
-            )
-        )
-    return Outcome(tuple(selected), tuple(rounds), feasible=True)
+        rounds.append(_record(best, tuple(sorted(i for i, _ in overspent))))
+    return _outcome(rounds)
 
 
 _RULES: dict[str, Callable[[Election, RuleConfig], Outcome | FractionalOutcome]] = {

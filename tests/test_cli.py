@@ -131,6 +131,20 @@ class TestRun:
         assert main(["run", str(bad), "--rule", "mes"]) == 2
         assert "error: line 1" in capsys.readouterr().err
 
+    def test_zero_voters_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.pb"
+        empty.write_text(
+            "META\nkey;value\nbudget;10\nvote_type;approval\n"
+            "PROJECTS\nproject_id;cost\np1;5\nVOTES\nvoter_id;vote\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(empty), "--rule", "mes"]) == 2
+        assert "at least one voter" in capsys.readouterr().err
+        # batch skips the file with a warning, and with no other file fails.
+        assert main(["batch", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "warning: skipped" in err and "at least one voter" in err
+
     def test_bad_flags_exit_3(self, fixtures_dir, capsys):
         path = str(fixtures_dir / "minority.pb")
         assert main(["run", path, "--rule", "nonsuch"]) == 3
@@ -516,6 +530,24 @@ class TestPlotdata:
         with open(out / "plot_utilitarian.csv", newline="") as fh:
             empty = list(csv.DictReader(fh))
         assert empty == []
+
+    @pytest.mark.parametrize("share", ["x", "1/0", [1]])
+    def test_malformed_share_exits_2(
+        self, plot_inputs, euclid_dir, tmp_path, capsys, share
+    ):
+        lines = plot_inputs.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        fractional = next(r for r in records if r["fractions"])
+        fractional["fractions"][next(iter(fractional["fractions"]))] = share
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        assert main([
+            "plotdata", "--records", str(bad),
+            "--coords", str(euclid_dir), "--out", str(tmp_path / "plots"),
+        ]) == 2
+        assert "bad funded share" in capsys.readouterr().err
 
     def test_missing_sidecar_exits_2(self, plot_inputs, tmp_path, capsys):
         bare = tmp_path / "nocoords"

@@ -238,6 +238,11 @@ class TestElection:
         with pytest.raises(ValueError):
             tiny_election([5], [{0: 1}], 4)
 
+    def test_needs_a_voter(self):
+        prof = UtilityProfile.from_rows(0, 1, [])
+        with pytest.raises(ValueError, match="at least one voter"):
+            Election((Project(0, "p", 1),), 0, F(2), prof)
+
     def test_ids_must_be_dense(self):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         with pytest.raises(ValueError):

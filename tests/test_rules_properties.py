@@ -232,6 +232,9 @@ class TestOracleEquality:
     @given(st.one_of(
         with_tie_order(cardinal_elections(max_voters=6, max_projects=6)),
         with_tie_order(approval_elections(max_voters=6, max_projects=6)),
+        # Rational budgets and costs: a cost denominator that does not
+        # divide the ledger scale makes each purchase rescale the balances.
+        add1u_cases().map(lambda case: case[:2]),
     ))
     @settings(max_examples=80, deadline=None)
     def test_fres_round_log(self, case):
@@ -507,8 +510,14 @@ class TestInvariantChecks:
     def test_fres_overdrawn_balance(self, monkeypatch):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        # A supporter list naming voter 0 twice charges her full balance twice.
-        monkeypatch.setitem(vars(prof), "supporters", ((0, 0),))
+        real_owed = rules.AffordabilityQuote._owed
+
+        def doubled(quote):
+            # The lone voter's share takes her whole balance; twice it
+            # overdraws her.
+            return {i: 2 * n for i, n in real_owed(quote).items()}
+
+        monkeypatch.setattr(rules.AffordabilityQuote, "_owed", doubled)
         with pytest.raises(rules.InvariantError, match="fres: voter 0 overdrawn"):
             fres(e)
 
@@ -525,12 +534,15 @@ class TestInvariantChecks:
         with pytest.raises(rules.InvariantError, match="add1u"):
             add1u(e)
 
-    @pytest.mark.parametrize("rule", [mes, bos], ids=["mes", "bos"])
+    @pytest.mark.parametrize(
+        "rule", [mes, bos, fres], ids=["mes", "bos", "fres"]
+    )
     def test_payments_must_add_up_to_the_cost(self, monkeypatch, rule):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        # With voter 0 named twice, the quote splits the cost between two
-        # payers, and the payment map, keyed by voter, holds only half of it.
+        # With voter 0 named twice, the quote splits the cost (for fres, the
+        # share's cost) between two payers, and the payment map, keyed by
+        # voter, holds only half of it.
         monkeypatch.setitem(vars(prof), "supporters", ((0, 0),))
         with pytest.raises(
             rules.InvariantError, match="payments for project 0 do not add up"
