@@ -529,3 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 4
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

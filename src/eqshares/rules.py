@@ -13,8 +13,9 @@ Five rule families operate on :class:`~eqshares.model.Election`:
   overcharge into a temporary equal boost of everyone's balance.
 
 The equal-shares rules pick each purchase through one lazy best-quote
-selector (:class:`_LazyBest`): quotes are cached and recomputed only when a
-purchase may have changed them, and the pick equals a full rescan's.
+selector (:class:`_LazyBest`): every project enters at its proportional
+price, quotes are cached and recomputed only when a purchase may have
+changed them, and the pick equals a full rescan's.
 
 Every voter-funded purchase is an :class:`AffordabilityQuote` over the
 moneyed supporters' units on one integer ledger
@@ -263,10 +264,12 @@ def _moneyed(
     units = budgets.units
     money = [units[i] for i in voters]
     # Balances never go negative, so a nonzero balance is a positive one.
+    # The filters run in C: a Python-level pass over (voter, weight, money)
+    # triples is slower.
     if 0 in money:
         voters = list(compress(voters, money))
         weights = list(compress(weights, money))
-        money = [m for m in money if m]
+        money = list(filter(None, money))
     if not money:
         return None
     num, den = project.cost.as_integer_ratio()
@@ -283,7 +286,9 @@ def _ratio_order(
 ) -> list[int]:
     """Indices in ascending b/u order, exact and stable.
 
-    Voter j's b/u is money[j] * u_scale / (weights[j] * m_scale). Floats
+    Voter j's b/u is money[j] * u_scale / (weights[j] * m_scale). When every
+    weight is the same (:func:`_uniform`), that is balance order, and the
+    result is the stable integer sort of ``money``. Otherwise floats
     only propose the order: each key is the correctly rounded value of b/u
     (integer true division), so an exactly smaller ratio never gets a larger
     key. Every run of equal keys whose members are not all exactly equal is
@@ -292,6 +297,8 @@ def _ratio_order(
     metric values num/den with it, at scales 1.
     """
     k = len(money)
+    if _uniform(weights):
+        return sorted(range(k), key=money.__getitem__)
     try:
         keys = [m * u_scale / (w * m_scale) for m, w in zip(money, weights)]
     except OverflowError:
@@ -313,9 +320,24 @@ def _ratio_order(
     return order
 
 
-def _uncapped_at_cost(money: list[int], weights: list[int], due: int) -> bool:
-    """Whether nobody is capped at the fully proportional price cost / sum(u)."""
-    total_w = sum(weights)
+def _uniform(weights: list[int]) -> bool:
+    """Whether every weight is the same: then b/u order is balance order.
+
+    Every approval column is uniform, under both utility models.
+    """
+    return not weights or weights.count(weights[0]) == len(weights)
+
+
+def _uncapped_at_cost(
+    money: list[int], weights: list[int], due: int, total_w: int
+) -> bool:
+    """Whether nobody is capped at the fully proportional price cost / sum(u).
+
+    ``total_w`` is ``sum(weights)``, and ``money`` is not empty. With equal
+    weights every voter owes due / k, so the poorest one decides.
+    """
+    if _uniform(weights):
+        return min(money) * len(money) >= due
     return all(w * due <= m * total_w for m, w in zip(money, weights))
 
 
@@ -401,12 +423,15 @@ def min_rho(
     Every decision is exact and made on integers: the moneyed supporters'
     balances are read straight from the ledger's units and their utilities
     from the profile's cached integer column (:func:`_moneyed`), so sums
-    are integer sums and the price is normalised once. When somebody is
-    capped at the fully proportional price, floats propose the b/u order
-    and exact checks repair it (:func:`_ratio_order`); the capped prefix is
-    then found by bisection on an exact monotone check
-    (:func:`_first_uncapped`). The quote's payments are built only when
-    read.
+    are integer sums, the weights are summed once, and the price is
+    normalised once. When somebody is capped at the fully proportional
+    price, the supporters are put in b/u order (:func:`_ratio_order`: by
+    balance alone when every utility is the same, else proposed by floats
+    and repaired by exact checks); the capped prefix is then found by
+    bisection on an exact monotone check (:func:`_first_uncapped`). The
+    quote's payments are built only when read. The price is never below
+    the project's proportional price (:func:`_proportional_prices`), the
+    bound at which the selectors enter it.
     """
     sup = _moneyed(project, budgets, utilities)
     if sup is None:
@@ -414,9 +439,10 @@ def min_rho(
     voters, money, weights, due, m_scale, u_scale = sup
     if sum(money) < due:
         return None
-    if _uncapped_at_cost(money, weights, due):
+    total_w = sum(weights)
+    if _uncapped_at_cost(money, weights, due, total_w):
         return _full_quote(
-            project, voters, money, weights, 0, due, sum(weights), m_scale, u_scale
+            project, voters, money, weights, 0, due, total_w, m_scale, u_scale
         )
     voters, money, weights, paid, held = _ascending(
         voters, money, weights, m_scale, u_scale
@@ -440,6 +466,28 @@ def _proposal(key: Num) -> float:
         return math.inf
 
 
+def _proportional_prices(election: Election) -> list[Num]:
+    """Each project's fully proportional price cost / (sum of its
+    utilities), read from the cached columns; 0 for an unsupported project.
+
+    It is a lower bound on every selector key under any balances. A quote's
+    payments add up to the cost and none exceeds u * rho, so rho >= cost /
+    (moneyed support) >= this price; a :func:`bos_quote` ratio rho / alpha
+    is at least its rho, and a :func:`fres` price cost / (active support)
+    at least this one. Equal prices are one shared object.
+    """
+    shared: dict[Num, Num] = {}
+    prices = []
+    for project, (_, weights, scale) in zip(
+        election.projects, election.utilities.columns
+    ):
+        total = sum(weights)
+        num, den = project.cost.as_integer_ratio()
+        price = Fraction(num * scale, den * total) if total else ZERO
+        prices.append(shared.setdefault(price, price))
+    return prices
+
+
 # A selector heap entry: (float of the bound, bound, tie rank, project).
 _Entry = tuple[float, Num, tuple[int, int], int]
 
@@ -455,6 +503,12 @@ class _LazyBest(Generic[Q]):
     rounded (:func:`_proposal`), so it orders the heap like the exact bound
     and leaves exact comparisons to entries whose floats are equal.
 
+    Project c enters, and re-enters through :meth:`push`, at ``floors[c]``,
+    a lower bound on its key under any balances (every rule passes
+    :func:`_proportional_prices`). A fresh quote whose key equals its bound
+    keeps the bound's object; as equal floors are one object too, equal
+    bounds in the heap compare by identity.
+
     Invariant the caller keeps: between two :meth:`stale` calls naming c,
     c's key can only grow, and a None quote stays None. Every bound then
     stays a lower bound, so a heap top that carries its project's cached
@@ -462,7 +516,8 @@ class _LazyBest(Generic[Q]):
     full rescan. A key that may fall must be re-entered with :meth:`push`.
 
     ``heap``, when given, is the selector's starting heap, made by
-    :meth:`floor_heap` over exactly ``live``; the selector takes it over.
+    :meth:`floor_heap` over exactly ``live`` and ``floors``; the selector
+    takes it over.
     """
 
     def __init__(
@@ -471,27 +526,27 @@ class _LazyBest(Generic[Q]):
         quote: Callable[[int], Optional[Q]],
         key: Callable[[Q], Num],
         live: Iterable[int],
-        floor: Callable[[int], Num] = lambda c: ZERO,
+        floors: Sequence[Num],
         heap: Optional[list[_Entry]] = None,
     ) -> None:
         self._tie = tie
         self._quote = quote
         self._key = key
+        self._floors = floors
         self._cached: dict[int, Optional[tuple[Num, Q]]] = {}
         self.live = set(live)
         if heap is None:
-            heap = self.floor_heap(tie, self.live, floor)
+            heap = self.floor_heap(tie, self.live, floors)
         self._heap = heap
 
     @staticmethod
     def floor_heap(
-        tie: TieBreaker,
-        projects: Iterable[int],
-        floor: Callable[[int], Num] = lambda c: ZERO,
+        tie: TieBreaker, projects: Iterable[int], floors: Sequence[Num]
     ) -> list[_Entry]:
-        """A heap entering each project at floor(c), with its tie rank."""
+        """A heap entering each project c at ``floors[c]``, with its tie
+        rank."""
         rank = tie.rank
-        heap = [(_proposal(b := floor(c)), b, rank(c), c) for c in projects]
+        heap = [(_proposal(b := floors[c]), b, rank(c), c) for c in projects]
         heapq.heapify(heap)
         return heap
 
@@ -499,7 +554,7 @@ class _LazyBest(Generic[Q]):
         """The best live quote; its project stays live and in the heap."""
         heap, cached, live = self._heap, self._cached, self.live
         while heap:
-            _, bound, rank, c = heap[0]
+            proposal, bound, rank, c = heap[0]
             if c in live:
                 if c not in cached:
                     quote = self._quote(c)
@@ -507,8 +562,12 @@ class _LazyBest(Generic[Q]):
                         cached[c] = None
                     else:
                         key = self._key(quote)
+                        if (fkey := _proposal(key)) == proposal and key == bound:
+                            # The top entry already carries the exact key.
+                            cached[c] = (bound, quote)
+                            return quote
                         cached[c] = (key, quote)
-                        heapq.heapreplace(heap, (_proposal(key), key, rank, c))
+                        heapq.heapreplace(heap, (fkey, key, rank, c))
                         continue
                 elif (entry := cached[c]) is not None and entry[0] is bound:
                     return entry[1]
@@ -520,13 +579,11 @@ class _LazyBest(Generic[Q]):
         for c in projects:
             self._cached.pop(c, None)
 
-    def push(
-        self, projects: Iterable[int], floor: Callable[[int], Num] = lambda c: ZERO
-    ) -> None:
-        """Re-enter projects whose key may have fallen, each at floor(c)."""
+    def push(self, projects: Iterable[int]) -> None:
+        """Re-enter projects whose key may have fallen, each at its floor."""
         projects = list(projects)
         self.stale(projects)
-        self._heap += self.floor_heap(self._tie, projects, floor)
+        self._heap += self.floor_heap(self._tie, projects, self._floors)
         heapq.heapify(self._heap)
 
     def drop(self, projects: Iterable[int]) -> None:
@@ -590,14 +647,16 @@ def _equal_shares(
     num: int,
     den: int,
     keep: Callable[[AffordabilityQuote], Q],
+    floors: Sequence[Num],
     heap: Optional[list[_Entry]] = None,
 ) -> tuple[list[Q], bool]:
     """The MES purchase loop from an endowment of num / den per voter.
 
     Returns ``keep(quote)`` of each purchase in order, and whether the
-    money spent stays within the budget. ``heap``, if given, is a fresh
-    :meth:`_LazyBest.floor_heap` over every project, which the loop
-    consumes.
+    money spent stays within the budget. ``floors`` are the election's
+    :func:`_proportional_prices`. ``heap``, if given, is a fresh
+    :meth:`_LazyBest.floor_heap` over every project at those floors, which
+    the loop consumes.
     """
     utilities = election.utilities
     n = election.n_voters
@@ -610,7 +669,8 @@ def _equal_shares(
         lambda c: min_rho(projects[c], budgets, utilities),
         attrgetter("rho"),
         range(len(projects)),
-        heap=heap,
+        floors,
+        heap,
     )
     bought = []
     while (best := selector.best()) is not None:
@@ -649,7 +709,8 @@ def mes(
     if endowment <= 0:
         raise ValueError("initial endowment must be positive")
     records, feasible = _equal_shares(
-        election, config, *endowment.as_integer_ratio(), _record
+        election, config, *endowment.as_integer_ratio(), _record,
+        _proportional_prices(election),
     )
     return _outcome(records, feasible)
 
@@ -677,11 +738,15 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     # step inc / scale and the budget full / scale.
     scale = n * b_den * s_den
     units, inc, full = b_num * s_den, s_num * b_den * n, b_num * s_den * n
-    heap = _LazyBest.floor_heap(config.tie_breaker, range(len(election.projects)))
+    floors = _proportional_prices(election)
+    heap = _LazyBest.floor_heap(
+        config.tie_breaker, range(len(election.projects)), floors
+    )
 
     def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
         return _equal_shares(
-            election, config, num, scale, AffordabilityQuote.compact, list(heap)
+            election, config, num, scale, AffordabilityQuote.compact, floors,
+            list(heap),
         )
 
     kept, feasible = probe(units)
@@ -736,6 +801,7 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         ),
         itemgetter(0),
         range(len(projects)),
+        _proportional_prices(election),
     )
     fractions: dict[int, Num] = {}
     purchases: list[PurchaseRecord] = []
@@ -748,9 +814,12 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         # The largest share every payer affords is min b / (rho * u), at the
         # payer with the least money / weight.
         low_m, low_w = money[0], weights[0]
-        for m, w in zip(money, weights):
-            if m * low_w < low_m * w:
-                low_m, low_w = m, w
+        if _uniform(weights):
+            low_m = min(money)
+        else:
+            for m, w in zip(money, weights):
+                if m * low_w < low_m * w:
+                    low_m, low_w = m, w
         gap = ONE - fractions.get(c, ZERO)
         alpha = min(gap, Fraction(low_m * u_scale, m_scale * low_w) / rho)
         logger.debug("fres: buy %s of %d at rho=%s", alpha, c, rho)
@@ -843,16 +912,16 @@ def bos_quote(
     if sup is None:
         return None
     voters, money, weights, due, m_scale, u_scale = sup
-    if _uncapped_at_cost(money, weights, due):
+    total_w = sum(weights)
+    if _uncapped_at_cost(money, weights, due, total_w):
         # Nobody is capped at the fully proportional price: alpha = 1.
         return _full_quote(
-            project, voters, money, weights, 0, due, sum(weights), m_scale, u_scale
+            project, voters, money, weights, 0, due, total_w, m_scale, u_scale
         )
 
     voters, money, weights, paid, held = _ascending(
         voters, money, weights, m_scale, u_scale
     )
-    total_w = held[-1]
     # Cap prices from the first uncapped index on raise at least the cost,
     # and are dominated by the exact full-coverage price of that segment.
     s = _first_uncapped(money, weights, paid, held, due)
@@ -916,6 +985,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
         attrgetter("ratio"),
         (c for c in range(len(projects)) if projects[c].cost <= remaining),
+        _proportional_prices(election),
     )
 
     # Claim check scope: per-voter approval stakes and default accounting.
@@ -995,24 +1065,24 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     over = [ZERO] * n  # the boost each voter has consumed so far
     projects = election.projects
-    totals = utilities.project_totals
+    supporters = utilities.supporters
+    floors = _proportional_prices(election)
     remaining = election.budget
     rounds: list[PurchaseRecord] = []
     # Projects that fit and have supporters; nobody else can ever be bought.
     # Real balances only fall, so phase-1 ratios only rise and a None quote
     # stays None: one selector serves every round. Boosted balances are not
-    # monotone, so phase 2 starts afresh each round from the floor
-    # cost / (total support): rho * (moneyed support) >= cost.
+    # monotone, so phase 2 starts afresh each round from the same floors.
     phase1 = _LazyBest(
         config.tie_breaker,
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
         attrgetter("ratio"),
         (
             c for c in range(len(projects))
-            if projects[c].cost <= remaining and totals[c]
+            if projects[c].cost <= remaining and supporters[c]
         ),
+        floors,
     )
-    floors = {c: projects[c].cost / totals[c] for c in phase1.live}
     while True:
         quote = phase1.best()
         boost = ZERO
@@ -1032,7 +1102,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             lambda c: min_rho(projects[c], boosted, utilities),
             attrgetter("rho"),
             phase1.live,
-            floors.__getitem__,
+            floors,
         ).best()
         if best is None:
             break

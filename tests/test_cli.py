@@ -6,11 +6,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import eqshares
 from eqshares import rules
 from eqshares.cli import BENCH_RULES, main
 from eqshares.stats import (
@@ -144,6 +149,32 @@ class TestRun:
         assert main(["batch", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "warning: skipped" in err and "at least one voter" in err
+
+    @pytest.mark.parametrize("module", ["eqshares", "eqshares.cli"])
+    def test_runs_as_a_module(self, module, fixtures_dir, tmp_path):
+        src = str(Path(eqshares.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+
+        def run(path):
+            return subprocess.run(
+                [sys.executable, "-m", module, "run", str(path), "--rule", "mes"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        done = run(fixtures_dir / "reference.pb")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["rule"] == "mes"
+        empty = tmp_path / "empty.pb"
+        empty.write_text(
+            "META\nkey;value\nbudget;10\nvote_type;approval\n"
+            "PROJECTS\nproject_id;cost\np1;5\nVOTES\nvoter_id;vote\n",
+            encoding="utf-8",
+        )
+        done = run(empty)
+        assert done.returncode == 2
+        assert "at least one voter" in done.stderr
 
     def test_bad_flags_exit_3(self, fixtures_dir, capsys):
         path = str(fixtures_dir / "minority.pb")

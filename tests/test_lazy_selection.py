@@ -8,10 +8,13 @@ hide its work from them.
 
 from __future__ import annotations
 
+from fractions import Fraction as F
+
 import pytest
 
 from eqshares import rules
-from eqshares.rules import RULE_NAMES, run_rule
+from eqshares.model import Election, Project, UtilityProfile
+from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
 
 KERNELS = {
     "utilitarian": set(),
@@ -71,3 +74,16 @@ def test_bos_plus_quotes_fewer_than_a_full_rescan(blocks_election, quote_calls):
     quotes = len(quote_calls["min_rho"]) + len(quote_calls["bos_quote"])
     assert outcome.rounds
     assert 0 < quotes < full_rescan_quotes(blocks_election, outcome)
+
+
+def test_a_project_waits_at_its_proportional_price(quote_calls):
+    """Project 1 enters at its proportional price 8 / 2, above project 0's
+    round-1 price 2 / 2, so mes buys project 0 before it quotes project 1,
+    even when ties favour project 1."""
+    profile = UtilityProfile.from_rows(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1}])
+    election = Election(
+        (Project(0, "a", F(2)), Project(1, "b", F(8))), 2, F(10), profile
+    )
+    outcome = run_rule("mes", election, RuleConfig(TieBreaker((1, 0))))
+    assert outcome.selected == (0, 1)
+    assert quote_calls["min_rho"] == [0, 1]

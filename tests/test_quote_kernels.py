@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 import eqshares
 import oracles
-from eqshares.model import BudgetState, Project, UtilityProfile
-from eqshares.rules import _ratio_order, bos_quote, min_rho
+from eqshares.model import BudgetState, Election, Project, UtilityProfile
+from eqshares.rules import (
+    _proportional_prices, _ratio_order, bos_quote, min_rho,
+)
 
 ZERO = F(0)
 TINY = F(1, 10**30)
@@ -80,6 +82,14 @@ def small_supporter_lists(draw):
     return F(draw(st.integers(1, 24)), 2), pairs
 
 
+@st.composite
+def uniform_supporter_lists(draw):
+    """Approval-like instances: every supporter has the same utility."""
+    u = draw(utilities)
+    cost, pairs = draw(supporter_lists())
+    return cost, [(u, b) for _, b in pairs]
+
+
 def kernel_inputs(cost, pairs):
     n = len(pairs)
     profile = UtilityProfile.from_rows(n, 1, [{0: u} for u, _ in pairs])
@@ -92,7 +102,9 @@ def moneyed(pairs):
 
 
 class TestMinRho:
-    @given(st.one_of(supporter_lists(), small_supporter_lists()))
+    @given(st.one_of(
+        supporter_lists(), small_supporter_lists(), uniform_supporter_lists()
+    ))
     @settings(max_examples=600, deadline=None)
     def test_matches_oracle(self, instance):
         cost, pairs = instance
@@ -119,7 +131,9 @@ class TestMinRho:
 
 
 class TestBosQuote:
-    @given(st.one_of(supporter_lists(), small_supporter_lists()))
+    @given(st.one_of(
+        supporter_lists(), small_supporter_lists(), uniform_supporter_lists()
+    ))
     @settings(max_examples=600, deadline=None)
     def test_matches_oracle(self, instance):
         cost, pairs = instance
@@ -160,6 +174,52 @@ class TestBosQuote:
             assert (quote.alpha, quote.rho) == expected[:2]
 
 
+class TestProportionalFloor:
+    """Every selector enters a project at its proportional price, so no
+    quote may undercut it, whatever the balances."""
+
+    @given(
+        st.one_of(
+            supporter_lists(), small_supporter_lists(),
+            uniform_supporter_lists(),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_quotes_never_undercut_it(self, instance, data):
+        cost, pairs = instance
+        project, budgets, profile = kernel_inputs(cost, pairs)
+        n = len(pairs)
+        leaving = data.draw(st.sets(st.sampled_from(range(n)), max_size=n - 1))
+        if leaving:
+            # Balances raised by redistribution, some of them from zero.
+            budgets.redistribute(
+                sorted(leaving), [i for i in range(n) if i not in leaving]
+            )
+        election = Election((project,), n, cost, profile)
+        floor = _proportional_prices(election)[0]
+        assert floor == cost / sum(u for u, _ in pairs)
+        quote = min_rho(project, budgets, profile)
+        if quote is not None:
+            assert quote.rho >= floor
+        quote = bos_quote(project, budgets, profile, cost)
+        if quote is not None:
+            assert quote.ratio >= floor
+
+    def test_equal_prices_share_one_object(self):
+        profile = UtilityProfile.from_rows(
+            3, 3, [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {2: 1}]
+        )
+        election = Election(
+            (Project(0, "a", F(4)), Project(1, "b", F(2)),
+             Project(2, "c", F(4))),
+            3, F(10), profile,
+        )
+        a, b, c = _proportional_prices(election)
+        assert (a, b, c) == (2, 1, 2)
+        assert a is c
+
+
 class TestRatioOrder:
     @given(supporter_lists(max_size=30))
     @settings(max_examples=300, deadline=None)
@@ -175,6 +235,40 @@ class TestRatioOrder:
         money = [int(b * m_scale) for _, b in pairs]
         weights = [int(u * u_scale) for u, _ in pairs]
         expected = sorted(range(len(pairs)), key=lambda j: pairs[j][1] / pairs[j][0])
+        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([1, 7, 10**20]), st.integers(1, 10**30)
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([F(1), F(2, 3), F(10**12 + 1, 7), F(10**400, 3)]),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_weights_are_the_exact_stable_sort(
+        self, money, u, m_scale, extra
+    ):
+        # One utility u as the weight u * u_scale, over scales that differ.
+        weights = [u.numerator * extra] * len(money)
+        u_scale = u.denominator * extra
+        expected = sorted(
+            range(len(money)), key=lambda j: F(money[j], m_scale) / u
+        )
+        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+
+    @pytest.mark.parametrize("money, weights, m_scale, u_scale, expected", [
+        ([], [], 1, 1, []),
+        ([5], [3], 2, 7, [0]),
+        ([4, 4, 4], [2, 2, 2], 3, 5, [0, 1, 2]),
+        ([9, 3, 9, 3], [6, 6, 6, 6], 1, 4, [1, 3, 0, 2]),
+    ], ids=["k=0", "k=1", "all-equal", "pairs"])
+    def test_uniform_weights_edge_cases(
+        self, money, weights, m_scale, u_scale, expected
+    ):
         assert _ratio_order(money, weights, m_scale, u_scale) == expected
 
 
