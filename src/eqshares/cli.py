@@ -11,12 +11,17 @@ import csv
 import json
 import logging
 import os
+import secrets
+import shutil
 import statistics
+import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import click
 
@@ -25,14 +30,15 @@ from .pabulib import BallotType, PbParseError, load_election, write_pb
 from .rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
 from .stats import (
     BUCKET_PRESETS,
+    RECORD_METRICS,
+    RecordWriter,
     RunRecord,
     aggregate_records,
     aggregate_to_csv,
     build_record,
+    outcome_rounds,
     records_from_csv,
     records_from_jsonl,
-    records_to_csv,
-    records_to_jsonl,
 )
 from .synth import EuclideanConfig, PropOneConfig, gen_euclidean, gen_prop_one, standard_clusters
 
@@ -116,22 +122,38 @@ def _timed_run(rule: str, election: Election, config: RuleConfig, repeats: int):
 
     Timing covers only the rule call, never parsing or auditing.
     """
-    outcome = None
     times = []
     for _ in range(repeats):
+        outcome = None  # so that a repeat does not hold the last outcome
         start = time.perf_counter()
         outcome = run_rule(rule, election, config)
         times.append(time.perf_counter() - start)
     return outcome, statistics.median(times)
 
 
+@contextmanager
+def _output(out_path: Optional[Path]) -> Iterator[TextIO]:
+    """Stdout, or a temporary file beside ``out_path`` that replaces it only
+    when the block ends without an exception."""
+    if out_path is None:
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    part = out_path.with_name(f".{out_path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(part, "x", encoding="utf-8") as handle:
+            yield handle
+        os.replace(part, out_path)
+    finally:
+        if part.exists():
+            part.unlink()
+    log.info("wrote %s", out_path)
+
+
 def _write_out(text: str, out_path: Optional[Path]) -> None:
     """Print ``text`` on stdout, or write it to ``out_path`` when given."""
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        out_path.write_text(text, encoding="utf-8")
-        log.info("wrote %s", out_path)
+    with _output(out_path) as stream:
+        stream.write(text)
 
 
 def _parse_rules(spec: str) -> tuple[str, ...]:
@@ -199,12 +221,15 @@ def cmd_run(instance, rule, model, tie_order, add1u_step,
     _write_out(text, out_path)
 
 
-def _batch_worker(
-    args: tuple,
-) -> tuple[str, list[RunRecord], Optional[str], list[tuple[str, str]]]:
-    """One file's records, the error that skipped the whole file if any,
-    and the (rule, error) of each cell whose rule raised, naming the
-    exception's type."""
+# What one file of a batch did: its path; the error that skipped the whole
+# file, if any; the (rule, error) of each cell whose rule raised, naming the
+# exception's type; and the number of records written.
+_FileResult = tuple[str, Optional[str], list[tuple[str, str]], int]
+
+
+def _batch_file(args: tuple, writer: RecordWriter) -> _FileResult:
+    """Run one file's cells in the order of ``rules`` and write each record
+    as soon as it is built."""
     (path_str, rules, model, tie_names, step_str,
      exhaustive_redistribution, repeats) = args
     path = Path(path_str)
@@ -215,20 +240,65 @@ def _batch_worker(
             exhaustive_redistribution, strict=False,
         )
     except (PbParseError, InputDataError) as exc:
-        return (path_str, [], str(exc), [])
-    records, failed = [], []
+        return (path_str, str(exc), [], 0)
+    failed = []
     for rule in rules:
-        try:
-            outcome, runtime = _timed_run(rule, election, config, repeats)
-            records.append(
-                build_record(path.stem, rule, election, outcome, runtime, config)
-            )
-        except Exception as exc:
-            # One failing cell must not sink the file's other cells or the
-            # batch; the traceback goes to the debug log.
-            log.debug("%s %s failed", path_str, rule, exc_info=True)
-            failed.append((rule, f"{exc} ({type(exc).__name__})"))
-    return (path_str, records, None, failed)
+        error = _batch_cell(writer, path, rule, election, config, repeats)
+        if error is not None:
+            failed.append((rule, error))
+    return (path_str, None, failed, len(rules) - len(failed))
+
+
+def _batch_cell(writer: RecordWriter, path: Path, rule: str,
+                election: Election, config: RuleConfig,
+                repeats: int) -> Optional[str]:
+    """Run one (instance, rule) cell and write its record; return the error
+    that skipped it, if any. The outcome dies when this returns, so no two
+    outcomes are ever alive at once."""
+    try:
+        outcome, runtime = _timed_run(rule, election, config, repeats)
+        record = build_record(path.stem, rule, election, outcome, runtime,
+                              config, keep_rounds=False)
+    except Exception as exc:
+        # One failing cell must not sink the file's other cells or the
+        # batch; the traceback goes to the debug log.
+        log.debug("%s %s failed", path, rule, exc_info=True)
+        return f"{exc} ({type(exc).__name__})"
+    rounds = writer.write(record, outcome_rounds(outcome))
+    log.info("cell instance=%s rule=%s rounds=%d runtime_sec=%r",
+             record.instance, rule, rounds, runtime)
+    return None
+
+
+def _batch_worker(args: tuple) -> _FileResult:
+    """:func:`_batch_file` in a worker process, writing to the part file
+    named in ``args``."""
+    file_args, part, csv_metrics = args
+    with open(part, "w", encoding="utf-8", newline="") as handle:
+        return _batch_file(file_args, RecordWriter(handle, csv_metrics))
+
+
+def _batch_results(items: Sequence[tuple], writer: RecordWriter,
+                   parallelism: int) -> Iterator[_FileResult]:
+    """Each file's result in order, after its records went to ``writer``.
+
+    Workers write to part files in a temporary directory, and each part is
+    appended to the output once the files before it are done, so no record
+    travels between processes.
+    """
+    if parallelism == 1:
+        for item in items:
+            yield _batch_file(item, writer)
+        return
+    with tempfile.TemporaryDirectory() as parts, \
+            ProcessPoolExecutor(max_workers=parallelism) as pool:
+        jobs = [(item, os.path.join(parts, f"{k}.part"), writer.csv_metrics)
+                for k, item in enumerate(items)]
+        for (_, part, _), result in zip(jobs, pool.map(_batch_worker, jobs)):
+            with open(part, encoding="utf-8", newline="") as handle:
+                shutil.copyfileobj(handle, writer.stream)
+            os.unlink(part)
+            yield result
 
 
 @cli.command("batch")
@@ -266,12 +336,13 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
 
     Files that fail to parse are reported on stderr and skipped, and so
     is each (instance, rule) cell whose rule or audit raises; the command
-    fails only if no cell succeeds. Records are sorted by
-    (instance, rule).
+    fails only if no cell succeeds. Records are written as each cell is
+    built, sorted by (instance, rule): files by stem, and each file's rules
+    by name.
     """
-    rules = _parse_rules(rules_spec)
+    rules = tuple(sorted(_parse_rules(rules_spec)))
     tie_names = _read_tie_names(tie_order)
-    files = sorted(directory.glob("*.pb"))
+    files = sorted(directory.glob("*.pb"), key=lambda path: path.stem)
     if not files:
         raise InputDataError(f"no .pb files in {directory}")
     items = [
@@ -281,39 +352,39 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
     ]
     log.info("batch: %d files x %d rules, parallelism %d",
              len(files), len(rules), parallelism)
-    if parallelism == 1:
-        results = [_batch_worker(item) for item in items]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_batch_worker, items))
-    records: list[RunRecord] = []
-    unread = 0
-    for path_str, file_records, error, failed in results:
-        if error is not None:
-            unread += 1
-            click.echo(f"warning: skipped {path_str}: {error}", err=True)
-            continue
-        for rule, cell_error in failed:
-            click.echo(f"warning: skipped {path_str} {rule}: {cell_error}", err=True)
-        records.extend(file_records)
-        log.info("done %s", path_str)
-    if unread == len(files):
-        raise InputDataError("every input file failed to parse")
-    if not records:
-        raise InputDataError("every (instance, rule) cell failed")
-    records.sort(key=lambda r: (r.instance, r.rule))
     csv_out = out_path is not None and out_path.suffix == ".csv"
-    _write_out((records_to_csv if csv_out else records_to_jsonl)(records), out_path)
+    unread = written = 0
+    with _output(out_path) as stream:
+        writer = RecordWriter(stream, RECORD_METRICS if csv_out else None)
+        writer.header()
+        for path_str, error, failed, count in _batch_results(
+            items, writer, parallelism
+        ):
+            if error is not None:
+                unread += 1
+                click.echo(f"warning: skipped {path_str}: {error}", err=True)
+                continue
+            for rule, cell_error in failed:
+                click.echo(f"warning: skipped {path_str} {rule}: {cell_error}",
+                           err=True)
+            written += count
+            log.info("done %s", path_str)
+        if unread == len(files):
+            raise InputDataError("every input file failed to parse")
+        if not written:
+            raise InputDataError("every (instance, rule) cell failed")
 
 
 def _read_records(path: Path) -> list[RunRecord]:
-    """Records for ``aggregate`` and ``plotdata``; neither reads round logs,
-    so JSONL logs are dropped as each line is read."""
-    text = path.read_text(encoding="utf-8")
+    """Records for ``aggregate`` and ``plotdata``, read line by line;
+    neither reads round logs, so JSONL logs are dropped as each line is
+    read."""
     try:
         if path.suffix == ".csv":
-            return records_from_csv(text)
-        return records_from_jsonl(text, keep_rounds=False)
+            with open(path, encoding="utf-8", newline="") as handle:
+                return records_from_csv(handle)
+        with open(path, encoding="utf-8") as handle:
+            return records_from_jsonl(handle, keep_rounds=False)
     except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise InputDataError(f"could not read records from {path}: {exc}") from exc
 

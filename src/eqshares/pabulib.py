@@ -139,9 +139,10 @@ def parse_pb(text: str) -> PbFile:
     with a header row), semicolon-separated fields, unique keys and ids,
     numeric budget and costs, a known vote_type, points lists matching
     their vote lists, and vote references resolving to declared projects.
-    Every failure raises :class:`PbParseError` with the line number.
+    Every failure raises :class:`PbParseError` with the line number. A
+    leading UTF-8 byte-order mark (U+FEFF) is dropped.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     numbered = [
         (idx + 1, line.strip())
         for idx, line in enumerate(lines)

@@ -18,11 +18,20 @@ sums of num and num**2, and each group is ordered by floats that exact
 checks repair (:func:`eqshares.rules._ratio_order`). Only the mean, the
 variance and the values a quantile reads become ``Fraction`` objects.
 
-Reading records without their round logs (``keep_rounds=False``, which
-``aggregate`` and ``plotdata`` use) cuts each line's top-level round log
-out before decoding, when the line is in the layout
-:func:`records_to_jsonl` writes; other lines are decoded whole. The JSON
-syntax of a round log that is cut out is therefore not checked.
+Records are written by one :class:`RecordWriter`, as JSONL or as flat
+CSV, to a text stream. It writes a record's round log one round at a time,
+from the record or from an iterable such as :func:`outcome_rounds`, so
+``batch`` builds each record without its log (``build_record(...,
+keep_rounds=False)``) and never holds a whole log, record or file as one
+object. :func:`records_to_jsonl` and :func:`records_to_csv` are the writer
+on a string buffer.
+
+The readers take a string or an iterable of lines, such as an open file,
+and decode one line at a time. Reading records without their round logs
+(``keep_rounds=False``, which ``aggregate`` and ``plotdata`` use) cuts each
+line's top-level round log out before decoding, when the line is in the
+layout :class:`RecordWriter` writes; other lines are decoded whole. The
+JSON syntax of a round log that is cut out is therefore not checked.
 """
 from __future__ import annotations
 
@@ -33,7 +42,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .axioms import AuditReport, audit
 from .model import Election, FractionalOutcome, Outcome
@@ -41,10 +51,13 @@ from .rules import RuleConfig, _ratio_order
 
 __all__ = [
     "RunRecord",
+    "RecordWriter",
     "AggregateRow",
     "BUCKET_PRESETS",
     "QUANTILE_POINTS",
+    "RECORD_METRICS",
     "build_record",
+    "outcome_rounds",
     "config_digest",
     "metric_values",
     "bucket_label",
@@ -66,6 +79,11 @@ RATIONAL_METRICS = (
     "exclusion_ratio",
     "budget_spent_fraction",
 )
+
+# The metrics of every record build_record makes, sorted by name.
+RECORD_METRICS = tuple(sorted(
+    RATIONAL_METRICS + ("exhaustive", "ejr_plus_violations")
+))
 
 QUANTILE_POINTS = (10, 25, 50, 75, 90)
 
@@ -175,6 +193,17 @@ def _metrics_to_json(report: AuditReport) -> dict:
     return out
 
 
+def outcome_rounds(
+    outcome: Union[Outcome, FractionalOutcome],
+) -> Iterator[dict]:
+    """The outcome's round log as JSON-ready dicts, each built when read."""
+    rounds = (
+        outcome.purchases if isinstance(outcome, FractionalOutcome)
+        else outcome.rounds
+    )
+    return map(_round_to_json, rounds)
+
+
 def build_record(
     instance: str,
     rule: str,
@@ -182,8 +211,13 @@ def build_record(
     outcome: Union[Outcome, FractionalOutcome],
     runtime_sec: float,
     config: Optional[RuleConfig] = None,
+    keep_rounds: bool = True,
 ) -> RunRecord:
-    """Assemble the full record, including the audit, for one run."""
+    """Assemble the full record, including the audit, for one run.
+
+    ``keep_rounds=False`` leaves ``rounds`` empty, for a caller that writes
+    the round log from :func:`outcome_rounds` (see :class:`RecordWriter`).
+    """
     config = config if config is not None else RuleConfig()
     report = audit(election, outcome, config)
     names = {p.id: p.name for p in election.projects}
@@ -191,11 +225,9 @@ def build_record(
         fractions: Optional[dict[str, str]] = {
             names[c]: str(f) for c, f in sorted(outcome.fractions.items())
         }
-        rounds = outcome.purchases
         feasible = True
     else:
         fractions = None
-        rounds = outcome.rounds
         feasible = outcome.feasible
     selected = tuple(
         names[c] for c in sorted(c for c, f in outcome.shares.items() if f == 1)
@@ -211,7 +243,7 @@ def build_record(
         selected=selected,
         fractions=fractions,
         feasible=feasible,
-        rounds=tuple(_round_to_json(r) for r in rounds),
+        rounds=tuple(outcome_rounds(outcome)) if keep_rounds else (),
         metrics=_metrics_to_json(report),
         runtime_sec=runtime_sec,
         config_hash=config_digest(rule, election.utility_model.value, config),
@@ -386,13 +418,10 @@ def aggregate_records(
     return rows
 
 
-def records_to_jsonl(records: Iterable[RunRecord]) -> str:
-    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
-
-
-# records_to_jsonl sorts keys and keeps the default separators, and "rule"
+# RecordWriter writes keys sorted with the default separators, and "rule"
 # sorts right after "rounds", so a record's round log sits between these.
-_ROUNDS_OPEN = '"rounds": ['
+_ROUNDS_KEY = '"rounds": '
+_ROUNDS_OPEN = _ROUNDS_KEY + "["
 _ROUNDS_CLOSE = '], "rule": '
 _RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__)
 _decode = json.JSONDecoder().raw_decode
@@ -400,7 +429,7 @@ _decode = json.JSONDecoder().raw_decode
 
 def _without_rounds(line: str) -> Optional[dict]:
     """The record object of a line, decoded without its round log, or None
-    when the line is not in the layout :func:`records_to_jsonl` writes.
+    when the line is not in the layout :class:`RecordWriter` writes.
 
     The round log runs from the first ``"rounds": [`` to the last
     ``], "rule": ``. The text before it, closed as ``"rounds": []}``, and
@@ -409,15 +438,15 @@ def _without_rounds(line: str) -> Optional[dict]:
     malformed JSON outside the round log. The round log's own text is not
     read. A cut that swallowed a key :class:`RunRecord` reads is caught
     because the key is then missing; only a line that repeats a top-level
-    key, which :func:`records_to_jsonl` never writes, can read differently
+    key, which :class:`RecordWriter` never writes, can read differently
     from a full decode.
     """
     start = line.find(_ROUNDS_OPEN)
     end = line.rfind(_ROUNDS_CLOSE)
     if start < 0 or end < start:
         return None
-    head = line[:start] + '"rounds": []}'
-    tail = '{"rounds": [' + line[end:]
+    head = line[:start].lstrip() + '"rounds": []}'
+    tail = '{"rounds": [' + line[end:].rstrip()
     try:
         data, stop = _decode(head)
         rest, stop_rest = _decode(tail)
@@ -429,22 +458,25 @@ def _without_rounds(line: str) -> Optional[dict]:
     return data if data.keys() >= _RECORD_KEYS else None
 
 
-def records_from_jsonl(text: str, keep_rounds: bool = True) -> list[RunRecord]:
-    """Records of a JSONL text, one per non-blank line.
+def records_from_jsonl(
+    text: Union[str, Iterable[str]], keep_rounds: bool = True
+) -> list[RunRecord]:
+    """Records of a JSONL text, or of an iterable of its lines such as an
+    open file, one per non-blank line.
 
     With ``keep_rounds=False`` each record's round log is dropped as its
     line is read, for readers that need only the outcome and metrics; on a
-    line in the layout :func:`records_to_jsonl` writes, the round log is cut
+    line in the layout :class:`RecordWriter` writes, the round log is cut
     out undecoded (:func:`_without_rounds`).
     """
     records = []
-    for line in _lines(text):
-        line = line.strip()
-        if not line:
+    for line in _lines(text) if isinstance(text, str) else text:
+        # Neither test nor cut copies the line, which may hold a long log.
+        if not line or line.isspace():
             continue
         data = None if keep_rounds else _without_rounds(line)
         if data is None:
-            data = json.loads(line)
+            data = json.loads(line.strip())
         records.append(RunRecord.from_json(data, keep_rounds))
     return records
 
@@ -480,38 +512,141 @@ _CSV_FIELDS = (
 )
 
 
-def records_to_csv(records: Iterable[RunRecord]) -> str:
-    records = list(records)
-    metric_names = sorted({name for r in records for name in r.metrics})
+def _csv_row(fields: Sequence[object]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(_CSV_FIELDS) + [f"metric_{m}" for m in metric_names])
-    for r in records:
-        row = [
-            r.instance,
-            r.rule,
-            r.model,
-            r.ballot_type,
-            r.n_voters,
-            r.n_projects,
-            r.budget,
-            json.dumps(list(r.selected)),
-            json.dumps(dict(r.fractions)) if r.fractions is not None else "",
-            int(r.feasible),
-            json.dumps([dict(x) for x in r.rounds]),
-            repr(r.runtime_sec),
-            r.config_hash,
-        ]
-        for m in metric_names:
-            value = r.metrics.get(m)
-            row.append("" if value is None else json.dumps(value))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
 
 
-def records_from_csv(text: str) -> list[RunRecord]:
+def _jsonl_parts(record: RunRecord) -> tuple[str, str]:
+    """The JSONL line of ``record`` before and after its round log."""
+    data = record.to_json()
+    before = json.dumps({k: v for k, v in data.items() if k < "rounds"},
+                        sort_keys=True)
+    after = json.dumps({k: v for k, v in data.items() if k > "rounds"},
+                       sort_keys=True)
+    return before[:-1] + ", " + _ROUNDS_KEY, ", " + after[1:] + "\n"
+
+
+def _csv_parts(record: RunRecord, metric_names: Sequence[str]) -> tuple[str, str]:
+    """The CSV row of ``record`` before and after its round-log cell."""
+    before = _csv_row([
+        record.instance,
+        record.rule,
+        record.model,
+        record.ballot_type,
+        record.n_voters,
+        record.n_projects,
+        record.budget,
+        json.dumps(list(record.selected)),
+        json.dumps(dict(record.fractions)) if record.fractions is not None else "",
+        int(record.feasible),
+    ])
+    values = [record.metrics.get(m) for m in metric_names]
+    after = _csv_row(
+        [repr(record.runtime_sec), record.config_hash]
+        + ["" if value is None else json.dumps(value) for value in values]
+    )
+    return before[:-1] + ",", "," + after
+
+
+def _sorted_json(round_log: Mapping[str, object]) -> str:
+    return json.dumps(round_log, sort_keys=True)
+
+
+def _plain_json(round_log: Mapping[str, object]) -> str:
+    return json.dumps(dict(round_log))
+
+
+class RecordWriter:
+    """Writes records to a text stream, each round of a round log as it
+    comes, so that no record's whole log is ever one string.
+
+    With ``csv_metrics`` None the output is JSONL, byte for byte
+    ``json.dumps(record.to_json(), sort_keys=True)``: the keys before
+    ``"rounds"``, the rounds, then the keys after it, which is the layout
+    :func:`_without_rounds` cuts on. Otherwise it is flat CSV with one
+    ``metric_<name>`` column per name in ``csv_metrics``; :meth:`header`
+    writes its header line.
+    """
+
+    def __init__(
+        self, stream: TextIO, csv_metrics: Optional[Sequence[str]] = None
+    ) -> None:
+        self.stream = stream
+        self.csv_metrics = csv_metrics
+
+    def header(self) -> None:
+        """The CSV header line; JSONL has none."""
+        if self.csv_metrics is not None:
+            self.stream.write(_csv_row(
+                _CSV_FIELDS + tuple(f"metric_{m}" for m in self.csv_metrics)
+            ))
+
+    def write(
+        self,
+        record: RunRecord,
+        rounds: Optional[Iterable[Mapping[str, object]]] = None,
+    ) -> int:
+        """Write one record whose round log is ``rounds`` (default:
+        ``record.rounds``), encoding each round only when its turn comes;
+        return the number of rounds."""
+        csv_out = self.csv_metrics is not None
+        if csv_out:
+            head, tail = _csv_parts(record, self.csv_metrics)
+        else:
+            head, tail = _jsonl_parts(record)
+        texts = map(_plain_json if csv_out else _sorted_json,
+                    record.rounds if rounds is None else rounds)
+        first, second = next(texts, None), next(texts, None)
+        write = self.stream.write
+        write(head)
+        if second is None:
+            # Whether csv quotes a log of one round depends on its text.
+            cell = "[]" if first is None else "[" + first + "]"
+            write(_csv_row([cell])[:-1] if csv_out else cell)
+            count = 0 if first is None else 1
+        else:
+            # Two rounds hold a comma, so csv quotes the cell and doubles
+            # the quotes inside it.
+            quote = '"' if csv_out else ""
+            put = (lambda text: write(text.replace('"', '""'))) if csv_out else write
+            write(quote)
+            put("[" + first)
+            count = 1
+            for text in chain((second,), texts):
+                put(", " + text)
+                count += 1
+            put("]")
+            write(quote)
+        write(tail)
+        return count
+
+
+def records_to_jsonl(records: Iterable[RunRecord]) -> str:
+    buf = io.StringIO()
+    writer = RecordWriter(buf)
+    for r in records:
+        writer.write(r)
+    return buf.getvalue()
+
+
+def records_to_csv(records: Iterable[RunRecord]) -> str:
+    records = list(records)
+    buf = io.StringIO()
+    writer = RecordWriter(buf, sorted({name for r in records for name in r.metrics}))
+    writer.header()
+    for r in records:
+        writer.write(r)
+    return buf.getvalue()
+
+
+def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
+    """Records of a CSV text, or of an iterable of its lines such as a file
+    opened with ``newline=""``."""
+    lines = io.StringIO(text) if isinstance(text, str) else text
     records = []
-    for row in csv.DictReader(io.StringIO(text)):
+    for row in csv.DictReader(lines):
         metrics: dict[str, object] = {}
         data: dict[str, object] = {"metrics": metrics}
         for key, raw in row.items():

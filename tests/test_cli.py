@@ -7,9 +7,11 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -341,6 +343,133 @@ class TestBatch:
         )
         assert main(["batch", str(batch_dir), "--rules", "bos"]) == 2
         assert "every (instance, rule) cell failed" in capsys.readouterr().err
+
+
+def masked(text: str) -> str:
+    """Batch output with every ``runtime_sec`` value replaced by 0: the
+    JSONL key, or the CSV cell before the 16-digit config hash."""
+    text = re.sub(r'"runtime_sec": [0-9.e+-]+', '"runtime_sec": 0', text)
+    return re.sub(r",[0-9.e+-]+,([0-9a-f]{16}),", r",0,\1,", text)
+
+
+class TestBatchStreaming:
+    """Records are written cell by cell, in (instance, rule) order."""
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_files_in_stem_order(self, tmp_path, fixtures_dir, capsys,
+                                 parallelism):
+        # By path "a-b.pb" sorts before "a.pb"; by stem "a" comes first.
+        directory = tmp_path / "stems"
+        directory.mkdir()
+        for name in ("a.pb", "a-b.pb"):
+            shutil.copy(fixtures_dir / "minority.pb", directory / name)
+        assert main([
+            "batch", str(directory), "--model", "cost", "--rules", "mes,bos",
+            "--parallelism", parallelism,
+        ]) == 0
+        records = records_from_jsonl(capsys.readouterr().out)
+        assert [(r.instance, r.rule) for r in records] == [
+            ("a", "bos"), ("a", "mes"), ("a-b", "bos"), ("a-b", "mes"),
+        ]
+
+    def test_failed_batch_leaves_no_output(self, batch_dir, tmp_path,
+                                           monkeypatch, minority_election,
+                                           tail_election, capsys):
+        TestBatch.break_bos(
+            monkeypatch, {minority_election.n_voters, tail_election.n_voters}
+        )
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in ("records.jsonl", "records.csv"):
+            assert main([
+                "batch", str(batch_dir), "--rules", "bos",
+                "--out", str(out_dir / name),
+            ]) == 2
+        assert "every (instance, rule) cell failed" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        kept = out_dir / "kept.jsonl"
+        kept.write_text("old\n", encoding="utf-8")
+        assert main([
+            "batch", str(batch_dir), "--rules", "bos", "--out", str(kept),
+        ]) == 2
+        capsys.readouterr()
+        assert list(out_dir.iterdir()) == [kept]
+        assert kept.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("name", ["records.jsonl", "records.csv"])
+    def test_parallel_bytes_match_serial(self, batch_dir, tmp_path, capsys,
+                                         name):
+        texts = []
+        for parallelism in ("1", "2"):
+            target = tmp_path / parallelism / name
+            target.parent.mkdir()
+            assert main([
+                "batch", str(batch_dir), "--model", "cost",
+                "--rules", "mes,fres-complete", "--parallelism", parallelism,
+                "--out", str(target),
+            ]) == 0
+            texts.append(target.read_text(encoding="utf-8"))
+            assert list(target.parent.iterdir()) == [target]
+        capsys.readouterr()
+        assert masked(texts[0]).splitlines() == masked(texts[1]).splitlines()
+        assert masked(texts[0]) != texts[0]
+        assert len(texts[0].splitlines()) == 4 + name.endswith(".csv")
+
+    def test_one_log_line_per_cell(self, tmp_path, fixtures_dir):
+        pair_dir = tmp_path / "pair"
+        pair_dir.mkdir()
+        for name in ("minority.pb", "tail.pb"):
+            shutil.copy(fixtures_dir / name, pair_dir / name)
+        src = str(Path(eqshares.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        env.pop("EQS_LOG", None)
+        args = [sys.executable, "-m", "eqshares", "batch", str(pair_dir),
+                "--model", "cost", "--rules", "mes,bos"]
+        quiet = subprocess.run(args, capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert quiet.returncode == 0 and quiet.stderr == ""
+        env["EQS_LOG"] = "info"
+        done = subprocess.run(args, capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        cells = re.findall(
+            r"INFO cell instance=(\S+) rule=(\S+) rounds=(\d+) "
+            r"runtime_sec=([0-9.e+-]+)\n", done.stderr,
+        )
+        records = records_from_jsonl(done.stdout)
+        assert [cell[:3] for cell in cells] == [
+            (r.instance, r.rule, str(len(r.rounds))) for r in records
+        ]
+        assert [float(cell[3]) for cell in cells] == [
+            r.runtime_sec for r in records
+        ]
+
+    def test_memory_does_not_grow_with_files(self, tmp_path, fixtures_dir,
+                                             capsys):
+        """No record outlives its cell: the traced allocation peak over four
+        copies of a file stays below 1.5 times the peak over one copy."""
+
+        def peak(copies: int) -> int:
+            directory = tmp_path / f"copies{copies}"
+            directory.mkdir(exist_ok=True)
+            for k in range(copies):
+                shutil.copy(fixtures_dir / "blocks.pb", directory / f"b{k}.pb")
+            args = ["batch", str(directory), "--model", "cost",
+                    "--rules", "fres-complete",
+                    "--out", str(tmp_path / f"records{copies}.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-use caches and imports are not part of the measure
+        one, four = peak(1), peak(4)
+        capsys.readouterr()
+        assert four < 1.5 * one, (one, four)
 
 
 class TestAggregate:

@@ -494,3 +494,18 @@ class TestLoadElection:
         assert e.n_voters == 414
         assert e.utility_model is UtilityModel.COST
         assert next(p for p in e.projects if p.name == "B").cost == 6000
+
+    def test_utf8_byte_order_mark_accepted(self, fixtures_dir, tmp_path):
+        source = fixtures_dir / "reference.pb"
+        marked = tmp_path / "reference.pb"
+        marked.write_text(source.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = load_election(str(source), UtilityModel.COST)
+        e = load_election(str(marked), UtilityModel.COST)
+        assert e.same_instance(plain)
+        assert e.metadata == plain.metadata
+
+    def test_byte_order_mark_only_at_the_start(self):
+        assert parse_pb("\ufeff" + MINIMAL) == parse_pb(MINIMAL)
+        err = error_for(MINIMAL.replace("PROJECTS", "\ufeffPROJECTS"))
+        assert err.line == 5

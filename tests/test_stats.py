@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 import oracles
 from eqshares.model import Election
-from eqshares.rules import RuleConfig, TieBreaker, fres, mes
+from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, fres, mes, run_rule
 from eqshares.stats import (
     BUCKET_PRESETS,
     QUANTILE_POINTS,
     RATIONAL_METRICS,
+    RECORD_METRICS,
     AggregateRow,
+    RecordWriter,
     RunRecord,
     aggregate_records,
     aggregate_to_csv,
@@ -30,6 +32,7 @@ from eqshares.stats import (
     config_digest,
     exact_quantile,
     metric_values,
+    outcome_rounds,
     records_from_csv,
     records_from_jsonl,
     records_to_csv,
@@ -637,3 +640,107 @@ class TestIntegerAggregation:
             ("mes", "exclusion_ratio", "1-8", "approval")
         ]
         assert row.quantiles[50] == F(1, 2) - (F(1, 2) - F(3, 7)) / 2
+
+
+def jsonl_oracle(records) -> str:
+    """JSONL as one ``json.dumps`` of each whole record: the reference."""
+    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
+
+
+def csv_oracle(records) -> str:
+    """Flat CSV with one ``csv.writer`` row per whole record: the reference."""
+    records = list(records)
+    metric_names = sorted({name for r in records for name in r.metrics})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([
+        "instance", "rule", "model", "ballot_type", "n_voters", "n_projects",
+        "budget", "selected", "fractions", "feasible", "rounds", "runtime_sec",
+        "config_hash",
+    ] + [f"metric_{m}" for m in metric_names])
+    for r in records:
+        writer.writerow([
+            r.instance, r.rule, r.model, r.ballot_type, r.n_voters,
+            r.n_projects, r.budget, json.dumps(list(r.selected)),
+            json.dumps(dict(r.fractions)) if r.fractions is not None else "",
+            int(r.feasible), json.dumps([dict(x) for x in r.rounds]),
+            repr(r.runtime_sec), r.config_hash,
+        ] + [
+            "" if r.metrics.get(m) is None else json.dumps(r.metrics.get(m))
+            for m in metric_names
+        ])
+    return buf.getvalue()
+
+
+FIXTURE_ELECTIONS = (
+    "reference_election", "minority_election", "tail_election", "blocks_election",
+)
+
+
+@pytest.fixture(scope="module")
+def fixture_runs(request) -> list[tuple]:
+    """(instance, rule, election, outcome) for every rule on every fixture."""
+    runs = []
+    for name in FIXTURE_ELECTIONS:
+        election = request.getfixturevalue(name)
+        for rule in RULE_NAMES:
+            runs.append((name, rule, election, run_rule(rule, election)))
+    return runs
+
+
+class TestRecordWriter:
+    """The streaming writer against whole-record serialization."""
+
+    def test_streamed_rounds_match_whole_records(self, fixture_runs):
+        full, jsonl, csv_text = [], io.StringIO(), io.StringIO()
+        writers = (RecordWriter(jsonl), RecordWriter(csv_text, RECORD_METRICS))
+        writers[1].header()
+        for instance, rule, election, outcome in fixture_runs:
+            record = build_record(instance, rule, election, outcome, 0.125)
+            head = build_record(instance, rule, election, outcome, 0.125,
+                                keep_rounds=False)
+            assert head == dataclasses.replace(record, rounds=())
+            for writer in writers:
+                count = writer.write(head, outcome_rounds(outcome))
+                assert count == len(record.rounds)
+            full.append(record)
+        # blocks.pb has 1,000 voters, so the numeric order of payment keys
+        # in build_record's rounds differs from their order as strings
+        # ("10" before "2"), which JSONL uses.
+        assert any(
+            list(r["payments"]) != sorted(r["payments"])
+            for record in full for r in record.rounds
+        )
+        assert {name for r in full for name in r.metrics} == set(RECORD_METRICS)
+        # Compared as lists of lines, so that a failure names the first
+        # differing line rather than diffing two long texts.
+        for got, whole, oracle in (
+            (jsonl.getvalue(), records_to_jsonl(full), jsonl_oracle(full)),
+            (csv_text.getvalue(), records_to_csv(full), csv_oracle(full)),
+        ):
+            assert got.splitlines() == oracle.splitlines()
+            assert whole.splitlines() == oracle.splitlines()
+
+    @given(st.lists(run_records(), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_whole_record_serialization(self, records):
+        assert records_to_jsonl(records) == jsonl_oracle(records)
+        assert records_to_csv(records) == csv_oracle(records)
+
+    @pytest.mark.parametrize("rounds", [
+        (), ({},), ({"a": 1},), ({},) * 2, ({"x": "1,2"},),
+    ])
+    def test_short_round_logs_quoted_as_csv_does(self, rounds):
+        record = dataclasses.replace(make_record(), rounds=rounds)
+        assert records_to_csv([record]) == csv_oracle([record])
+        [back] = records_from_csv(records_to_csv([record]))
+        assert back.rounds == rounds
+
+    def test_readers_take_lines(self, reference_election):
+        records = TestSerialization().sample_records(reference_election)
+        jsonl = records_to_jsonl(records)
+        assert records_from_jsonl(io.StringIO(jsonl)) == records
+        assert records_from_jsonl(
+            io.StringIO(jsonl), keep_rounds=False
+        ) == records_from_jsonl(jsonl, keep_rounds=False)
+        assert records_from_csv(io.StringIO(records_to_csv(records))) == records
