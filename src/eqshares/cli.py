@@ -84,7 +84,7 @@ def _read_tie_names(path: Optional[Path]) -> tuple[str, ...]:
     if path is None:
         return ()
     names: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line in names:
             raise click.UsageError(f"{path}: tie-order lists {line!r} twice")

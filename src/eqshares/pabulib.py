@@ -14,20 +14,22 @@ sections, each introduced by a bare section line and a header row::
     voter_id;vote
     v1;A
 
-Multi-valued cells (vote lists, points) are comma-separated. All numbers
-are decimal strings and convert exactly to rationals. Parse failures carry
-the offending line number. :func:`ballots_to_utilities` turns a parsed file
-into an :class:`~eqshares.model.Election`; :func:`write_pb` is its inverse
-for any election expressible in the target ballot type.
+Rows are read as ``csv.reader`` reads them, so cells may be quoted.
+Multi-valued cells (vote lists, points) are comma-separated. Numbers are
+decimal strings and convert exactly to rationals. Parse failures carry the
+offending line number. :func:`ballots_to_utilities` turns a parsed file into
+an :class:`~eqshares.model.Election`; :func:`write_pb` is its inverse for
+any election expressible in the target ballot type with plain cells.
 """
 from __future__ import annotations
 
+import csv
 import enum
 import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .model import (
     ONE,
@@ -55,7 +57,6 @@ _DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
 
 # Metadata keys that carry reconstruction hints rather than source META rows.
 _SYNTHETIC_META = ("pb_voter_ids",)
-_CANONICAL_META = ("budget", "vote_type", "num_projects", "num_votes")
 
 
 class PbParseError(ValueError):
@@ -85,6 +86,11 @@ class BallotType(str, enum.Enum):
             if member.value == normalized:
                 return member
         raise ValueError(f"unknown vote_type {text!r}")
+
+
+# Ballots that list points, and ballots that give each listed project one.
+_POINT_BALLOTS = (BallotType.CUMULATIVE, BallotType.SCORING)
+_APPROVAL_BALLOTS = (BallotType.APPROVAL, BallotType.CHOOSE1)
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,33 @@ def _parse_decimal(text: str) -> Num:
     return Fraction(text.strip())
 
 
-def _split(line: str) -> list[str]:
-    return [cell.strip() for cell in line.split(";")]
+def _rows(text: str) -> Iterator[tuple[int, Optional[tuple[str, ...]]]]:
+    """(the line it ends on, its stripped cells) of each row ``csv.reader``
+    reads but blank (whitespace only) lines; then (last line + 1, None)."""
+    lines = text.removeprefix("\ufeff").splitlines(keepends=True)
+    reader = csv.reader(lines, delimiter=";")
+    end = 0
+    try:
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if len(row) > 1 or start < end or not lines[end - 1].isspace():
+                yield end, tuple(map(str.strip, row))
+    except csv.Error as exc:
+        raise PbParseError(reader.line_num, str(exc)) from None
+    yield len(lines) + 1, None
+
+
+def _row_id(lineno: int, cells: tuple[str, ...], width: int, seen: set[str], what: str) -> str:
+    """The id of a PROJECTS or VOTES row of ``width`` cells, new to ``seen``."""
+    if len(cells) != width:
+        raise PbParseError(lineno, f"expected {width} fields, got {len(cells)}")
+    row_id = cells[0]
+    if row_id == "":
+        raise PbParseError(lineno, f"empty {what} id")
+    if row_id in seen:
+        raise PbParseError(lineno, f"duplicate {what} id {row_id!r}")
+    seen.add(row_id)
+    return row_id
 
 
 def parse_pb(text: str) -> PbFile:
@@ -139,63 +170,52 @@ def parse_pb(text: str) -> PbFile:
     with a header row), semicolon-separated fields, unique keys and ids,
     numeric budget and costs, a known vote_type, points lists matching
     their vote lists, and vote references resolving to declared projects.
-    Every failure raises :class:`PbParseError` with the line number. A
-    leading UTF-8 byte-order mark (U+FEFF) is dropped.
+    Cells may be quoted as in CSV and are stripped. Every failure raises
+    :class:`PbParseError` with the line number, which for a quoted cell
+    that spans lines is the line its row ends on. A leading UTF-8
+    byte-order mark (U+FEFF) is dropped.
     """
-    lines = text.removeprefix("\ufeff").splitlines()
-    numbered = [
-        (idx + 1, line.strip())
-        for idx, line in enumerate(lines)
-        if line.strip() != ""
-    ]
-    pos = 0
+    rows = _rows(text)
+    ahead = next(rows)  # the first row that no section has taken
 
-    def take() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(numbered):
-            raise PbParseError(len(lines) + 1, "unexpected end of file")
-        item = numbered[pos]
-        pos += 1
-        return item
-
-    def expect_section(name: str) -> None:
-        lineno, line = take()
-        if line != name:
-            raise PbParseError(lineno, f"expected {name} section, got {line!r}")
-
-    def expect_header(name: str, required: Sequence[str]) -> list[str]:
-        lineno, line = take()
-        cells = _split(line)
+    def section(name: str, required: tuple[str, str], stop: Optional[tuple[str]]):
+        """Check section ``name``'s line and header row; yield the header's
+        line number and columns, then each row before the row ``stop``."""
+        nonlocal ahead
+        lineno, header = ahead  # the section line, then the header row
+        if header == (name,):
+            lineno, header = next(rows)
+        elif header is not None:
+            raise PbParseError(
+                lineno, f"expected {name} section, got {';'.join(header)!r}"
+            )
+        if header is None:
+            raise PbParseError(lineno, "unexpected end of file")
         for column in required:
-            if column not in cells:
+            if column not in header:
                 raise PbParseError(
                     lineno, f"{name} header must include {column!r}"
                 )
-        if cells[0] != required[0]:
+        if header[0] != required[0]:
             raise PbParseError(
                 lineno, f"{name} header must start with {required[0]!r}"
             )
-        if len(set(cells)) != len(cells):
+        if len(set(header)) != len(header):
             raise PbParseError(lineno, f"duplicate column in {name} header")
-        return cells
-
-    def section_rows(stop: set[str]) -> list[tuple[int, str]]:
-        nonlocal pos
-        rows = []
-        while pos < len(numbered) and numbered[pos][1] not in stop:
-            rows.append(numbered[pos])
-            pos += 1
-        return rows
+        yield lineno, header
+        for ahead in rows:
+            if ahead[1] is None or ahead[1] == stop:
+                return
+            yield ahead
 
     # META
-    expect_section("META")
-    header = expect_header("META", ["key", "value"])
-    if header != ["key", "value"]:
-        raise PbParseError(numbered[pos - 1][0], "META header must be 'key;value'")
+    body = section("META", ("key", "value"), ("PROJECTS",))
+    lineno, header = next(body)
+    if header != ("key", "value"):
+        raise PbParseError(lineno, "META header must be 'key;value'")
     meta: dict[str, str] = {}
     meta_lines: dict[str, int] = {}
-    for lineno, line in section_rows({"PROJECTS"}):
-        cells = _split(line)
+    for lineno, cells in body:
         if len(cells) != 2:
             raise PbParseError(lineno, "META rows must have exactly 2 fields")
         key, value = cells
@@ -206,8 +226,7 @@ def parse_pb(text: str) -> PbFile:
     for required_key in ("budget", "vote_type"):
         if required_key not in meta:
             raise PbParseError(
-                numbered[pos][0] if pos < len(numbered) else len(lines) + 1,
-                f"META is missing required key {required_key!r}",
+                ahead[0], f"META is missing required key {required_key!r}"
             )
     try:
         budget = _parse_decimal(meta["budget"])
@@ -221,61 +240,40 @@ def parse_pb(text: str) -> PbFile:
         raise PbParseError(meta_lines["vote_type"], str(exc)) from None
 
     # PROJECTS
-    expect_section("PROJECTS")
-    header = expect_header("PROJECTS", ["project_id", "cost"])
+    body = section("PROJECTS", ("project_id", "cost"), ("VOTES",))
+    lineno, header = next(body)
     cost_col = header.index("cost")
     projects: list[PbProject] = []
     seen_projects: set[str] = set()
-    for lineno, line in section_rows({"VOTES"}):
-        cells = _split(line)
-        if len(cells) != len(header):
-            raise PbParseError(
-                lineno, f"expected {len(header)} fields, got {len(cells)}"
-            )
-        pid = cells[0]
-        if pid == "":
-            raise PbParseError(lineno, "empty project id")
-        if pid in seen_projects:
-            raise PbParseError(lineno, f"duplicate project id {pid!r}")
-        seen_projects.add(pid)
+    for lineno, cells in body:
+        pid = _row_id(lineno, cells, len(header), seen_projects, "project")
         try:
             cost = _parse_decimal(cells[cost_col])
         except ValueError:
             raise PbParseError(lineno, "non-numeric cost") from None
         extra = {
-            header[k]: cells[k]
-            for k in range(len(header))
-            if k not in (0, cost_col)
+            column: cell
+            for column, cell in zip(header, cells)
+            if column not in ("project_id", "cost")
         }
         projects.append(PbProject(pid, cost, extra))
 
     # VOTES
-    expect_section("VOTES")
-    header = expect_header("VOTES", ["voter_id", "vote"])
+    body = section("VOTES", ("voter_id", "vote"), None)
+    lineno, header = next(body)
     vote_col = header.index("vote")
     points_col = header.index("points") if "points" in header else None
-    needs_points = ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING)
+    needs_points = ballot_type in _POINT_BALLOTS
     if needs_points and points_col is None:
         raise PbParseError(
-            numbered[pos - 1][0],
-            f"{ballot_type.value} ballots require a points column",
+            lineno, f"{ballot_type.value} ballots require a points column"
         )
     votes: list[PbVote] = []
     seen_voters: set[str] = set()
-    for lineno, line in section_rows(set()):
-        cells = _split(line)
-        if len(cells) != len(header):
-            raise PbParseError(
-                lineno, f"expected {len(header)} fields, got {len(cells)}"
-            )
-        voter_id = cells[0]
-        if voter_id == "":
-            raise PbParseError(lineno, "empty voter id")
-        if voter_id in seen_voters:
-            raise PbParseError(lineno, f"duplicate voter id {voter_id!r}")
-        seen_voters.add(voter_id)
+    for lineno, cells in body:
+        voter_id = _row_id(lineno, cells, len(header), seen_voters, "voter")
         raw_vote = cells[vote_col]
-        vote = tuple(v.strip() for v in raw_vote.split(",")) if raw_vote else ()
+        vote = tuple(map(str.strip, raw_vote.split(","))) if raw_vote else ()
         if len(set(vote)) != len(vote):
             raise PbParseError(lineno, "duplicate project in vote")
         for pid in vote:
@@ -284,27 +282,22 @@ def parse_pb(text: str) -> PbFile:
                     lineno, f"vote references unknown project {pid!r}"
                 )
         points: Optional[tuple[Num, ...]] = None
-        if points_col is not None:
-            raw_points = cells[points_col]
-            if raw_points == "" and not vote:
-                points = ()
-            elif raw_points == "":
-                if needs_points:
-                    raise PbParseError(lineno, "missing points for vote")
-                points = None
-            else:
-                try:
-                    points = tuple(
-                        _parse_decimal(p) for p in raw_points.split(",")
-                    )
-                except ValueError:
-                    raise PbParseError(lineno, "non-numeric points") from None
-            if points is not None and len(points) != len(vote):
+        raw_points = "" if points_col is None else cells[points_col]
+        if raw_points:
+            try:
+                points = tuple(_parse_decimal(p) for p in raw_points.split(","))
+            except ValueError:
+                raise PbParseError(lineno, "non-numeric points") from None
+            if len(points) != len(vote):
                 raise PbParseError(
                     lineno,
                     f"points list has {len(points)} entries for "
                     f"{len(vote)} vote entries",
                 )
+        elif points_col is not None and not vote:
+            points = ()
+        elif needs_points:  # the header check found a points column
+            raise PbParseError(lineno, "missing points for vote")
         votes.append(PbVote(voter_id, vote, points))
     return PbFile(meta=meta, projects=tuple(projects), votes=tuple(votes))
 
@@ -343,7 +336,7 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     rows: list[dict[int, Num]] = []
     for vote in pb.votes:
         row: dict[int, Num] = {}
-        if ballot_type in (BallotType.APPROVAL, BallotType.CHOOSE1):
+        if ballot_type in _APPROVAL_BALLOTS:
             if ballot_type is BallotType.CHOOSE1 and len(vote.vote) != 1:
                 raise ValueError(
                     f"voter {vote.voter_id!r}: choose-1 ballot must list "
@@ -352,7 +345,7 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
             for pid in vote.vote:
                 if pid in index:
                     row[index[pid]] = ONE
-        elif ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING):
+        elif ballot_type in _POINT_BALLOTS:
             if vote.points is None:
                 raise ValueError(
                     f"voter {vote.voter_id!r}: {ballot_type.value} ballot has no points"
@@ -412,6 +405,15 @@ def _decimal_str(value: Num) -> str:
     return sign + whole + ("." + frac if frac else "")
 
 
+def _cell(text: str, what: str, is_id: bool = False) -> str:
+    """``text`` as a cell of :func:`write_pb`, checked to read back unchanged."""
+    if ";" in text or len(text.splitlines()) > 1 or (is_id and "," in text):
+        raise PbWriteError(f"{what} {text!r} contains a delimiter")
+    if text != text.strip() or text.startswith('"') or (is_id and not text):
+        raise PbWriteError(f"{what} {text!r} would not read back unchanged")
+    return text
+
+
 def write_pb(election: Election, ballot_type: BallotType) -> str:
     """Serialize an election to `.pb` text, exactly invertible by parsing.
 
@@ -419,74 +421,62 @@ def write_pb(election: Election, ballot_type: BallotType) -> str:
     approval and choose-1 need 0/1 scores (choose-1 exactly one approval
     per voter); ordinal needs each voter's positive scores to be exactly
     r, r−1, ..., 1 for some r; cumulative and scoring take scores as
-    points. All numbers must have finite decimal expansions. Raises
+    points. All numbers must have finite decimal expansions. Cells are not
+    quoted, so no project name, voter id or metadata key or value may hold
+    ``;`` or a line break, start with ``"`` or have surrounding whitespace,
+    and names and ids must be nonempty and free of ``,``. Raises
     :class:`PbWriteError` otherwise.
     """
-    names = [p.name for p in election.projects]
+    names = [_cell(p.name, "project name", is_id=True) for p in election.projects]
     if len(set(names)) != len(names):
         raise PbWriteError("project names must be unique to serialize")
-    for name in names:
-        if any(ch in name for ch in ";,\n\r"):
-            raise PbWriteError(f"project name {name!r} contains a delimiter")
 
-    voter_ids = None
     raw_ids = election.metadata.get("pb_voter_ids")
-    if raw_ids is not None:
-        candidate = raw_ids.split(",") if raw_ids else []
-        if len(candidate) == election.n_voters and len(set(candidate)) == len(
-            candidate
-        ):
-            voter_ids = candidate
-    if voter_ids is None:
+    voter_ids = raw_ids.split(",") if raw_ids else []
+    if len(voter_ids) == election.n_voters and len(set(voter_ids)) == len(voter_ids):
+        voter_ids = [_cell(v, "voter id", is_id=True) for v in voter_ids]
+    else:
         voter_ids = [f"v{i + 1}" for i in range(election.n_voters)]
 
-    needs_points = ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING)
+    needs_points = ballot_type in _POINT_BALLOTS
     vote_rows: list[str] = []
     for voter in range(election.n_voters):
         row = election.scores.support_set(voter)
-        if ballot_type in (BallotType.APPROVAL, BallotType.CHOOSE1):
+        listed = sorted(row)
+        if ballot_type in _APPROVAL_BALLOTS:
             if any(score != 1 for score in row.values()):
                 raise PbWriteError(
                     f"voter {voter_ids[voter]!r} has non-approval scores"
                 )
-            listed = sorted(row)
             if ballot_type is BallotType.CHOOSE1 and len(listed) != 1:
                 raise PbWriteError(
                     f"voter {voter_ids[voter]!r} approves {len(listed)} "
                     "projects; choose-1 needs exactly one"
                 )
-            cells = [voter_ids[voter], ",".join(names[c] for c in listed)]
-        elif needs_points:
-            listed = sorted(row)
-            cells = [
-                voter_ids[voter],
-                ",".join(names[c] for c in listed),
-                ",".join(_decimal_str(row[c]) for c in listed),
-            ]
-        else:  # ordinal: scores must form a Borda staircase r, r-1, ..., 1
-            ranked = sorted(row, key=lambda c: (-row[c], c))
-            length = len(ranked)
-            for position, c in enumerate(ranked):
+        elif ballot_type is BallotType.ORDINAL:  # a Borda staircase r, ..., 1
+            listed.sort(key=lambda c: -row[c])
+            length = len(listed)
+            for position, c in enumerate(listed):
                 if row[c] != length - position:
                     raise PbWriteError(
                         f"voter {voter_ids[voter]!r}: scores do not form a "
                         "ranking"
                     )
-            cells = [voter_ids[voter], ",".join(names[c] for c in ranked)]
+        cells = [voter_ids[voter], ",".join(names[c] for c in listed)]
+        if needs_points:
+            cells.append(",".join(_decimal_str(row[c]) for c in listed))
         vote_rows.append(";".join(cells))
 
-    meta_rows = [
-        f"budget;{_decimal_str(election.budget)}",
-        f"vote_type;{ballot_type.value}",
-        f"num_projects;{len(election.projects)}",
-        f"num_votes;{election.n_voters}",
-    ]
+    meta = {
+        "budget": _decimal_str(election.budget),
+        "vote_type": ballot_type.value,
+        "num_projects": str(len(election.projects)),
+        "num_votes": str(election.n_voters),
+    }
     for key, value in election.metadata.items():
-        if key in _CANONICAL_META or key in _SYNTHETIC_META:
-            continue
-        if any(ch in key + value for ch in ";\n\r"):
-            raise PbWriteError(f"metadata entry {key!r} contains a delimiter")
-        meta_rows.append(f"{key};{value}")
+        if key not in meta and key not in _SYNTHETIC_META:
+            meta[_cell(key, "metadata key")] = _cell(value, "metadata value")
+    meta_rows = [f"{key};{value}" for key, value in meta.items()]
 
     lines = ["META", "key;value", *meta_rows, "PROJECTS", "project_id;cost"]
     lines.extend(

@@ -1,9 +1,9 @@
 """Run records and exact statistical aggregation.
 
 A :class:`RunRecord` captures one (instance, rule) execution: outcome,
-round log, audit metrics, runtime, and a configuration digest. Records
-serialize to JSON-safe dicts with rationals written as exact ``p/q``
-strings, so files round-trip without precision loss.
+round log, audit metrics (the :class:`~eqshares.axioms.AuditReport`
+fields), runtime, and a configuration digest. Its fields are the JSONL and
+CSV schema; rationals are exact ``p/q`` strings, so files round-trip.
 
 Aggregation groups records by (rule, metric, project-count bucket,
 ballot type) and reports count, mean, standard deviation, and the
@@ -40,7 +40,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
@@ -71,19 +71,10 @@ __all__ = [
 ]
 
 # Audit metrics whose values are exact rationals, in report order.
-RATIONAL_METRICS = (
-    "score_satisfaction",
-    "cost_satisfaction",
-    "relative_score_satisfaction",
-    "relative_cost_satisfaction",
-    "exclusion_ratio",
-    "budget_spent_fraction",
-)
+RATIONAL_METRICS = tuple(f.name for f in fields(AuditReport) if f.type == "Num")
 
 # The metrics of every record build_record makes, sorted by name.
-RECORD_METRICS = tuple(sorted(
-    RATIONAL_METRICS + ("exhaustive", "ejr_plus_violations")
-))
+RECORD_METRICS = tuple(sorted(f.name for f in fields(AuditReport)))
 
 QUANTILE_POINTS = (10, 25, 50, 75, 90)
 
@@ -113,23 +104,7 @@ class RunRecord:
     config_hash: str
 
     def to_json(self) -> dict:
-        out = {
-            "instance": self.instance,
-            "rule": self.rule,
-            "model": self.model,
-            "ballot_type": self.ballot_type,
-            "n_voters": self.n_voters,
-            "n_projects": self.n_projects,
-            "budget": self.budget,
-            "selected": list(self.selected),
-            "fractions": dict(self.fractions) if self.fractions is not None else None,
-            "feasible": self.feasible,
-            "rounds": [dict(r) for r in self.rounds],
-            "metrics": dict(self.metrics),
-            "runtime_sec": self.runtime_sec,
-            "config_hash": self.config_hash,
-        }
-        return out
+        return {key: _to_json(getattr(self, key)) for key in self.__dataclass_fields__}
 
     @classmethod
     def from_json(
@@ -138,26 +113,40 @@ class RunRecord:
         """Rebuild a record; ``keep_rounds=False`` leaves ``rounds`` empty."""
         if not isinstance(data, Mapping):
             raise TypeError(f"a record must be an object, not {type(data).__name__}")
-        fractions = data.get("fractions")
-        return cls(
-            instance=str(data["instance"]),
-            rule=str(data["rule"]),
-            model=str(data["model"]),
-            ballot_type=str(data["ballot_type"]),
-            n_voters=int(data["n_voters"]),
-            n_projects=int(data["n_projects"]),
-            budget=str(data["budget"]),
-            selected=tuple(data["selected"]),
-            fractions=dict(fractions) if fractions is not None else None,
-            feasible=bool(data["feasible"]),
-            rounds=(
-                tuple(dict(r) for r in data.get("rounds", ()))
-                if keep_rounds else ()
-            ),
-            metrics=dict(data["metrics"]),
-            runtime_sec=float(data["runtime_sec"]),
-            config_hash=str(data["config_hash"]),
-        )
+        reads = _FROM_JSON if keep_rounds else _FROM_JSON_NO_ROUNDS
+        return cls(**{
+            name: read(data[name] if name in data else _JSON_DEFAULTS[name])
+            for name, read in reads.items()
+        })
+
+
+def _to_json(value: object) -> object:
+    """A field's value as JSON data: tuples as lists, mappings as dicts."""
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return dict(value) if isinstance(value, Mapping) else value
+
+
+# How RunRecord.from_json reads each of its fields, and the value of a field
+# that a record's JSON may leave out.
+_FROM_JSON = {
+    "instance": str,
+    "rule": str,
+    "model": str,
+    "ballot_type": str,
+    "n_voters": int,
+    "n_projects": int,
+    "budget": str,
+    "selected": tuple,
+    "fractions": lambda value: None if value is None else dict(value),
+    "feasible": bool,
+    "rounds": lambda rounds: tuple(map(dict, rounds)),
+    "metrics": dict,
+    "runtime_sec": float,
+    "config_hash": str,
+}
+_FROM_JSON_NO_ROUNDS = {**_FROM_JSON, "rounds": lambda rounds: ()}
+_JSON_DEFAULTS = {"fractions": None, "rounds": ()}
 
 
 def config_digest(rule: str, model: str, config: RuleConfig) -> str:
@@ -185,12 +174,8 @@ def _round_to_json(record) -> dict:
 
 
 def _metrics_to_json(report: AuditReport) -> dict:
-    out: dict[str, object] = {
-        name: str(getattr(report, name)) for name in RATIONAL_METRICS
-    }
-    out["exhaustive"] = report.exhaustive
-    out["ejr_plus_violations"] = report.ejr_plus_violations
-    return out
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {k: str(v) if k in RATIONAL_METRICS else v for k, v in values.items()}
 
 
 def outcome_rounds(
@@ -493,28 +478,19 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-# Flat CSV schema: scalar fields plus metrics; round logs and fractional
-# shares are JSON-encoded in their columns so nothing is lost.
-_CSV_FIELDS = (
-    "instance",
-    "rule",
-    "model",
-    "ballot_type",
-    "n_voters",
-    "n_projects",
-    "budget",
-    "selected",
-    "fractions",
-    "feasible",
-    "rounds",
-    "runtime_sec",
-    "config_hash",
+# Flat CSV schema: the fields but metrics, then one ``metric_<name>`` column
+# per metric. Metrics and the fields from_json does not read with str, int
+# or float are JSON in their cells (a flag as 0 or 1), so nothing is lost.
+_CSV_FIELDS = tuple(f.name for f in fields(RunRecord) if f.name != "metrics")
+_CSV_JSON = frozenset(
+    name for name in _CSV_FIELDS if _FROM_JSON[name] not in (str, int, float)
 )
+_CSV_ROUNDS = _CSV_FIELDS.index("rounds")
 
 
-def _csv_row(fields: Sequence[object]) -> str:
+def _csv_row(cells: Sequence[object]) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()
 
 
@@ -528,34 +504,20 @@ def _jsonl_parts(record: RunRecord) -> tuple[str, str]:
     return before[:-1] + ", " + _ROUNDS_KEY, ", " + after[1:] + "\n"
 
 
+def _csv_cell(name: str, value: object) -> object:
+    if name not in _CSV_JSON:
+        return value
+    if value is None:
+        return ""
+    return json.dumps(int(value) if isinstance(value, bool) else _to_json(value))
+
+
 def _csv_parts(record: RunRecord, metric_names: Sequence[str]) -> tuple[str, str]:
     """The CSV row of ``record`` before and after its round-log cell."""
-    before = _csv_row([
-        record.instance,
-        record.rule,
-        record.model,
-        record.ballot_type,
-        record.n_voters,
-        record.n_projects,
-        record.budget,
-        json.dumps(list(record.selected)),
-        json.dumps(dict(record.fractions)) if record.fractions is not None else "",
-        int(record.feasible),
-    ])
+    cells = [_csv_cell(f, getattr(record, f)) for f in _CSV_FIELDS if f != "rounds"]
     values = [record.metrics.get(m) for m in metric_names]
-    after = _csv_row(
-        [repr(record.runtime_sec), record.config_hash]
-        + ["" if value is None else json.dumps(value) for value in values]
-    )
-    return before[:-1] + ",", "," + after
-
-
-def _sorted_json(round_log: Mapping[str, object]) -> str:
-    return json.dumps(round_log, sort_keys=True)
-
-
-def _plain_json(round_log: Mapping[str, object]) -> str:
-    return json.dumps(dict(round_log))
+    cells += ["" if value is None else json.dumps(value) for value in values]
+    return _csv_row(cells[:_CSV_ROUNDS])[:-1] + ",", "," + _csv_row(cells[_CSV_ROUNDS:])
 
 
 class RecordWriter:
@@ -596,8 +558,8 @@ class RecordWriter:
             head, tail = _csv_parts(record, self.csv_metrics)
         else:
             head, tail = _jsonl_parts(record)
-        texts = map(_plain_json if csv_out else _sorted_json,
-                    record.rounds if rounds is None else rounds)
+        rounds = record.rounds if rounds is None else rounds
+        texts = (json.dumps(dict(r), sort_keys=not csv_out) for r in rounds)
         first, second = next(texts, None), next(texts, None)
         write = self.stream.write
         write(head)
@@ -652,7 +614,7 @@ def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
         for key, raw in row.items():
             if key.startswith("metric_"):
                 metrics[key[len("metric_"):]] = None if raw == "" else json.loads(raw)
-            elif key in ("selected", "fractions", "feasible", "rounds"):
+            elif key in _CSV_JSON:
                 data[key] = None if raw == "" else json.loads(raw)
             else:
                 data[key] = raw
@@ -661,17 +623,15 @@ def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
 
 
 def aggregate_to_csv(rows: Iterable[AggregateRow]) -> str:
-    """CSV with exact rational means and quantiles as ``p/q`` strings."""
+    """CSV of the :class:`AggregateRow` fields, with one column per quantile
+    point; exact rational means and quantiles are ``p/q`` strings."""
+    columns = [f.name for f in fields(AggregateRow) if f.name != "quantiles"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["rule", "metric", "bucket", "ballot_type", "count", "mean", "std"]
-        + [f"q{p}" for p in QUANTILE_POINTS]
-    )
+    writer.writerow(columns + [f"q{p}" for p in QUANTILE_POINTS])
     for row in rows:
         writer.writerow(
-            [row.rule, row.metric, row.bucket, row.ballot_type, row.count,
-             str(row.mean), repr(row.std)]
-            + [str(row.quantiles[p]) for p in QUANTILE_POINTS]
+            [getattr(row, name) for name in columns]
+            + [row.quantiles[p] for p in QUANTILE_POINTS]
         )
     return buf.getvalue()

@@ -132,6 +132,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(tie) in err and "'A' twice" in err
 
+    def test_tie_order_file_with_byte_order_mark(self, fixtures_dir, tmp_path,
+                                                 capsys):
+        records = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            tie = tmp_path / f"tie-{encoding}.txt"
+            tie.write_text("C\nF\n", encoding=encoding)
+            assert main([
+                "run", str(fixtures_dir / "reference.pb"),
+                "--rule", "fres", "--model", "cost", "--tie-order", str(tie),
+            ]) == 0
+            record = json.loads(capsys.readouterr().out)
+            record.pop("runtime_sec")
+            records.append(record)
+        assert tie.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert records[0] == records[1]
+        assert records[1]["fractions"]["C"] == "5/6"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.pb"
         bad.write_text("PROJECTS\n", encoding="utf-8")
@@ -279,6 +296,23 @@ class TestBatch:
         ]) == 0
         capsys.readouterr()
 
+
+    def test_tie_order_file_with_byte_order_mark(self, fixtures_dir, tmp_path,
+                                                 capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "reference.pb", corpus / "reference.pb")
+        records = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            tie = tmp_path / f"tie-{encoding}.txt"
+            tie.write_text("C\nF\n", encoding=encoding)
+            assert main([
+                "batch", str(corpus), "--model", "cost", "--rules", "fres",
+                "--tie-order", str(tie),
+            ]) == 0
+            [record] = records_from_jsonl(capsys.readouterr().out)
+            records.append(dataclasses.replace(record, runtime_sec=0.0))
+        assert records[0] == records[1]
 
     def test_tie_order_repeated_name_exits_3(self, batch_dir, tmp_path,
                                              capsys):

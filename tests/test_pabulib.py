@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqshares.model import Election, Project, UtilityModel, UtilityProfile
 from eqshares.pabulib import (
@@ -509,3 +511,128 @@ class TestLoadElection:
         assert parse_pb("\ufeff" + MINIMAL) == parse_pb(MINIMAL)
         err = error_for(MINIMAL.replace("PROJECTS", "\ufeffPROJECTS"))
         assert err.line == 5
+
+
+class TestQuotedCells:
+    """What real Pabulib files hold: cells quoted as ``csv`` quotes them."""
+
+    def test_quoted_project_id_holding_semicolon(self):
+        pb = parse_pb(build(projects='"p;1";5\np2;10', votes='v1;"p;1,p2"'))
+        assert [p.id for p in pb.projects] == ["p;1", "p2"]
+        assert pb.votes[0].vote == ("p;1", "p2")
+
+    def test_quoted_vote_list(self):
+        pb = parse_pb(build(votes='v1;"p1,p2"\nv2;"p2"'))
+        assert [v.vote for v in pb.votes] == [("p1", "p2"), ("p2",)]
+        assert parse_pb(build(votes='v1;"p1,p2"')) == parse_pb(MINIMAL)
+
+    def test_extra_vote_columns(self):
+        pb = parse_pb(build(vote_header="voter_id;vote;age;sex",
+                            votes="v1;p1,p2;34;F\nv2;p2;;"))
+        assert [v.vote for v in pb.votes] == [("p1", "p2"), ("p2",)]
+        assert pb.votes[0].points is None
+
+    @pytest.mark.parametrize("field", ["projects", "votes"])
+    def test_line_of_only_semicolon_is_an_error(self, field):
+        rows = {"projects": "p1;5\n;\np2;10", "votes": "v1;p1\n;\nv2;p2"}
+        err = error_for(build(**{field: rows[field]}))
+        assert err.line == {"projects": 8, "votes": 12}[field]
+        assert "empty" in err.message
+
+    def test_quoted_cell_spanning_lines(self):
+        text = build(projects='p1;5;"Park\nand pond"\np2;10;roads',
+                     votes="v1;p1\nv1;p2").replace(
+            "project_id;cost", "project_id;cost;name")
+        err = error_for(text)
+        assert err.line == 13
+        assert "duplicate voter id" in err.message
+        pb = parse_pb(text.replace("v1;p2", "v2;p2"))
+        assert pb.projects[0].extra == {"name": "Park\nand pond"}
+        assert [v.voter_id for v in pb.votes] == ["v1", "v2"]
+
+    def test_row_spanning_lines_is_numbered_by_its_last_line(self):
+        text = build(projects='p1;cheap;"Park\nand pond"').replace(
+            "project_id;cost", "project_id;cost;name")
+        err = error_for(text)
+        assert err.line == 8
+        assert "non-numeric cost" in err.message
+
+    def test_unclosed_quote_is_an_error(self):
+        err = error_for(build(projects='p1;5\n"p2;10'))
+        assert err.line == 11
+        assert "expected 2 fields, got 1" in err.message
+        err = error_for(build(votes='v1;p1\n"v2;p2') + "  \n")
+        assert err.line == 13
+        assert "expected 2 fields, got 1" in err.message
+        err = error_for(build(projects='p1;5\n"p2;' + "x" * 200_000))
+        assert err.line == 8
+        assert "field larger than field limit" in err.message
+
+    def test_quoted_whitespace_is_not_a_blank_line(self):
+        err = error_for(build(votes='v1;p1\n" "'))
+        assert err.line == 12
+        assert "expected 2 fields, got 1" in err.message
+
+
+def one_voter_election(names, metadata=None) -> Election:
+    prof = UtilityProfile.from_rows(1, len(names), [{0: 1}])
+    projects = tuple(Project(i, name, 1) for i, name in enumerate(names))
+    return Election(projects, 1, F(10), prof, metadata=metadata or {})
+
+
+CELL_TEXT = st.text(alphabet='ab;," \t\n\r\x85\u2028', max_size=4)
+
+
+class TestWrittenCells:
+    """Every cell write_pb writes reads back unchanged, or it refuses."""
+
+    def test_voter_id_with_semicolon_rejected(self):
+        e = one_voter_election(["p1"], {"pb_voter_ids": "a;b"})
+        with pytest.raises(PbWriteError, match="voter id 'a;b'"):
+            write_pb(e, BallotType.APPROVAL)
+
+    def test_project_name_with_surrounding_space_rejected(self):
+        with pytest.raises(PbWriteError, match="' p1'"):
+            write_pb(one_voter_election([" p1"]), BallotType.APPROVAL)
+
+    def test_empty_project_name_rejected(self):
+        with pytest.raises(PbWriteError, match="project name ''"):
+            write_pb(one_voter_election([""]), BallotType.APPROVAL)
+
+    @pytest.mark.parametrize("metadata", [
+        {"note": '"quoted" note'}, {'"note"': "x"}, {"note": "x\u2028y"},
+    ])
+    def test_metadata_that_would_read_back_changed_rejected(self, metadata):
+        with pytest.raises(PbWriteError, match="metadata"):
+            write_pb(one_voter_election(["p1"], metadata), BallotType.APPROVAL)
+
+    def test_project_name_starting_with_quote_rejected(self):
+        with pytest.raises(PbWriteError, match="project name"):
+            write_pb(one_voter_election(['"p1"']), BallotType.APPROVAL)
+
+    def test_inner_quotes_round_trip(self):
+        e = one_voter_election(['a"b'], {"note": 'say "hi"'})
+        back = ballots_to_utilities(
+            parse_pb(write_pb(e, BallotType.APPROVAL)), UtilityModel.SCORE
+        )
+        assert [p.name for p in back.projects] == ['a"b']
+        assert back.metadata["note"] == 'say "hi"'
+
+    @given(
+        st.lists(CELL_TEXT, min_size=1, max_size=3, unique=True),
+        CELL_TEXT, CELL_TEXT, CELL_TEXT,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_written_file_reads_back_or_write_refuses(
+        self, names, voter_id, key, value
+    ):
+        metadata = {"pb_voter_ids": voter_id, key: value}
+        e = one_voter_election(names, metadata)
+        try:
+            text = write_pb(e, BallotType.APPROVAL)
+        except PbWriteError:
+            return
+        back = ballots_to_utilities(parse_pb(text), UtilityModel.SCORE)
+        assert [p.name for p in back.projects] == names
+        assert back.metadata["pb_voter_ids"] in (voter_id, "v1")
+        assert back.metadata[key] == value
