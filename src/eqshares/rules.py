@@ -341,65 +341,59 @@ def _uncapped_at_cost(
     return all(w * due <= m * total_w for m, w in zip(money, weights))
 
 
-def _ascending(
+# Whom a full purchase caps: (voters, money, weights, paid, held, s).
+_Prefix = tuple[Sequence[int], list[int], list[int], list[int], list[int], int]
+
+
+def _capped_prefix(
     voters: Sequence[int],
     money: list[int],
     weights: list[int],
+    due: int,
     m_scale: int,
     u_scale: int,
-) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """Voters, money and weights in ascending b/u order, with prefix sums.
+) -> _Prefix:
+    """The supporters in capped-prefix order, their prefix sums, and s.
 
-    ``paid[j]`` is the money of the first j supporters and ``held[j]`` their
-    weight, so both lists have one more entry than there are supporters.
+    Takes :func:`_moneyed`'s integers. A full purchase caps the first s
+    supporters at their balance and charges the rest u * rho_s, where
+    rho_s = (cost - paid[s]) / (held[-1] - held[s]); ``paid[j]`` and
+    ``held[j]`` are the money and weight of the first j supporters, for
+    j <= s. s = len(money) when all of them together fall short.
+
+    When nobody is capped at the fully proportional price
+    (:func:`_uncapped_at_cost`), the column order stays, s = 0, and the sums
+    are only ``[0]`` and ``[0, sum(weights)]``. Otherwise the supporters go
+    in ascending b/u order (:func:`_ratio_order`), and s is the first index
+    whose voter is uncapped (rho_s * u_s <= b_s), checked in exact integers.
+    The check is monotone in s: if it holds at s then rho_{s+1} <= rho_s <=
+    b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at s + 1, and bisection finds s.
     """
+    total_w = sum(weights)
+    if _uncapped_at_cost(money, weights, due, total_w):
+        return voters, money, weights, [0], [0, total_w], 0
     order = _ratio_order(money, weights, m_scale, u_scale)
     money = [money[j] for j in order]
     weights = [weights[j] for j in order]
-    return (
-        [voters[j] for j in order],
-        money,
-        weights,
-        list(accumulate(money, initial=0)),
-        list(accumulate(weights, initial=0)),
-    )
-
-
-def _first_uncapped(
-    money: list[int], weights: list[int], paid: list[int], held: list[int],
-    due: int,
-) -> int:
-    """First index s whose voter is not capped at rho_s, or len(money).
-
-    With the first s voters (ascending b/u) capped at their balance and the
-    rest paying u_j * rho_s, the price is rho_s = (cost - paid_s) / (sum of
-    the remaining u). Voter s is uncapped when rho_s * u_s <= b_s, checked
-    here in exact integers. The check is monotone in s: if it holds at s
-    then rho_{s+1} <= rho_s <= b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at
-    s + 1, and bisection finds the unique first s where it holds.
-    """
-    total_w = held[-1]
+    paid = list(accumulate(money, initial=0))
+    held = list(accumulate(weights, initial=0))
 
     def uncapped(s: int) -> bool:
         return (due - paid[s]) * weights[s] <= money[s] * (total_w - held[s])
 
-    return bisect_left(range(len(money)), True, key=uncapped)
+    s = bisect_left(range(len(money)), True, key=uncapped)
+    return [voters[j] for j in order], money, weights, paid, held, s
 
 
 def _full_quote(
-    project: Project,
-    voters: Sequence[int],
-    money: list[int],
-    weights: list[int],
-    s: int,
-    rest: int,
-    rest_w: int,
-    m_scale: int,
-    u_scale: int,
+    project: Project, prefix: _Prefix, due: int, m_scale: int, u_scale: int
 ) -> AffordabilityQuote:
-    """Quote for alpha = 1: the first s voters pay their balance and the
-    rest share ``rest`` (the cost left, times m_scale) in proportion to
-    their weights, at rho = rest * u_scale / (m_scale * rest_w)."""
+    """Quote for alpha = 1 from a :func:`_capped_prefix`: the first s voters
+    pay their balance, and the rest, of weight rest_w, share rest (the cost
+    left, times m_scale) in proportion to their weights, at
+    rho = rest * u_scale / (m_scale * rest_w)."""
+    voters, money, weights, paid, held, s = prefix
+    rest, rest_w = due - paid[s], held[-1] - held[s]
     rho = Fraction(rest * u_scale, m_scale * rest_w)
     return AffordabilityQuote(
         project.id, ONE, rho, voters, money, weights,
@@ -424,34 +418,22 @@ def min_rho(
     balances are read straight from the ledger's units and their utilities
     from the profile's cached integer column (:func:`_moneyed`), so sums
     are integer sums, the weights are summed once, and the price is
-    normalised once. When somebody is capped at the fully proportional
-    price, the supporters are put in b/u order (:func:`_ratio_order`: by
-    balance alone when every utility is the same, else proposed by floats
-    and repaired by exact checks); the capped prefix is then found by
-    bisection on an exact monotone check (:func:`_first_uncapped`). The
-    quote's payments are built only when read. The price is never below
-    the project's proportional price (:func:`_proportional_prices`), the
-    bound at which the selectors enter it.
+    normalised once. Short supporters are turned away before anything is
+    sorted. Otherwise :func:`_capped_prefix`, the search :func:`bos_quote`
+    shares, finds whom the purchase caps: nobody when nobody is capped at
+    the fully proportional price, else a prefix of the b/u order found by
+    bisection on an exact monotone check. The quote's payments are built
+    only when read. The price is never below the project's proportional
+    price (:func:`_proportional_prices`), the bound at which the selectors
+    enter it.
     """
     sup = _moneyed(project, budgets, utilities)
     if sup is None:
         return None
-    voters, money, weights, due, m_scale, u_scale = sup
+    _, money, _, due, m_scale, u_scale = sup
     if sum(money) < due:
         return None
-    total_w = sum(weights)
-    if _uncapped_at_cost(money, weights, due, total_w):
-        return _full_quote(
-            project, voters, money, weights, 0, due, total_w, m_scale, u_scale
-        )
-    voters, money, weights, paid, held = _ascending(
-        voters, money, weights, m_scale, u_scale
-    )
-    s = _first_uncapped(money, weights, paid, held, due)
-    return _full_quote(
-        project, voters, money, weights, s, due - paid[s], held[-1] - held[s],
-        m_scale, u_scale,
-    )
+    return _full_quote(project, _capped_prefix(*sup), due, m_scale, u_scale)
 
 
 def _proposal(key: Num) -> float:
@@ -900,10 +882,10 @@ def bos_quote(
     examined. Returns None when the project exceeds the remaining public
     budget or no supporter has money.
 
-    Arithmetic is exact on the same integers as :func:`min_rho`: floats
-    only propose the b/u order, every candidate comparison is an exact
-    integer cross-multiplication, and the payments are built only when
-    read.
+    It finds whom a full purchase caps with :func:`min_rho`'s search
+    (:func:`_capped_prefix`), on the same integers: floats only propose the
+    b/u order, every candidate comparison is an exact integer
+    cross-multiplication, and the payments are built only when read.
     """
     cost = project.cost
     if cost > remaining_budget:
@@ -911,20 +893,12 @@ def bos_quote(
     sup = _moneyed(project, budgets, utilities)
     if sup is None:
         return None
-    voters, money, weights, due, m_scale, u_scale = sup
-    total_w = sum(weights)
-    if _uncapped_at_cost(money, weights, due, total_w):
-        # Nobody is capped at the fully proportional price: alpha = 1.
-        return _full_quote(
-            project, voters, money, weights, 0, due, total_w, m_scale, u_scale
-        )
-
-    voters, money, weights, paid, held = _ascending(
-        voters, money, weights, m_scale, u_scale
-    )
-    # Cap prices from the first uncapped index on raise at least the cost,
+    # Cap prices from the first uncapped index s on raise at least the cost,
     # and are dominated by the exact full-coverage price of that segment.
-    s = _first_uncapped(money, weights, paid, held, due)
+    prefix = _capped_prefix(*sup)
+    voters, money, weights, paid, held, s = prefix
+    due, m_scale, u_scale = sup[3:]
+    total_w = held[-1]
     # Below s, cap price lam_j = b_j/u_j raises R_j / (m_scale * w_j) with
     # R_j = paid_j * w_j + money_j * (weight from j on), so alpha_j =
     # R_j / (due * w_j) < 1, and rho_j / alpha_j = lam_j / alpha_j**2 is
@@ -938,12 +912,11 @@ def bos_quote(
         if lhs < rhs or (lhs == rhs and r * weights[best] > best_r * w):
             best, best_r, best_mw = j, r, mw
     if s < len(money):
-        # The full-coverage price (alpha = 1) wins ties on rho / alpha.
+        # The full-coverage price (alpha = 1) wins ties on rho / alpha, and
+        # wins outright when nobody is capped (s = 0).
         rest, rest_w = due - paid[s], total_w - held[s]
-        if rest * best_r * best_r <= due * due * best_mw * rest_w:
-            return _full_quote(
-                project, voters, money, weights, s, rest, rest_w, m_scale, u_scale
-            )
+        if not s or rest * best_r * best_r <= due * due * best_mw * rest_w:
+            return _full_quote(project, prefix, due, m_scale, u_scale)
     alpha = Fraction(best_r, due * weights[best])
     rho = Fraction(money[best] * u_scale * due, m_scale * best_r)
     # Voters up to the pinning one are capped at lam = b/u and pay
@@ -1059,6 +1032,11 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     zero. The debit's shortfalls are the boost consumed, tracked so later
     rounds do not grant it twice. Rounds stop when even boosted balances
     cover nothing.
+
+    A round whose plain quote covers the whole project has no boost and
+    buys that quote as it stands: it is :func:`min_rho`'s quote for its
+    project, and as every full purchase is a buyout candidate, no other
+    project's is cheaper or wins a tie. Only partial rounds re-price.
     """
     utilities = election.utilities
     n = election.n_voters
@@ -1083,29 +1061,28 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         ),
         floors,
     )
-    while True:
-        quote = phase1.best()
+    while (best := phase1.best()) is not None:
         boost = ZERO
-        if quote is not None and quote.alpha < 1:
+        if best.alpha < 1:
             # The voters the quote caps (b <= u * rho) are a prefix of its
             # b/u order. They include the voter whose balance pinned its
             # price, so the divisor is at least one.
-            cost1 = projects[quote.project].cost
-            boost = cost1 * (ONE - quote.alpha) / quote.drained()
-        # Each voter holds her balance plus what is left of the boost after
-        # her overdraft; with no boost, just her balance.
-        boosted = budgets if not boost else BudgetState(
-            [b + max(ZERO, boost - o) for b, o in zip(budgets.balances, over)]
-        )
-        best = _LazyBest(
-            config.tie_breaker,
-            lambda c: min_rho(projects[c], boosted, utilities),
-            attrgetter("rho"),
-            phase1.live,
-            floors,
-        ).best()
-        if best is None:
-            break
+            cost1 = projects[best.project].cost
+            boost = cost1 * (ONE - best.alpha) / best.drained()
+            # Each voter holds her balance plus what is left of the boost
+            # after her overdraft.
+            boosted = BudgetState(
+                [b + max(ZERO, boost - o) for b, o in zip(budgets.balances, over)]
+            )
+            best = _LazyBest(
+                config.tie_breaker,
+                lambda c: min_rho(projects[c], boosted, utilities),
+                attrgetter("rho"),
+                phase1.live,
+                floors,
+            ).best()
+            if best is None:
+                break
         c = best.project
         logger.debug(
             "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost

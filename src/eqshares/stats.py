@@ -40,6 +40,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
@@ -605,20 +606,27 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
 
 def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
     """Records of a CSV text, or of an iterable of its lines such as a file
-    opened with ``newline=""``."""
+    opened with ``newline=""``. A round log is one cell, often megabytes
+    long, so ``csv``'s process-wide field limit is lifted while reading."""
     lines = io.StringIO(text) if isinstance(text, str) else text
     records = []
-    for row in csv.DictReader(lines):
-        metrics: dict[str, object] = {}
-        data: dict[str, object] = {"metrics": metrics}
-        for key, raw in row.items():
-            if key.startswith("metric_"):
-                metrics[key[len("metric_"):]] = None if raw == "" else json.loads(raw)
-            elif key in _CSV_JSON:
-                data[key] = None if raw == "" else json.loads(raw)
-            else:
-                data[key] = raw
-        records.append(RunRecord.from_json(data))
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        for row in csv.DictReader(lines):
+            metrics: dict[str, object] = {}
+            data: dict[str, object] = {"metrics": metrics}
+            for key, raw in row.items():
+                if key.startswith("metric_"):
+                    metrics[key[len("metric_"):]] = (
+                        None if raw == "" else json.loads(raw)
+                    )
+                elif key in _CSV_JSON:
+                    data[key] = None if raw == "" else json.loads(raw)
+                else:
+                    data[key] = raw
+            records.append(RunRecord.from_json(data))
+    finally:
+        csv.field_size_limit(limit)
     return records
 
 

@@ -584,6 +584,28 @@ class TestAggregate:
         assert main(["aggregate", str(bad)]) == 2
         assert "error: malformed record" in capsys.readouterr().err
 
+    def test_csv_with_a_round_log_over_the_field_limit(
+        self, batch_dir, tmp_path, capsys
+    ):
+        """``batch --out x.csv`` writes each round log as one cell, which
+        can exceed csv's default field limit of 131,072 characters."""
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            record, *rest = records_from_jsonl(handle.read())
+        payments = {str(i): "1/3" for i in range(20_000)}
+        records = [dataclasses.replace(
+            record, rounds=({"project": "A", "payments": payments},)
+        ), *rest]
+        summaries = []
+        for suffix, write in ((".jsonl", records_to_jsonl),
+                              (".csv", records_to_csv)):
+            target = tmp_path / f"long{suffix}"
+            target.write_text(write(records), encoding="utf-8")
+            assert main(["aggregate", str(target)]) == 0
+            summaries.append(capsys.readouterr().out)
+        assert summaries[0] == summaries[1]
+        assert summaries[0].startswith("rule,metric,bucket")
+
     @pytest.mark.parametrize(
         "old,new",
         [('"budget": "', '"budget": '), ('"runtime_sec": ', '"runtime_sec" '),

@@ -12,9 +12,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from eqshares import rules
-from eqshares.model import Election, Project, UtilityProfile
-from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
+from eqshares.model import BudgetState, Election, Project, UtilityProfile
+from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, bos_quote, run_rule
 
 KERNELS = {
     "utilitarian": set(),
@@ -74,6 +75,58 @@ def test_bos_plus_quotes_fewer_than_a_full_rescan(blocks_election, quote_calls):
     quotes = len(quote_calls["min_rho"]) + len(quote_calls["bos_quote"])
     assert outcome.rounds
     assert 0 < quotes < full_rescan_quotes(blocks_election, outcome)
+
+
+def partial_rounds(election, rounds) -> list[bool]:
+    """For each round, whether the best buyout quote on the real balances
+    before it covers only a share alpha < 1 (ties by ascending id)."""
+    balances = [election.budget / election.n_voters] * election.n_voters
+    remaining = election.budget
+    left = set(range(len(election.projects)))
+    partial = []
+    for record in rounds:
+        budgets = BudgetState(balances)
+        quotes = [
+            bos_quote(election.projects[c], budgets, election.utilities, remaining)
+            for c in sorted(left)
+        ]
+        best = min(
+            (q for q in quotes if q is not None),
+            key=lambda q: (q.ratio, q.project),
+        )
+        partial.append(best.alpha < 1)
+        for i, pay in record.payments.items():
+            balances[i] = max(F(0), balances[i] - pay)
+        remaining -= election.projects[record.project].cost
+        left.discard(record.project)
+    return partial
+
+
+def test_bos_plus_reprices_only_partial_rounds(
+    blocks_election, quote_calls, monkeypatch
+):
+    """Phase 2 of bos_plus prices projects with min_rho only in rounds
+    whose phase-1 quote is partial; a full phase-1 quote is bought as it
+    stands, and the round log still matches the full-rescan oracle."""
+    priced = quote_calls["min_rho"]
+    ends = []  # min_rho calls made by the end of each round
+    record = rules._record
+
+    def recorded(*args):
+        ends.append(len(priced))
+        return record(*args)
+
+    monkeypatch.setattr(rules, "_record", recorded)
+    outcome = run_rule("bos-plus", blocks_election)
+    calls = [end - start for start, end in zip([0, *ends], ends)]
+    partial = partial_rounds(blocks_election, outcome.rounds)
+    assert (len(partial), sum(partial)) == (10, 3)
+    assert [k > 0 for k in calls] == partial
+    assert len(priced) == ends[-1]
+    assert [
+        (r.project, r.alpha, r.rho, dict(r.payments), r.overspent)
+        for r in outcome.rounds
+    ] == oracles.naive_bos_plus(blocks_election)
 
 
 def test_a_project_waits_at_its_proportional_price(quote_calls):

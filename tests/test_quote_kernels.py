@@ -174,6 +174,27 @@ class TestBosQuote:
             assert (quote.alpha, quote.rho) == expected[:2]
 
 
+class TestKernelsAgree:
+    """bos_plus buys a full phase-1 quote without re-pricing: it rests on
+    these two facts."""
+
+    @given(st.one_of(
+        supporter_lists(), small_supporter_lists(), uniform_supporter_lists()
+    ))
+    @settings(max_examples=600, deadline=None)
+    def test_a_full_bos_quote_is_min_rhos_and_none_is_dearer(self, instance):
+        cost, pairs = instance
+        inputs = kernel_inputs(cost, pairs)
+        full = min_rho(*inputs)
+        quote = bos_quote(*inputs, cost)
+        if full is not None:
+            assert quote.ratio <= full.rho
+        if quote is not None and quote.alpha == 1:
+            assert full is not None
+            assert (quote.rho, quote.capped) == (full.rho, full.capped)
+            assert dict(quote.payments) == dict(full.payments)
+
+
 class TestProportionalFloor:
     """Every selector enters a project at its proportional price, so no
     quote may undercut it, whatever the balances."""

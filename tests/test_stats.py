@@ -335,6 +335,21 @@ class TestSerialization:
         records = self.sample_records(reference_election)
         assert records_from_csv(records_to_csv(records)) == records
 
+    def test_csv_round_trip_of_a_round_log_over_the_field_limit(self):
+        """A round log is one CSV cell, and real ones run to megabytes:
+        longer than csv's default field limit of 131,072 characters."""
+        payments = {str(i): "1/3" for i in range(20_000)}
+        record = dataclasses.replace(
+            make_record(), rounds=({"project": "A", "payments": payments},)
+        )
+        # The round-log cell holds at least this text.
+        assert len(json.dumps(payments)) > 131_072
+        text = records_to_csv([record])
+        limit = csv.field_size_limit()
+        assert records_from_csv(text) == [record]
+        assert records_from_csv(io.StringIO(text)) == [record]
+        assert csv.field_size_limit() == limit
+
     def test_csv_keeps_missing_metrics_missing(self):
         record = make_record()
         metrics = dict(record.metrics)
