@@ -1,142 +1,20 @@
-"""Exact-arithmetic participatory budgeting: rules, audits, benchmarks."""
-from .axioms import (
-    AuditReport,
-    CohesiveSpec,
-    EjrPlusWitness,
-    EjrWitness,
-    FalsifierReport,
-    audit,
-    budget_spent_fraction,
-    ejr_plus_violations,
-    ejr_up_to_witnesses,
-    exclusion_ratio,
-    fractional_ejr_falsifier,
-    is_exhaustive,
-    overspend_rounds_exhaust_majority,
-    relative_satisfaction,
-    satisfaction,
-)
-from .model import (
-    BudgetState,
-    Election,
-    FractionalOutcome,
-    Num,
-    Outcome,
-    Project,
-    PurchaseRecord,
-    UtilityModel,
-    UtilityProfile,
-    as_num,
-    is_feasible,
-    outcome_utility,
-    scaled_voter_utilities,
-    voter_utilities,
-)
-from .pabulib import (
-    BallotType,
-    PbFile,
-    PbParseError,
-    PbWriteError,
-    ballots_to_utilities,
-    load_election,
-    parse_pb,
-    write_pb,
-)
-from .rules import (
-    RULE_NAMES,
-    AffordabilityQuote,
-    InvariantError,
-    RuleConfig,
-    TieBreaker,
-    add1u,
-    bos,
-    bos_plus,
-    bos_quote,
-    fres,
-    fres_utilitarian_completion,
-    mes,
-    min_rho,
-    run_rule,
-    utilitarian,
-)
-from .stats import (
-    AggregateRow,
-    RunRecord,
-    aggregate_records,
-    build_record,
-    metric_values,
-)
-from .synth import (
-    EuclideanConfig,
-    PropOneConfig,
-    gen_euclidean,
-    gen_prop_one,
-    standard_clusters,
-)
+"""Exact-arithmetic participatory budgeting: rules, audits, benchmarks.
+
+The package republishes the ``__all__`` of each library module, so every
+public name is declared once, in its own module. ``eqshares.cli`` is not
+imported here.
+"""
+from . import axioms, model, pabulib, rules, stats, synth
+from .axioms import *
+from .model import *
+from .pabulib import *
+from .rules import *
+from .stats import *
+from .synth import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffordabilityQuote",
-    "AggregateRow",
-    "AuditReport",
-    "BallotType",
-    "BudgetState",
-    "CohesiveSpec",
-    "EjrPlusWitness",
-    "EjrWitness",
-    "Election",
-    "EuclideanConfig",
-    "FalsifierReport",
-    "FractionalOutcome",
-    "InvariantError",
-    "Num",
-    "Outcome",
-    "PbFile",
-    "PbParseError",
-    "PbWriteError",
-    "Project",
-    "PropOneConfig",
-    "PurchaseRecord",
-    "RULE_NAMES",
-    "RuleConfig",
-    "RunRecord",
-    "TieBreaker",
-    "UtilityModel",
-    "UtilityProfile",
-    "add1u",
-    "aggregate_records",
-    "as_num",
-    "audit",
-    "ballots_to_utilities",
-    "bos",
-    "bos_plus",
-    "bos_quote",
-    "budget_spent_fraction",
-    "build_record",
-    "ejr_plus_violations",
-    "ejr_up_to_witnesses",
-    "exclusion_ratio",
-    "fractional_ejr_falsifier",
-    "fres",
-    "fres_utilitarian_completion",
-    "gen_euclidean",
-    "gen_prop_one",
-    "is_exhaustive",
-    "is_feasible",
-    "load_election",
-    "mes",
-    "metric_values",
-    "min_rho",
-    "outcome_utility",
-    "voter_utilities",
-    "scaled_voter_utilities",
-    "overspend_rounds_exhaust_majority",
-    "parse_pb",
-    "relative_satisfaction",
-    "run_rule",
-    "satisfaction",
-    "standard_clusters",
-    "utilitarian",
-    "write_pb",
+    *axioms.__all__, *model.__all__, *pabulib.__all__,
+    *rules.__all__, *stats.__all__, *synth.__all__,
 ]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for unreadable or malformed input data,
-3 for invalid flags or arguments, 4 when aggregation receives an empty
-record set. Set the ``EQS_LOG`` environment variable to a level name
-(``debug``, ``info``, ...) to enable progress logging on stderr.
+Exit codes: 0 on success, 2 for unreadable or malformed input data (an
+instance, a record file, a tie-order file or a coordinate sidecar), 3 for
+invalid flags or arguments, such as an ``--out`` that cannot be created,
+4 when aggregation receives an empty record set. Set the ``EQS_LOG``
+environment variable to a level name (``debug``, ``info``, ...) to enable
+progress logging on stderr.
 """
 from __future__ import annotations
 
@@ -71,20 +73,33 @@ def _positive_fraction(ctx, param, value):
     return parsed
 
 
-def _load(path: Path, model: str) -> Election:
+@contextmanager
+def _reading(path: Path, prefix: str = "") -> Iterator[None]:
+    """Raise what reading or decoding ``path`` raises, such as a missing
+    CSV column (KeyError) or text that is not UTF-8, as an
+    :class:`InputDataError` that names the file; a :class:`PbParseError`
+    passes unchanged."""
     try:
-        return load_election(str(path), UtilityModel(model))
+        yield
     except PbParseError:
         raise
-    except (ValueError, OSError) as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
+    except (csv.Error, KeyError, OSError, RecursionError, TypeError,
+            ValueError) as exc:
+        raise InputDataError(f"{prefix}{path}: {exc}") from exc
+
+
+def _load(path: Path, model: str) -> Election:
+    with _reading(path):
+        return load_election(str(path), UtilityModel(model))
 
 
 def _read_tie_names(path: Optional[Path]) -> tuple[str, ...]:
     if path is None:
         return ()
+    with _reading(path):
+        text = path.read_text(encoding="utf-8-sig")
     names: list[str] = []
-    for line in path.read_text(encoding="utf-8-sig").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line in names:
             raise click.UsageError(f"{path}: tie-order lists {line!r} twice")
@@ -141,7 +156,13 @@ def _output(out_path: Optional[Path]) -> Iterator[TextIO]:
         return
     part = out_path.with_name(f".{out_path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(part, "x", encoding="utf-8") as handle:
+        handle = open(part, "x", encoding="utf-8")
+    except OSError as exc:
+        raise click.BadParameter(
+            f"cannot write {out_path}: {exc.strerror}", param_hint="'--out'"
+        ) from exc
+    try:
+        with handle:
             yield handle
         os.replace(part, out_path)
     finally:
@@ -379,14 +400,12 @@ def _read_records(path: Path) -> list[RunRecord]:
     """Records for ``aggregate`` and ``plotdata``, read line by line;
     neither reads round logs, so JSONL logs are dropped as each line is
     read."""
-    try:
+    with _reading(path, "could not read records from "):
         if path.suffix == ".csv":
             with open(path, encoding="utf-8", newline="") as handle:
                 return records_from_csv(handle)
         with open(path, encoding="utf-8") as handle:
             return records_from_jsonl(handle, keep_rounds=False)
-    except (KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise InputDataError(f"could not read records from {path}: {exc}") from exc
 
 
 @cli.command("aggregate")
@@ -503,7 +522,8 @@ def cmd_gen_prop1(ell, out_dir) -> None:
 
 def _read_sidecar(path: Path) -> dict[str, tuple[str, str]]:
     coords: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _reading(path, "could not read coordinates from "), \
+            open(path, encoding="utf-8", newline="") as handle:
         for row in csv.DictReader(handle):
             if row["kind"] == "candidate":
                 coords[row["id"]] = (row["x"], row["y"])

@@ -456,7 +456,7 @@ def records_from_jsonl(
     out undecoded (:func:`_without_rounds`).
     """
     records = []
-    for line in _lines(text) if isinstance(text, str) else text:
+    for line in io.StringIO(text) if isinstance(text, str) else text:
         # Neither test nor cut copies the line, which may hold a long log.
         if not line or line.isspace():
             continue
@@ -465,18 +465,6 @@ def records_from_jsonl(
             data = json.loads(line.strip())
         records.append(RunRecord.from_json(data, keep_rounds))
     return records
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The text's lines one at a time, so that no list of them all holds a
-    second copy of the text while records are built from it."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield text[start:end]
-        start = end + 1
 
 
 # Flat CSV schema: the fields but metrics, then one ``metric_<name>`` column

@@ -132,6 +132,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(tie) in err and "'A' twice" in err
 
+    def test_undecodable_tie_order_exits_2(self, fixtures_dir, tmp_path,
+                                           capsys):
+        tie = tmp_path / "tie.txt"
+        tie.write_bytes(b"\xff\xfeA\n")
+        assert main([
+            "run", str(fixtures_dir / "reference.pb"),
+            "--rule", "mes", "--tie-order", str(tie),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tie}: ") and "Traceback" not in err
+
+    def test_out_in_missing_directory_exits_3(self, fixtures_dir, tmp_path,
+                                              capsys):
+        target = tmp_path / "missing" / "record.json"
+        assert main([
+            "run", str(fixtures_dir / "reference.pb"), "--rule", "mes",
+            "--out", str(target),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tie_order_file_with_byte_order_mark(self, fixtures_dir, tmp_path,
                                                  capsys):
         records = []
@@ -323,6 +345,25 @@ class TestBatch:
         ]) == 3
         err = capsys.readouterr().err
         assert str(tie) in err and "'A' twice" in err
+
+    def test_undecodable_tie_order_exits_2(self, batch_dir, tmp_path, capsys):
+        tie = tmp_path / "tie.txt"
+        tie.write_bytes(b"\xff\xfeA\n")
+        assert main([
+            "batch", str(batch_dir), "--rules", "mes", "--tie-order", str(tie),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tie}: ") and "Traceback" not in err
+
+    def test_out_in_missing_directory_exits_3(self, batch_dir, tmp_path,
+                                              capsys):
+        target = tmp_path / "missing" / "records.jsonl"
+        assert main([
+            "batch", str(batch_dir), "--rules", "mes", "--out", str(target),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def break_bos(monkeypatch, on_voters, error=rules.InvariantError):
@@ -538,6 +579,15 @@ class TestAggregate:
         assert main(["aggregate", path, "--out", str(target)]) == 0
         capsys.readouterr()
         assert target.read_text().startswith("rule,metric,bucket")
+
+    def test_out_in_missing_directory_exits_3(self, batch_dir, tmp_path,
+                                              capsys):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        target = tmp_path / "missing" / "summary.csv"
+        assert main(["aggregate", path, "--out", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
     def test_empty_records_exit_4(self, tmp_path, capsys):
         empty = tmp_path / "none.jsonl"
@@ -773,3 +823,21 @@ class TestPlotdata:
             "--coords", str(bare), "--out", str(tmp_path / "plots"),
         ]) == 2
         assert "sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [
+        b"kind,id,y\ncandidate,A,1\n",
+        b"kind,id,x,y\ncandidate,\xff\xfe,1,2\n",
+    ], ids=["no-x-column", "not-utf-8"])
+    def test_unreadable_sidecar_exits_2(self, plot_inputs, euclid_dir,
+                                        tmp_path, capsys, sidecar):
+        coords = tmp_path / "coords"
+        shutil.copytree(euclid_dir, coords)
+        bad = coords / "euclid_d1_s0005.coords.csv"
+        bad.write_bytes(sidecar)
+        assert main([
+            "plotdata", "--records", str(plot_inputs),
+            "--coords", str(coords), "--out", str(tmp_path / "plots"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
