@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 2 for unreadable or malformed input data (an
 instance, a record file, a tie-order file or a coordinate sidecar), 3 for
-invalid flags or arguments, such as an ``--out`` that cannot be created,
-4 when aggregation receives an empty record set. Set the ``EQS_LOG``
-environment variable to a level name (``debug``, ``info``, ...) to enable
-progress logging on stderr.
+invalid flags or arguments, such as an ``--out`` file or directory that
+cannot be created, 4 when aggregation receives an empty record set. Set
+the ``EQS_LOG`` environment variable to a level name (``debug``, ``info``,
+...) to enable progress logging on stderr.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .stats import (
     aggregate_records,
     aggregate_to_csv,
     build_record,
-    outcome_rounds,
+    outcome_purchases,
     records_from_csv,
     records_from_jsonl,
 )
@@ -171,6 +171,17 @@ def _output(out_path: Optional[Path]) -> Iterator[TextIO]:
     log.info("wrote %s", out_path)
 
 
+def _out_dir(path: Path) -> None:
+    """Create the ``--out`` directory ``path`` if it is missing, or fail
+    with a usage error, as :func:`_output` does for an ``--out`` file."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(
+            f"cannot create {path}: {exc.strerror}", param_hint="'--out'"
+        ) from exc
+
+
 def _write_out(text: str, out_path: Optional[Path]) -> None:
     """Print ``text`` on stdout, or write it to ``out_path`` when given."""
     with _output(out_path) as stream:
@@ -285,7 +296,7 @@ def _batch_cell(writer: RecordWriter, path: Path, rule: str,
         # batch; the traceback goes to the debug log.
         log.debug("%s %s failed", path, rule, exc_info=True)
         return f"{exc} ({type(exc).__name__})"
-    rounds = writer.write(record, outcome_rounds(outcome))
+    rounds = writer.write(record, outcome_purchases(outcome))
     log.info("cell instance=%s rule=%s rounds=%d runtime_sec=%r",
              record.instance, rule, rounds, runtime)
     return None
@@ -463,7 +474,7 @@ def _write_sidecar(path: Path, election: Election) -> None:
               type=click.Path(file_okay=False, path_type=Path))
 def cmd_gen_euclidean(dist, count, seed, lam, out_dir) -> None:
     """Write spatial instances, coordinate sidecars, and a manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     instances = []
     for k in range(count):
         config = EuclideanConfig(
@@ -498,7 +509,7 @@ def cmd_gen_euclidean(dist, count, seed, lam, out_dir) -> None:
               type=click.Path(file_okay=False, path_type=Path))
 def cmd_gen_prop1(ell, out_dir) -> None:
     """Write one starved-minority instance plus its tie-order file."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     election, tie = gen_prop_one(PropOneConfig(ell))
     stem = f"prop1_ell{ell}"
     (out_dir / f"{stem}.pb").write_text(
@@ -547,7 +558,7 @@ def cmd_plotdata(records_path, coords_dir, out_dir) -> None:
     written, plus files for any other rules in the record set.
     """
     records = _read_records(records_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     sidecars: dict[str, dict[str, tuple[str, str]]] = {}
     by_rule: dict[str, list[list[str]]] = {rule: [] for rule in BENCH_RULES}
     for record in sorted(records, key=lambda r: (r.rule, r.instance)):

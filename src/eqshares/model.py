@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Num = Fraction
 NumLike = Union[Fraction, int, str]
@@ -37,6 +37,7 @@ __all__ = [
     "Project",
     "UtilityProfile",
     "Election",
+    "Payments",
     "PurchaseRecord",
     "Outcome",
     "FractionalOutcome",
@@ -142,9 +143,18 @@ class UtilityProfile:
         return self.rows[voter]
 
     def supported_by(self, voters: Iterable[int]) -> set[int]:
-        """Projects at least one of the voters values positively."""
-        rows = self.rows
-        return set().union(*(rows[i] for i in voters))
+        """Projects at least one of the voters values positively.
+
+        The scan stops once every project is found, which the voters of a
+        large purchase usually reach within their first few hundred.
+        """
+        rows, everything = self.rows, self.n_projects
+        found: set[int] = set()
+        for i in voters:
+            found.update(rows[i])
+            if len(found) == everything:
+                break
+        return found
 
     @cached_property
     def supporters(self) -> tuple[tuple[int, ...], ...]:
@@ -182,13 +192,20 @@ class UtilityProfile:
         ``weights[j] / scale`` is the utility of ``voters[j]``, which runs
         through :attr:`supporters`, and ``scale`` is the lcm of the column's
         denominators. Entries of a column are often one shared object, so a
-        run of the same object reuses its weight.
+        run of the same object reads its denominator and makes its weight
+        once.
         """
         rows = self.rows
         out = []
         for c, voters in enumerate(self.supporters):
             column = [rows[i][c] for i in voters]
-            scale = lcm(*{u.denominator for u in column})
+            heads = []
+            last = None
+            for u in column:
+                if u is not last:
+                    last = u
+                    heads.append(u)
+            scale = lcm(*{u.denominator for u in heads})
             weights = []
             last = weight = None
             for u in column:
@@ -323,6 +340,45 @@ class Election:
         )
 
 
+class Payments(Mapping[int, Num]):
+    """Exact per-voter payments held as integers over one denominator.
+
+    ``payments[i]`` is ``numerators[i] / den``, and iteration follows
+    ``numerators``. The rationals are built on the first read of a value,
+    one per distinct numerator, so a round log that is only written
+    (:class:`~eqshares.stats.RecordWriter` formats the numerators) never
+    builds them. It equals, and has the ``repr`` of, the dict of the same
+    payments in the same order.
+    """
+
+    def __init__(self, numerators: Mapping[int, int], den: int) -> None:
+        self.numerators = numerators
+        self.den = den
+
+    @cached_property
+    def _rationals(self) -> dict[int, Num]:
+        made: dict[int, Num] = {}
+        out = {}
+        for i, n in self.numerators.items():
+            pay = made.get(n)
+            if pay is None:
+                pay = made[n] = Fraction(n, self.den)
+            out[i] = pay
+        return out
+
+    def __getitem__(self, voter: int) -> Num:
+        return self._rationals[voter]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __repr__(self) -> str:
+        return repr(self._rationals)
+
+
 @dataclass(frozen=True)
 class PurchaseRecord:
     """One funding decision: which project, how much of it, at what price.
@@ -335,7 +391,9 @@ class PurchaseRecord:
     centrally (completion tails pay from the leftover public budget, not
     from voter accounts). ``payments`` maps voter id to the amount charged
     this round; a voter-funded integral purchase's payments add up to the
-    project's cost, a fractional one's to alpha times it. ``overspent``
+    project's cost, a fractional one's to alpha times it. The rules record
+    it as :class:`Payments`, the payers' integer numerators over one
+    denominator, which equals the dict of the same rationals. ``overspent``
     lists voters whose payment exceeded their remaining balance.
     """
 
@@ -388,23 +446,35 @@ class FractionalOutcome:
 class BudgetState:
     """Per-voter virtual balances on an integer ledger.
 
-    Voter i's balance is ``units[i] / scale``: every balance is an integer
-    over one shared scale, kept minimal (the lcm of the balances'
-    denominators) by dividing out ``gcd(scale, *units)`` after each change.
-    The rules change balances only through :meth:`debit` and
-    :meth:`redistribute`; ``balances`` is a read-only ``Fraction`` view.
-    Balances are built nonnegative and a debit stops each one at zero, so
-    no balance is ever negative.
+    Voter i's balance is ``work_units[i] / work_scale``: every balance is
+    an integer over one shared working scale. The rules read these working
+    integers and change them only through :meth:`debit` and
+    :meth:`redistribute`. A change grows the scale to a common multiple of
+    the old scale and the change's denominator; the common factor
+    ``gcd(scale, *units)`` is divided out only when the scale's bit length
+    passes ``2 * r + SLACK_BITS``, r being its bit length at the last
+    reduction, so many purchases share one gcd pass. The working scale's
+    bit length never exceeds that bound after an operation. A ledger of at
+    most ``EAGER_BALANCES`` balances is reduced after every change instead:
+    there a gcd pass costs less than the larger integers it would leave.
+
+    The public views ``units``, ``scale`` and ``balances`` reduce the
+    ledger before they are read, so ``scale`` is always the lcm of the
+    balances' denominators. Balances are built nonnegative and a debit stops
+    each one at zero, so no balance is ever negative.
     """
 
-    __slots__ = ("units", "scale")
+    __slots__ = ("work_units", "work_scale", "_limit")
+
+    SLACK_BITS = 64
+    EAGER_BALANCES = 64
 
     def __init__(self, balances: Iterable[Num]) -> None:
         pairs = [b.as_integer_ratio() for b in balances]
         if any(num < 0 for num, _ in pairs):
             raise ValueError("balances must be nonnegative")
-        self.scale = lcm(*(den for _, den in pairs))
-        self.units = [num * (self.scale // den) for num, den in pairs]
+        scale = lcm(*(den for _, den in pairs))
+        self._start([num * (scale // den) for num, den in pairs], scale)
 
     @classmethod
     def equal_endowment(cls, per_voter: Num, n_voters: int) -> "BudgetState":
@@ -418,18 +488,37 @@ class BudgetState:
             raise ValueError("endowment must be nonnegative")
         g = gcd(num, den)
         state = cls.__new__(cls)
-        state.units = [num // g] * n_voters
-        state.scale = den // g
+        state._start([num // g] * n_voters, den // g)
         return state
+
+    def _start(self, units: list[int], scale: int) -> None:
+        """Hold ``units`` over ``scale``, which is already minimal."""
+        self.work_units, self.work_scale = units, scale
+        if len(units) <= self.EAGER_BALANCES:
+            self._limit = -1
+        else:
+            self._limit = 2 * scale.bit_length() + self.SLACK_BITS
+
+    @property
+    def units(self) -> list[int]:
+        """Every balance times :attr:`scale` (the working list, reduced)."""
+        self._reduce()
+        return self.work_units
+
+    @property
+    def scale(self) -> int:
+        """The lcm of the balances' denominators."""
+        self._reduce()
+        return self.work_scale
 
     @property
     def balances(self) -> list[Num]:
         """Every voter's balance as an exact rational (a fresh list)."""
         scale = self.scale
-        return [Fraction(u, scale) for u in self.units]
+        return [Fraction(u, scale) for u in self.work_units]
 
     def total(self) -> Num:
-        return Fraction(sum(self.units), self.scale)
+        return Fraction(sum(self.work_units), self.work_scale)
 
     def debit(
         self, amounts: Iterable[tuple[int, int]], den: int
@@ -438,15 +527,18 @@ class BudgetState:
 
         A balance stops at zero. The result lists ``(voter, shortfall)``,
         in charge order, for each voter charged more than she held; the
-        rules decide whether a shortfall is an overdraft or a fault.
+        rules decide whether a shortfall is an overdraft or a fault. The
+        ledger is then reduced only as the class says: past the bound, or
+        at once if it is small.
         """
-        scale = lcm(self.scale, den)
-        if scale != self.scale:
-            factor = scale // self.scale
-            self.units = [u * factor for u in self.units]
-            self.scale = scale
+        scale = self.work_scale
+        if scale % den:
+            scale = lcm(scale, den)
+            factor = scale // self.work_scale
+            self.work_units = [u * factor for u in self.work_units]
+            self.work_scale = scale
         factor = scale // den
-        units = self.units
+        units = self.work_units
         short = []
         for i, amount in amounts:
             left = units[i] - amount * factor
@@ -454,33 +546,40 @@ class BudgetState:
                 short.append((i, Fraction(-left, scale)))
                 left = 0
             units[i] = left
-        self._reduce()
+        self._bound()
         return short
 
     def redistribute(self, leaving: Sequence[int], stayers: Sequence[int]) -> bool:
         """Empty the ``leaving`` voters' balances into equal shares for the
         ``stayers``; whether any money moved."""
-        units = self.units
+        units = self.work_units
         pot = sum(units[i] for i in leaving)
         for i in leaving:
             units[i] = 0
         moved = bool(stayers) and pot > 0
         if moved:
             k = len(stayers)
-            self.units = units = [u * k for u in units]
-            self.scale *= k
+            self.work_units = units = [u * k for u in units]
+            self.work_scale *= k
             for i in stayers:
                 units[i] += pot
-        self._reduce()
+        self._bound()
         return moved
+
+    def _bound(self) -> None:
+        """Reduce the ledger if its scale has passed the bound."""
+        if self.work_scale.bit_length() > self._limit:
+            self._reduce()
 
     def _reduce(self) -> None:
         """Divide out the common factor of the scale and every unit."""
-        if self.scale > 1:
-            g = gcd(self.scale, *self.units)
+        scale = self.work_scale
+        if scale > 1:
+            g = gcd(scale, *self.work_units)
             if g > 1:
-                self.units = [u // g for u in self.units]
-                self.scale //= g
+                self.work_units = [u // g for u in self.work_units]
+                scale //= g
+        self._start(self.work_units, scale)
 
 
 def scaled_voter_utilities(

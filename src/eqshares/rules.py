@@ -21,10 +21,11 @@ Every voter-funded purchase is an :class:`AffordabilityQuote` over the
 moneyed supporters' units on one integer ledger
 (:class:`~eqshares.model.BudgetState`) and their utilities in the
 profile's cached integer columns. A quote checks that its payments add up
-to what it buys, charges them through the ledger's one debit, which stops
-each balance at zero and reports who was charged more than she held, and
-builds its payment map only when :func:`_record` records it: the winner of
-a round, and in an add1u scan only the winners of the kept probe.
+to what it buys and charges them through the ledger's one debit, which
+stops each balance at zero and reports who was charged more than she held.
+:func:`_record` keeps the same integer numerators in the round record
+(:class:`~eqshares.model.Payments`): the winner of a round, and in an
+add1u scan only the winners of the kept probe.
 
 All rules are pure functions: identical inputs give byte-identical logs.
 Ties are resolved by an injectable total order on projects.
@@ -40,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from operator import attrgetter, itemgetter
 from typing import (
-    Callable, Generic, Iterable, Mapping, Optional, Sequence, TypeVar,
+    Callable, Generic, Iterable, Optional, Sequence, TypeVar,
 )
 
 from .model import (
@@ -52,6 +53,7 @@ from .model import (
     Num,
     NumLike,
     Outcome,
+    Payments,
     Project,
     PurchaseRecord,
     UtilityModel,
@@ -153,10 +155,12 @@ class AffordabilityQuote:
     times ``m_scale`` and their utilities times the column scale. The first
     ``capped`` of them pay ``money * cap / den`` and the rest pay
     ``weight * rate / den``, which is u * rho (u * alpha * rho for a fres
-    share). :meth:`charge` debits these integer numerators, each balance
-    stopping at zero, and reports every voter charged more than she held;
-    ``payments`` builds the rationals from them on each read, so only the
-    quotes a rule records pay for it.
+    share). These payment numerators are formed once, one product per run
+    of a shared weight, and checked to add up to ``cost``. :meth:`charge`
+    debits them, each balance stopping at zero, and reports every voter
+    charged more than she held; ``payments`` is a
+    :class:`~eqshares.model.Payments` over the same numerators, which the
+    round record keeps and builds rationals from only when they are read.
     """
 
     project: int
@@ -180,7 +184,7 @@ class AffordabilityQuote:
         return self.rho / self.alpha
 
     def _owed(self) -> dict[int, int]:
-        """Payment numerators over ``den``.
+        """Payment numerators over ``den``, keyed by voter.
 
         Raises :class:`InvariantError` unless the payments add up to
         ``cost`` exactly.
@@ -188,7 +192,15 @@ class AffordabilityQuote:
         if self._numerators is None:
             s, cap, rate = self.capped, self.cap, self.rate
             owed = dict(zip(self.voters[:s], [m * cap for m in self.money[:s]]))
-            owed.update(zip(self.voters[s:], [w * rate for w in self.weights[s:]]))
+            # A column's weights come in runs of one object: so do the
+            # products, as the round record keeps them.
+            pays = []
+            last = pay = None
+            for w in self.weights[s:]:
+                if w is not last:
+                    last, pay = w, w * rate
+                pays.append(pay)
+            owed.update(zip(self.voters[s:], pays))
             num, den = self.cost.as_integer_ratio()
             if sum(owed.values()) * den != num * self.den:
                 raise InvariantError(
@@ -198,8 +210,8 @@ class AffordabilityQuote:
         return self._numerators
 
     @property
-    def payments(self) -> Mapping[int, Num]:
-        return _rationals(self._owed().items(), self.den)
+    def payments(self) -> Payments:
+        return Payments(self._owed(), self.den)
 
     def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
         """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
@@ -234,19 +246,6 @@ class AffordabilityQuote:
         )
 
 
-def _rationals(owed: Iterable[tuple[int, int]], den: int) -> dict[int, Num]:
-    """``{voter: n / den}``, with one rational per distinct numerator n:
-    voters paying u * rho share one per distinct utility."""
-    made: dict[int, Num] = {}
-    out = {}
-    for i, n in owed:
-        pay = made.get(n)
-        if pay is None:
-            pay = made[n] = Fraction(n, den)
-        out[i] = pay
-    return out
-
-
 def _moneyed(
     project: Project, budgets: BudgetState, utilities: UtilityProfile
 ) -> Optional[tuple[Sequence[int], list[int], list[int], int, int, int]]:
@@ -254,14 +253,14 @@ def _moneyed(
     none: ``(voters, money, weights, due, m_scale, u_scale)``.
 
     money[j] = b_j * m_scale, weights[j] = u_j * u_scale and
-    due = cost * m_scale, where m_scale is the lcm of the ledger's scale and
-    the cost's denominator and u_scale is the column's scale
+    due = cost * m_scale, where m_scale is the lcm of the ledger's working
+    scale and the cost's denominator and u_scale is the column's scale
     (:attr:`UtilityProfile.columns`). Sums of these integers are exact sums
     of the rationals, and ratios of them order and price exactly like the
     rationals.
     """
     voters, weights, u_scale = utilities.columns[project.id]
-    units = budgets.units
+    units = budgets.work_units
     money = [units[i] for i in voters]
     # Balances never go negative, so a nonzero balance is a positive one.
     # The filters run in C: a Python-level pass over (voter, weight, money)
@@ -273,10 +272,10 @@ def _moneyed(
     if not money:
         return None
     num, den = project.cost.as_integer_ratio()
-    m_scale = budgets.scale
+    m_scale = budgets.work_scale
     if m_scale % den:
         m_scale = math.lcm(m_scale, den)
-        factor = m_scale // budgets.scale
+        factor = m_scale // budgets.work_scale
         money = [m * factor for m in money]
     return voters, money, weights, num * (m_scale // den), m_scale, u_scale
 
@@ -665,8 +664,8 @@ def _equal_shares(
         bought.append(keep(best))
     # Each purchase's payments add up to its cost, so the money that left
     # the ledger is what the outcome spends: n * num / den - sum / scale.
-    scale = budgets.scale
-    spent = num * n * scale - sum(budgets.units) * den
+    scale = budgets.work_scale
+    spent = num * n * scale - sum(budgets.work_units) * den
     b_num, b_den = election.budget.as_integer_ratio()
     return bought, spent * b_den <= b_num * den * scale
 
@@ -817,7 +816,7 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         fractions[c] = fractions.get(c, ZERO) + alpha
         if fractions[c] == 1:
             selector.drop((c,))
-        units = budgets.units
+        units = budgets.work_units
         for i in voters:
             if not units[i]:
                 row = utilities.support_set(i)
@@ -997,7 +996,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         if check_overspend and overspent:
             # Every moneyed supporter pays a positive amount, and those
             # charged at least their balance are now at zero.
-            drained = sum(1 for i in best.voters if not budgets.units[i])
+            drained = sum(1 for i in best.voters if not budgets.work_units[i])
             if 2 * drained <= len(best.voters):
                 raise InvariantError(
                     f"bos: overspending round buying {c} drains no strict "
@@ -1087,7 +1086,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         logger.debug(
             "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost
         )
-        units = budgets.units
+        units = budgets.work_units
         phase1.stale(utilities.supported_by(i for i in best.voters if units[i]))
         overspent = best.charge(budgets)
         for i, short in overspent:

@@ -20,11 +20,13 @@ variance and the values a quantile reads become ``Fraction`` objects.
 
 Records are written by one :class:`RecordWriter`, as JSONL or as flat
 CSV, to a text stream. It writes a record's round log one round at a time,
-from the record or from an iterable such as :func:`outcome_rounds`, so
+from the record or from an iterable such as :func:`outcome_purchases`, so
 ``batch`` builds each record without its log (``build_record(...,
 keep_rounds=False)``) and never holds a whole log, record or file as one
-object. :func:`records_to_jsonl` and :func:`records_to_csv` are the writer
-on a string buffer.
+object. Rounds given as purchase records are written from their integer
+payment numerators, each distinct one formatted once.
+:func:`records_to_jsonl` and :func:`records_to_csv` are the writer on a
+string buffer.
 
 The readers take a string or an iterable of lines, such as an open file,
 and decode one line at a time. Reading records without their round logs
@@ -47,7 +49,9 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .axioms import AuditReport, audit
-from .model import Election, FractionalOutcome, Outcome
+from .model import (
+    Election, FractionalOutcome, Outcome, Payments, PurchaseRecord,
+)
 from .rules import RuleConfig, _ratio_order
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "QUANTILE_POINTS",
     "RECORD_METRICS",
     "build_record",
+    "outcome_purchases",
     "outcome_rounds",
     "config_digest",
     "metric_values",
@@ -163,7 +168,7 @@ def config_digest(rule: str, model: str, config: RuleConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _round_to_json(record) -> dict:
+def _round_to_json(record: PurchaseRecord) -> dict:
     payments = {str(v): str(p) for v, p in sorted(record.payments.items())}
     return {
         "project": record.project,
@@ -174,20 +179,70 @@ def _round_to_json(record) -> dict:
     }
 
 
+class _VoterKeys(dict):
+    """``'"<voter>": "'``, a payment's JSON text up to its value, made on
+    first use for each voter."""
+
+    def __missing__(self, voter: int) -> str:
+        key = self[voter] = f'"{voter}": "'
+        return key
+
+
+def _round_text(record: PurchaseRecord, sort_keys: bool, keys: _VoterKeys) -> str:
+    """``json.dumps(_round_to_json(record), sort_keys=sort_keys)``.
+
+    :class:`~eqshares.model.Payments` are written from their numerators,
+    each distinct one formatted once. An entry is its voter's key text
+    joined to its value's, and with ``sort_keys`` the entries are sorted as
+    strings: two keys differ at a digit or where the shorter one's closing
+    quote meets a digit, which orders them as JSON sorts the voters. Every
+    value is an exact rational (digits, a sign, a slash), which JSON quotes
+    unescaped.
+    """
+    pays = record.payments
+    if not isinstance(pays, Payments):
+        return json.dumps(_round_to_json(record), sort_keys=sort_keys)
+    nums, den = pays.numerators, pays.den
+    text = {n: str(Fraction(n, den)) for n in set(nums.values())}
+    if sort_keys:
+        entries = list(map(str.__add__, map(keys.__getitem__, nums),
+                           map(text.__getitem__, nums.values())))
+        entries.sort()
+    else:
+        voters = sorted(nums)
+        entries = list(map(str.__add__, map(keys.__getitem__, voters),
+                           map(text.__getitem__, map(nums.__getitem__, voters))))
+    fields = {
+        "project": json.dumps(record.project),
+        "alpha": f'"{record.alpha}"',
+        "rho": "null" if record.rho is None else f'"{record.rho}"',
+        "payments": "{" + '", '.join(entries) + '"}' if entries else "{}",
+        "overspent": json.dumps(list(record.overspent)),
+    }
+    order = sorted(fields) if sort_keys else fields
+    return "{" + ", ".join(f'"{k}": {fields[k]}' for k in order) + "}"
+
+
 def _metrics_to_json(report: AuditReport) -> dict:
     values = {f.name: getattr(report, f.name) for f in fields(report)}
     return {k: str(v) if k in RATIONAL_METRICS else v for k, v in values.items()}
+
+
+def outcome_purchases(
+    outcome: Union[Outcome, FractionalOutcome],
+) -> tuple[PurchaseRecord, ...]:
+    """The outcome's round log: an integral outcome's rounds, a fractional
+    one's purchases."""
+    if isinstance(outcome, FractionalOutcome):
+        return outcome.purchases
+    return outcome.rounds
 
 
 def outcome_rounds(
     outcome: Union[Outcome, FractionalOutcome],
 ) -> Iterator[dict]:
     """The outcome's round log as JSON-ready dicts, each built when read."""
-    rounds = (
-        outcome.purchases if isinstance(outcome, FractionalOutcome)
-        else outcome.rounds
-    )
-    return map(_round_to_json, rounds)
+    return map(_round_to_json, outcome_purchases(outcome))
 
 
 def build_record(
@@ -513,6 +568,13 @@ class RecordWriter:
     """Writes records to a text stream, each round of a round log as it
     comes, so that no record's whole log is ever one string.
 
+    A round comes as its JSON mapping or as the
+    :class:`~eqshares.model.PurchaseRecord` it encodes
+    (:func:`outcome_purchases`). A purchase record's text is written
+    straight from its payments: for the rules' integer
+    :class:`~eqshares.model.Payments`, each distinct numerator is formatted
+    once and no rational is built.
+
     With ``csv_metrics`` None the output is JSONL, byte for byte
     ``json.dumps(record.to_json(), sort_keys=True)``: the keys before
     ``"rounds"``, the rounds, then the keys after it, which is the layout
@@ -526,6 +588,7 @@ class RecordWriter:
     ) -> None:
         self.stream = stream
         self.csv_metrics = csv_metrics
+        self._keys = _VoterKeys()
 
     def header(self) -> None:
         """The CSV header line; JSONL has none."""
@@ -537,7 +600,9 @@ class RecordWriter:
     def write(
         self,
         record: RunRecord,
-        rounds: Optional[Iterable[Mapping[str, object]]] = None,
+        rounds: Optional[
+            Iterable[Union[Mapping[str, object], PurchaseRecord]]
+        ] = None,
     ) -> int:
         """Write one record whose round log is ``rounds`` (default:
         ``record.rounds``), encoding each round only when its turn comes;
@@ -548,7 +613,12 @@ class RecordWriter:
         else:
             head, tail = _jsonl_parts(record)
         rounds = record.rounds if rounds is None else rounds
-        texts = (json.dumps(dict(r), sort_keys=not csv_out) for r in rounds)
+        texts = (
+            _round_text(r, not csv_out, self._keys)
+            if isinstance(r, PurchaseRecord)
+            else json.dumps(dict(r), sort_keys=not csv_out)
+            for r in rounds
+        )
         first, second = next(texts, None), next(texts, None)
         write = self.stream.write
         write(head)

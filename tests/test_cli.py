@@ -841,3 +841,26 @@ class TestPlotdata:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
         assert "Traceback" not in err
+
+
+class TestOutDirectoryBelowAFile:
+    """An ``--out`` directory that cannot be created is a usage error."""
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "euclidean", "--count", "1"],
+        ["gen", "prop1"],
+        ["plotdata"],
+    ], ids=["gen-euclidean", "gen-prop1", "plotdata"])
+    def test_exits_3(self, command, plot_inputs, euclid_dir, tmp_path,
+                     capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        target = blocker / "out"
+        if command == ["plotdata"]:
+            command = command + ["--records", str(plot_inputs),
+                                 "--coords", str(euclid_dir)]
+        assert main(command + ["--out", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert "'--out'" in err and str(target) in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -14,7 +15,9 @@ from eqshares.model import (
     Election,
     FractionalOutcome,
     Outcome,
+    Payments,
     Project,
+    PurchaseRecord,
     UtilityModel,
     UtilityProfile,
     as_num,
@@ -395,3 +398,117 @@ class TestBudgetLedger:
                 balances = [b + max(ZERO, boost - o) for b, o in zip(balances, over)]
                 state = BudgetState(balances)
             self.assert_matches(state, balances)
+
+
+# Denominators of long debit runs: large coprime primes mixed with small
+# ones, so the working scale outgrows its bound and is reduced.
+big_dens = st.sampled_from([2, 3, 5, 7, 10**9 + 7, 10**9 + 9, 998_244_353])
+
+
+class TestDeferredReduction:
+    """A ledger of more than ``EAGER_BALANCES`` balances is reduced only past
+    its bound; the public views are minimal whenever they are read."""
+
+    # Voters charged by the long runs below; the others keep whole
+    # balances, so the minimal scale stays small while the working one
+    # grows.
+    charged = 4
+
+    @staticmethod
+    def within_bound(state, largest_minimal_bits):
+        # The scale at any reduction is minimal, so at most the largest
+        # minimal scale seen; between reductions the working scale stays
+        # within twice its bit length plus the slack.
+        bound = 2 * largest_minimal_bits + BudgetState.SLACK_BITS
+        assert state.work_scale.bit_length() <= bound
+
+    @given(st.lists(amounts, min_size=1, max_size=charged), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_long_sequences_match_a_fraction_list(self, start, data):
+        start = start + [F(3)] * BudgetState.EAGER_BALANCES
+        state = BudgetState(start)
+        balances = list(start)
+        voters = st.integers(0, self.charged - 1)
+        largest = state.work_scale.bit_length()
+        for _ in range(data.draw(st.integers(20, 60))):
+            if data.draw(st.integers(0, 4)):
+                den = data.draw(big_dens)
+                charges = data.draw(st.lists(
+                    st.tuples(voters, st.integers(0, 3 * den)), max_size=4
+                ))
+                short = state.debit(charges, den)
+                expected = []
+                for i, amount in charges:
+                    balances[i] -= F(amount, den)
+                    if balances[i] < 0:
+                        expected.append((i, -balances[i]))
+                        balances[i] = ZERO
+                assert short == expected
+            else:
+                leaving = data.draw(st.sets(voters))
+                stayers = data.draw(st.sets(st.integers(0, len(start) - 1)))
+                stayers = sorted(stayers - leaving)
+                pot = sum((balances[i] for i in leaving), ZERO)
+                for i in leaving:
+                    balances[i] = ZERO
+                moved = bool(stayers) and pot > 0
+                if moved:
+                    for i in stayers:
+                        balances[i] += pot / len(stayers)
+                assert state.redistribute(sorted(leaving), stayers) == moved
+            minimal = math.lcm(*(b.denominator for b in balances))
+            largest = max(largest, minimal.bit_length())
+            self.within_bound(state, largest)
+            scale = state.work_scale
+            assert [F(u, scale) for u in state.work_units] == balances
+            assert state.total() == sum(balances, ZERO)
+        TestBudgetLedger.assert_matches(state, balances)
+
+    def test_reduction_is_deferred_until_the_bound(self):
+        primes = [10**9 + 7, 10**9 + 9, 998_244_353, 10**9 + 21, 10**9 + 33]
+        state = BudgetState([F(10)] + [F(5)] * BudgetState.EAGER_BALANCES)
+        scales = []
+        for p in primes:
+            # Voter 0 pays 1/p, then (p - 1)/p: her balance is whole again.
+            state.debit([(0, 1)], p)
+            state.debit([(0, p - 1)], p)
+            scales.append(state.work_scale)
+        # Every balance is whole after the first pair, yet the working scale
+        # keeps p until the third prime pushes it past 2 * 1 + 64 bits.
+        assert scales[:2] == [primes[0], primes[0] * primes[1]]
+        assert scales[2] == primes[2]
+        self.within_bound(state, primes[2].bit_length())
+        assert state.balances == [F(5)] * (1 + BudgetState.EAGER_BALANCES)
+        assert state.scale == 1 and state.units[:2] == [5, 5]
+        assert state.work_scale == 1
+
+    def test_small_ledgers_reduce_after_every_change(self):
+        state = BudgetState([F(10)] * BudgetState.EAGER_BALANCES)
+        state.debit([(0, 1)], 10**9 + 7)
+        state.debit([(0, 10**9 + 6)], 10**9 + 7)
+        assert state.work_scale == 1 and state.work_units[0] == 9
+
+
+class TestPayments:
+    """Integer payments against the dict of the same rationals."""
+
+    def test_integer_backed_record_equals_dict_backed(self):
+        numerators = {3: 10, 1: 4, 2: 4}
+        payments = Payments(numerators, 12)
+        same = {3: F(5, 6), 1: F(1, 3), 2: F(1, 3)}
+        lazy = PurchaseRecord(0, F(1), F(1, 3), payments, (3,))
+        plain = PurchaseRecord(0, F(1), F(1, 3), same, (3,))
+        assert lazy == plain and plain == lazy
+        assert repr(lazy) == repr(plain)
+        assert list(payments) == [3, 1, 2] and len(payments) == 3
+        assert 1 in payments and 4 not in payments
+        assert dict(payments) == same and list(payments.items()) == list(same.items())
+        # One rational per distinct numerator.
+        assert payments[1] is payments[2]
+        assert lazy != dataclasses.replace(plain, payments={3: F(5, 6)})
+
+    def test_equal_across_denominators(self):
+        assert Payments({1: 2, 4: 6}, 4) == Payments({1: 1, 4: 3}, 2)
+        assert Payments({1: 2}, 4) != Payments({1: 2}, 5)
+        assert Payments({}, 7) == {}
+        assert Payments({1: 1}, 2) != [(1, F(1, 2))]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eqshares.model import Election
+from eqshares.model import Election, Outcome, Payments, PurchaseRecord
 from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, fres, mes, run_rule
 from eqshares.stats import (
     BUCKET_PRESETS,
@@ -32,6 +32,7 @@ from eqshares.stats import (
     config_digest,
     exact_quantile,
     metric_values,
+    outcome_purchases,
     outcome_rounds,
     records_from_csv,
     records_from_jsonl,
@@ -759,3 +760,100 @@ class TestRecordWriter:
             io.StringIO(jsonl), keep_rounds=False
         ) == records_from_jsonl(jsonl, keep_rounds=False)
         assert records_from_csv(io.StringIO(records_to_csv(records))) == records
+
+
+def round_oracle(purchase) -> dict:
+    """A round's JSON dict built from its payments as rationals."""
+    payments = {v: F(p) for v, p in purchase.payments.items()}
+    return {
+        "project": purchase.project,
+        "alpha": str(purchase.alpha),
+        "rho": None if purchase.rho is None else str(purchase.rho),
+        "payments": {str(v): str(p) for v, p in sorted(payments.items())},
+        "overspent": list(purchase.overspent),
+    }
+
+
+@st.composite
+def integer_rounds(draw):
+    """Rounds with integer payments: voter ids that cross 9 -> 10 and
+    99 -> 100, repeated and distinct numerators, some overspent voters,
+    and centrally funded rounds with no payments."""
+    if draw(st.integers(0, 4)) == 0:
+        return PurchaseRecord(draw(st.integers(0, 200)), draw(FRACTIONS), None, {})
+    numerators = draw(st.dictionaries(
+        st.integers(0, 120), st.sampled_from([1, 6, 7, 12, 10**12 + 39]),
+        max_size=25,
+    ))
+    den = draw(st.sampled_from([1, 3, 12, 10**9 + 7]))
+    overspent = sorted(draw(st.sets(st.sampled_from(sorted(numerators) or [0]))))
+    return PurchaseRecord(
+        draw(st.integers(0, 200)), draw(FRACTIONS), draw(FRACTIONS),
+        Payments(numerators, den), tuple(overspent),
+    )
+
+
+class TestIntegerRounds:
+    """Rounds written from integer payments against the encoding of the
+    same payments as a dict of rationals."""
+
+    @staticmethod
+    def written(rounds, csv_metrics=None) -> str:
+        buf = io.StringIO()
+        RecordWriter(buf, csv_metrics).write(make_record(), rounds)
+        return buf.getvalue()
+
+    @staticmethod
+    def oracles(rounds) -> tuple[str, str]:
+        record = dataclasses.replace(
+            make_record(), rounds=tuple(map(round_oracle, rounds))
+        )
+        return jsonl_oracle([record]), csv_oracle([record]).split("\n", 1)[1]
+
+    def test_capped_and_uncapped_payers_across_digit_counts(self):
+        # A capped prefix in b/u order, then column order; voters 8 to 11
+        # and 98 to 101 sort differently as strings and as numbers.
+        capped = {101: 7, 9: 5}
+        uncapped = dict.fromkeys([8, 10, 11, 98, 99, 100], 12)
+        uncapped[99] = 24
+        rounds = [
+            PurchaseRecord(3, F(1), F(2, 7), Payments({**capped, **uncapped}, 84)),
+            PurchaseRecord(12, F(2, 3), F(5, 4),
+                           Payments({2: 10, 10: 3, 1: 10}, 13), (2, 10)),
+            PurchaseRecord(4, F(1), None, {}),
+            PurchaseRecord(5, F(1, 2), None, {}, ()),
+        ]
+        jsonl, csv_text = self.oracles(rounds)
+        assert self.written(rounds) == jsonl
+        assert self.written(rounds, RECORD_METRICS) == csv_text
+        keys = list(json.loads(jsonl)["rounds"][0]["payments"])
+        assert keys == sorted(keys) != sorted(keys, key=int)
+        # The dicts build_record keeps are the oracle's, in voter order.
+        assert list(outcome_rounds(Outcome((3, 12, 4, 5), tuple(rounds)))) == [
+            round_oracle(r) for r in rounds
+        ]
+
+    @given(st.lists(integer_rounds(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_dict_encoding(self, rounds):
+        jsonl, csv_text = self.oracles(rounds)
+        assert self.written(rounds) == jsonl
+        assert self.written(rounds, RECORD_METRICS) == csv_text
+        as_dicts = [
+            dataclasses.replace(r, payments=dict(r.payments.items()))
+            for r in rounds
+        ]
+        assert as_dicts == rounds
+        assert self.written(as_dicts) == jsonl
+
+    def test_rule_logs_match_their_dicts(self, fixture_runs):
+        assert any(
+            isinstance(r.payments, Payments)
+            for *_, outcome in fixture_runs for r in outcome_purchases(outcome)
+        )
+        for *_, outcome in fixture_runs:
+            purchases = outcome_purchases(outcome)
+            for csv_metrics in (None, RECORD_METRICS):
+                assert self.written(purchases, csv_metrics) == self.written(
+                    list(outcome_rounds(outcome)), csv_metrics
+                )
