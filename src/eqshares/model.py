@@ -169,20 +169,40 @@ class UtilityProfile:
     def project_totals(self) -> tuple[Num, ...]:
         """Total utility each project receives across all voters.
 
-        Entries are summed as integer numerators per (project, denominator),
-        and each project's total is built from one exact rational per
-        distinct denominator, so no per-entry rational addition is made.
+        Each project's entries are summed as one integer numerator over the
+        lcm of their denominators, and its total is one exact rational, so
+        no per-entry rational addition is made. A project's entries often
+        come in runs of one shared object, so each run is counted and its
+        numerator and denominator read once.
         """
-        sums: list[dict[int, int]] = [{} for _ in range(self.n_projects)]
+        m = self.n_projects
+        nums, dens = [0] * m, [1] * m
+        last: list[Num | None] = [None] * m
+        runs = [0] * m
+
+        def close(c: int) -> None:
+            num, den = last[c].as_integer_ratio()
+            num *= runs[c]
+            have = dens[c]
+            if den == have:
+                nums[c] += num
+            else:
+                common = lcm(have, den)
+                nums[c] = nums[c] * (common // have) + num * (common // den)
+                dens[c] = common
+
         for row in self.rows:
-            for project, value in row.items():
-                by_den = sums[project]
-                den = value.denominator
-                by_den[den] = by_den.get(den, 0) + value.numerator
-        return tuple(
-            sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
-            for by_den in sums
-        )
+            for c, value in row.items():
+                if value is last[c]:
+                    runs[c] += 1
+                else:
+                    if runs[c]:
+                        close(c)
+                    last[c], runs[c] = value, 1
+        for c in range(m):
+            if runs[c]:
+                close(c)
+        return tuple(map(Fraction, nums, dens))
 
     @cached_property
     def columns(self) -> tuple[tuple[Sequence[int], list[int], int], ...]:
@@ -216,9 +236,30 @@ class UtilityProfile:
         return tuple(out)
 
     @cached_property
+    def column_sums(self) -> tuple[tuple[int, bool], ...]:
+        """For each project, ``(total, uniform)``: the sum of its
+        :attr:`columns` weights, and whether they are all the same."""
+        return tuple(
+            (sum(weights), weights.count(weights[0]) == len(weights))
+            if weights else (0, True)
+            for _, weights, _ in self.columns
+        )
+
+    @cached_property
     def is_approval(self) -> bool:
-        """Whether every positive entry is 1 (approval ballots)."""
-        return all(u == 1 for row in self.rows for u in row.values())
+        """Whether every positive entry is 1 (approval ballots).
+
+        Entries are often one shared object, so only an entry that is not
+        the last one seen has its integer pair tested.
+        """
+        last = None
+        for row in self.rows:
+            for u in row.values():
+                if u is not last:
+                    if u.as_integer_ratio() != (1, 1):
+                        return False
+                    last = u
+        return True
 
     def scaled(self, factor: Num) -> "UtilityProfile":
         """A copy with every entry multiplied by a positive rational."""
@@ -300,7 +341,7 @@ class Election:
     def cost_utilities(self) -> UtilityProfile:
         return derive_cost_utilities(self.scores, self.projects)
 
-    @property
+    @cached_property
     def utilities(self) -> UtilityProfile:
         """The effective profile under the election's utility model."""
         return self.profile()
@@ -546,7 +587,8 @@ class BudgetState:
                 short.append((i, Fraction(-left, scale)))
                 left = 0
             units[i] = left
-        self._bound()
+        if scale.bit_length() > self._limit:
+            self._reduce()
         return short
 
     def redistribute(self, leaving: Sequence[int], stayers: Sequence[int]) -> bool:
@@ -563,13 +605,9 @@ class BudgetState:
             self.work_scale *= k
             for i in stayers:
                 units[i] += pot
-        self._bound()
-        return moved
-
-    def _bound(self) -> None:
-        """Reduce the ledger if its scale has passed the bound."""
         if self.work_scale.bit_length() > self._limit:
             self._reduce()
+        return moved
 
     def _reduce(self) -> None:
         """Divide out the common factor of the scale and every unit."""
@@ -578,8 +616,9 @@ class BudgetState:
             g = gcd(scale, *self.work_units)
             if g > 1:
                 self.work_units = [u // g for u in self.work_units]
-                scale //= g
-        self._start(self.work_units, scale)
+                self.work_scale = scale = scale // g
+        if self._limit >= 0:
+            self._limit = 2 * scale.bit_length() + self.SLACK_BITS
 
 
 def scaled_voter_utilities(

@@ -15,7 +15,9 @@ Five rule families operate on :class:`~eqshares.model.Election`:
 The equal-shares rules pick each purchase through one lazy best-quote
 selector (:class:`_LazyBest`): every project enters at its proportional
 price, quotes are cached and recomputed only when a purchase may have
-changed them, and the pick equals a full rescan's.
+changed them, and the pick equals a full rescan's. Prices stay integer
+pairs (:class:`_Key`) from the quote kernel to the pick; a normalised
+``Fraction`` is built only when a record or a debug log reads one.
 
 Every voter-funded purchase is an :class:`AffordabilityQuote` over the
 moneyed supporters' units on one integer ledger
@@ -139,6 +141,48 @@ class RuleConfig:
             raise ValueError("add1u_step must be positive")
 
 
+class _Key:
+    """A selector key: the nonnegative rational ``num / den`` (den > 0) as
+    an integer pair that is never normalised.
+
+    Keys compare by exact cross-multiplication, so making one costs no gcd.
+    The selectors consult them only where the correctly rounded floats of
+    two keys (:func:`_proposal`) are equal; :meth:`value` is the normalised
+    rational, for whatever reads a price.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int) -> None:
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other: _Key) -> bool:  # type: ignore[override]
+        return self.num * other.den == other.num * self.den
+
+    def __lt__(self, other: _Key) -> bool:
+        return self.num * other.den < other.num * self.den
+
+    # Equal keys may be different pairs, so a key cannot hash by its pair.
+    __hash__ = None  # type: ignore[assignment]
+
+    def value(self) -> Num:
+        return Fraction(self.num, self.den)
+
+
+def _proposal(key: _Key) -> float:
+    """The correctly rounded float of a key, or inf.
+
+    Integer true division rounds correctly whatever the pair's size, and
+    rounding is monotone: an exactly smaller key never gets a larger float,
+    so ordering by (float, key) is ordering by key.
+    """
+    try:
+        return key.num / key.den
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(eq=False, slots=True)
 class AffordabilityQuote:
     """One purchase: a share ``alpha`` of a project at utility price
@@ -146,9 +190,12 @@ class AffordabilityQuote:
 
     ``cost`` is what the payments add up to: the project's cost, even for
     a bos quote whose coverage alpha is below 1, and alpha times it for a
-    :func:`fres` share. ``ratio`` (rho/alpha) is the price of one utility
-    unit through this quote with the share accounted for; integral rules
-    with alpha = 1 reduce it to rho.
+    :func:`fres` share. ``key`` is rho/alpha, the price of one utility unit
+    through this quote with the share accounted for, as the unnormalised
+    integer pair its kernel found (:class:`_Key`); the selectors order
+    quotes by it, and for a full purchase (alpha = 1) it is rho. ``ratio``
+    and ``rho`` are the same prices as normalised rationals, each built
+    once, when first read.
 
     A quote keeps the integers its kernel found: the moneyed supporters
     (in ascending b/u order whenever anybody is capped), their balances
@@ -165,7 +212,7 @@ class AffordabilityQuote:
 
     project: int
     alpha: Num
-    rho: Num
+    key: _Key
     voters: Sequence[int]
     money: list[int]
     weights: list[int]
@@ -178,10 +225,21 @@ class AffordabilityQuote:
     _numerators: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False
     )
+    _ratio: Optional[Num] = field(default=None, init=False, repr=False)
+    _rho: Optional[Num] = field(default=None, init=False, repr=False)
 
     @property
     def ratio(self) -> Num:
-        return self.rho / self.alpha
+        if self._ratio is None:
+            self._ratio = self.key.value()
+        return self._ratio
+
+    @property
+    def rho(self) -> Num:
+        if self._rho is None:
+            ratio = self.ratio
+            self._rho = ratio if self.alpha == 1 else ratio * self.alpha
+        return self._rho
 
     def _owed(self) -> dict[int, int]:
         """Payment numerators over ``den``, keyed by voter.
@@ -190,17 +248,26 @@ class AffordabilityQuote:
         ``cost`` exactly.
         """
         if self._numerators is None:
-            s, cap, rate = self.capped, self.cap, self.rate
-            owed = dict(zip(self.voters[:s], [m * cap for m in self.money[:s]]))
-            # A column's weights come in runs of one object: so do the
-            # products, as the round record keeps them.
-            pays = []
-            last = pay = None
-            for w in self.weights[s:]:
-                if w is not last:
-                    last, pay = w, w * rate
-                pays.append(pay)
-            owed.update(zip(self.voters[s:], pays))
+            s, voters, weights = self.capped, self.voters, self.weights
+            rate = self.rate
+            if weights.count(last := weights[-1]) == len(weights):
+                # One weight (every approval column): one product for all.
+                owed = dict.fromkeys(voters, last * rate)
+            else:
+                # A column's weights come in runs of one object: so do the
+                # products, as the round record keeps them.
+                owed = dict.fromkeys(voters[:s])
+                pays = []
+                last = pay = None
+                for w in weights[s:]:
+                    if w is not last:
+                        last, pay = w, w * rate
+                    pays.append(pay)
+                owed.update(zip(voters[s:], pays))
+            if s:
+                # The capped voters, first in ``voters``, pay in their place.
+                cap = self.cap
+                owed.update(zip(voters[:s], [m * cap for m in self.money[:s]]))
             num, den = self.cost.as_integer_ratio()
             if sum(owed.values()) * den != num * self.den:
                 raise InvariantError(
@@ -227,7 +294,7 @@ class AffordabilityQuote:
         """
         s = self.capped
         return AffordabilityQuote(
-            self.project, self.alpha, self.rho, self.voters, self.money[:s],
+            self.project, self.alpha, self.key, self.voters, self.money[:s],
             self.weights, s, self.cap, self.rate, self.den, self.m_scale,
             self.cost,
         )
@@ -246,22 +313,38 @@ class AffordabilityQuote:
         )
 
 
+# A project's moneyed supporters: (voters, money, weights, due, m_scale,
+# u_scale, total_w, uniform).
+_Moneyed = tuple[Sequence[int], list[int], list[int], int, int, int, int, bool]
+
+
 def _moneyed(
-    project: Project, budgets: BudgetState, utilities: UtilityProfile
-) -> Optional[tuple[Sequence[int], list[int], list[int], int, int, int]]:
-    """The project's moneyed supporters as integers, or None if there are
-    none: ``(voters, money, weights, due, m_scale, u_scale)``.
+    project: Project,
+    budgets: BudgetState,
+    utilities: UtilityProfile,
+    full: bool = False,
+) -> Optional[_Moneyed]:
+    """The project's moneyed supporters as integers: ``(voters, money,
+    weights, due, m_scale, u_scale, total_w, uniform)``. None if there are
+    none, or, when ``full``, if their balances together fall short of the
+    cost; that is decided before anything else is made.
 
     money[j] = b_j * m_scale, weights[j] = u_j * u_scale and
     due = cost * m_scale, where m_scale is the lcm of the ledger's working
     scale and the cost's denominator and u_scale is the column's scale
-    (:attr:`UtilityProfile.columns`). Sums of these integers are exact sums
-    of the rationals, and ratios of them order and price exactly like the
-    rationals.
+    (:attr:`UtilityProfile.columns`). ``total_w`` is ``sum(weights)`` and
+    ``uniform`` whether every weight is the same; when no supporter is
+    broke they are the column's own (:attr:`UtilityProfile.column_sums`).
+    Sums of these integers are exact sums of the rationals, and ratios of
+    them order and price exactly like the rationals.
     """
-    voters, weights, u_scale = utilities.columns[project.id]
-    units = budgets.work_units
+    c = project.id
+    voters, weights, u_scale = utilities.columns[c]
+    units, scale = budgets.work_units, budgets.work_scale
     money = [units[i] for i in voters]
+    num, den = project.cost.as_integer_ratio()
+    if full and sum(money) * den < num * scale:
+        return None
     # Balances never go negative, so a nonzero balance is a positive one.
     # The filters run in C: a Python-level pass over (voter, weight, money)
     # triples is slower.
@@ -269,15 +352,22 @@ def _moneyed(
         voters = list(compress(voters, money))
         weights = list(compress(weights, money))
         money = list(filter(None, money))
-    if not money:
+        if not money:
+            return None
+        total_w, uniform = sum(weights), _uniform(weights)
+    elif money:
+        total_w, uniform = utilities.column_sums[c]
+    else:
         return None
-    num, den = project.cost.as_integer_ratio()
-    m_scale = budgets.work_scale
-    if m_scale % den:
-        m_scale = math.lcm(m_scale, den)
-        factor = m_scale // budgets.work_scale
+    m_scale = scale
+    if scale % den:
+        m_scale = math.lcm(scale, den)
+        factor = m_scale // scale
         money = [m * factor for m in money]
-    return voters, money, weights, num * (m_scale // den), m_scale, u_scale
+    return (
+        voters, money, weights, num * (m_scale // den), m_scale, u_scale,
+        total_w, uniform,
+    )
 
 
 def _ratio_order(
@@ -327,19 +417,6 @@ def _uniform(weights: list[int]) -> bool:
     return not weights or weights.count(weights[0]) == len(weights)
 
 
-def _uncapped_at_cost(
-    money: list[int], weights: list[int], due: int, total_w: int
-) -> bool:
-    """Whether nobody is capped at the fully proportional price cost / sum(u).
-
-    ``total_w`` is ``sum(weights)``, and ``money`` is not empty. With equal
-    weights every voter owes due / k, so the poorest one decides.
-    """
-    if _uniform(weights):
-        return min(money) * len(money) >= due
-    return all(w * due <= m * total_w for m, w in zip(money, weights))
-
-
 # Whom a full purchase caps: (voters, money, weights, paid, held, s).
 _Prefix = tuple[Sequence[int], list[int], list[int], list[int], list[int], int]
 
@@ -351,6 +428,8 @@ def _capped_prefix(
     due: int,
     m_scale: int,
     u_scale: int,
+    total_w: int,
+    uniform: bool,
 ) -> _Prefix:
     """The supporters in capped-prefix order, their prefix sums, and s.
 
@@ -360,20 +439,26 @@ def _capped_prefix(
     ``held[j]`` are the money and weight of the first j supporters, for
     j <= s. s = len(money) when all of them together fall short.
 
-    When nobody is capped at the fully proportional price
-    (:func:`_uncapped_at_cost`), the column order stays, s = 0, and the sums
-    are only ``[0]`` and ``[0, sum(weights)]``. Otherwise the supporters go
-    in ascending b/u order (:func:`_ratio_order`), and s is the first index
-    whose voter is uncapped (rho_s * u_s <= b_s), checked in exact integers.
-    The check is monotone in s: if it holds at s then rho_{s+1} <= rho_s <=
-    b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at s + 1, and bisection finds s.
+    When nobody is capped at the fully proportional price cost / sum(u),
+    the column order stays, s = 0, and the sums are only ``[0]`` and
+    ``[0, total_w]``. With equal weights every voter then owes due / k, so
+    the poorest one decides. Otherwise the supporters go in ascending b/u
+    order (:func:`_ratio_order`; balance order when the weights are equal,
+    which then stay as they are), and s is the first index whose voter is
+    uncapped (rho_s * u_s <= b_s), checked in exact integers. The check is
+    monotone in s: if it holds at s then rho_{s+1} <= rho_s <= b_s/u_s <=
+    b_{s+1}/u_{s+1}, so it holds at s + 1, and bisection finds s.
     """
-    total_w = sum(weights)
-    if _uncapped_at_cost(money, weights, due, total_w):
+    if uniform:
+        if min(money) * len(money) >= due:
+            return voters, money, weights, [0], [0, total_w], 0
+        order = sorted(range(len(money)), key=money.__getitem__)
+    elif all(w * due <= m * total_w for m, w in zip(money, weights)):
         return voters, money, weights, [0], [0, total_w], 0
-    order = _ratio_order(money, weights, m_scale, u_scale)
+    else:
+        order = _ratio_order(money, weights, m_scale, u_scale)
+        weights = [weights[j] for j in order]
     money = [money[j] for j in order]
-    weights = [weights[j] for j in order]
     paid = list(accumulate(money, initial=0))
     held = list(accumulate(weights, initial=0))
 
@@ -390,13 +475,13 @@ def _full_quote(
     """Quote for alpha = 1 from a :func:`_capped_prefix`: the first s voters
     pay their balance, and the rest, of weight rest_w, share rest (the cost
     left, times m_scale) in proportion to their weights, at
-    rho = rest * u_scale / (m_scale * rest_w)."""
+    rho = rest * u_scale / (m_scale * rest_w), kept as that pair."""
     voters, money, weights, paid, held, s = prefix
     rest, rest_w = due - paid[s], held[-1] - held[s]
-    rho = Fraction(rest * u_scale, m_scale * rest_w)
+    den = m_scale * rest_w
     return AffordabilityQuote(
-        project.id, ONE, rho, voters, money, weights,
-        s, rest_w, rest, m_scale * rest_w, m_scale, project.cost,
+        project.id, ONE, _Key(rest * u_scale, den), voters, money, weights,
+        s, rest_w, rest, den, m_scale, project.cost,
     )
 
 
@@ -416,9 +501,11 @@ def min_rho(
     Every decision is exact and made on integers: the moneyed supporters'
     balances are read straight from the ledger's units and their utilities
     from the profile's cached integer column (:func:`_moneyed`), so sums
-    are integer sums, the weights are summed once, and the price is
-    normalised once. Short supporters are turned away before anything is
-    sorted. Otherwise :func:`_capped_prefix`, the search :func:`bos_quote`
+    are integer sums, and a column's weights are summed once per profile.
+    The price stays an unnormalised integer pair, the quote's ``key``, and
+    becomes a rational only when ``rho`` is read. Short supporters are
+    turned away before anything is filtered or sorted. Otherwise
+    :func:`_capped_prefix`, the search :func:`bos_quote`
     shares, finds whom the purchase caps: nobody when nobody is capped at
     the fully proportional price, else a prefix of the b/u order found by
     bisection on an exact monotone check. The quote's payments are built
@@ -426,25 +513,10 @@ def min_rho(
     price (:func:`_proportional_prices`), the bound at which the selectors
     enter it.
     """
-    sup = _moneyed(project, budgets, utilities)
+    sup = _moneyed(project, budgets, utilities, True)
     if sup is None:
         return None
-    _, money, _, due, m_scale, u_scale = sup
-    if sum(money) < due:
-        return None
-    return _full_quote(project, _capped_prefix(*sup), due, m_scale, u_scale)
-
-
-def _proposal(key: Num) -> float:
-    """The correctly rounded float of a nonnegative key, or inf.
-
-    Rounding is monotone: an exactly smaller key never gets a larger float,
-    so ordering by (float, key) is ordering by key.
-    """
-    try:
-        return key.numerator / key.denominator
-    except OverflowError:
-        return math.inf
+    return _full_quote(project, _capped_prefix(*sup), *sup[3:6])
 
 
 def _proportional_prices(election: Election) -> list[Num]:
@@ -459,18 +531,33 @@ def _proportional_prices(election: Election) -> list[Num]:
     """
     shared: dict[Num, Num] = {}
     prices = []
-    for project, (_, weights, scale) in zip(
-        election.projects, election.utilities.columns
+    for project, (_, _, scale), (total, _) in zip(
+        election.projects, election.utilities.columns,
+        election.utilities.column_sums,
     ):
-        total = sum(weights)
         num, den = project.cost.as_integer_ratio()
         price = Fraction(num * scale, den * total) if total else ZERO
         prices.append(shared.setdefault(price, price))
     return prices
 
 
+def _floors(election: Election) -> list[_Key]:
+    """The :func:`_proportional_prices` as selector keys, at which every
+    selector enters the projects. Equal prices are one shared key."""
+    keys: dict[int, _Key] = {}
+    floors = []
+    for price in _proportional_prices(election):
+        key = keys.get(id(price))
+        if key is None:
+            key = keys[id(price)] = _Key(*price.as_integer_ratio())
+        floors.append(key)
+    return floors
+
+
+_quote_key = attrgetter("key")
+
 # A selector heap entry: (float of the bound, bound, tie rank, project).
-_Entry = tuple[float, Num, tuple[int, int], int]
+_Entry = tuple[float, _Key, tuple[int, int], int]
 
 
 class _LazyBest(Generic[Q]):
@@ -478,17 +565,18 @@ class _LazyBest(Generic[Q]):
     Minoux's lazy greedy (1978, "Accelerated greedy algorithms").
 
     ``quote(c)`` prices project c, or returns None when c cannot be bought;
-    the smallest (``key(quote)``, ``tie.rank(c)``) wins. A heap holds
-    (float of the bound, lower bound on the key, rank, c) entries; quotes
-    stay cached until :meth:`stale` forgets them. The float is correctly
-    rounded (:func:`_proposal`), so it orders the heap like the exact bound
-    and leaves exact comparisons to entries whose floats are equal.
+    the smallest (``key(quote)``, ``tie.rank(c)``) wins, keys being
+    :class:`_Key` pairs. A heap holds (float of the bound, lower bound on
+    the key, rank, c) entries; quotes stay cached until :meth:`stale`
+    forgets them. The float is correctly rounded (:func:`_proposal`), so it
+    orders the heap like the exact bound and leaves exact comparisons,
+    integer cross-multiplications, to entries whose floats are equal.
 
     Project c enters, and re-enters through :meth:`push`, at ``floors[c]``,
     a lower bound on its key under any balances (every rule passes
-    :func:`_proportional_prices`). A fresh quote whose key equals its bound
-    keeps the bound's object; as equal floors are one object too, equal
-    bounds in the heap compare by identity.
+    :func:`_floors`). A fresh quote whose key equals its bound keeps the
+    bound's object; as equal floors are one object too, equal bounds in the
+    heap compare by identity.
 
     Invariant the caller keeps: between two :meth:`stale` calls naming c,
     c's key can only grow, and a None quote stays None. Every bound then
@@ -501,20 +589,22 @@ class _LazyBest(Generic[Q]):
     takes it over.
     """
 
+    __slots__ = ("_tie", "_quote", "_key", "_floors", "_cached", "live", "_heap")
+
     def __init__(
         self,
         tie: TieBreaker,
         quote: Callable[[int], Optional[Q]],
-        key: Callable[[Q], Num],
+        key: Callable[[Q], _Key],
         live: Iterable[int],
-        floors: Sequence[Num],
+        floors: Sequence[_Key],
         heap: Optional[list[_Entry]] = None,
     ) -> None:
         self._tie = tie
         self._quote = quote
         self._key = key
         self._floors = floors
-        self._cached: dict[int, Optional[tuple[Num, Q]]] = {}
+        self._cached: dict[int, Optional[tuple[_Key, Q]]] = {}
         self.live = set(live)
         if heap is None:
             heap = self.floor_heap(tie, self.live, floors)
@@ -522,7 +612,7 @@ class _LazyBest(Generic[Q]):
 
     @staticmethod
     def floor_heap(
-        tie: TieBreaker, projects: Iterable[int], floors: Sequence[Num]
+        tie: TieBreaker, projects: Iterable[int], floors: Sequence[_Key]
     ) -> list[_Entry]:
         """A heap entering each project c at ``floors[c]``, with its tie
         rank."""
@@ -543,7 +633,9 @@ class _LazyBest(Generic[Q]):
                         cached[c] = None
                     else:
                         key = self._key(quote)
-                        if (fkey := _proposal(key)) == proposal and key == bound:
+                        if (fkey := _proposal(key)) == proposal and (
+                            key.num * bound.den == bound.num * key.den
+                        ):
                             # The top entry already carries the exact key.
                             cached[c] = (bound, quote)
                             return quote
@@ -628,39 +720,60 @@ def _equal_shares(
     num: int,
     den: int,
     keep: Callable[[AffordabilityQuote], Q],
-    floors: Sequence[Num],
+    floors: Sequence[_Key],
     heap: Optional[list[_Entry]] = None,
+    near: Optional[dict[int, Sequence[int]]] = None,
 ) -> tuple[list[Q], bool]:
     """The MES purchase loop from an endowment of num / den per voter.
 
     Returns ``keep(quote)`` of each purchase in order, and whether the
     money spent stays within the budget. ``floors`` are the election's
-    :func:`_proportional_prices`. ``heap``, if given, is a fresh
+    :func:`_floors`. ``heap``, if given, is a fresh
     :meth:`_LazyBest.floor_heap` over every project at those floors, which
-    the loop consumes.
+    the loop consumes. ``near`` maps a project to the projects its
+    supporters value (a range when that is every project), as far as
+    found; the loop fills it, and the probes of an add1u scan share one.
     """
     utilities = election.utilities
+    supporters, supported_by = utilities.supporters, utilities.supported_by
     n = election.n_voters
     budgets = BudgetState.equal_units(num, den, n)
     projects = election.projects
+    everything = range(len(projects))
     # Balances only fall, so prices only rise and short supporters stay
     # short; only projects sharing a payer can see their price move.
     selector = _LazyBest(
         config.tie_breaker,
         lambda c: min_rho(projects[c], budgets, utilities),
-        attrgetter("rho"),
-        range(len(projects)),
+        _quote_key,
+        everything,
         floors,
         heap,
     )
+    next_best, stale, live = selector.best, selector.stale, selector.live
+    if near is None:
+        near = {}
+    debug = logger.isEnabledFor(logging.DEBUG)
     bought = []
-    while (best := selector.best()) is not None:
-        logger.debug("mes: buy %d at rho=%s", best.project, best.rho)
+    while (best := next_best()) is not None:
+        c, voters = best.project, best.voters
+        if debug:
+            logger.debug("mes: buy %d at rho=%s", c, best.rho)
         # Nobody pays more than min(b, u * rho), so nobody falls short.
         for i, _ in best.charge(budgets):
-            raise InvariantError(f"mes: voter {i} overdrawn buying {best.project}")
-        selector.stale(utilities.supported_by(best.voters))
-        selector.drop((best.project,))
+            raise InvariantError(f"mes: voter {i} overdrawn buying {c}")
+        if len(voters) == len(supporters[c]):
+            # Every supporter pays: the projects they value are c's own.
+            touched = near.get(c)
+            if touched is None:
+                found = supported_by(voters)
+                touched = near[c] = (
+                    everything if len(found) == len(everything) else tuple(found)
+                )
+        else:
+            touched = supported_by(voters)
+        stale(touched)
+        live.discard(c)
         bought.append(keep(best))
     # Each purchase's payments add up to its cost, so the money that left
     # the ledger is what the outcome spends: n * num / den - sum / scale.
@@ -691,7 +804,7 @@ def mes(
         raise ValueError("initial endowment must be positive")
     records, feasible = _equal_shares(
         election, config, *endowment.as_integer_ratio(), _record,
-        _proportional_prices(election),
+        _floors(election),
     )
     return _outcome(records, feasible)
 
@@ -710,7 +823,8 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
 
     A probe keeps each purchase as a compact quote
     (:meth:`AffordabilityQuote.compact`); only the kept probe's purchases
-    become round records.
+    become round records. The probes share one initial selector heap and
+    one map from project to the projects its supporters value.
     """
     n = election.n_voters
     b_num, b_den = election.budget.as_integer_ratio()
@@ -719,15 +833,17 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     # step inc / scale and the budget full / scale.
     scale = n * b_den * s_den
     units, inc, full = b_num * s_den, s_num * b_den * n, b_num * s_den * n
-    floors = _proportional_prices(election)
+    floors = _floors(election)
     heap = _LazyBest.floor_heap(
         config.tie_breaker, range(len(election.projects)), floors
     )
 
+    near: dict[int, Sequence[int]] = {}
+
     def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
         return _equal_shares(
             election, config, num, scale, AffordabilityQuote.compact, floors,
-            list(heap),
+            list(heap), near,
         )
 
     kept, feasible = probe(units)
@@ -773,29 +889,35 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     # Per-project support of the active voters, in the column's integer
     # weights, kept incrementally. It only falls, so prices only rise, and
     # only when a supporter drains.
-    support = [sum(weights) for _, weights, _ in columns]
+    support = [total for total, _ in utilities.column_sums]
+    # The price cost / support is the pair cost * scale over support.
+    costs = [
+        (p.cost.numerator * scale, p.cost.denominator)
+        for p, (_, _, scale) in zip(projects, columns)
+    ]
     selector = _LazyBest(
         config.tie_breaker,
         lambda c: (
-            (Fraction(projects[c].cost * columns[c][2], support[c]), c)
+            (_Key(costs[c][0], costs[c][1] * support[c]), c)
             if support[c] else None
         ),
         itemgetter(0),
         range(len(projects)),
-        _proportional_prices(election),
+        _floors(election),
     )
     fractions: dict[int, Num] = {}
     purchases: list[PurchaseRecord] = []
     while (best := selector.best()) is not None:
-        rho, c = best
+        key, c = best
+        rho = key.value()
         # The supporters still pricing c are exactly its moneyed ones.
-        voters, money, weights, _, m_scale, u_scale = _moneyed(
+        voters, money, weights, _, m_scale, u_scale, _, uniform = _moneyed(
             projects[c], budgets, utilities
         )
         # The largest share every payer affords is min b / (rho * u), at the
         # payer with the least money / weight.
         low_m, low_w = money[0], weights[0]
-        if _uniform(weights):
+        if uniform:
             low_m = min(money)
         else:
             for m, w in zip(money, weights):
@@ -807,8 +929,10 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         # Each payer pays alpha * rho * u = weight * rate / (den * u_scale).
         rate, den = (alpha * rho).as_integer_ratio()
         quote = AffordabilityQuote(
-            c, alpha, rho, voters, money, weights, 0, 0, rate, den * u_scale,
-            m_scale, alpha * projects[c].cost,
+            c, alpha,
+            _Key(key.num * alpha.denominator, key.den * alpha.numerator),
+            voters, money, weights, 0, 0, rate, den * u_scale, m_scale,
+            alpha * projects[c].cost,
         )
         for i, _ in quote.charge(budgets):
             raise InvariantError(f"fres: voter {i} overdrawn buying {c}")
@@ -896,8 +1020,7 @@ def bos_quote(
     # and are dominated by the exact full-coverage price of that segment.
     prefix = _capped_prefix(*sup)
     voters, money, weights, paid, held, s = prefix
-    due, m_scale, u_scale = sup[3:]
-    total_w = held[-1]
+    due, m_scale, u_scale, total_w = sup[3:7]
     # Below s, cap price lam_j = b_j/u_j raises R_j / (m_scale * w_j) with
     # R_j = paid_j * w_j + money_j * (weight from j on), so alpha_j =
     # R_j / (due * w_j) < 1, and rho_j / alpha_j = lam_j / alpha_j**2 is
@@ -916,14 +1039,17 @@ def bos_quote(
         rest, rest_w = due - paid[s], total_w - held[s]
         if not s or rest * best_r * best_r <= due * due * best_mw * rest_w:
             return _full_quote(project, prefix, due, m_scale, u_scale)
-    alpha = Fraction(best_r, due * weights[best])
-    rho = Fraction(money[best] * u_scale * due, m_scale * best_r)
-    # Voters up to the pinning one are capped at lam = b/u and pay
-    # b / alpha = money * due * w_best / (m_scale * R); the rest pay
-    # u * lam / alpha = u * rho = weight * money_best * due / (m_scale * R).
+    # alpha = R / (due * w_best) and rho = money_best * u_scale * due /
+    # (m_scale * R), so rho / alpha is the pair below. Voters up to the
+    # pinning one are capped at lam = b/u and pay b / alpha = money * due *
+    # w_best / (m_scale * R); the rest pay u * lam / alpha = u * rho =
+    # weight * money_best * due / (m_scale * R).
+    w_best, rate = weights[best], money[best] * due
+    den = m_scale * best_r
     return AffordabilityQuote(
-        project.id, alpha, rho, voters, money, weights, best + 1,
-        due * weights[best], money[best] * due, m_scale * best_r, m_scale, cost,
+        project.id, Fraction(best_r, due * w_best),
+        _Key(rate * u_scale * due * w_best, den * best_r), voters, money,
+        weights, best + 1, due * w_best, rate, den, m_scale, cost,
     )
 
 
@@ -955,9 +1081,9 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     selector = _LazyBest(
         config.tie_breaker,
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
-        attrgetter("ratio"),
+        _quote_key,
         (c for c in range(len(projects)) if projects[c].cost <= remaining),
-        _proportional_prices(election),
+        _floors(election),
     )
 
     # Claim check scope: per-voter approval stakes and default accounting.
@@ -982,11 +1108,13 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     if redistribute:
         redistribute_satisfied(range(n))
 
+    debug = logger.isEnabledFor(logging.DEBUG)
     while (best := selector.best()) is not None:
         c = best.project
-        logger.debug(
-            "bos: buy %d at alpha=%s rho=%s", c, best.alpha, best.rho
-        )
+        if debug:
+            logger.debug(
+                "bos: buy %d at alpha=%s rho=%s", c, best.alpha, best.rho
+            )
         # The paper charges every moneyed supporter u * rho, stopping at her
         # balance. Charging the quote's payments leaves the same ledger: the
         # uncapped voters pay u * rho, and a capped voter's payment (b when
@@ -1043,7 +1171,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     over = [ZERO] * n  # the boost each voter has consumed so far
     projects = election.projects
     supporters = utilities.supporters
-    floors = _proportional_prices(election)
+    floors = _floors(election)
     remaining = election.budget
     rounds: list[PurchaseRecord] = []
     # Projects that fit and have supporters; nobody else can ever be bought.
@@ -1053,13 +1181,14 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     phase1 = _LazyBest(
         config.tie_breaker,
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
-        attrgetter("ratio"),
+        _quote_key,
         (
             c for c in range(len(projects))
             if projects[c].cost <= remaining and supporters[c]
         ),
         floors,
     )
+    debug = logger.isEnabledFor(logging.DEBUG)
     while (best := phase1.best()) is not None:
         boost = ZERO
         if best.alpha < 1:
@@ -1076,16 +1205,17 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             best = _LazyBest(
                 config.tie_breaker,
                 lambda c: min_rho(projects[c], boosted, utilities),
-                attrgetter("rho"),
+                _quote_key,
                 phase1.live,
                 floors,
             ).best()
             if best is None:
                 break
         c = best.project
-        logger.debug(
-            "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost
-        )
+        if debug:
+            logger.debug(
+                "bos_plus: buy %d at rho=%s (boost %s)", c, best.rho, boost
+            )
         units = budgets.work_units
         phase1.stale(utilities.supported_by(i for i in best.voters if units[i]))
         overspent = best.charge(budgets)

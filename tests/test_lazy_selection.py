@@ -140,3 +140,27 @@ def test_a_project_waits_at_its_proportional_price(quote_calls):
     outcome = run_rule("mes", election, RuleConfig(TieBreaker((1, 0))))
     assert outcome.selected == (0, 1)
     assert quote_calls["min_rho"] == [0, 1]
+
+
+def test_add1u_prices_rationals_only_for_the_kept_probe(
+    minority_election, monkeypatch, caplog
+):
+    """A quote holds rho as an integer pair; with debug logging off, the
+    scan makes a rational price only for the kept probe's round records."""
+    made = []
+    value = rules._Key.value
+
+    def counted(key):
+        made.append(key)
+        return value(key)
+
+    monkeypatch.setattr(rules._Key, "value", counted)
+    with caplog.at_level("INFO", logger="eqshares.rules"):
+        out = rules.add1u(minority_election)
+    kept = [r for r in out.rounds if r.rho is not None]
+    assert kept and len(made) == len(kept)
+    # With debug logging on, every purchase of every probe logs its rho.
+    made.clear()
+    with caplog.at_level("DEBUG", logger="eqshares.rules"):
+        assert rules.add1u(minority_election) == out
+    assert len(made) > len(kept)

@@ -5,10 +5,12 @@ Project ids in the reference instance: A=0, B=1, C=2, D=3, E=4, F=5.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from eqshares import rules
 from eqshares.model import BudgetState, UtilityModel, UtilityProfile, Project
 from eqshares.rules import (
     RULE_NAMES,
@@ -142,6 +144,41 @@ class TestAdd1u:
         prof = UtilityProfile.from_rows(2, 1, [{0: 1}, {0: 1}])
         e = Election((Project(0, "p", 2),), 2, F(2), prof)
         assert add1u(e).selected == mes(e).selected == (0,)
+
+    def test_reference_probe_trace(self, reference_election, monkeypatch):
+        """Every purchase of every probe of the scan, not only the kept
+        probe's: its project, exact rho and exact payments, in order."""
+        digest = hashlib.sha256()
+        probes = []
+        real_loop = rules._equal_shares
+
+        def traced_loop(election, config, num, den, keep, *args, **kwargs):
+            def kept(quote):
+                paid = " ".join(
+                    f"{i}:{p}" for i, p in sorted(quote.payments.items())
+                )
+                digest.update(f"{quote.project} {quote.rho} {paid}\n".encode())
+                return keep(quote)
+
+            digest.update(f"probe {num}/{den}\n".encode())
+            bought, feasible = real_loop(
+                election, config, num, den, kept, *args, **kwargs
+            )
+            probes.append(feasible)
+            digest.update(f"feasible {feasible}\n".encode())
+            return bought, feasible
+
+        monkeypatch.setattr(rules, "_equal_shares", traced_loop)
+        add1u(reference_election)
+        assert len(probes) == 16001
+        assert probes.count(False) == 1
+        assert digest.hexdigest() == REFERENCE_PROBE_TRACE
+
+
+# sha256 of the add1u probe trace on reference.pb under the cost model.
+REFERENCE_PROBE_TRACE = (
+    "66ee397969fe031702ec1109ecbfc056fe9a7bbeb2b8fbdc56c5e0c225324a23"
+)
 
 
 FRES_REFERENCE_CONFIG = RuleConfig(tie_breaker=TieBreaker(order=(2, 5)))
