@@ -60,9 +60,15 @@ def satisfaction(
 ) -> Num:
     """Total voter utility from the outcome under the given model.
 
-    Fractional outcomes weight each project by its funded share.
+    Fractional outcomes weight each project by its funded share. A cost
+    utility is a score times the project's cost, so a project's cost total
+    is its cost times its score total: the cost model is summed from the
+    score totals, and the cost profile is not derived for it.
     """
-    totals = election.profile(model).project_totals
+    totals = election.scores.project_totals
+    if (model or election.utility_model) is UtilityModel.COST:
+        projects = election.projects
+        totals = {c: projects[c].cost * totals[c] for c in outcome.shares}
     return sum(
         (share * totals[c] for c, share in outcome.shares.items()), ZERO
     )

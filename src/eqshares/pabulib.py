@@ -38,6 +38,7 @@ from .model import (
     Project,
     UtilityModel,
     UtilityProfile,
+    as_num,
 )
 
 __all__ = [
@@ -53,7 +54,9 @@ __all__ = [
     "load_election",
 ]
 
-_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
+# A sign, then digits with an optional fraction part, or a fraction part
+# alone: the whole and fraction digits are groups 2 and 3.
+_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
 
 # Metadata keys that carry reconstruction hints rather than source META rows.
 _SYNTHETIC_META = ("pb_voter_ids",)
@@ -129,9 +132,16 @@ class PbFile:
 
 
 def _parse_decimal(text: str) -> Num:
-    if not _DECIMAL_RE.match(text.strip()):
+    """The exact value of a decimal string, built from its integer pair:
+    the digits as one integer over ten to the number of fraction digits."""
+    match = _DECIMAL_RE.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not a decimal number: {text!r}")
-    return Fraction(text.strip())
+    sign, whole, frac = match.groups(default="")
+    numerator = int(whole + frac)
+    if sign == "-":
+        numerator = -numerator
+    return Fraction(numerator, 10 ** len(frac))
 
 
 def _rows(text: str) -> Iterator[tuple[int, Optional[tuple[str, ...]]]]:
@@ -270,22 +280,27 @@ def parse_pb(text: str) -> PbFile:
         )
     votes: list[PbVote] = []
     seen_voters: set[str] = set()
+    width = len(header)
     for lineno, cells in body:
-        voter_id = _row_id(lineno, cells, len(header), seen_voters, "voter")
+        # The common, valid row is checked inline; _row_id names the fault.
+        if len(cells) != width or not cells[0] or cells[0] in seen_voters:
+            _row_id(lineno, cells, width, seen_voters, "voter")
+        voter_id = cells[0]
+        seen_voters.add(voter_id)
         raw_vote = cells[vote_col]
         vote = tuple(map(str.strip, raw_vote.split(","))) if raw_vote else ()
         if len(set(vote)) != len(vote):
             raise PbParseError(lineno, "duplicate project in vote")
-        for pid in vote:
-            if pid not in seen_projects:
-                raise PbParseError(
-                    lineno, f"vote references unknown project {pid!r}"
-                )
+        if not seen_projects.issuperset(vote):
+            unknown = next(pid for pid in vote if pid not in seen_projects)
+            raise PbParseError(
+                lineno, f"vote references unknown project {unknown!r}"
+            )
         points: Optional[tuple[Num, ...]] = None
         raw_points = "" if points_col is None else cells[points_col]
         if raw_points:
             try:
-                points = tuple(_parse_decimal(p) for p in raw_points.split(","))
+                points = tuple(map(_parse_decimal, raw_points.split(",")))
             except ValueError:
                 raise PbParseError(lineno, "non-numeric points") from None
             if len(points) != len(vote):
@@ -315,6 +330,11 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     Projects whose cost exceeds the budget (or is not positive) are dropped
     with a warning and vanish from all ballots; the funding rules assume
     every project is individually affordable.
+
+    A score's sign is read from its numerator. Every entry kept is a
+    positive rational at a kept project's index, so the profile is built
+    from the rows directly rather than through the per-entry checks of
+    :meth:`~eqshares.model.UtilityProfile.from_rows`.
     """
     budget = pb.budget
     ballot_type = pb.ballot_type
@@ -351,11 +371,13 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
                     f"voter {vote.voter_id!r}: {ballot_type.value} ballot has no points"
                 )
             for pid, score in zip(vote.vote, vote.points):
-                if score < 0:
+                if type(score) is not Fraction:
+                    score = as_num(score)
+                if score.numerator < 0:
                     raise ValueError(
                         f"voter {vote.voter_id!r}: negative points for {pid!r}"
                     )
-                if pid in index and score > 0:
+                if pid in index and score.numerator:
                     row[index[pid]] = score
         else:  # ordinal, Borda weights over the full ballot
             length = len(vote.vote)
@@ -367,7 +389,7 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     projects = tuple(
         Project(i, p.id, p.cost) for i, p in enumerate(kept)
     )
-    profile = UtilityProfile.from_rows(len(rows), len(projects), rows)
+    profile = UtilityProfile(len(rows), len(projects), tuple(rows))
     metadata = dict(pb.meta)
     metadata["pb_voter_ids"] = ",".join(v.voter_id for v in pb.votes)
     return Election(
@@ -380,13 +402,19 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     )
 
 
+# A decimal's denominator is 2^a·5^b. Its odd part 5^b is looked up here,
+# and a larger one is divided out a five at a time.
+_FIVES = {5**k: k for k in range(32)}
+
+
 def _decimal_str(value: Num) -> str:
     """Render a rational as an exact decimal string, or fail loudly."""
     denominator = value.denominator
-    twos = fives = 0
-    while denominator % 2 == 0:
-        denominator //= 2
-        twos += 1
+    twos = (denominator & -denominator).bit_length() - 1
+    denominator >>= twos
+    fives = _FIVES.get(denominator, 0)
+    if fives:
+        denominator = 1
     while denominator % 5 == 0:
         denominator //= 5
         fives += 1
@@ -439,12 +467,16 @@ def write_pb(election: Election, ballot_type: BallotType) -> str:
         voter_ids = [f"v{i + 1}" for i in range(election.n_voters)]
 
     needs_points = ballot_type in _POINT_BALLOTS
+    # Only a profile that is not all approvals is scanned for its first
+    # offending voter.
+    approvals = ballot_type in _APPROVAL_BALLOTS
+    scan = approvals and not election.scores.is_approval
     vote_rows: list[str] = []
     for voter in range(election.n_voters):
         row = election.scores.support_set(voter)
         listed = sorted(row)
-        if ballot_type in _APPROVAL_BALLOTS:
-            if any(score != 1 for score in row.values()):
+        if approvals:
+            if scan and any(score != 1 for score in row.values()):
                 raise PbWriteError(
                     f"voter {voter_ids[voter]!r} has non-approval scores"
                 )

@@ -203,7 +203,10 @@ def _round_text(record: PurchaseRecord, sort_keys: bool, keys: _VoterKeys) -> st
     if not isinstance(pays, Payments):
         return json.dumps(_round_to_json(record), sort_keys=sort_keys)
     nums, den = pays.numerators, pays.den
-    text = {n: str(Fraction(n, den)) for n in set(nums.values())}
+    text = {}
+    for n in set(nums.values()):
+        g = math.gcd(n, den)
+        text[n] = f"{n // g}/{den // g}" if den != g else str(n // g)
     if sort_keys:
         entries = list(map(str.__add__, map(keys.__getitem__, nums),
                            map(text.__getitem__, nums.values())))

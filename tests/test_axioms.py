@@ -33,7 +33,16 @@ from eqshares.model import (
     is_feasible,
     outcome_utility,
 )
-from eqshares.rules import add1u, bos, fres, fres_utilitarian_completion, mes
+from eqshares.pabulib import load_election
+from eqshares.rules import (
+    RULE_NAMES,
+    add1u,
+    bos,
+    fres,
+    fres_utilitarian_completion,
+    mes,
+    run_rule,
+)
 
 UTILITARIAN_REF = Outcome((0, 1, 2), ())
 MES_REF = Outcome((0, 3, 4), ())
@@ -444,3 +453,45 @@ class TestAudit:
         base = audit(e, MES_REF)
         moved = audit(shuffled, MES_REF)
         assert base == moved
+
+
+class TestSatisfactionFromScoreTotals:
+    """Cost satisfaction is read from the score totals: it must equal the
+    sum over the derived cost profile, and auditing a score-model election
+    must not derive that profile."""
+
+    @given(elections_with_outcomes())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sum_over_profile_rows(self, case):
+        e, out = case
+        shares = out.shares
+        for model, profile in ((UtilityModel.COST, e.cost_utilities),
+                               (UtilityModel.SCORE, e.scores)):
+            expected = sum(
+                (shares[c] * u for row in profile.rows
+                 for c, u in row.items() if c in shares),
+                F(0),
+            )
+            assert satisfaction(e, out, model) == expected
+
+    @given(elections_with_outcomes())
+    @settings(max_examples=100, deadline=None)
+    def test_default_model_is_the_elections(self, case):
+        e, out = case
+        assert satisfaction(e, out, None) == satisfaction(
+            e, out, e.utility_model
+        )
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_score_model_audit_derives_no_cost_profile(self, fixtures_dir,
+                                                       rule):
+        # Scoring ballots: no EJR+ count, which reads cost utilities.
+        e = load_election(str(fixtures_dir / "tail.pb"), UtilityModel.SCORE)
+        out = run_rule(rule, e)
+        report = audit(e, out)
+        assert "cost_utilities" not in e.__dict__
+        assert report.cost_satisfaction == sum(
+            (out.shares.get(c, 0) * u for row in e.cost_utilities.rows
+             for c, u in row.items()),
+            F(0),
+        )

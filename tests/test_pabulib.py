@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,11 +18,14 @@ from eqshares.pabulib import (
     PbProject,
     PbVote,
     PbWriteError,
+    _decimal_str,
+    _parse_decimal,
     ballots_to_utilities,
     load_election,
     parse_pb,
     write_pb,
 )
+from test_acceptance import fuzzed_election
 
 MINIMAL = """META
 key;value
@@ -636,3 +641,205 @@ class TestWrittenCells:
         assert [p.name for p in back.projects] == names
         assert back.metadata["pb_voter_ids"] in (voter_id, "v1")
         assert back.metadata[key] == value
+
+
+# The decimal grammar and value the reader has always had: this pattern
+# after stripping, then the ``Fraction`` of the stripped text.
+DECIMAL_PATTERN = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
+
+
+def reference_decimal(text: str):
+    """The value of ``text`` as a decimal cell, or None if it is not one."""
+    if not DECIMAL_PATTERN.match(text.strip()):
+        return None
+    return F(text.strip())
+
+
+def parsed_decimal(text: str):
+    try:
+        value = _parse_decimal(text)
+    except ValueError:
+        return None
+    assert type(value) is F
+    return value
+
+
+# ASCII digits, and decimal digits of other scripts (Arabic-Indic,
+# Devanagari, fullwidth), which both ``\d`` and ``int`` read.
+DIGITS = st.sampled_from("0123456789" + "٣٩०९０９")
+SPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n", " "])
+
+
+@st.composite
+def decimal_texts(draw):
+    """Mostly well-formed decimals: a sign, leading zeros, whole and
+    fraction digits (up to 30 of them) with either part missing."""
+    whole = "".join(draw(st.lists(DIGITS, max_size=12)))
+    frac = "".join(draw(st.lists(DIGITS, max_size=30)))
+    point = draw(st.sampled_from(["", ".", "."]))
+    return (draw(SPACE) + draw(st.sampled_from(["", "+", "-"])) + whole
+            + point + frac + draw(SPACE))
+
+
+class TestParseDecimal:
+    """``_parse_decimal`` accepts and values text exactly as the decimal
+    pattern plus ``Fraction`` of the stripped text do."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "5", "-5", "+5", ".5", "5.", "-.5", "+5.", "007", "-007.0100",
+        " 2.5 ", "\t-0\n", "0." + "9" * 30, "1" * 40 + "." + "0" * 29 + "1",
+        "٣.٥", "１０",
+    ])
+    def test_accepted(self, text):
+        assert parsed_decimal(text) == reference_decimal(text) is not None
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "1E5", "1_0", ".", "+", "-", "", "  ", "+-1", "1.2.3", ". 5",
+        "5 .5", "1/2", "inf", "nan", "0x10", "½", "⅕",
+    ])
+    def test_rejected(self, text):
+        assert reference_decimal(text) is None
+        with pytest.raises(ValueError, match="not a decimal number"):
+            _parse_decimal(text)
+
+    @given(decimal_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_decimals(self, text):
+        assert parsed_decimal(text) == reference_decimal(text)
+
+    @given(st.text(alphabet="0123456789.+-_eE /٣½", max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_any_text(self, text):
+        assert parsed_decimal(text) == reference_decimal(text)
+
+
+def reference_decimal_str(value: F) -> str:
+    """A rational's exact decimal string, with twos and fives counted one
+    division at a time; PbWriteError when it has none."""
+    denominator = value.denominator
+    twos = fives = 0
+    while denominator % 2 == 0:
+        denominator //= 2
+        twos += 1
+    while denominator % 5 == 0:
+        denominator //= 5
+        fives += 1
+    if denominator != 1:
+        raise PbWriteError(f"{value} has no exact decimal representation")
+    shift = max(twos, fives)
+    scaled = value.numerator * 10**shift // value.denominator
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    if shift == 0:
+        return sign + digits
+    whole, frac = digits[:-shift], digits[-shift:].rstrip("0")
+    return sign + whole + ("." + frac if frac else "")
+
+
+def rendered(render, value):
+    try:
+        return render(value)
+    except PbWriteError as exc:
+        return ("error", str(exc))
+
+
+class TestDecimalStr:
+    """``_decimal_str`` writes the same text, or raises the same error, as
+    counting twos and fives by repeated division."""
+
+    @pytest.mark.parametrize("value", [
+        F(0), F(7), F(-7), F(1, 2), F(-3, 8), F(1, 5**31), F(2, 5**32),
+        F(1, 5**40), F(3, 2**70), F(1, 2**40 * 5**3), F(550868107, 10**9),
+        F(1, 3), F(5, 6), F(1, 5**33 * 7), F(-1, 2**64 * 3),
+    ])
+    def test_cases(self, value):
+        assert rendered(_decimal_str, value) == rendered(
+            reference_decimal_str, value
+        )
+
+    @given(
+        st.integers(-10**25, 10**25),
+        st.integers(0, 70),
+        st.integers(0, 40),
+        st.sampled_from([1, 1, 1, 3, 7, 9, 11, 21, 625 * 3]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, numerator, twos, fives, odd):
+        value = F(numerator, 2**twos * 5**fives * odd)
+        text = rendered(_decimal_str, value)
+        assert text == rendered(reference_decimal_str, value)
+        if isinstance(text, str):
+            assert _parse_decimal(text) == value
+
+
+def assert_profile_as_validated(e: Election) -> None:
+    """The profile equals the one ``from_rows`` builds of the same rows, and
+    every entry is a positive ``Fraction``."""
+    scores = e.scores
+    assert scores == UtilityProfile.from_rows(
+        scores.n_voters, scores.n_projects, scores.rows
+    )
+    for row in scores.rows:
+        assert all(0 <= c < scores.n_projects for c in row)
+        assert all(type(u) is F and u > 0 for u in row.values())
+
+
+class TestBallotsToUtilitiesProfile:
+    """``ballots_to_utilities`` builds its profile directly; it must be the
+    profile ``from_rows`` validates, for every ballot type."""
+
+    @pytest.mark.parametrize(
+        "name", ["reference.pb", "minority.pb", "tail.pb", "blocks.pb"]
+    )
+    def test_fixtures(self, fixtures_dir, name):
+        pb = parse_pb((fixtures_dir / name).read_text(encoding="utf-8"))
+        assert_profile_as_validated(ballots_to_utilities(pb, UtilityModel.COST))
+
+    def test_fuzzed_files_of_every_ballot_type(self):
+        # The files of acceptance criterion 12, drawn in its order.
+        rng = random.Random(97531)
+        for ballot_type in BallotType:
+            for _ in range(20):
+                e = fuzzed_election(rng, ballot_type)
+                pb = parse_pb(write_pb(e, ballot_type))
+                back = ballots_to_utilities(pb, UtilityModel.SCORE)
+                assert_profile_as_validated(back)
+                assert back.scores == e.scores
+
+    def test_hand_built_integer_points(self):
+        pb = PbFile(
+            meta={"budget": "10", "vote_type": "scoring"},
+            projects=(PbProject("a", F(1)), PbProject("b", F(2))),
+            votes=(PbVote("v1", ("a", "b"), (3, 0)),),
+        )
+        e = ballots_to_utilities(pb, UtilityModel.SCORE)
+        assert e.scores.rows == ({0: F(3)},)
+        assert_profile_as_validated(e)
+
+
+class TestFirstFaultNamed:
+    """Rows are checked in bulk, but a fault still names its first cause."""
+
+    def test_first_unknown_project_named(self):
+        err = error_for(build(votes="v1;p1,p8,p9"))
+        assert err.line == 11
+        assert err.message == "vote references unknown project 'p8'"
+
+    def test_voter_row_faults_keep_their_messages(self):
+        err = error_for(build(votes="v1;p1\nv2;p2;x"))
+        assert (err.line, err.message) == (12, "expected 2 fields, got 3")
+        err = error_for(build(votes="v1;p1\n;p2"))
+        assert (err.line, err.message) == (12, "empty voter id")
+        err = error_for(build(votes="v1;p1\nv1;p2"))
+        assert (err.line, err.message) == (12, "duplicate voter id 'v1'")
+
+    def test_first_non_approval_voter_named(self):
+        prof = UtilityProfile.from_rows(3, 2, [{0: 1}, {0: 1, 1: 2}, {1: 3}])
+        e = Election(
+            (Project(0, "a", 1), Project(1, "b", 1)), 3, F(10), prof,
+            metadata={"pb_voter_ids": "x,y,z"},
+        )
+        for ballot_type in (BallotType.APPROVAL, BallotType.CHOOSE1):
+            with pytest.raises(PbWriteError) as info:
+                write_pb(e, ballot_type)
+            assert str(info.value) == "voter 'y' has non-approval scores"
