@@ -29,7 +29,6 @@ from .model import (
     Outcome,
     UtilityModel,
     as_num,
-    scaled_voter_utilities,
     voter_utilities,
 )
 from .rules import RuleConfig, utilitarian
@@ -100,10 +99,14 @@ def _relative(value: Num, base: Num) -> Num:
 
 
 def exclusion_ratio(election: Election, outcome: AnyOutcome) -> Num:
-    """Fraction of voters with zero utility for every funded project."""
-    funded = outcome.shares.keys()
-    excluded = sum(1 for row in election.scores.rows if funded.isdisjoint(row))
-    return Fraction(excluded, election.n_voters)
+    """Fraction of voters with zero utility for every funded project.
+
+    The served voters are the union of the funded projects' supporter
+    columns, so no ballot row is read.
+    """
+    n, supporters = election.n_voters, election.scores.supporters
+    served = set().union(*(supporters[c] for c in outcome.shares))
+    return Fraction(n - len(served), n)
 
 
 def budget_spent_fraction(election: Election, outcome: AnyOutcome) -> Num:
@@ -158,39 +161,45 @@ def ejr_plus_violations(
     certify it) and one witness per violating project: its shortest
     certifying prefix.
 
-    The check runs in exact integers. Satisfactions, b/n and the costs are
-    put on one scale (the lcm of their denominators); all voters are sorted
-    once, and handing them out to the projects' approver lists in that
-    order gives every list in satisfaction order. Each prefix test is then
-    sat + cost ≤ s·b/n, scanned from the least s with s·b/n ≥ cost.
+    The check runs in exact integers and reads the score profile's
+    supporter columns, never the cost profile. On approval ballots a voter's
+    cost satisfaction is Σ share·cost over the funded projects she
+    approves, so b/n, the open projects' costs and each funded project's
+    share·cost are put on one scale (the lcm of their denominators), and
+    each funded project adds its one weight over its supporters. Each open
+    project's supporters, in voter-id order, are then sorted stably by
+    satisfaction, and each prefix test is sat + cost ≤ s·b/n, scanned from
+    the least s with s·b/n ≥ cost.
     """
-    if not election.scores.is_approval:
+    scores = election.scores
+    if not scores.is_approval:
         raise ValueError("violation counting requires approval ballots")
-    n = election.n_voters
+    n, projects = election.n_voters, election.projects
+    supporters = scores.supporters
     funded = outcome.shares
-    open_projects = [
-        p for p in election.projects if funded.get(p.id, ZERO) < 1
-    ]
-    sat, sat_scale = scaled_voter_utilities(election, outcome, UtilityModel.COST)
+    open_projects = [p for p in projects if funded.get(p.id, ZERO) < 1]
+    gains = {c: share * projects[c].cost for c, share in funded.items()}
     share = election.budget / n
     scale = lcm(
-        sat_scale, share.denominator, *(p.cost.denominator for p in open_projects)
+        share.denominator,
+        *(p.cost.denominator for p in open_projects),
+        *(gain.denominator for gain in gains.values()),
     )
-    if scale != sat_scale:
-        sat = [s * (scale // sat_scale) for s in sat]
+    sat = [0] * n
+    for c, gain in gains.items():
+        weight = gain.numerator * (scale // gain.denominator)
+        for i in supporters[c]:
+            sat[i] += weight
     share_units = share.numerator * (scale // share.denominator)
 
-    approvers: dict[int, list[int]] = {p.id: [] for p in open_projects}
-    rows = election.scores.rows
-    for i in sorted(range(n), key=sat.__getitem__):
-        for c in rows[i]:
-            if c in approvers:
-                approvers[c].append(i)
     witnesses: list[EjrPlusWitness] = []
     for project in open_projects:
-        group = approvers[project.id]
         cost = project.cost.numerator * (scale // project.cost.denominator)
         first = max(1, -(-cost // share_units))
+        approvers = supporters[project.id]
+        if len(approvers) < first:
+            continue
+        group = sorted(approvers, key=sat.__getitem__)
         for s in range(first, len(group) + 1):
             if sat[group[s - 1]] + cost <= s * share_units:
                 witnesses.append(EjrPlusWitness(project.id, tuple(group[:s])))

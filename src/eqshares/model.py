@@ -262,11 +262,23 @@ class UtilityProfile:
         return True
 
     def scaled(self, factor: Num) -> "UtilityProfile":
-        """A copy with every entry multiplied by a positive rational."""
+        """A copy with every entry multiplied by a positive rational.
+
+        The copy shares this profile's :attr:`supporters` tuple.
+        """
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         rows = tuple({c: u * factor for c, u in row.items()} for row in self.rows)
-        return UtilityProfile(self.n_voters, self.n_projects, rows)
+        return self._same_support(rows)
+
+    def _same_support(self, rows: tuple[Mapping[int, Num], ...]) -> "UtilityProfile":
+        """A profile of ``rows``, positive exactly where this profile is,
+        that is handed this profile's :attr:`supporters` instead of deriving
+        them again."""
+        out = UtilityProfile(self.n_voters, self.n_projects, rows)
+        # A cached_property reads the instance dict before computing.
+        out.__dict__["supporters"] = self.supporters
+        return out
 
 
 def derive_cost_utilities(
@@ -276,6 +288,8 @@ def derive_cost_utilities(
 
     Under approval scores the resulting satisfaction of a voter from an
     outcome equals the amount of funds allocated to projects she approves.
+    Costs are positive, so the support is unchanged: the result shares the
+    scores' :attr:`~UtilityProfile.supporters` tuple.
     """
     if len(projects) != scores.n_projects:
         raise ValueError("project list does not match profile width")
@@ -299,7 +313,7 @@ def derive_cost_utilities(
                 last[c] = (u, product)
             out[c] = product
         rows.append(out)
-    return UtilityProfile(scores.n_voters, scores.n_projects, tuple(rows))
+    return scores._same_support(tuple(rows))
 
 
 @dataclass(frozen=True)

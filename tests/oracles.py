@@ -507,6 +507,16 @@ def naive_ejr_plus(
     return len(witnesses), witnesses
 
 
+def naive_exclusion_ratio(
+    election: Election, funded: dict[int, Fraction]
+) -> Fraction:
+    """Share of voters whose ballot row names no project funded above 0,
+    by one pass over the rows."""
+    positive = {c for c, w in funded.items() if w > 0}
+    excluded = sum(1 for row in election.scores.rows if positive.isdisjoint(row))
+    return Fraction(excluded, election.n_voters)
+
+
 # ---------------------------------------------------------------------------
 # Dense-sweep lower-envelope check for purchase quotes.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from eqshares.axioms import (
     relative_satisfaction,
     satisfaction,
 )
+from eqshares.cli import BENCH_RULES
 from eqshares.model import (
     Election,
     FractionalOutcome,
@@ -302,6 +304,94 @@ class TestEjrPlusAgainstPrefixScan:
         assert oracles.naive_ejr_plus(e, {1: F(1)}) == (1, [(0, (2,))])
 
 
+def seeded_approval_election(seed, n_voters=300, n_projects=15):
+    """A Pabulib-shaped approval election, deterministic in its seed:
+    skewed project popularity, ballots of one to five projects, fractional
+    costs and a b/n with a large denominator. Even seeds use the cost
+    model, odd seeds the score model."""
+    rng = random.Random(seed)
+    popularity = [rng.lognormvariate(0, 1) for _ in range(n_projects)]
+    costs = [
+        F(rng.randint(5, 90) * 1000, rng.choice([1, 1, 3, 7]))
+        for _ in range(n_projects)
+    ]
+    rows = []
+    for _ in range(n_voters):
+        # Weighted sampling without replacement (Efraimidis-Spirakis keys).
+        keys = {c: rng.random() ** (1 / popularity[c]) for c in range(n_projects)}
+        ranked = sorted(keys, key=keys.__getitem__, reverse=True)
+        rows.append({c: 1 for c in ranked[: rng.randint(1, 5)]})
+    budget = max(max(costs), sum(costs) * F(3, 10)) + F(
+        rng.randint(1, 10**6), 999_983
+    )
+    projects = tuple(Project(c, f"p{c}", costs[c]) for c in range(n_projects))
+    model = UtilityModel.SCORE if seed % 2 else UtilityModel.COST
+    return Election(projects, n_voters, budget,
+                    UtilityProfile.from_rows(n_voters, n_projects, rows),
+                    utility_model=model)
+
+
+def funded_shares(outcome):
+    """The oracle's view of an outcome: every listed share, zeros kept."""
+    if isinstance(outcome, FractionalOutcome):
+        return dict(outcome.fractions)
+    return dict.fromkeys(outcome.selected, F(1))
+
+
+def halved(outcome):
+    """The outcome with every share halved (fractional) or its later half
+    of purchases dropped (integral), which leaves approvers underserved."""
+    if isinstance(outcome, FractionalOutcome):
+        return FractionalOutcome(
+            {c: w / 2 for c, w in outcome.fractions.items()}, ()
+        )
+    return Outcome(outcome.selected[: len(outcome.selected) // 2], ())
+
+
+class TestEjrPlusAtScale:
+    """The column-wise audits against the oracles' row scans on elections
+    of a few hundred voters, EJR+ witnesses included. The rules' own
+    outcomes are mostly clean, so each is also checked halved, which has
+    witnesses."""
+
+    def test_matches_oracles_on_rule_outcomes(self):
+        violations = 0
+        for seed in range(6):
+            e = seeded_approval_election(seed)
+            for out in (mes(e), bos(e), fres(e)):
+                for outcome in (out, halved(out)):
+                    funded = funded_shares(outcome)
+                    count, witnesses = ejr_plus_violations(e, outcome)
+                    assert (
+                        count, [(w.project, w.group) for w in witnesses]
+                    ) == oracles.naive_ejr_plus(e, funded)
+                    assert exclusion_ratio(e, outcome) == (
+                        oracles.naive_exclusion_ratio(e, funded)
+                    )
+                    violations += count
+        assert violations > 0
+
+
+class TestExclusionAgainstRowScan:
+    """The supporter-column union against one pass over the ballot rows."""
+
+    @given(ejr_plus_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_approval_outcomes(self, case):
+        e, outcome, funded = case
+        assert exclusion_ratio(e, outcome) == oracles.naive_exclusion_ratio(
+            e, funded
+        )
+
+    @given(elections_with_outcomes())
+    @settings(max_examples=100, deadline=None)
+    def test_cardinal_outcomes(self, case):
+        e, outcome = case
+        assert exclusion_ratio(e, outcome) == oracles.naive_exclusion_ratio(
+            e, funded_shares(outcome)
+        )
+
+
 class TestEjrUpToWitnesses:
     def test_rejects_oversized_instances(self):
         n = 13
@@ -495,3 +585,19 @@ class TestSatisfactionFromScoreTotals:
              for c, u in row.items()),
             F(0),
         )
+
+
+class TestAuditFromSupporterColumns:
+    """EJR+ and exclusion read the score profile's supporter columns, so
+    auditing an approval election under the score model must not derive
+    the cost profile."""
+
+    @pytest.mark.parametrize("rule", BENCH_RULES)
+    @pytest.mark.parametrize("name", ["reference.pb", "minority.pb", "blocks.pb"])
+    def test_score_model_audit_derives_no_cost_profile(self, fixtures_dir,
+                                                       name, rule):
+        e = load_election(str(fixtures_dir / name), UtilityModel.SCORE)
+        assert e.scores.is_approval
+        report = audit(e, run_rule(rule, e))
+        assert "cost_utilities" not in e.__dict__
+        assert report.ejr_plus_violations is not None

@@ -27,6 +27,7 @@ from eqshares.model import (
     scaled_voter_utilities,
     voter_utilities,
 )
+from eqshares.pabulib import load_election
 
 ZERO = F(0)
 # Rationals with mixed denominators, drawn as fresh objects per entry.
@@ -223,6 +224,47 @@ class TestDeriveCostUtilities:
         for i in range(2):
             for c in range(2):
                 assert out.value(i, c) / projects[c].cost == prof.value(i, c)
+
+
+class TestSharedSupporters:
+    """A positive factor keeps every entry's sign, so a scaled or
+    cost-weighted profile reuses its source's supporters tuple, which must
+    still be what its own rows give."""
+
+    @staticmethod
+    def _from_own_rows(prof):
+        return UtilityProfile(prof.n_voters, prof.n_projects, prof.rows).supporters
+
+    def test_scaled_reuses_the_tuple(self):
+        p = UtilityProfile.from_rows(3, 2, [{0: 2}, {}, {0: 1, 1: F(1, 2)}])
+        out = p.scaled(F(7, 3))
+        assert out.supporters is p.supporters
+        assert out.rows == ({0: F(14, 3)}, {}, {0: F(7, 3), 1: F(7, 6)})
+
+    @given(mixed_profiles(), mixed)
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_supporters_match_rows(self, prof, factor):
+        out = prof.scaled(factor)
+        assert out.supporters is prof.supporters
+        assert out.supporters == self._from_own_rows(out)
+
+    @given(mixed_profiles())
+    @settings(max_examples=100, deadline=None)
+    def test_cost_utilities_supporters_match_rows(self, prof):
+        projects = tuple(
+            Project(c, f"p{c}", F(7 * c + 3, c + 2)) for c in range(prof.n_projects)
+        )
+        out = derive_cost_utilities(prof, projects)
+        assert out.supporters is prof.supporters
+        assert out.supporters == self._from_own_rows(out)
+
+    @pytest.mark.parametrize(
+        "name", ["reference.pb", "minority.pb", "tail.pb", "blocks.pb"]
+    )
+    def test_cost_model_election_derives_supporters_once(self, fixtures_dir,
+                                                         name):
+        e = load_election(str(fixtures_dir / name), UtilityModel.COST)
+        assert e.cost_utilities.supporters is e.scores.supporters
 
 
 def tiny_election(costs, rows, budget, model=UtilityModel.SCORE):
