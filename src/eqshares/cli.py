@@ -199,6 +199,8 @@ def _parse_rules(spec: str) -> tuple[str, ...]:
             raise click.BadParameter(
                 f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)} or all"
             )
+        if rules.count(rule) > 1:
+            raise click.BadParameter(f"rule {rule!r} given twice")
     return rules
 
 
@@ -273,6 +275,9 @@ def _batch_file(args: tuple, writer: RecordWriter) -> _FileResult:
         )
     except (PbParseError, InputDataError) as exc:
         return (path_str, str(exc), [], 0)
+    if not election.projects:
+        # No record could be bucketed by its project count.
+        return (path_str, "no project costs at most the budget", [], 0)
     failed = []
     for rule in rules:
         error = _batch_cell(writer, path, rule, election, config, repeats)
@@ -366,8 +371,9 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
               out_path) -> None:
     """Run rules over every .pb file in a directory.
 
-    Files that fail to parse are reported on stderr and skipped, and so
-    is each (instance, rule) cell whose rule or audit raises; the command
+    Files that fail to parse or leave no project within the budget are
+    reported on stderr and skipped, and so is each (instance, rule) cell
+    whose rule or audit raises; the command
     fails only if no cell succeeds. Records are written as each cell is
     built, sorted by (instance, rule): files by stem, and each file's rules
     by name.
@@ -402,7 +408,7 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
             written += count
             log.info("done %s", path_str)
         if unread == len(files):
-            raise InputDataError("every input file failed to parse")
+            raise InputDataError("every input file was skipped")
         if not written:
             raise InputDataError("every (instance, rule) cell failed")
 

@@ -10,10 +10,10 @@ What an outcome funds, spends and gives each voter is defined here once:
 share (1 for an integral selection), :meth:`Election.spent` is the sum of
 share times cost, :meth:`Election.profile` picks the score or cost profile
 for a utility model, and :func:`voter_utilities` is every voter's
-share-weighted utility. Rules, audits and records use these rather than
-deriving any of the four again. :func:`scaled_voter_utilities` is the same
-satisfaction as integers over one common scale, for audits that compare
-many voters at once.
+share-weighted utility, one row sum per voter. Rules, audits and records
+use these rather than deriving any of the four again.
+:func:`scaled_voter_utilities` is the same satisfaction as integers over
+its least common denominator.
 """
 from __future__ import annotations
 
@@ -635,6 +635,11 @@ class BudgetState:
             self._limit = 2 * scale.bit_length() + self.SLACK_BITS
 
 
+def _row_utility(row: Mapping[int, Num], shares: Mapping[int, Num]) -> Num:
+    """Sum of share·u over the funded projects in one ballot row."""
+    return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
+
+
 def scaled_voter_utilities(
     election: Election,
     outcome: Outcome | FractionalOutcome,
@@ -642,35 +647,14 @@ def scaled_voter_utilities(
 ) -> tuple[list[int], int]:
     """Every voter's utility from an outcome as integers over one scale.
 
-    Returns ``(sats, scale)`` with ``sats[i] / scale`` voter i's additive
-    utility, each project's utility weighted by its funded share; ``scale``
-    is the lcm of the denominators of the products share·u. Each distinct
-    (project, utility) product is formed once, and the per-voter sums are
-    integer sums. ``model`` overrides the election's utility model.
+    Returns ``(sats, scale)`` with ``sats[i] / scale`` voter i's
+    :func:`voter_utilities` entry; ``scale`` is the lcm of their
+    denominators, the least common one. ``model`` overrides the election's
+    utility model.
     """
-    profile = election.profile(model)
-    rows, supporters = profile.rows, profile.supporters
-    # Each funded project's supporters grouped by utility, keyed by its
-    # integer pair as in derive_cost_utilities. Entries of one column are
-    # often one shared object, so a run of the same object skips the lookup.
-    terms: list[tuple[Num, list[int]]] = []
-    for c, share in outcome.shares.items():
-        groups: dict[tuple[int, int], tuple[Num, list[int]]] = {}
-        last = voters = None
-        for i in supporters[c]:
-            u = rows[i][c]
-            if u is not last:
-                last = u
-                voters = groups.setdefault(u.as_integer_ratio(), (u, []))[1]
-            voters.append(i)
-        terms.extend((share * u, voters) for u, voters in groups.values())
-    scale = lcm(*(product.denominator for product, _ in terms))
-    sats = [0] * profile.n_voters
-    for product, voters in terms:
-        weight = product.numerator * (scale // product.denominator)
-        for i in voters:
-            sats[i] += weight
-    return sats, scale
+    utilities = voter_utilities(election, outcome, model)
+    scale = lcm(*(u.denominator for u in utilities))
+    return [u.numerator * (scale // u.denominator) for u in utilities], scale
 
 
 def voter_utilities(
@@ -681,11 +665,10 @@ def voter_utilities(
     """Every voter's additive utility from an outcome, in voter order.
 
     Each project's utility is weighted by its funded share. ``model``
-    overrides the election's utility model when given. This is the exact
-    rational view of :func:`scaled_voter_utilities`.
+    overrides the election's utility model when given.
     """
-    sats, scale = scaled_voter_utilities(election, outcome, model)
-    return [Fraction(s, scale) if s else ZERO for s in sats]
+    shares = outcome.shares
+    return [_row_utility(row, shares) for row in election.profile(model).rows]
 
 
 def outcome_utility(
@@ -701,9 +684,7 @@ def outcome_utility(
     """
     if not 0 <= voter < election.n_voters:
         raise IndexError(f"voter index {voter} out of range")
-    shares = outcome.shares
-    row = election.profile(model).rows[voter]
-    return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
+    return _row_utility(election.profile(model).rows[voter], outcome.shares)
 
 
 def is_feasible(election: Election, outcome: Outcome | FractionalOutcome) -> bool:

@@ -41,9 +41,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import attrgetter, itemgetter
 from typing import (
-    Callable, Generic, Iterable, Optional, Sequence, TypeVar,
+    Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar,
 )
 
 from .model import (
@@ -250,9 +249,9 @@ class AffordabilityQuote:
         if self._numerators is None:
             s, voters, weights = self.capped, self.voters, self.weights
             rate = self.rate
-            if weights.count(last := weights[-1]) == len(weights):
+            if _uniform(weights):
                 # One weight (every approval column): one product for all.
-                owed = dict.fromkeys(voters, last * rate)
+                owed = dict.fromkeys(voters, weights[0] * rate)
             else:
                 # A column's weights come in runs of one object: so do the
                 # products, as the round record keeps them.
@@ -554,8 +553,6 @@ def _floors(election: Election) -> list[_Key]:
     return floors
 
 
-_quote_key = attrgetter("key")
-
 # A selector heap entry: (float of the bound, bound, tie rank, project).
 _Entry = tuple[float, _Key, tuple[int, int], int]
 
@@ -565,45 +562,41 @@ class _LazyBest(Generic[Q]):
     Minoux's lazy greedy (1978, "Accelerated greedy algorithms").
 
     ``quote(c)`` prices project c, or returns None when c cannot be bought;
-    the smallest (``key(quote)``, ``tie.rank(c)``) wins, keys being
+    the smallest (``quote.key``, ``tie.rank(c)``) wins, keys being
     :class:`_Key` pairs. A heap holds (float of the bound, lower bound on
     the key, rank, c) entries; quotes stay cached until :meth:`stale`
     forgets them. The float is correctly rounded (:func:`_proposal`), so it
     orders the heap like the exact bound and leaves exact comparisons,
     integer cross-multiplications, to entries whose floats are equal.
+    The caller retires a project for good by removing it from ``live``.
 
-    Project c enters, and re-enters through :meth:`push`, at ``floors[c]``,
-    a lower bound on its key under any balances (every rule passes
-    :func:`_floors`). A fresh quote whose key equals its bound keeps the
-    bound's object; as equal floors are one object too, equal bounds in the
-    heap compare by identity.
+    Project c enters at ``floors[c]``, a lower bound on its key under any
+    balances (every rule passes :func:`_floors`). A fresh quote whose key
+    equals its bound keeps the bound's object; as equal floors are one
+    object too, equal bounds in the heap compare by identity.
 
     Invariant the caller keeps: between two :meth:`stale` calls naming c,
     c's key can only grow, and a None quote stays None. Every bound then
     stays a lower bound, so a heap top that carries its project's cached
     key (that very object; older entries are discarded) is the pick of a
-    full rescan. A key that may fall must be re-entered with :meth:`push`.
+    full rescan. When keys may fall, build a new selector over ``live``.
 
     ``heap``, when given, is the selector's starting heap, made by
     :meth:`floor_heap` over exactly ``live`` and ``floors``; the selector
     takes it over.
     """
 
-    __slots__ = ("_tie", "_quote", "_key", "_floors", "_cached", "live", "_heap")
+    __slots__ = ("_quote", "_cached", "live", "_heap")
 
     def __init__(
         self,
         tie: TieBreaker,
         quote: Callable[[int], Optional[Q]],
-        key: Callable[[Q], _Key],
         live: Iterable[int],
         floors: Sequence[_Key],
         heap: Optional[list[_Entry]] = None,
     ) -> None:
-        self._tie = tie
         self._quote = quote
-        self._key = key
-        self._floors = floors
         self._cached: dict[int, Optional[tuple[_Key, Q]]] = {}
         self.live = set(live)
         if heap is None:
@@ -632,7 +625,7 @@ class _LazyBest(Generic[Q]):
                     if quote is None:
                         cached[c] = None
                     else:
-                        key = self._key(quote)
+                        key = quote.key
                         if (fkey := _proposal(key)) == proposal and (
                             key.num * bound.den == bound.num * key.den
                         ):
@@ -651,17 +644,6 @@ class _LazyBest(Generic[Q]):
         """Forget the quotes of projects whose key may have risen."""
         for c in projects:
             self._cached.pop(c, None)
-
-    def push(self, projects: Iterable[int]) -> None:
-        """Re-enter projects whose key may have fallen, each at its floor."""
-        projects = list(projects)
-        self.stale(projects)
-        self._heap += self.floor_heap(self._tie, projects, self._floors)
-        heapq.heapify(self._heap)
-
-    def drop(self, projects: Iterable[int]) -> None:
-        """Remove projects from the live set for good."""
-        self.live.difference_update(projects)
 
 
 def _record(
@@ -745,7 +727,6 @@ def _equal_shares(
     selector = _LazyBest(
         config.tie_breaker,
         lambda c: min_rho(projects[c], budgets, utilities),
-        _quote_key,
         everything,
         floors,
         heap,
@@ -868,6 +849,13 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     )
 
 
+class _FresPrice(NamedTuple):
+    """A :func:`fres` quote: the price cost / (active support) of a project."""
+
+    key: _Key
+    project: int
+
+
 def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOutcome:
     """Fractional purchases at a shared per-utility price.
 
@@ -898,10 +886,9 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
     selector = _LazyBest(
         config.tie_breaker,
         lambda c: (
-            (_Key(costs[c][0], costs[c][1] * support[c]), c)
+            _FresPrice(_Key(costs[c][0], costs[c][1] * support[c]), c)
             if support[c] else None
         ),
-        itemgetter(0),
         range(len(projects)),
         _floors(election),
     )
@@ -939,7 +926,7 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
         purchases.append(_record(quote))
         fractions[c] = fractions.get(c, ZERO) + alpha
         if fractions[c] == 1:
-            selector.drop((c,))
+            selector.live.discard(c)
         units = budgets.work_units
         for i in voters:
             if not units[i]:
@@ -1075,16 +1062,16 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     projects = election.projects
     remaining = election.budget
     rounds: list[PurchaseRecord] = []
+    tie, floors = config.tie_breaker, _floors(election)
+
+    def price(c: int) -> Optional[AffordabilityQuote]:
+        return bos_quote(projects[c], budgets, utilities, remaining)
+
     # Without redistribution balances only fall, so ratios only rise and
-    # quotes of projects without a moneyed supporter stay None.
-    # Redistribution can raise a balance, so it pushes every project back.
-    selector = _LazyBest(
-        config.tie_breaker,
-        lambda c: bos_quote(projects[c], budgets, utilities, remaining),
-        _quote_key,
-        (c for c in range(len(projects)) if projects[c].cost <= remaining),
-        _floors(election),
-    )
+    # quotes of projects without a moneyed supporter stay None. A
+    # redistribution that moves money can lower ratios, so a new selector
+    # takes over the live projects from their floors.
+    selector = _LazyBest(tie, price, range(len(projects)), floors)
 
     # Claim check scope: per-voter approval stakes and default accounting.
     check_overspend = (
@@ -1099,11 +1086,12 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     def redistribute_satisfied(voters: Iterable[int]) -> None:
         """Drop those of ``voters`` with nothing left to fund; share out
         their money among the voters still in play."""
+        nonlocal selector
         leaving = [i for i in voters if unfunded_support[i] == 0]
         if leaving:
             stayers = [i for i in range(n) if unfunded_support[i]]
             if budgets.redistribute(leaving, stayers):
-                selector.push(selector.live)
+                selector = _LazyBest(tie, price, selector.live, floors)
 
     if redistribute:
         redistribute_satisfied(range(n))
@@ -1133,7 +1121,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         selector.stale(utilities.supported_by(best.voters))
         remaining -= projects[c].cost
         # The public budget never grows back: drop what no longer fits.
-        selector.drop(
+        selector.live.difference_update(
             [c, *(d for d in selector.live if projects[d].cost > remaining)]
         )
         rounds.append(_record(best, overspent))
@@ -1174,18 +1162,14 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     floors = _floors(election)
     remaining = election.budget
     rounds: list[PurchaseRecord] = []
-    # Projects that fit and have supporters; nobody else can ever be bought.
-    # Real balances only fall, so phase-1 ratios only rise and a None quote
+    # Projects with supporters; nobody else can ever be bought. Real
+    # balances only fall, so phase-1 ratios only rise and a None quote
     # stays None: one selector serves every round. Boosted balances are not
     # monotone, so phase 2 starts afresh each round from the same floors.
     phase1 = _LazyBest(
         config.tie_breaker,
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
-        _quote_key,
-        (
-            c for c in range(len(projects))
-            if projects[c].cost <= remaining and supporters[c]
-        ),
+        (c for c in range(len(projects)) if supporters[c]),
         floors,
     )
     debug = logger.isEnabledFor(logging.DEBUG)
@@ -1205,7 +1189,6 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             best = _LazyBest(
                 config.tie_breaker,
                 lambda c: min_rho(projects[c], boosted, utilities),
-                _quote_key,
                 phase1.live,
                 floors,
             ).best()
@@ -1222,7 +1205,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         for i, short in overspent:
             over[i] += short
         remaining -= projects[c].cost
-        phase1.drop(
+        phase1.live.difference_update(
             [c, *(d for d in phase1.live if projects[d].cost > remaining)]
         )
         rounds.append(_record(best, tuple(sorted(i for i, _ in overspent))))

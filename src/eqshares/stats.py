@@ -343,18 +343,22 @@ def metric_values(record: RunRecord) -> dict[str, Fraction]:
 
 
 def bucket_label(n_projects: int, preset: str = "split15") -> str:
-    """Project-count bucket label, e.g. ``9-15`` or ``28+``."""
+    """Project-count bucket label, e.g. ``9-15`` or ``28+``.
+
+    Raises ValueError for a count below the preset's first bucket.
+    """
     try:
         bounds = BUCKET_PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown bucket preset {preset!r}") from None
     for low, high in bounds:
+        if n_projects < low:
+            break
         if high is None:
-            if n_projects >= low:
-                return f"{low}+"
-        elif n_projects <= high:
+            return f"{low}+"
+        if n_projects <= high:
             return f"{low}-{high}"
-    return f"{bounds[0][0]}-{bounds[0][1]}"
+    raise ValueError(f"no {preset} bucket holds {n_projects} projects")
 
 
 def exact_quantile(sorted_values: Sequence[Fraction], percent: int) -> Fraction:

@@ -268,6 +268,44 @@ class TestBatch:
         assert main(["batch", str(batch_dir), "--rules", "mes,zeus"]) == 3
         capsys.readouterr()
 
+    def test_repeated_rule_exits_3(self, batch_dir, tmp_path, capsys):
+        target = tmp_path / "r.jsonl"
+        assert main([
+            "batch", str(batch_dir), "--rules", "mes, bos,mes",
+            "--out", str(target),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "'mes'" in err and "twice" in err
+        assert not target.exists()
+
+    def test_no_affordable_project_skips_the_file(self, fixtures_dir,
+                                                   tmp_path, capsys):
+        shutil.copy(fixtures_dir / "tail.pb", tmp_path / "tail.pb")
+        over = tmp_path / "over.pb"
+        over.write_text(
+            "META\nkey;value\nbudget;10\nvote_type;approval\n"
+            "PROJECTS\nproject_id;cost\np1;11\np2;12\n"
+            "VOTES\nvoter_id;vote\nv1;p1,p2\nv2;p2\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "r.jsonl"
+        args = ["batch", str(tmp_path), "--rules", "mes,bos"]
+        with pytest.warns(UserWarning, match="dropped 2 project"):
+            assert main(args + ["--out", str(target)]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: skipped {over}: no project costs at most" in err
+        records = records_from_jsonl(target.read_text(encoding="utf-8"))
+        assert [(r.instance, r.rule) for r in records] == [
+            ("tail", "bos"), ("tail", "mes"),
+        ]
+        assert main(["aggregate", str(target)]) == 0
+        capsys.readouterr()
+        # Alone, the file leaves nothing to run.
+        (tmp_path / "tail.pb").unlink()
+        with pytest.warns(UserWarning, match="dropped 2 project"):
+            assert main(args) == 2
+        assert "every input file was skipped" in capsys.readouterr().err
+
     def test_all_files_failing_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "allbad"
         bad.mkdir()
@@ -600,6 +638,16 @@ class TestAggregate:
         garbage.write_text("{not json\n", encoding="utf-8")
         assert main(["aggregate", str(garbage)]) == 2
         capsys.readouterr()
+
+    def test_zero_project_record_exits_2(self, batch_dir, tmp_path, capsys):
+        path = Path(self.write_records(batch_dir, tmp_path, capsys))
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(first)
+        record["n_projects"] = 0
+        path.write_text("\n".join([json.dumps(record), *rest]) + "\n",
+                        encoding="utf-8")
+        assert main(["aggregate", str(path)]) == 2
+        assert "malformed record" in capsys.readouterr().err
 
     def test_non_object_record_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -201,6 +201,22 @@ class TestDerivationsAgainstNaiveSums:
             assert voter_utilities(e, outcome, model) == naive
 
 
+class TestScaledVoterUtilitiesScale:
+    @given(elections_with_outcomes())
+    @settings(max_examples=150, deadline=None)
+    def test_scale_is_least_common_denominator(self, case):
+        e, outcome = case
+        for model in (UtilityModel.SCORE, UtilityModel.COST):
+            utilities = voter_utilities(e, outcome, model)
+            sats, scale = scaled_voter_utilities(e, outcome, model)
+            assert scale == math.lcm(*(u.denominator for u in utilities))
+            assert [F(s, scale) for s in sats] == utilities
+
+    def test_halves_add_up_to_a_whole(self):
+        e = tiny_election([1, 1], [{0: F(1, 2), 1: F(1, 2)}], 2)
+        assert scaled_voter_utilities(e, Outcome((0, 1), ())) == ([1], 1)
+
+
 class TestDeriveCostUtilities:
     def test_approval_times_cost(self):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])

@@ -224,6 +224,18 @@ class TestBucketLabel:
             bucket_label(5, "weekly")
 
 
+class TestCountBelowFirstBucket:
+    @pytest.mark.parametrize("preset", ["split15", "split16"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejected(self, preset, count):
+        with pytest.raises(ValueError, match="bucket"):
+            bucket_label(count, preset)
+
+    def test_aggregate_rejects_a_zero_project_record(self):
+        with pytest.raises(ValueError):
+            aggregate_records([make_record(), make_record(n_projects=0)])
+
+
 class TestExactSummaries:
     @staticmethod
     def summary(values):
