@@ -55,9 +55,10 @@ AnyOutcome = Union[Outcome, FractionalOutcome]
 
 
 def satisfaction(
-    election: Election, outcome: AnyOutcome, model: UtilityModel
+    election: Election, outcome: AnyOutcome, model: Optional[UtilityModel]
 ) -> Num:
-    """Total voter utility from the outcome under the given model.
+    """Total voter utility from the outcome under ``model``, or under the
+    election's own model when it is None.
 
     Fractional outcomes weight each project by its funded share. A cost
     utility is a score times the project's cost, so a project's cost total

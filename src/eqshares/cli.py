@@ -93,6 +93,11 @@ def _load(path: Path, model: str) -> Election:
         return load_election(str(path), UtilityModel(model))
 
 
+def _unrecordable(election: Election) -> Optional[str]:
+    """Why records of ``election`` cannot be bucketed, or None."""
+    return None if election.projects else "no project costs at most the budget"
+
+
 def _read_tie_names(path: Optional[Path]) -> tuple[str, ...]:
     if path is None:
         return ()
@@ -245,6 +250,8 @@ def cmd_run(instance, rule, model, tie_order, add1u_step,
             exhaustive_redistribution, repeats, out_path) -> None:
     """Run one rule on one instance; print outcome, rounds, and audit."""
     election = _load(instance, model)
+    if (reason := _unrecordable(election)) is not None:
+        raise InputDataError(f"{instance}: {reason}")
     config = _make_config(
         election, _read_tie_names(tie_order), add1u_step,
         exhaustive_redistribution, strict=True,
@@ -275,9 +282,8 @@ def _batch_file(args: tuple, writer: RecordWriter) -> _FileResult:
         )
     except (PbParseError, InputDataError) as exc:
         return (path_str, str(exc), [], 0)
-    if not election.projects:
-        # No record could be bucketed by its project count.
-        return (path_str, "no project costs at most the budget", [], 0)
+    if (reason := _unrecordable(election)) is not None:
+        return (path_str, reason, [], 0)
     failed = []
     for rule in rules:
         error = _batch_cell(writer, path, rule, election, config, repeats)

@@ -68,6 +68,14 @@ def as_num(value: NumLike) -> Num:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
+def _uniform(weights: list[int]) -> bool:
+    """Whether every weight is the same: then b/u order is balance order.
+
+    Every approval column is uniform, under both utility models.
+    """
+    return not weights or weights.count(weights[0]) == len(weights)
+
+
 class UtilityModel(str, enum.Enum):
     """How ballot scores are weighted when rules and audits consume them.
 
@@ -240,9 +248,7 @@ class UtilityProfile:
         """For each project, ``(total, uniform)``: the sum of its
         :attr:`columns` weights, and whether they are all the same."""
         return tuple(
-            (sum(weights), weights.count(weights[0]) == len(weights))
-            if weights else (0, True)
-            for _, weights, _ in self.columns
+            (sum(weights), _uniform(weights)) for _, weights, _ in self.columns
         )
 
     @cached_property

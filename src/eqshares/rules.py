@@ -59,6 +59,7 @@ from .model import (
     PurchaseRecord,
     UtilityModel,
     UtilityProfile,
+    _uniform,
     as_num,
 )
 
@@ -375,11 +376,11 @@ def _ratio_order(
     """Indices in ascending b/u order, exact and stable.
 
     Voter j's b/u is money[j] * u_scale / (weights[j] * m_scale). When every
-    weight is the same (:func:`_uniform`), that is balance order, and the
-    result is the stable integer sort of ``money``. Otherwise floats
-    only propose the order: each key is the correctly rounded value of b/u
-    (integer true division), so an exactly smaller ratio never gets a larger
-    key. Every run of equal keys whose members are not all exactly equal is
+    weight is the same (:func:`~eqshares.model._uniform`), that is balance
+    order, and the result is the stable integer sort of ``money``. Otherwise
+    floats only propose the order: each key is the correctly rounded value
+    of b/u (integer true division), so an exactly smaller ratio never gets a
+    larger key. Every run of equal keys whose members are not all exactly equal is
     then re-sorted by the exact ratio; exactly equal ones stay in supporter
     order, as a stable exact sort leaves them. ``stats`` orders aggregated
     metric values num/den with it, at scales 1.
@@ -406,14 +407,6 @@ def _ratio_order(
                 order[start:end] = run
         start = end
     return order
-
-
-def _uniform(weights: list[int]) -> bool:
-    """Whether every weight is the same: then b/u order is balance order.
-
-    Every approval column is uniform, under both utility models.
-    """
-    return not weights or weights.count(weights[0]) == len(weights)
 
 
 # Whom a full purchase caps: (voters, money, weights, paid, held, s).
@@ -509,8 +502,7 @@ def min_rho(
     the fully proportional price, else a prefix of the b/u order found by
     bisection on an exact monotone check. The quote's payments are built
     only when read. The price is never below the project's proportional
-    price (:func:`_proportional_prices`), the bound at which the selectors
-    enter it.
+    price (:func:`_floors`), the bound at which the selectors enter it.
     """
     sup = _moneyed(project, budgets, utilities, True)
     if sup is None:
@@ -518,38 +510,29 @@ def min_rho(
     return _full_quote(project, _capped_prefix(*sup), *sup[3:6])
 
 
-def _proportional_prices(election: Election) -> list[Num]:
+def _floors(election: Election) -> list[_Key]:
     """Each project's fully proportional price cost / (sum of its
-    utilities), read from the cached columns; 0 for an unsupported project.
+    utilities), read from the cached columns, as the selector key at which
+    every selector enters it; 0 for an unsupported project.
 
     It is a lower bound on every selector key under any balances. A quote's
     payments add up to the cost and none exceeds u * rho, so rho >= cost /
     (moneyed support) >= this price; a :func:`bos_quote` ratio rho / alpha
     is at least its rho, and a :func:`fres` price cost / (active support)
-    at least this one. Equal prices are one shared object.
+    at least this one. Each price is in lowest terms, and equal prices are
+    one shared key.
     """
-    shared: dict[Num, Num] = {}
-    prices = []
+    shared: dict[tuple[int, int], _Key] = {}
+    floors = []
     for project, (_, _, scale), (total, _) in zip(
         election.projects, election.utilities.columns,
         election.utilities.column_sums,
     ):
         num, den = project.cost.as_integer_ratio()
-        price = Fraction(num * scale, den * total) if total else ZERO
-        prices.append(shared.setdefault(price, price))
-    return prices
-
-
-def _floors(election: Election) -> list[_Key]:
-    """The :func:`_proportional_prices` as selector keys, at which every
-    selector enters the projects. Equal prices are one shared key."""
-    keys: dict[int, _Key] = {}
-    floors = []
-    for price in _proportional_prices(election):
-        key = keys.get(id(price))
-        if key is None:
-            key = keys[id(price)] = _Key(*price.as_integer_ratio())
-        floors.append(key)
+        num, den = (num * scale, den * total) if total else (0, 1)
+        g = math.gcd(num, den)
+        pair = (num // g, den // g)
+        floors.append(shared.setdefault(pair, _Key(*pair)))
     return floors
 
 
@@ -1158,18 +1141,16 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     over = [ZERO] * n  # the boost each voter has consumed so far
     projects = election.projects
-    supporters = utilities.supporters
     floors = _floors(election)
     remaining = election.budget
     rounds: list[PurchaseRecord] = []
-    # Projects with supporters; nobody else can ever be bought. Real
-    # balances only fall, so phase-1 ratios only rise and a None quote
+    # Real balances only fall, so phase-1 ratios only rise and a None quote
     # stays None: one selector serves every round. Boosted balances are not
     # monotone, so phase 2 starts afresh each round from the same floors.
     phase1 = _LazyBest(
         config.tie_breaker,
         lambda c: bos_quote(projects[c], budgets, utilities, remaining),
-        (c for c in range(len(projects)) if supporters[c]),
+        range(len(projects)),
         floors,
     )
     debug = logger.isEnabledFor(logging.DEBUG)

@@ -23,8 +23,8 @@ CSV, to a text stream. It writes a record's round log one round at a time,
 from the record or from an iterable such as :func:`outcome_purchases`, so
 ``batch`` builds each record without its log (``build_record(...,
 keep_rounds=False)``) and never holds a whole log, record or file as one
-object. Rounds given as purchase records are written from their integer
-payment numerators, each distinct one formatted once.
+object. :func:`_round_text` alone encodes a purchase record, integer
+payments from their numerators, and :func:`build_record` decodes its text.
 :func:`records_to_jsonl` and :func:`records_to_csv` are the writer on a
 string buffer.
 
@@ -32,8 +32,8 @@ The readers take a string or an iterable of lines, such as an open file,
 and decode one line at a time. Reading records without their round logs
 (``keep_rounds=False``, which ``aggregate`` and ``plotdata`` use) cuts each
 line's top-level round log out before decoding, when the line is in the
-layout :class:`RecordWriter` writes; other lines are decoded whole. The
-JSON syntax of a round log that is cut out is therefore not checked.
+layout :class:`RecordWriter` writes; other lines are decoded whole, rounds
+set to ``[]``. The JSON syntax of a cut-out round log is not checked.
 """
 from __future__ import annotations
 
@@ -113,16 +113,13 @@ class RunRecord:
         return {key: _to_json(getattr(self, key)) for key in self.__dataclass_fields__}
 
     @classmethod
-    def from_json(
-        cls, data: Mapping[str, object], keep_rounds: bool = True
-    ) -> "RunRecord":
-        """Rebuild a record; ``keep_rounds=False`` leaves ``rounds`` empty."""
+    def from_json(cls, data: Mapping[str, object]) -> "RunRecord":
+        """Rebuild a record; ``fractions`` and ``rounds`` may be left out."""
         if not isinstance(data, Mapping):
             raise TypeError(f"a record must be an object, not {type(data).__name__}")
-        reads = _FROM_JSON if keep_rounds else _FROM_JSON_NO_ROUNDS
         return cls(**{
             name: read(data[name] if name in data else _JSON_DEFAULTS[name])
-            for name, read in reads.items()
+            for name, read in _FROM_JSON.items()
         })
 
 
@@ -151,7 +148,6 @@ _FROM_JSON = {
     "runtime_sec": float,
     "config_hash": str,
 }
-_FROM_JSON_NO_ROUNDS = {**_FROM_JSON, "rounds": lambda rounds: ()}
 _JSON_DEFAULTS = {"fractions": None, "rounds": ()}
 
 
@@ -168,17 +164,6 @@ def config_digest(rule: str, model: str, config: RuleConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _round_to_json(record: PurchaseRecord) -> dict:
-    payments = {str(v): str(p) for v, p in sorted(record.payments.items())}
-    return {
-        "project": record.project,
-        "alpha": str(record.alpha),
-        "rho": None if record.rho is None else str(record.rho),
-        "payments": payments,
-        "overspent": list(record.overspent),
-    }
-
-
 class _VoterKeys(dict):
     """``'"<voter>": "'``, a payment's JSON text up to its value, made on
     first use for each voter."""
@@ -189,32 +174,36 @@ class _VoterKeys(dict):
 
 
 def _round_text(record: PurchaseRecord, sort_keys: bool, keys: _VoterKeys) -> str:
-    """``json.dumps(_round_to_json(record), sort_keys=sort_keys)``.
+    """A round's JSON text, the only encoder of one: rationals as ``p/q``
+    strings, payments by ascending voter or, with ``sort_keys``, every key
+    in the order ``json.dumps(..., sort_keys=True)`` writes.
 
     :class:`~eqshares.model.Payments` are written from their numerators,
-    each distinct one formatted once. An entry is its voter's key text
-    joined to its value's, and with ``sort_keys`` the entries are sorted as
-    strings: two keys differ at a digit or where the shorter one's closing
-    quote meets a digit, which orders them as JSON sorts the voters. Every
-    value is an exact rational (digits, a sign, a slash), which JSON quotes
-    unescaped.
+    each distinct one formatted once; a plain mapping's values with
+    ``str``. An entry is its voter's key text joined to its value's,
+    and with ``sort_keys`` the entries are sorted as strings: two keys
+    differ at a digit or where the shorter one's closing quote meets a
+    digit, which orders them as JSON sorts the voters. Every value is an
+    exact rational (digits, a sign, a slash), which JSON quotes unescaped.
     """
     pays = record.payments
-    if not isinstance(pays, Payments):
-        return json.dumps(_round_to_json(record), sort_keys=sort_keys)
-    nums, den = pays.numerators, pays.den
-    text = {}
-    for n in set(nums.values()):
-        g = math.gcd(n, den)
-        text[n] = f"{n // g}/{den // g}" if den != g else str(n // g)
+    if isinstance(pays, Payments):
+        nums, den = pays.numerators, pays.den
+        text = {}
+        for n in set(nums.values()):
+            g = math.gcd(n, den)
+            text[n] = f"{n // g}/{den // g}" if den != g else str(n // g)
+        value = text.__getitem__
+    else:
+        nums, value = pays, str
     if sort_keys:
         entries = list(map(str.__add__, map(keys.__getitem__, nums),
-                           map(text.__getitem__, nums.values())))
+                           map(value, nums.values())))
         entries.sort()
     else:
         voters = sorted(nums)
         entries = list(map(str.__add__, map(keys.__getitem__, voters),
-                           map(text.__getitem__, map(nums.__getitem__, voters))))
+                           map(value, map(nums.__getitem__, voters))))
     fields = {
         "project": json.dumps(record.project),
         "alpha": f'"{record.alpha}"',
@@ -244,8 +233,11 @@ def outcome_purchases(
 def outcome_rounds(
     outcome: Union[Outcome, FractionalOutcome],
 ) -> Iterator[dict]:
-    """The outcome's round log as JSON-ready dicts, each built when read."""
-    return map(_round_to_json, outcome_purchases(outcome))
+    """The outcome's round log as dicts, each decoded when read from its
+    :func:`_round_text`."""
+    keys = _VoterKeys()
+    return (json.loads(_round_text(r, False, keys))
+            for r in outcome_purchases(outcome))
 
 
 def build_record(
@@ -260,7 +252,7 @@ def build_record(
     """Assemble the full record, including the audit, for one run.
 
     ``keep_rounds=False`` leaves ``rounds`` empty, for a caller that writes
-    the round log from :func:`outcome_rounds` (see :class:`RecordWriter`).
+    the round log from :func:`outcome_purchases` (see :class:`RecordWriter`).
     """
     config = config if config is not None else RuleConfig()
     report = audit(election, outcome, config)
@@ -445,7 +437,7 @@ def aggregate_records(
     Rows come back sorted by rule, metric, bucket lower bound, and
     ballot type.
     """
-    groups: dict[tuple[str, str, str], list[dict[str, tuple[int, int]]]] = {}
+    groups: dict[tuple[str, str, str, str], list[tuple[int, int]]] = {}
     labels: dict[int, str] = {}
     bucket_low: dict[str, int] = {}
     for record in records:
@@ -453,15 +445,13 @@ def aggregate_records(
         if bucket is None:
             bucket = labels[record.n_projects] = bucket_label(record.n_projects, preset)
             bucket_low[bucket] = int(bucket.rstrip("+").split("-")[0])
-        key = (record.rule, bucket, record.ballot_type)
-        groups.setdefault(key, []).append(_metric_pairs(record))
-    rows = []
-    for (rule, bucket, ballot_type), group in groups.items():
-        for metric in dict.fromkeys(name for values in group for name in values):
-            pairs = [values[metric] for values in group if metric in values]
-            rows.append(AggregateRow(
-                rule, metric, bucket, ballot_type, len(pairs), *_summary(pairs)
-            ))
+        rule, ballot_type = record.rule, record.ballot_type
+        for metric, pair in _metric_pairs(record).items():
+            groups.setdefault((rule, metric, bucket, ballot_type), []).append(pair)
+    rows = [
+        AggregateRow(*key, len(pairs), *_summary(pairs))
+        for key, pairs in groups.items()
+    ]
     rows.sort(key=lambda r: (r.rule, r.metric, bucket_low[r.bucket], r.ballot_type))
     return rows
 
@@ -525,7 +515,9 @@ def records_from_jsonl(
         data = None if keep_rounds else _without_rounds(line)
         if data is None:
             data = json.loads(line.strip())
-        records.append(RunRecord.from_json(data, keep_rounds))
+            if not keep_rounds and isinstance(data, dict):
+                data["rounds"] = []
+        records.append(RunRecord.from_json(data))
     return records
 
 

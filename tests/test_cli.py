@@ -177,6 +177,26 @@ class TestRun:
         assert main(["run", str(bad), "--rule", "mes"]) == 2
         assert "error: line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_no_affordable_project_exits_2(self, tmp_path, capsys, out):
+        over = tmp_path / "over.pb"
+        over.write_text(
+            "META\nkey;value\nbudget;10\nvote_type;approval\n"
+            "PROJECTS\nproject_id;cost\np1;11\n"
+            "VOTES\nvoter_id;vote\nv1;p1\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "r.json"
+        target.write_text("kept\n", encoding="utf-8")
+        args = ["run", str(over), "--rule", "mes"]
+        with pytest.warns(UserWarning, match="dropped 1 project"):
+            assert main(args + (["--out", str(target)] if out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {over}: no project costs at most the budget"
+                in captured.err)
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
     def test_zero_voters_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.pb"
         empty.write_text(
@@ -242,6 +262,36 @@ class TestRun:
             "--rule", "mes", "--model", "cost",
         ]) == 0
         capsys.readouterr()
+
+
+class TestRunMatchesBatch:
+    """``run`` prints the record that ``batch`` writes for the same cell."""
+
+    @pytest.mark.parametrize("model", ["score", "cost"])
+    def test_every_rule_on_the_fixtures(self, fixtures_dir, tmp_path,
+                                        capsys, model):
+        target = tmp_path / "r.jsonl"
+        assert main([
+            "batch", str(fixtures_dir), "--model", model,
+            "--rules", ",".join(rules.RULE_NAMES), "--out", str(target),
+        ]) == 0
+        batched = {}
+        for line in target.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            del record["runtime_sec"]
+            batched[record["instance"], record["rule"]] = record
+        paths = sorted(fixtures_dir.glob("*.pb"))
+        assert len(paths) == 4
+        assert len(batched) == len(paths) * len(rules.RULE_NAMES)
+        capsys.readouterr()
+        for path in paths:
+            for rule in rules.RULE_NAMES:
+                assert main([
+                    "run", str(path), "--rule", rule, "--model", model,
+                ]) == 0
+                printed = json.loads(capsys.readouterr().out)
+                del printed["runtime_sec"]
+                assert printed == batched[path.stem, rule], (path.stem, rule)
 
 
 class TestBatch:

@@ -23,7 +23,7 @@ import eqshares
 import oracles
 from eqshares.model import BudgetState, Election, Project, UtilityProfile
 from eqshares.rules import (
-    _proportional_prices, _ratio_order, bos_quote, min_rho,
+    _floors, _ratio_order, bos_quote, min_rho,
 )
 
 ZERO = F(0)
@@ -218,7 +218,7 @@ class TestProportionalFloor:
                 sorted(leaving), [i for i in range(n) if i not in leaving]
             )
         election = Election((project,), n, cost, profile)
-        floor = _proportional_prices(election)[0]
+        floor = _floors(election)[0].value()
         assert floor == cost / sum(u for u, _ in pairs)
         quote = min_rho(project, budgets, profile)
         if quote is not None:
@@ -236,9 +236,20 @@ class TestProportionalFloor:
              Project(2, "c", F(4))),
             3, F(10), profile,
         )
-        a, b, c = _proportional_prices(election)
-        assert (a, b, c) == (2, 1, 2)
+        a, b, c = _floors(election)
+        assert (a.value(), b.value(), c.value()) == (2, 1, 2)
         assert a is c
+
+    def test_equal_prices_of_different_pairs_share_one_object(self):
+        # Cost 4 over two unit supporters is the pair (4, 2); cost 6 over
+        # one supporter of utility 3 is (6, 3). Both prices are 2.
+        profile = UtilityProfile.from_rows(3, 2, [{0: 1}, {0: 1}, {1: 3}])
+        election = Election(
+            (Project(0, "a", F(4)), Project(1, "b", F(6))), 3, F(10), profile,
+        )
+        a, b = _floors(election)
+        assert a is b
+        assert a.value() == 2
 
 
 class TestRatioOrder:

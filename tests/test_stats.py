@@ -463,7 +463,7 @@ def read_full(text: str):
     """The same, by decoding every line whole: the reference."""
     try:
         return [
-            RunRecord.from_json(json.loads(line), False)
+            RunRecord.from_json({**json.loads(line), "rounds": []})
             for line in text.split("\n") if line.strip()
         ]
     except (KeyError, TypeError, ValueError) as exc:
