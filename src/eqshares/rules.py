@@ -19,6 +19,12 @@ changed them, and the pick equals a full rescan's. Prices stay integer
 pairs (:class:`_Key`) from the quote kernel to the pick; a normalised
 ``Fraction`` is built only when a record or a debug log reads one.
 
+Floats decide a comparison only where a certificate proves them right,
+and exact integers decide the rest: distinct correctly rounded floats
+order like the rationals they round (:func:`_proposal`,
+:func:`_ratio_keys`), and :func:`bos_quote`'s logs decide only outside a
+margin above their proven error.
+
 Every voter-funded purchase is an :class:`AffordabilityQuote` over the
 moneyed supporters' units on one integer ledger
 (:class:`~eqshares.model.BudgetState`) and their utilities in the
@@ -370,28 +376,48 @@ def _moneyed(
     )
 
 
-def _ratio_order(
-    money: list[int], weights: list[int], m_scale: int, u_scale: int
-) -> list[int]:
-    """Indices in ascending b/u order, exact and stable.
+def _ratio_keys(
+    num: Sequence[int], den: Sequence[int], shift: int = 0
+) -> list[float] | list[Fraction]:
+    """Keys of the positive ratios num[j] / den[j]: each ratio times
+    2**-shift (shift >= 0), correctly rounded, by one integer true division.
 
-    Voter j's b/u is money[j] * u_scale / (weights[j] * m_scale). When every
-    weight is the same (:func:`~eqshares.model._uniform`), that is balance
-    order, and the result is the stable integer sort of ``money``. Otherwise
-    floats only propose the order: each key is the correctly rounded value
-    of b/u (integer true division), so an exactly smaller ratio never gets a
-    larger key. Every run of equal keys whose members are not all exactly equal is
-    then re-sorted by the exact ratio; exactly equal ones stay in supporter
-    order, as a stable exact sort leaves them. ``stats`` orders aggregated
-    metric values num/den with it, at scales 1.
+    Integer true division rounds correctly whatever the operands' size, and
+    rounding is monotone, so of two ratios the exactly smaller one never
+    gets the larger key, and keys that differ order their ratios. If any key
+    overflows a float, every key is the exact ``Fraction`` num[j] / den[j]
+    instead (the constant is then 1), which orders and compares the same
+    way.
+    """
+    try:
+        if shift:
+            return [n / (d << shift) for n, d in zip(num, den)]
+        return [n / d for n, d in zip(num, den)]
+    except OverflowError:
+        return [Fraction(n, d) for n, d in zip(num, den)]
+
+
+def _ratio_order(
+    money: list[int],
+    weights: list[int],
+    keys: Optional[list[float] | list[Fraction]] = None,
+) -> list[int]:
+    """Indices in ascending money/weight order (b/u order, as b/u is
+    money/weight times u_scale / m_scale), exact and stable.
+
+    ``keys`` are :func:`_ratio_keys` of these ratios; when none are given
+    and every weight is the same (:func:`~eqshares.model._uniform`), the
+    result is the stable integer sort of ``money``. Otherwise the keys only
+    propose the order: every run of equal keys whose members are not all
+    exactly equal is re-sorted by the exact ratio, and exactly equal ones
+    stay in supporter order, as a stable exact sort leaves them.
+    ``stats`` orders aggregated metric values num/den with it.
     """
     k = len(money)
-    if _uniform(weights):
-        return sorted(range(k), key=money.__getitem__)
-    try:
-        keys = [m * u_scale / (w * m_scale) for m, w in zip(money, weights)]
-    except OverflowError:
-        return sorted(range(k), key=lambda j: Fraction(money[j], weights[j]))
+    if keys is None:
+        if _uniform(weights):
+            return sorted(range(k), key=money.__getitem__)
+        keys = _ratio_keys(money, weights)
     order = sorted(range(k), key=keys.__getitem__)
     if len(set(keys)) == k:
         return order
@@ -434,21 +460,43 @@ def _capped_prefix(
     When nobody is capped at the fully proportional price cost / sum(u),
     the column order stays, s = 0, and the sums are only ``[0]`` and
     ``[0, total_w]``. With equal weights every voter then owes due / k, so
-    the poorest one decides. Otherwise the supporters go in ascending b/u
-    order (:func:`_ratio_order`; balance order when the weights are equal,
-    which then stay as they are), and s is the first index whose voter is
-    uncapped (rho_s * u_s <= b_s), checked in exact integers. The check is
-    monotone in s: if it holds at s then rho_{s+1} <= rho_s <= b_s/u_s <=
-    b_{s+1}/u_{s+1}, so it holds at s + 1, and bisection finds s.
+    the poorest one decides. Otherwise one key pass decides
+    (:func:`_ratio_keys`): every supporter's b/u and the proportional price
+    get a correctly rounded float, all times one power of two. Rounding is
+    monotone, so a least key above the price's key proves that nobody is
+    capped and one below it proves that somebody is; only keys equal to
+    the price's are checked in exact integers. On overflow the keys are
+    exact ``Fraction`` values, and the same test reads them.
+
+    When somebody is capped, the supporters go in ascending b/u order
+    (:func:`_ratio_order`, on the same keys; balance order when the weights
+    are equal, which then stay as they are), and s is the first index
+    whose voter is uncapped (rho_s * u_s <= b_s), checked in exact
+    integers. The check is monotone in s: if it holds at s then rho_{s+1}
+    <= rho_s <= b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at s + 1, and
+    bisection finds s.
     """
     if uniform:
         if min(money) * len(money) >= due:
             return voters, money, weights, [0], [0, total_w], 0
         order = sorted(range(len(money)), key=money.__getitem__)
-    elif all(w * due <= m * total_w for m, w in zip(money, weights)):
-        return voters, money, weights, [0], [0, total_w], 0
     else:
-        order = _ratio_order(money, weights, m_scale, u_scale)
+        # Keys of every b/u and, last, of cost / sum(u), all times one
+        # constant below 2**961, so that they stay in float range at any
+        # ledger scale. A shift makes the divisors long, so small scales
+        # take none.
+        keys = _ratio_keys(
+            [*money, due], [*weights, total_w],
+            max(0, m_scale.bit_length() - u_scale.bit_length() - 960),
+        )
+        bar = keys.pop()
+        low = min(keys)
+        if low > bar or low == bar and all(
+            w * due <= m * total_w
+            for m, w, key in zip(money, weights, keys) if key == bar
+        ):
+            return voters, money, weights, [0], [0, total_w], 0
+        order = _ratio_order(money, weights, keys)
         weights = [weights[j] for j in order]
     money = [money[j] for j in order]
     paid = list(accumulate(money, initial=0))
@@ -490,10 +538,11 @@ def min_rho(
     balance-to-utility ratio pay proportionally; the rest are capped at
     their full balance.
 
-    Every decision is exact and made on integers: the moneyed supporters'
-    balances are read straight from the ledger's units and their utilities
-    from the profile's cached integer column (:func:`_moneyed`), so sums
-    are integer sums, and a column's weights are summed once per profile.
+    Every decision is exact: the moneyed supporters' balances are read
+    straight from the ledger's units and their utilities from the
+    profile's cached integer column (:func:`_moneyed`), so sums are integer
+    sums, a column's weights are summed once per profile, and a float
+    decides only where it is certified (:func:`_capped_prefix`).
     The price stays an unnormalised integer pair, the quote's ``key``, and
     becomes a rational only when ``rho`` is read. Short supporters are
     turned away before anything is filtered or sorted. Otherwise
@@ -957,6 +1006,11 @@ def fres_utilitarian_completion(
     return FractionalOutcome(fractions, tuple(purchases))
 
 
+# bos_quote's filter margin per operand bit: within it, exact integers
+# decide. It is over 200 times the filter's proven error (see bos_quote).
+_LOG_MARGIN = 2.0**-40
+
+
 def bos_quote(
     project: Project,
     budgets: BudgetState,
@@ -976,9 +1030,32 @@ def bos_quote(
     budget or no supporter has money.
 
     It finds whom a full purchase caps with :func:`min_rho`'s search
-    (:func:`_capped_prefix`), on the same integers: floats only propose the
-    b/u order, every candidate comparison is an exact integer
-    cross-multiplication, and the payments are built only when read.
+    (:func:`_capped_prefix`), on the same integers, and the payments are
+    built only when read. The cap-price candidates pass a float filter
+    with a proven error bound (Shewchuk 1997, "Adaptive precision
+    floating-point arithmetic and fast robust geometric predicates").
+    Candidate j's rho / alpha is mw_j / r_j**2 times a factor common to all
+    of them (see the scan), so f_j = log(mw_j) - 2 * log(r_j) is compared
+    with the best candidate's. Where the gap is beyond ``margin`` the float
+    decides; within it the exact integer products and the tie rule decide,
+    as they do for every candidate of an exact tie.
+
+    The bound. Let u = 2**-53 and n = bit length of ``due`` plus that of
+    ``total_w``. Every operand is a positive integer below 2**n: a capped
+    voter's money is below due, so mw_j < due * total_w, and r_j < due *
+    w_j since alpha_j < 1. CPython's ``math.log`` of an int N below 2**1024
+    takes the log of N's nearest float; beyond that it rounds N to a
+    53-bit mantissa x with N ~ x * 2**e (frexp, e <= n) and returns log(x)
+    + log(2) * e. With a libm log within one ulp, the first is within
+    2u(n + 1) of ln N. The second is within 4u (mantissa rounding and
+    log(x)) + 2.2ue (log(2) and its product with e) + u(0.7n + 1) (the
+    sum), so within 5u(n + 1); the error grows with the bit length. Each
+    f is then within 5u(n + 1) + 10u(n + 1) + 1.5u(n + 1) (its
+    subtraction) of its exact value, and the gap within 2 * 16.5u(n + 1)
+    + 3u(n + 1) (its subtraction) = 36u(n + 1) < 2**-47.8 (n + 1) of the
+    exact difference of the logs. ``margin`` is 2**-40 (n + 1)
+    (``_LOG_MARGIN``), over 200 times that, so a gap beyond it has the
+    exact difference's sign.
     """
     cost = project.cost
     if cost > remaining_budget:
@@ -994,15 +1071,28 @@ def bos_quote(
     # Below s, cap price lam_j = b_j/u_j raises R_j / (m_scale * w_j) with
     # R_j = paid_j * w_j + money_j * (weight from j on), so alpha_j =
     # R_j / (due * w_j) < 1, and rho_j / alpha_j = lam_j / alpha_j**2 is
-    # money_j * w_j / R_j**2 times a factor common to every candidate.
+    # money_j * w_j / R_j**2 times a factor common to every candidate. f is
+    # its log, to within the docstring's bound.
     best, best_r, best_mw = 0, money[0] * total_w, money[0] * weights[0]
+    if s > 1:
+        log = math.log
+        best_f = log(best_mw) - 2 * log(best_r)
+        margin = _LOG_MARGIN * (due.bit_length() + total_w.bit_length() + 1)
     for j in range(1, s):
         w = weights[j]
         r = paid[j] * w + money[j] * (total_w - held[j])
         mw = money[j] * w
-        lhs, rhs = mw * best_r * best_r, best_mw * r * r
-        if lhs < rhs or (lhs == rhs and r * weights[best] > best_r * w):
-            best, best_r, best_mw = j, r, mw
+        f = log(mw) - 2 * log(r)
+        gap = f - best_f
+        if gap > margin:
+            continue
+        if gap >= -margin:
+            # Too close for the floats: the exact ratios and the tie rule
+            # (larger alpha) decide.
+            lhs, rhs = mw * best_r * best_r, best_mw * r * r
+            if lhs > rhs or (lhs == rhs and r * weights[best] <= best_r * w):
+                continue
+        best, best_r, best_mw, best_f = j, r, mw, f
     if s < len(money):
         # The full-coverage price (alpha = 1) wins ties on rho / alpha, and
         # wins outright when nobody is capped (s = 0).

@@ -421,7 +421,7 @@ def _summary(
     sxx = sum(Fraction(ss, den * den) for den, (_, ss) in sums.items())
     nums = [num for num, _ in pairs]
     dens = [den for _, den in pairs]
-    ranked = _Ranked(nums, dens, _ratio_order(nums, dens, 1, 1))
+    ranked = _Ranked(nums, dens, _ratio_order(nums, dens))
     return (
         sx / k,
         math.sqrt((k * sxx - sx * sx) / (k * k)),

@@ -609,6 +609,43 @@ class TestBatchStreaming:
             r.runtime_sec for r in records
         ]
 
+    def test_records_do_not_depend_on_the_hash_seed(self, tmp_path,
+                                                    fixtures_dir):
+        """Under two ``PYTHONHASHSEED`` values, ``batch --rules all`` writes
+        the same records byte for byte, ``runtime_sec`` aside: no rule
+        decides by the iteration order of a set or dict of hashed keys."""
+        spatial = tmp_path / "spatial"
+        assert main([
+            "gen", "euclidean", "--dist", "1", "--count", "1", "--seed", "0",
+            "--out", str(spatial),
+        ]) == 0
+        inputs = [
+            [str(fixtures_dir), "--model", "cost"],
+            [str(spatial), "--model", "score", "--exhaustive-redistribution"],
+        ]
+        src = str(Path(eqshares.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        runs = {}
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            for k, args in enumerate(inputs):
+                runs[seed, k] = subprocess.Popen(
+                    [sys.executable, "-m", "eqshares", "batch", *args,
+                     "--rules", "all"],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                    env=env,
+                )
+        texts = {}
+        for key, run in runs.items():
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            texts[key] = masked(out)
+        assert [len(texts["0", k].splitlines()) for k in range(2)] == [20, 5]
+        for k in range(2):
+            assert texts["0", k] == texts["12345", k]
+
     def test_memory_does_not_grow_with_files(self, tmp_path, fixtures_dir,
                                              capsys):
         """No record outlives its cell: the traced allocation peak over four

@@ -1,10 +1,15 @@
 """Differential tests of the quote kernels against the naive oracles.
 
-``min_rho`` and ``bos_quote`` order supporters by float keys and decide on
-exact integers. The instances here aim at the places where floats alone
+``min_rho`` and ``bos_quote`` let floats decide only where a certificate
+proves them right, and exact integers decide the rest. Correctly rounded
+keys order the supporters by b/u and show whether anybody is capped at the
+proportional price; keys equal to the price's are checked exactly. bos's
+candidate scan compares logs, which decide only outside a margin above
+their proven error. The instances here aim at the places where floats alone
 would decide wrongly: exact b/u ties, near-ties far below float resolution,
 numerators and denominators around 10^12, zero balances, and ratios that
-overflow or underflow a float.
+overflow or underflow a float. ``TestCertificates`` puts near-ties 10^-30
+apart at ledger scales below and above 2**1024.
 """
 from __future__ import annotations
 
@@ -267,7 +272,7 @@ class TestRatioOrder:
         money = [int(b * m_scale) for _, b in pairs]
         weights = [int(u * u_scale) for u, _ in pairs]
         expected = sorted(range(len(pairs)), key=lambda j: pairs[j][1] / pairs[j][0])
-        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+        assert _ratio_order(money, weights) == expected
 
     @given(
         st.lists(
@@ -290,7 +295,7 @@ class TestRatioOrder:
         expected = sorted(
             range(len(money)), key=lambda j: F(money[j], m_scale) / u
         )
-        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+        assert _ratio_order(money, weights) == expected
 
     @pytest.mark.parametrize("money, weights, m_scale, u_scale, expected", [
         ([], [], 1, 1, []),
@@ -301,7 +306,81 @@ class TestRatioOrder:
     def test_uniform_weights_edge_cases(
         self, money, weights, m_scale, u_scale, expected
     ):
-        assert _ratio_order(money, weights, m_scale, u_scale) == expected
+        assert _ratio_order(money, weights) == expected
+
+
+# ---------------------------------------------------------------------------
+# The float certificates: near-ties far below float resolution, each at a
+# ledger scale below 2**1024 and at one above it.
+
+LEDGERS = pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+
+
+def certificate_inputs(cost, pairs, wide):
+    """``kernel_inputs`` plus a last voter who supports nothing. Her
+    balance, 1/10**400 when ``wide``, puts the ledger's scale, and with it
+    every integer the kernels compare, above 2**1024."""
+    rows = [{0: u} for u, _ in pairs] + [{}]
+    budgets = BudgetState(
+        [b for _, b in pairs] + [F(1, 10**400) if wide else F(1)]
+    )
+    assert (budgets.scale > 2**1024) == wide
+    profile = UtilityProfile.from_rows(len(rows), 1, rows)
+    return Project(0, "p", cost), budgets, profile
+
+
+class TestCertificates:
+    """Floats decide only where a certificate proves them right."""
+
+    @staticmethod
+    def check_bos(cost, pairs, wide):
+        quote = bos_quote(*certificate_inputs(cost, pairs, wide), cost)
+        alpha, rho, payments = oracles.naive_bos_quote(cost, pairs)
+        assert (quote.alpha, quote.rho) == (alpha, rho)
+        assert dict(quote.payments) == dict(enumerate(payments))
+        return quote
+
+    # Cap prices b/u = 1 (alpha = 7/24) and b/u = 25/4 (alpha = 35/48) tie
+    # at rho/alpha = 24**2 / 49; the third voter is never capped. Unlike a
+    # two-voter tie, the two candidates' integers differ, so their floats
+    # round differently.
+    TIE = (F(24), [(F(5), F(5)), (F(1), F(25, 4)), (F(1), F(100))])
+
+    @LEDGERS
+    @pytest.mark.parametrize("sign", [1, -1], ids=["later", "earlier"])
+    def test_cap_price_candidates_a_relative_1e30_apart(self, wide, sign):
+        # Raising the second balance by a relative 7/3 * 1e-30 lowers its
+        # rho/alpha by a relative 1e-30 (to first order), so the later
+        # candidate wins; lowering it makes the earlier one win.
+        cost, pairs = self.TIE
+        u, b = pairs[1]
+        pairs = [pairs[0], (u, b * (1 + sign * F(7, 3) * TINY)), pairs[2]]
+        quote = self.check_bos(cost, pairs, wide)
+        assert quote.alpha == (
+            (5 + 2 * pairs[1][1]) / cost if sign > 0 else F(7, 24)
+        )
+
+    @LEDGERS
+    def test_exact_tie_of_cap_prices_with_different_alpha(self, wide):
+        # The larger alpha wins.
+        assert self.check_bos(*self.TIE, wide).alpha == F(35, 48)
+
+    @LEDGERS
+    @pytest.mark.parametrize("below", [ZERO, TINY], ids=["at", "below"])
+    def test_poorest_b_over_u_at_the_proportional_price(self, wide, below):
+        # cost / sum(u) = 6 / 6 = 1 is the poorest voter's b/u exactly (she
+        # pays her whole balance and nobody is capped), or 1e-30 above it
+        # (she alone is capped).
+        cost = F(6)
+        pairs = [(F(1), 1 - below), (F(2), F(5)), (F(3), F(7))]
+        quote = min_rho(*certificate_inputs(cost, pairs, wide))
+        rho = oracles.naive_min_rho(cost, pairs)
+        assert quote.rho == rho
+        assert quote.capped == (below > 0)
+        assert dict(quote.payments) == {
+            i: min(b, u * rho) for i, (u, b) in enumerate(pairs)
+        }
+        assert self.check_bos(cost, pairs, wide).alpha == 1
 
 
 # ---------------------------------------------------------------------------
