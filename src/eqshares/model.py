@@ -410,11 +410,19 @@ class Payments(Mapping[int, Num]):
     (:class:`~eqshares.stats.RecordWriter` formats the numerators) never
     builds them. It equals, and has the ``repr`` of, the dict of the same
     payments in the same order.
+
+    ``rate``, when positive, is a factor that most numerators share: a
+    quote's uncapped payers each pay ``weight * rate``. It changes no value;
+    the writer uses it to reduce those payments with one gcd of
+    ledger-sized integers per round. The default 0 names no such factor.
     """
 
-    def __init__(self, numerators: Mapping[int, int], den: int) -> None:
+    def __init__(
+        self, numerators: Mapping[int, int], den: int, rate: int = 0
+    ) -> None:
         self.numerators = numerators
         self.den = den
+        self.rate = rate
 
     @cached_property
     def _rationals(self) -> dict[int, Num]:
@@ -550,6 +558,17 @@ class BudgetState:
         g = gcd(num, den)
         state = cls.__new__(cls)
         state._start([num // g] * n_voters, den // g)
+        return state
+
+    @classmethod
+    def from_units(cls, units: list[int], scale: int) -> "BudgetState":
+        """Balances ``units[i] / scale``, held over the least scale that
+        serves them all (the list is taken, not copied)."""
+        if units and min(units) < 0:
+            raise ValueError("balances must be nonnegative")
+        state = cls.__new__(cls)
+        state._start(units, scale)
+        state._reduce()
         return state
 
     def _start(self, units: list[int], scale: int) -> None:

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
 from typing import (
-    Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar,
+    Callable, Generic, Iterable, Mapping, NamedTuple, Optional, Sequence,
+    TypeVar,
 )
 
 from .model import (
@@ -214,6 +215,9 @@ class AffordabilityQuote:
     charged more than she held; ``payments`` is a
     :class:`~eqshares.model.Payments` over the same numerators, which the
     round record keeps and builds rationals from only when they are read.
+    It carries ``rate`` too, the factor every uncapped numerator shares,
+    so the record writer reduces those numerators with one gcd of
+    ledger-sized integers per round.
     """
 
     project: int
@@ -284,7 +288,7 @@ class AffordabilityQuote:
 
     @property
     def payments(self) -> Payments:
-        return Payments(self._owed(), self.den)
+        return Payments(self._owed(), self.den, self.rate)
 
     def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
         """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
@@ -1207,6 +1211,28 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     return _outcome(rounds)
 
 
+def _boosted(
+    budgets: BudgetState, boost: Num, used: Mapping[int, Num]
+) -> BudgetState:
+    """A ledger holding each balance plus what is left of ``boost`` after
+    its voter's ``used`` boost: b + boost - min(boost, used).
+
+    It is built on one integer scale, the lcm of the ledger's working
+    scale, the boost's denominator and the used amounts', and then reduced,
+    so it holds what ``BudgetState`` of the same rationals would.
+    """
+    num, den = boost.as_integer_ratio()
+    scale = math.lcm(
+        budgets.work_scale, den, *(o.denominator for o in used.values())
+    )
+    lift = num * (scale // den)
+    factor = scale // budgets.work_scale
+    units = [u * factor + lift for u in budgets.work_units]
+    for i, o in used.items():
+        units[i] -= min(lift, o.numerator * (scale // o.denominator))
+    return BudgetState.from_units(units, scale)
+
+
 def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Overspend-free variant: boosted balances instead of overcharges.
 
@@ -1229,7 +1255,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     utilities = election.utilities
     n = election.n_voters
     budgets = BudgetState.equal_endowment(election.budget / n, n)
-    over = [ZERO] * n  # the boost each voter has consumed so far
+    over: dict[int, Num] = {}  # the boost each voter has consumed so far
     projects = election.projects
     floors = _floors(election)
     remaining = election.budget
@@ -1254,9 +1280,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
             boost = cost1 * (ONE - best.alpha) / best.drained()
             # Each voter holds her balance plus what is left of the boost
             # after her overdraft.
-            boosted = BudgetState(
-                [b + max(ZERO, boost - o) for b, o in zip(budgets.balances, over)]
-            )
+            boosted = _boosted(budgets, boost, over)
             best = _LazyBest(
                 config.tie_breaker,
                 lambda c: min_rho(projects[c], boosted, utilities),
@@ -1274,7 +1298,7 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         phase1.stale(utilities.supported_by(i for i in best.voters if units[i]))
         overspent = best.charge(budgets)
         for i, short in overspent:
-            over[i] += short
+            over[i] = over.get(i, ZERO) + short
         remaining -= projects[c].cost
         phase1.live.difference_update(
             [c, *(d for d in phase1.live if projects[d].cost > remaining)]

@@ -25,6 +25,9 @@ from the record or from an iterable such as :func:`outcome_purchases`, so
 keep_rounds=False)``) and never holds a whole log, record or file as one
 object. :func:`_round_text` alone encodes a purchase record, integer
 payments from their numerators, and :func:`build_record` decodes its text.
+A round's payments are reduced to lowest terms through their shared rate
+(:func:`_payment_texts`): one gcd of ledger-sized integers per round, not
+one per payer.
 :func:`records_to_jsonl` and :func:`records_to_csv` are the writer on a
 string buffer.
 
@@ -173,27 +176,62 @@ class _VoterKeys(dict):
         return key
 
 
+def _payment_texts(
+    numerators: Iterable[int], den: int, rate: int
+) -> dict[int, str]:
+    """Map each numerator n to ``str(Fraction(n, den))``, built without a
+    ``Fraction``.
+
+    A numerator that a positive ``rate`` divides is w * rate. With
+    g0 = gcd(rate, den), r1 = rate / g0 and d1 = den / g0, r1 and d1 are
+    coprime, so gcd(n, den) = g0 * g with g = gcd(w, d1), and the payment
+    is (w / g) * r1 over d1 / g: one gcd of ledger-sized integers per
+    round, then one with the small w per numerator. Any other numerator
+    (a capped payer's) is reduced by its own gcd with ``den``. Which way a
+    numerator goes depends on it alone, and both give the same text.
+    """
+    texts = {}
+    rest = numerators
+    if rate > 0:
+        g0 = math.gcd(rate, den)
+        r1, d1 = rate // g0, den // g0
+        tails: dict[int, str] = {}
+        rest = []
+        for n in numerators:
+            w, r = divmod(n, rate)
+            if r:
+                rest.append(n)
+                continue
+            g = math.gcd(w, d1)
+            tail = tails.get(g)
+            if tail is None:
+                tail = tails[g] = "" if d1 == g else f"/{d1 // g}"
+            texts[n] = f"{w // g * r1}{tail}"
+    for n in rest:
+        g = math.gcd(n, den)
+        texts[n] = f"{n // g}/{den // g}" if den != g else str(n // g)
+    return texts
+
+
 def _round_text(record: PurchaseRecord, sort_keys: bool, keys: _VoterKeys) -> str:
     """A round's JSON text, the only encoder of one: rationals as ``p/q``
     strings, payments by ascending voter or, with ``sort_keys``, every key
     in the order ``json.dumps(..., sort_keys=True)`` writes.
 
     :class:`~eqshares.model.Payments` are written from their numerators,
-    each distinct one formatted once; a plain mapping's values with
-    ``str``. An entry is its voter's key text joined to its value's,
-    and with ``sort_keys`` the entries are sorted as strings: two keys
+    each distinct one reduced through the payments' ``rate`` and formatted
+    once (:func:`_payment_texts`); a plain mapping's values with ``str``.
+    An entry is its voter's key text joined to its value's, and with
+    ``sort_keys`` the entries are sorted as strings: two keys
     differ at a digit or where the shorter one's closing quote meets a
     digit, which orders them as JSON sorts the voters. Every value is an
     exact rational (digits, a sign, a slash), which JSON quotes unescaped.
     """
     pays = record.payments
     if isinstance(pays, Payments):
-        nums, den = pays.numerators, pays.den
-        text = {}
-        for n in set(nums.values()):
-            g = math.gcd(n, den)
-            text[n] = f"{n // g}/{den // g}" if den != g else str(n // g)
-        value = text.__getitem__
+        nums = pays.numerators
+        texts = _payment_texts(set(nums.values()), pays.den, pays.rate)
+        value = texts.__getitem__
     else:
         nums, value = pays, str
     if sort_keys:
@@ -571,8 +609,8 @@ class RecordWriter:
     :class:`~eqshares.model.PurchaseRecord` it encodes
     (:func:`outcome_purchases`). A purchase record's text is written
     straight from its payments: for the rules' integer
-    :class:`~eqshares.model.Payments`, each distinct numerator is formatted
-    once and no rational is built.
+    :class:`~eqshares.model.Payments`, each distinct numerator is reduced
+    through the round's rate and formatted once, and no rational is built.
 
     With ``csv_metrics`` None the output is JSONL, byte for byte
     ``json.dumps(record.to_json(), sort_keys=True)``: the keys before

@@ -399,6 +399,17 @@ class TestBudgetState:
         with pytest.raises(ValueError):
             BudgetState.equal_units(-num - 1, den, 3)
 
+    @pytest.mark.parametrize("size", [3, BudgetState.EAGER_BALANCES + 1])
+    def test_from_units_builds_the_minimal_ledger(self, size):
+        units = [12, 0, 30] * size
+        state = BudgetState.from_units(list(units), 36)
+        expected = BudgetState([F(u, 36) for u in units])
+        assert (state.work_units, state.work_scale, state._limit) == (
+            expected.work_units, expected.work_scale, expected._limit
+        )
+        with pytest.raises(ValueError):
+            BudgetState.from_units([1, -1], 2)
+
 
 # Balances and amounts with mixed, sometimes large, denominators.
 amounts = st.builds(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -602,3 +603,44 @@ class TestUtilityColumns:
         # Every mes probe of the scan priced from the one derivation.
         assert len(probes) > 2
         assert derived == [election.utilities]
+
+
+# Amounts with mixed, sometimes large, denominators.
+ledger_amounts = st.builds(
+    F, st.integers(0, 40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10**9 + 7])
+)
+
+
+class TestBoostedLedger:
+    """bos-plus's boosted ledger, built on integers, against the same
+    balances built from rationals."""
+
+    @given(
+        st.lists(ledger_amounts, min_size=1, max_size=6),
+        st.integers(1, 20),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_formula(self, start, copies, data):
+        # Up to 120 balances, so that some ledgers defer their reduction and
+        # reach the boost with a working scale that is not minimal.
+        start = start * copies
+        n = len(start)
+        state = BudgetState(start)
+        voters = st.integers(0, n - 1)
+        charges = data.draw(st.lists(st.tuples(voters, ledger_amounts), max_size=5))
+        den = math.lcm(*(a.denominator for _, a in charges))
+        state.debit([(i, int(a * den)) for i, a in charges], den)
+        balances = [F(u, state.work_scale) for u in state.work_units]
+        boost = data.draw(ledger_amounts)
+        used = data.draw(st.dictionaries(voters, ledger_amounts.filter(bool)))
+        boosted = rules._boosted(state, boost, used)
+        expected = BudgetState(
+            [b + max(ZERO, boost - used.get(i, ZERO)) for i, b in enumerate(balances)]
+        )
+        # The same minimal ledger, and the same bound on its growth, before
+        # a public view reduces it.
+        assert (boosted.work_units, boosted.work_scale, boosted._limit) == (
+            expected.work_units, expected.work_scale, expected._limit
+        )
+        assert boosted.balances == expected.balances

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eqshares.cli import BENCH_RULES
 from eqshares.model import Election, Outcome, Payments, PurchaseRecord
 from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, fres, mes, run_rule
 from eqshares.stats import (
@@ -40,6 +41,7 @@ from eqshares.stats import (
     records_to_jsonl,
 )
 from eqshares.stats import _without_rounds
+from eqshares.synth import Dist, EuclideanConfig, VoterCluster, gen_euclidean
 
 FRACTIONS = st.fractions(
     min_value=0, max_value=10, max_denominator=20
@@ -716,6 +718,19 @@ def fixture_runs(request) -> list[tuple]:
     return runs
 
 
+@pytest.fixture(scope="module")
+def spatial_runs() -> list:
+    """Every bench rule's outcome on a small spatial score-model election."""
+    clusters = (
+        VoterCluster(20, Dist("uniform", 0.0, 0.5), Dist("uniform", 0.0, 1.0)),
+        VoterCluster(20, Dist("gauss", 0.7, 0.15), Dist("beta", 1.5, 3.0)),
+    )
+    election = gen_euclidean(EuclideanConfig(
+        n_candidates=20, voter_clusters=clusters, budget=F(6), seed=3,
+    ))
+    return [run_rule(rule, election) for rule in BENCH_RULES]
+
+
 class TestRecordWriter:
     """The streaming writer against whole-record serialization."""
 
@@ -790,18 +805,30 @@ def round_oracle(purchase) -> dict:
 def integer_rounds(draw):
     """Rounds with integer payments: voter ids that cross 9 -> 10 and
     99 -> 100, repeated and distinct numerators, some overspent voters,
-    and centrally funded rounds with no payments."""
+    and centrally funded rounds with no payments.
+
+    Each round has a rate, which is 0 (none) or 1 at times. Some payments
+    are multiples w * rate, as uncapped payers' are, and some are not, as
+    capped payers' are. Dens share factors with the rate, and a den may
+    divide a payment."""
     if draw(st.integers(0, 4)) == 0:
         return PurchaseRecord(draw(st.integers(0, 200)), draw(FRACTIONS), None, {})
+    rate = draw(st.sampled_from([0, 1, 6, 35, 2**64 * 3**5 * 7]))
+    den = draw(st.sampled_from([1, 3, 12, 10**9 + 7])) * draw(
+        st.sampled_from([1, 2, 7, rate or 1])
+    )
+    weights = st.integers(0, 30) | st.sampled_from([12, 10**9 + 7, 36 * 10**9])
     numerators = draw(st.dictionaries(
-        st.integers(0, 120), st.sampled_from([1, 6, 7, 12, 10**12 + 39]),
+        st.integers(0, 120),
+        weights.map(lambda w: w * rate)
+        | st.sampled_from([1, 6, 7, 12, 10**12 + 39])
+        | st.tuples(weights, st.integers(1, 5)).map(lambda p: p[0] * rate + p[1]),
         max_size=25,
     ))
-    den = draw(st.sampled_from([1, 3, 12, 10**9 + 7]))
     overspent = sorted(draw(st.sets(st.sampled_from(sorted(numerators) or [0]))))
     return PurchaseRecord(
         draw(st.integers(0, 200)), draw(FRACTIONS), draw(FRACTIONS),
-        Payments(numerators, den), tuple(overspent),
+        Payments(numerators, den, rate), tuple(overspent),
     )
 
 
@@ -845,6 +872,26 @@ class TestIntegerRounds:
             round_oracle(r) for r in rounds
         ]
 
+    def test_payments_reduced_through_their_rate(self):
+        # Rate 6 over den 84 leaves d1 = 14: the multiples 6w for w = 3, 2,
+        # 7 and 14 reduce by gcd(w, 14) = 1, 2, 7 and 14 (84 is den itself),
+        # and 5 and 45 are not multiples of the rate.
+        rounds = [
+            PurchaseRecord(1, F(1), F(1, 7), Payments(
+                {1: 18, 2: 12, 3: 42, 4: 84, 5: 5, 6: 45}, 84, 6)),
+            PurchaseRecord(2, F(1), F(1, 7), Payments({1: 3, 2: 84}, 84)),
+            PurchaseRecord(3, F(1), F(1, 7), Payments({1: 2, 2: 8, 3: 3}, 4, 1)),
+        ]
+        jsonl, csv_text = self.oracles(rounds)
+        assert self.written(rounds) == jsonl
+        assert self.written(rounds, RECORD_METRICS) == csv_text
+        assert [r["payments"] for r in json.loads(jsonl)["rounds"]] == [
+            {"1": "3/14", "2": "1/7", "3": "1/2", "4": "1", "5": "5/84",
+             "6": "15/28"},
+            {"1": "1/28", "2": "1"},
+            {"1": "1/2", "2": "2", "3": "3/4"},
+        ]
+
     @given(st.lists(integer_rounds(), max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_fraction_dict_encoding(self, rounds):
@@ -869,3 +916,22 @@ class TestIntegerRounds:
                 assert self.written(purchases, csv_metrics) == self.written(
                     list(outcome_rounds(outcome)), csv_metrics
                 )
+
+    def test_spatial_rule_logs_match_their_dicts(self, spatial_runs):
+        # Score utilities give non-uniform weights and ledger-sized dens, so
+        # both capped payers and multiples of the rate reach the writer.
+        pays = [
+            r.payments for outcome in spatial_runs
+            for r in outcome_purchases(outcome) if isinstance(r.payments, Payments)
+        ]
+        assert {
+            n % p.rate == 0 for p in pays if p.rate > 0
+            for n in p.numerators.values()
+        } == {True, False}
+        assert max(p.den.bit_length() for p in pays) > 256
+        for outcome in spatial_runs:
+            purchases = outcome_purchases(outcome)
+            jsonl, csv_text = self.oracles(purchases)
+            assert self.written(purchases) == jsonl
+            assert self.written(purchases, RECORD_METRICS) == csv_text
+            assert self.written(list(outcome_rounds(outcome))) == jsonl
