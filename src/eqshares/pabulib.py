@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,10 +52,6 @@ __all__ = [
     "write_pb",
     "load_election",
 ]
-
-# A sign, then digits with an optional fraction part, or a fraction part
-# alone: the whole and fraction digits are groups 2 and 3.
-_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
 
 # Metadata keys that carry reconstruction hints rather than source META rows.
 _SYNTHETIC_META = ("pb_voter_ids",)
@@ -133,12 +128,21 @@ class PbFile:
 
 def _parse_decimal(text: str) -> Num:
     """The exact value of a decimal string, built from its integer pair:
-    the digits as one integer over ten to the number of fraction digits."""
-    match = _DECIMAL_RE.fullmatch(text.strip())
-    if match is None:
+    the digits as one integer over ten to the number of fraction digits.
+
+    After stripping, the text is an optional sign, then decimal digits of
+    any script (Unicode Nd) with at most one point among them, and at
+    least one digit."""
+    body = text.strip()
+    sign = body[:1]
+    if sign == "+" or sign == "-":
+        body = body[1:]
+    whole, _, frac = body.partition(".")
+    # Empty, a second point or any other character fails isdecimal.
+    digits = whole + frac
+    if not digits.isdecimal():
         raise ValueError(f"not a decimal number: {text!r}")
-    sign, whole, frac = match.groups(default="")
-    numerator = int(whole + frac)
+    numerator = int(digits)
     if sign == "-":
         numerator = -numerator
     return Fraction(numerator, 10 ** len(frac))

@@ -589,6 +589,15 @@ def _floors(election: Election) -> list[_Key]:
     return floors
 
 
+def _cost_units(election: Election) -> tuple[list[int], int]:
+    """Each project's cost and the budget as integers over one shared
+    denominator, so a running spend is one integer sum."""
+    pairs = [p.cost.as_integer_ratio() for p in election.projects]
+    b_num, b_den = election.budget.as_integer_ratio()
+    scale = math.lcm(b_den, *(den for _, den in pairs))
+    return [num * (scale // den) for num, den in pairs], b_num * (scale // b_den)
+
+
 # A selector heap entry: (float of the bound, bound, tie rank, project).
 _Entry = tuple[float, _Key, tuple[int, int], int]
 
@@ -739,23 +748,30 @@ def _equal_shares(
     den: int,
     keep: Callable[[AffordabilityQuote], Q],
     floors: Sequence[_Key],
+    costs: tuple[list[int], int],
     heap: Optional[list[_Entry]] = None,
     near: Optional[dict[int, Sequence[int]]] = None,
+    stop: bool = False,
 ) -> tuple[list[Q], bool]:
     """The MES purchase loop from an endowment of num / den per voter.
 
     Returns ``keep(quote)`` of each purchase in order, and whether the
     money spent stays within the budget. ``floors`` are the election's
-    :func:`_floors`. ``heap``, if given, is a fresh
-    :meth:`_LazyBest.floor_heap` over every project at those floors, which
-    the loop consumes. ``near`` maps a project to the projects its
-    supporters value (a range when that is every project), as far as
-    found; the loop fills it, and the probes of an add1u scan share one.
+    :func:`_floors` and ``costs`` its :func:`_cost_units`, from which the
+    loop keeps a running spend: the sum of the costs bought so far, one
+    integer. Each purchase's payments add up to its cost, so this is the
+    money that left the ledger. Spending only rises, so with ``stop`` the
+    loop returns ``(bought, False)`` at the purchase that takes the spend
+    past the budget, that purchase kept; without it the loop buys to the
+    end. ``heap``, if given, is a fresh :meth:`_LazyBest.floor_heap` over
+    every project at those floors, which the loop consumes. ``near`` maps
+    a project to the projects its supporters value (a range when that is
+    every project), as far as found; the loop fills it, and the probes of
+    an add1u scan share one.
     """
     utilities = election.utilities
     supporters, supported_by = utilities.supporters, utilities.supported_by
-    n = election.n_voters
-    budgets = BudgetState.equal_units(num, den, n)
+    budgets = BudgetState.equal_units(num, den, election.n_voters)
     projects = election.projects
     everything = range(len(projects))
     # Balances only fall, so prices only rise and short supporters stay
@@ -771,6 +787,8 @@ def _equal_shares(
     if near is None:
         near = {}
     debug = logger.isEnabledFor(logging.DEBUG)
+    cost_units, budget = costs
+    spent = 0
     bought = []
     while (best := next_best()) is not None:
         c, voters = best.project, best.voters
@@ -779,6 +797,10 @@ def _equal_shares(
         # Nobody pays more than min(b, u * rho), so nobody falls short.
         for i, _ in best.charge(budgets):
             raise InvariantError(f"mes: voter {i} overdrawn buying {c}")
+        bought.append(keep(best))
+        spent += cost_units[c]
+        if stop and spent > budget:
+            return bought, False
         if len(voters) == len(supporters[c]):
             # Every supporter pays: the projects they value are c's own.
             touched = near.get(c)
@@ -791,13 +813,7 @@ def _equal_shares(
             touched = supported_by(voters)
         stale(touched)
         live.discard(c)
-        bought.append(keep(best))
-    # Each purchase's payments add up to its cost, so the money that left
-    # the ledger is what the outcome spends: n * num / den - sum / scale.
-    scale = budgets.work_scale
-    spent = num * n * scale - sum(budgets.work_units) * den
-    b_num, b_den = election.budget.as_integer_ratio()
-    return bought, spent * b_den <= b_num * den * scale
+    return bought, spent <= budget
 
 
 def mes(
@@ -812,7 +828,8 @@ def mes(
     each supporter min(b_i, u_i * rho); the rule stops when no project's
     supporters can cover its cost. With the default endowment the outcome
     never exceeds the budget; larger endowments are allowed for diagnostic
-    probing and may yield an outcome flagged infeasible.
+    probing and may yield an outcome flagged infeasible. Such an outcome
+    holds every purchase, not only those up to the one that overspent.
     """
     endowment = (
         election.budget / election.n_voters if b_ini is None else as_num(b_ini)
@@ -821,7 +838,7 @@ def mes(
         raise ValueError("initial endowment must be positive")
     records, feasible = _equal_shares(
         election, config, *endowment.as_integer_ratio(), _record,
-        _floors(election),
+        _floors(election), _cost_units(election),
     )
     return _outcome(records, feasible)
 
@@ -840,8 +857,11 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
 
     A probe keeps each purchase as a compact quote
     (:meth:`AffordabilityQuote.compact`); only the kept probe's purchases
-    become round records. The probes share one initial selector heap and
-    one map from project to the projects its supporters value.
+    become round records. Spending only rises within a probe, so a probe
+    ends at the purchase that takes its spend past the budget: the scan
+    discards it whatever it would buy next. The probes share one initial
+    selector heap, the costs as integers over one denominator and one map
+    from project to the projects its supporters value.
     """
     n = election.n_voters
     b_num, b_den = election.budget.as_integer_ratio()
@@ -850,7 +870,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     # step inc / scale and the budget full / scale.
     scale = n * b_den * s_den
     units, inc, full = b_num * s_den, s_num * b_den * n, b_num * s_den * n
-    floors = _floors(election)
+    floors, costs = _floors(election), _cost_units(election)
     heap = _LazyBest.floor_heap(
         config.tie_breaker, range(len(election.projects)), floors
     )
@@ -860,7 +880,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
         return _equal_shares(
             election, config, num, scale, AffordabilityQuote.compact, floors,
-            list(heap), near,
+            costs, list(heap), near, stop=True,
         )
 
     kept, feasible = probe(units)

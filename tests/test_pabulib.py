@@ -7,7 +7,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqshares.model import Election, Project, UtilityModel, UtilityProfile
@@ -711,6 +711,54 @@ class TestParseDecimal:
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_on_any_text(self, text):
         assert parsed_decimal(text) == reference_decimal(text)
+
+
+# The pattern the reader matched before it parsed without a regex: a sign,
+# then digits with an optional fraction part, or a fraction part alone; the
+# whole and fraction digits are groups 2 and 3.
+_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
+
+
+def regex_decimal(text: str):
+    """The value the regex reader gave ``text``, or None if it refused."""
+    match = _DECIMAL_RE.fullmatch(text.strip())
+    if match is None:
+        return None
+    sign, whole, frac = match.groups(default="")
+    numerator = int(whole + frac)
+    return F(-numerator if sign == "-" else numerator, 10 ** len(frac))
+
+
+class TestRegexOracle:
+    """``_parse_decimal`` accepts and values text exactly as the regex
+    reader did. ``\\d`` is Unicode Nd, as ``str.isdecimal`` is: ``٣`` is a
+    decimal digit and ``²`` is not, and ``_`` and ``e`` are what ``int``
+    and ``float`` would take beyond the grammar."""
+
+    @given(st.text(
+        alphabet=st.sampled_from(
+            ["+", "-", ".", " ", "\t", "\n", "\u3000", "٣", "²", "_", "e",
+             *"0123456789"]
+        ),
+        max_size=10,
+    ))
+    @example("²")
+    @example("1²")
+    @example("-٣.٣")
+    @example("1_0")
+    @example("1e5")
+    @example(" +.5\u3000")
+    @example(".")
+    @example("-")
+    @example("5..")
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_regex(self, text):
+        value = regex_decimal(text)
+        if value is None:
+            with pytest.raises(ValueError, match="not a decimal number"):
+                _parse_decimal(text)
+        else:
+            assert parsed_decimal(text) == value
 
 
 def reference_decimal_str(value: F) -> str:

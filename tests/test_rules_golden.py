@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
+import oracles
 from eqshares import rules
 from eqshares.model import BudgetState, UtilityModel, UtilityProfile, Project
 from eqshares.rules import (
@@ -126,6 +128,20 @@ class TestMes:
         out = mes(reference_election, b_ini=F(1000000))
         assert not out.feasible
 
+    def test_oversized_endowment_buys_past_the_budget(self, reference_election):
+        """An over-endowed run does not end where its spend first passes
+        the budget: it returns every purchase, as the full-rescan oracle
+        makes them."""
+        e = reference_election
+        b_ini = 2 * e.budget / e.n_voters
+        out = mes(e, b_ini=b_ini)
+        assert not out.feasible
+        # The fourth of six purchases takes the spend past the budget.
+        spends = accumulate(e.projects[r.project].cost for r in out.rounds)
+        assert [s > e.budget for s in spends] == [False] * 3 + [True] * 3
+        _, trace = oracles.naive_mes(e, b_ini=b_ini)
+        assert [(r.project, r.rho) for r in out.rounds] == trace
+
 
 class TestAdd1u:
     def test_reference(self, reference_election):
@@ -138,6 +154,33 @@ class TestAdd1u:
 
     def test_blocks(self, blocks_election):
         assert sorted(add1u(blocks_election).selected) == list(range(10))
+
+    def test_overspending_probe_ends_at_its_overspending_purchase(
+        self, blocks_election, monkeypatch
+    ):
+        """The scan's second probe, at endowment 101/100, would buy all 310
+        projects; the 11th takes its spend past the budget of 10, and the
+        probe ends there."""
+        probes = []
+        real_loop = rules._equal_shares
+
+        def counted_loop(election, config, num, den, keep, *args, **kwargs):
+            made = []
+
+            def kept(quote):
+                made.append(quote.project)
+                return keep(quote)
+
+            bought, feasible = real_loop(
+                election, config, num, den, kept, *args, **kwargs
+            )
+            probes.append((F(num, den), len(made), feasible))
+            return bought, feasible
+
+        monkeypatch.setattr(rules, "_equal_shares", counted_loop)
+        out = add1u(blocks_election)
+        assert probes == [(F(1, 100), 7, True), (F(101, 100), 11, False)]
+        assert sorted(out.selected) == list(range(10))
 
     def test_noop_when_mes_exhaustive(self):
         from eqshares.model import Election

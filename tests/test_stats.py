@@ -912,10 +912,10 @@ class TestIntegerRounds:
         )
         for *_, outcome in fixture_runs:
             purchases = outcome_purchases(outcome)
-            for csv_metrics in (None, RECORD_METRICS):
-                assert self.written(purchases, csv_metrics) == self.written(
-                    list(outcome_rounds(outcome)), csv_metrics
-                )
+            jsonl, csv_text = self.oracles(purchases)
+            assert self.written(purchases) == jsonl
+            assert self.written(purchases, RECORD_METRICS) == csv_text
+            assert self.written(list(outcome_rounds(outcome))) == jsonl
 
     def test_spatial_rule_logs_match_their_dicts(self, spatial_runs):
         # Score utilities give non-uniform weights and ledger-sized dens, so
