@@ -421,12 +421,11 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
 
 def _read_records(path: Path) -> list[RunRecord]:
     """Records for ``aggregate`` and ``plotdata``, read line by line;
-    neither reads round logs, so JSONL logs are dropped as each line is
-    read."""
+    neither reads round logs, so they are dropped as each line is read."""
     with _reading(path, "could not read records from "):
         if path.suffix == ".csv":
             with open(path, encoding="utf-8", newline="") as handle:
-                return records_from_csv(handle)
+                return records_from_csv(handle, keep_rounds=False)
         with open(path, encoding="utf-8") as handle:
             return records_from_jsonl(handle, keep_rounds=False)
 

@@ -591,7 +591,8 @@ def _floors(election: Election) -> list[_Key]:
 
 def _cost_units(election: Election) -> tuple[list[int], int]:
     """Each project's cost and the budget as integers over one shared
-    denominator, so a running spend is one integer sum."""
+    denominator, so a running spend is one integer sum. Every integral
+    rule keeps its public budget in these units."""
     pairs = [p.cost.as_integer_ratio() for p in election.projects]
     b_num, b_den = election.budget.as_integer_ratio()
     scale = math.lcm(b_den, *(den for _, den in pairs))
@@ -692,11 +693,13 @@ class _LazyBest(Generic[Q]):
 
 
 def _record(
-    quote: AffordabilityQuote, overspent: tuple[int, ...] = ()
+    quote: AffordabilityQuote, shortfalls: Iterable[tuple[int, Num]] = ()
 ) -> PurchaseRecord:
-    """The round record of a voter-funded purchase."""
+    """The round record of a voter-funded purchase; it keeps the voters of
+    the debit's ``shortfalls`` (:meth:`AffordabilityQuote.charge`), sorted."""
     return PurchaseRecord(
-        quote.project, quote.alpha, quote.rho, quote.payments, overspent
+        quote.project, quote.alpha, quote.rho, quote.payments,
+        tuple(sorted(i for i, _ in shortfalls)),
     )
 
 
@@ -712,21 +715,22 @@ def _utilitarian_tail(
     total score.
 
     Tail purchases are funded centrally from the leftover public budget
-    (rho is None, no voter payments).
+    (rho is None, no voter payments), counted in :func:`_cost_units`.
     """
     totals = election.scores.project_totals
     tie = config.tie_breaker
     rounds = list(start.rounds)
-    remaining = election.budget - election.spent(start)
+    costs, left = _cost_units(election)
+    left -= sum(costs[c] for c in start.selected)
     chosen = set(start.selected)
     ranked = sorted(
-        (p for p in election.projects if p.id not in chosen),
-        key=lambda p: (-totals[p.id], tie.rank(p.id)),
+        (c for c in range(len(costs)) if c not in chosen),
+        key=lambda c: (-totals[c], tie.rank(c)),
     )
-    for project in ranked:
-        if project.cost <= remaining:
-            remaining -= project.cost
-            rounds.append(PurchaseRecord(project.id, ONE, None, {}))
+    for c in ranked:
+        if costs[c] <= left:
+            left -= costs[c]
+            rounds.append(PurchaseRecord(c, ONE, None, {}))
     return _outcome(rounds)
 
 
@@ -1039,7 +1043,6 @@ def bos_quote(
     project: Project,
     budgets: BudgetState,
     utilities: UtilityProfile,
-    remaining_budget: Num,
 ) -> Optional[AffordabilityQuote]:
     """Best (alpha, rho) purchase quote for one project.
 
@@ -1050,8 +1053,9 @@ def bos_quote(
     minimizing rho / alpha is returned, preferring larger alpha and then
     smaller rho on exact ties. Only prices at which some voter's cap binds,
     plus the fully proportional price, can be optimal, so exactly those are
-    examined. Returns None when the project exceeds the remaining public
-    budget or no supporter has money.
+    examined. Returns None when no supporter has money. It only prices:
+    whether the project still fits the budget is the rule's to decide
+    (:func:`_spend`).
 
     It finds whom a full purchase caps with :func:`min_rho`'s search
     (:func:`_capped_prefix`), on the same integers, and the payments are
@@ -1081,9 +1085,6 @@ def bos_quote(
     (``_LOG_MARGIN``), over 200 times that, so a gap beyond it has the
     exact difference's sign.
     """
-    cost = project.cost
-    if cost > remaining_budget:
-        return None
     sup = _moneyed(project, budgets, utilities)
     if sup is None:
         return None
@@ -1133,20 +1134,30 @@ def bos_quote(
     return AffordabilityQuote(
         project.id, Fraction(best_r, due * w_best),
         _Key(rate * u_scale * due * w_best, den * best_r), voters, money,
-        weights, best + 1, due * w_best, rate, den, m_scale, cost,
+        weights, best + 1, due * w_best, rate, den, m_scale, project.cost,
     )
+
+
+def _spend(live: set[int], costs: Sequence[int], left: int, c: int) -> int:
+    """Buy c from ``left`` :func:`_cost_units` of public budget: drop c and
+    every project that no longer fits from ``live``, and return what is left.
+    The budget never grows back, so a rule that prices only live projects
+    never prices one it cannot afford."""
+    left -= costs[c]
+    live.difference_update([c, *(d for d in live if costs[d] > left)])
+    return left
 
 
 def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Integral purchases through the best (price, coverage) quotes.
 
-    Each round considers every unselected project that fits the remaining
-    public budget and has at least one moneyed supporter, asks
-    :func:`bos_quote` for its best quote, and buys the project minimizing
-    rho / alpha. The quote's payments are debited with every balance
-    stopping at zero, so capped voters in a partial-coverage round pay more
-    than they own; the debit's shortfalls are those overspend events, and
-    they are recorded per round.
+    Each round considers every unselected project that still fits the
+    public budget (:func:`_spend`) and has at least one moneyed supporter,
+    asks :func:`bos_quote` for its best quote, and buys the project
+    minimizing rho / alpha. The quote's payments are debited with every
+    balance stopping at zero, so capped voters in a partial-coverage round
+    pay more than they own; the debit's shortfalls are those overspend
+    events, and they are recorded per round.
 
     With ``config.exhaustive_redistribution`` enabled, any voter whose
     entire support set is already funded is removed and her leftover
@@ -1157,12 +1168,12 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     budgets = BudgetState.equal_endowment(election.budget / n, n)
     redistribute = config.exhaustive_redistribution
     projects = election.projects
-    remaining = election.budget
+    costs, left = _cost_units(election)
     rounds: list[PurchaseRecord] = []
     tie, floors = config.tie_breaker, _floors(election)
 
     def price(c: int) -> Optional[AffordabilityQuote]:
-        return bos_quote(projects[c], budgets, utilities, remaining)
+        return bos_quote(projects[c], budgets, utilities)
 
     # Without redistribution balances only fall, so ratios only rise and
     # quotes of projects without a moneyed supporter stay None. A
@@ -1205,7 +1216,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         # uncapped voters pay u * rho, and a capped voter's payment (b when
         # alpha = 1, b / alpha otherwise) and u * rho are both at least b,
         # so either way her balance stops at zero.
-        overspent = tuple(sorted(i for i, _ in best.charge(budgets)))
+        overspent = best.charge(budgets)
         if check_overspend and overspent:
             # Every moneyed supporter pays a positive amount, and those
             # charged at least their balance are now at zero.
@@ -1216,11 +1227,7 @@ def bos(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
                     "majority of its payers"
                 )
         selector.stale(utilities.supported_by(best.voters))
-        remaining -= projects[c].cost
-        # The public budget never grows back: drop what no longer fits.
-        selector.live.difference_update(
-            [c, *(d for d in selector.live if projects[d].cost > remaining)]
-        )
+        left = _spend(selector.live, costs, left, c)
         rounds.append(_record(best, overspent))
         supporters = utilities.supporters[c]
         for i in supporters:
@@ -1257,15 +1264,15 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     """Overspend-free variant: boosted balances instead of overcharges.
 
     Each round first computes the plain buyout quote among projects that fit
-    the remaining budget. If that quote would cover only a share alpha < 1,
-    the uncovered cost is divided equally among the voters the quote would
-    cap, and every voter's balance is temporarily raised by that amount
-    minus whatever boost she has already consumed in earlier rounds. The
-    round then buys the cheapest fully covered project under the boosted
-    balances and debits its payments from the real ones, each stopping at
-    zero. The debit's shortfalls are the boost consumed, tracked so later
-    rounds do not grant it twice. Rounds stop when even boosted balances
-    cover nothing.
+    the remaining budget (:func:`_spend`). If that quote would cover only a
+    share alpha < 1, the uncovered cost is divided equally among the voters
+    the quote would cap, and every voter's balance is temporarily raised by
+    that amount minus whatever boost she has already consumed in earlier
+    rounds. The round then buys the cheapest fully covered project under the
+    boosted balances and debits its payments from the real ones, each
+    stopping at zero. The debit's shortfalls are the boost consumed, tracked
+    so later rounds do not grant it twice. Rounds stop when even boosted
+    balances cover nothing.
 
     A round whose plain quote covers the whole project has no boost and
     buys that quote as it stands: it is :func:`min_rho`'s quote for its
@@ -1278,14 +1285,14 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     over: dict[int, Num] = {}  # the boost each voter has consumed so far
     projects = election.projects
     floors = _floors(election)
-    remaining = election.budget
+    costs, left = _cost_units(election)
     rounds: list[PurchaseRecord] = []
     # Real balances only fall, so phase-1 ratios only rise and a None quote
     # stays None: one selector serves every round. Boosted balances are not
     # monotone, so phase 2 starts afresh each round from the same floors.
     phase1 = _LazyBest(
         config.tie_breaker,
-        lambda c: bos_quote(projects[c], budgets, utilities, remaining),
+        lambda c: bos_quote(projects[c], budgets, utilities),
         range(len(projects)),
         floors,
     )
@@ -1319,11 +1326,8 @@ def bos_plus(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
         overspent = best.charge(budgets)
         for i, short in overspent:
             over[i] = over.get(i, ZERO) + short
-        remaining -= projects[c].cost
-        phase1.live.difference_update(
-            [c, *(d for d in phase1.live if projects[d].cost > remaining)]
-        )
-        rounds.append(_record(best, tuple(sorted(i for i, _ in overspent))))
+        left = _spend(phase1.live, costs, left, c)
+        rounds.append(_record(best, overspent))
     return _outcome(rounds)
 
 

@@ -36,7 +36,8 @@ and decode one line at a time. Reading records without their round logs
 (``keep_rounds=False``, which ``aggregate`` and ``plotdata`` use) cuts each
 line's top-level round log out before decoding, when the line is in the
 layout :class:`RecordWriter` writes; other lines are decoded whole, rounds
-set to ``[]``. The JSON syntax of a cut-out round log is not checked.
+set to ``[]``. A CSV round-log cell is skipped undecoded. The JSON syntax
+of a round log left out is not checked.
 """
 from __future__ import annotations
 
@@ -699,10 +700,17 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
     return buf.getvalue()
 
 
-def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
+def records_from_csv(
+    text: Union[str, Iterable[str]], keep_rounds: bool = True
+) -> list[RunRecord]:
     """Records of a CSV text, or of an iterable of its lines such as a file
     opened with ``newline=""``. A round log is one cell, often megabytes
-    long, so ``csv``'s process-wide field limit is lifted while reading."""
+    long, so ``csv``'s process-wide field limit is lifted while reading.
+
+    With ``keep_rounds=False`` each round-log cell is left undecoded and
+    the record's ``rounds`` are empty, as :func:`records_from_jsonl` does;
+    the cell's JSON syntax is then not checked.
+    """
     lines = io.StringIO(text) if isinstance(text, str) else text
     records = []
     limit = csv.field_size_limit(sys.maxsize)
@@ -715,6 +723,8 @@ def records_from_csv(text: Union[str, Iterable[str]]) -> list[RunRecord]:
                     metrics[key[len("metric_"):]] = (
                         None if raw == "" else json.loads(raw)
                     )
+                elif key == "rounds" and not keep_rounds:
+                    data[key] = ()
                 elif key in _CSV_JSON:
                     data[key] = None if raw == "" else json.loads(raw)
                 else:

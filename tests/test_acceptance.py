@@ -292,7 +292,7 @@ def test_criterion_09_quote_optimality_oracle():
         ]
         state = BudgetState(balances)
         for project in e.projects:
-            quote = bos_quote(project, state, e.utilities, e.budget)
+            quote = bos_quote(project, state, e.utilities)
             if quote is None:
                 continue
             supporters = [

@@ -421,6 +421,14 @@ class TestEjrUpToWitnesses:
         assert witnesses
         assert all(w.violating_project in (0, 1) for w in witnesses)
 
+    def test_limit_stops_the_search(self):
+        prof = UtilityProfile.from_rows(4, 2, [{0: 1, 1: 1}] * 4)
+        e = Election((Project(0, "a", 1), Project(1, "b", 1)), 4, F(4), prof,
+                     utility_model=UtilityModel.COST)
+        every = ejr_up_to_witnesses(e, Outcome((), ()), 0)
+        assert len(every) > 1
+        assert ejr_up_to_witnesses(e, Outcome((), ()), 0, limit=1) == every[:1]
+
     def test_minority_group_served_within_zero_slack(self, minority_election):
         # The 11-voter group behind the cheap project deserves it: the group
         # share exceeds the project cost. With a singleton project set the

@@ -318,6 +318,10 @@ class TestBatch:
         assert main(["batch", str(batch_dir), "--rules", "mes,zeus"]) == 3
         capsys.readouterr()
 
+    def test_no_rule_exits_3(self, batch_dir, capsys):
+        assert main(["batch", str(batch_dir), "--rules", ","]) == 3
+        assert "no rules given" in capsys.readouterr().err
+
     def test_repeated_rule_exits_3(self, batch_dir, tmp_path, capsys):
         target = tmp_path / "r.jsonl"
         assert main([
@@ -810,6 +814,17 @@ class TestAggregate:
         assert "error: could not read records" in capsys.readouterr().err
 
 
+    def test_text_after_a_record_exits_2(self, batch_dir, tmp_path, capsys):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert '"rounds": [{' in lines[0]
+        lines[0] += " x"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        assert "error: could not read records" in capsys.readouterr().err
+
     def test_records_nested_too_deep_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
@@ -958,6 +973,22 @@ class TestPlotdata:
             "--coords", str(bare), "--out", str(tmp_path / "plots"),
         ]) == 2
         assert "sidecar" in capsys.readouterr().err
+
+    def test_sidecar_without_a_funded_candidate_exits_2(
+        self, plot_inputs, euclid_dir, tmp_path, capsys
+    ):
+        coords = tmp_path / "coords"
+        shutil.copytree(euclid_dir, coords)
+        (coords / "euclid_d1_s0005.coords.csv").write_text(
+            "kind,id,x,y\n", encoding="utf-8"
+        )
+        assert main([
+            "plotdata", "--records", str(plot_inputs),
+            "--coords", str(coords), "--out", str(tmp_path / "plots"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "sidecar for euclid_d1_s0005 lacks candidate" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("sidecar", [
         b"kind,id,y\ncandidate,A,1\n",

@@ -1,5 +1,6 @@
 """The equal-shares rules price projects through the quote kernels' module
-attributes, and they price lazily.
+attributes, they price lazily, and they price only projects that the budget
+left still covers.
 
 Tracing tools count kernel calls by replacing ``rules.min_rho`` and
 ``rules.bos_quote``, so a rule that bound a kernel at import time would
@@ -8,14 +9,18 @@ hide its work from them.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from eqshares import rules
 from eqshares.model import BudgetState, Election, Project, UtilityProfile
 from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, bos_quote, run_rule
+from instances import random_approval_election
 
 KERNELS = {
     "utilitarian": set(),
@@ -87,8 +92,9 @@ def partial_rounds(election, rounds) -> list[bool]:
     for record in rounds:
         budgets = BudgetState(balances)
         quotes = [
-            bos_quote(election.projects[c], budgets, election.utilities, remaining)
+            bos_quote(election.projects[c], budgets, election.utilities)
             for c in sorted(left)
+            if election.projects[c].cost <= remaining
         ]
         best = min(
             (q for q in quotes if q is not None),
@@ -164,3 +170,75 @@ def test_add1u_prices_rationals_only_for_the_kept_probe(
     with caplog.at_level("DEBUG", logger="eqshares.rules"):
         assert rules.add1u(minority_election) == out
     assert len(made) > len(kept)
+
+
+FIT_RULES = [
+    ("bos", RuleConfig()),
+    ("bos", RuleConfig(exhaustive_redistribution=True)),
+    ("bos-plus", RuleConfig()),
+]
+FIT_IDS = ["bos", "bos-redistribution", "bos-plus"]
+
+
+@contextlib.contextmanager
+def budget_watch(election):
+    """Watch the kernels and the round records of one rule run.
+
+    Yields a dict: ``left`` is the public budget left, lowered by each
+    recorded purchase's cost, and ``dear`` lists each project a kernel
+    priced while it cost more than ``left``.
+    """
+    seen = {"left": election.budget, "dear": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("min_rho", "bos_quote"):
+            kernel = getattr(rules, name)
+
+            def priced(project, *args, _kernel=kernel):
+                if project.cost > seen["left"]:
+                    seen["dear"].append(project.id)
+                return _kernel(project, *args)
+
+            mp.setattr(rules, name, priced)
+        record = rules._record
+
+        def recorded(quote, *args):
+            seen["left"] -= election.projects[quote.project].cost
+            return record(quote, *args)
+
+        mp.setattr(rules, "_record", recorded)
+        yield seen
+
+
+@pytest.mark.parametrize(
+    "fixture", ["reference_election", "minority_election", "tail_election",
+                "blocks_election"],
+)
+@pytest.mark.parametrize("rule,config", FIT_RULES, ids=FIT_IDS)
+def test_rules_never_price_what_the_budget_no_longer_covers(
+    request, fixture, rule, config
+):
+    """The kernels only price; the rules keep projects that no longer fit
+    the budget left out of the live set, so no kernel sees one."""
+    election = request.getfixturevalue(fixture)
+    with budget_watch(election) as seen:
+        outcome = run_rule(rule, election, config)
+    assert seen["dear"] == []
+    assert seen["left"] == election.budget - election.spent(outcome)
+    if rule == "bos":
+        # Every fixture ends with projects that cost more than is left.
+        chosen = set(outcome.selected)
+        assert any(
+            p.cost > seen["left"] for p in election.projects
+            if p.id not in chosen
+        )
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_random_approval_rules_never_price_what_no_longer_fits(rng):
+    election = random_approval_election(rng)
+    for rule, config in FIT_RULES:
+        with budget_watch(election) as seen:
+            outcome = run_rule(rule, election, config)
+        assert seen["dear"] == [], rule
+        assert seen["left"] == election.budget - election.spent(outcome)

@@ -233,6 +233,11 @@ class TestDeriveCostUtilities:
         out = derive_cost_utilities(prof, (Project(0, "A", 7),))
         assert out.value(0, 0) == 14
 
+    def test_project_count_must_match(self):
+        prof = UtilityProfile.from_rows(1, 2, [{0: 1}])
+        with pytest.raises(ValueError, match="does not match profile width"):
+            derive_cost_utilities(prof, (Project(0, "A", 3),))
+
     def test_division_recovers_scores(self):
         projects = (Project(0, "A", F(3, 2)), Project(1, "B", 5))
         prof = UtilityProfile.from_rows(2, 2, [{0: F(2, 3)}, {0: 1, 1: 4}])
@@ -312,6 +317,11 @@ class TestElection:
     def test_profile_width_must_match(self):
         prof = UtilityProfile.from_rows(1, 2, [{0: 1}])
         with pytest.raises(ValueError):
+            Election((Project(0, "p", 1),), 1, F(2), prof)
+
+    def test_profile_height_must_match(self):
+        prof = UtilityProfile.from_rows(2, 1, [{0: 1}, {0: 1}])
+        with pytest.raises(ValueError, match="height does not match"):
             Election((Project(0, "p", 1),), 1, F(2), prof)
 
     def test_cost_utilities(self):

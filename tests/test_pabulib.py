@@ -129,6 +129,18 @@ class TestParseErrors:
         assert err.line == 6
         assert "duplicate column" in err.message
 
+    def test_projects_header_starts_with_project_id(self):
+        err = error_for(
+            build().replace("project_id;cost", "cost;project_id")
+        )
+        assert err.line == 6
+        assert "must start with 'project_id'" in err.message
+
+    def test_meta_header_is_key_and_value_only(self):
+        err = error_for(build().replace("key;value", "key;value;extra"))
+        assert err.line == 2
+        assert "META header must be 'key;value'" in err.message
+
     def test_meta_rows_need_two_fields(self):
         assert error_for(build(meta="budget;10;x\nvote_type;approval")).line == 3
 

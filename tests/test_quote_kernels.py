@@ -142,7 +142,7 @@ class TestBosQuote:
     @settings(max_examples=600, deadline=None)
     def test_matches_oracle(self, instance):
         cost, pairs = instance
-        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        quote = bos_quote(*kernel_inputs(cost, pairs))
         sup = moneyed(pairs)
         expected = oracles.naive_bos_quote(cost, [(u, b) for _, u, b in sup])
         if expected is None:
@@ -162,7 +162,7 @@ class TestBosQuote:
         (F(3), [(F(1), F(3)), (F(2), F(1))]),
     ])
     def test_exact_key_ties(self, cost, pairs):
-        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        quote = bos_quote(*kernel_inputs(cost, pairs))
         alpha, rho, payments = oracles.naive_bos_quote(cost, pairs)
         assert (quote.alpha, quote.rho) == (alpha, rho)
         assert dict(quote.payments) == dict(enumerate(payments))
@@ -171,7 +171,7 @@ class TestBosQuote:
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle_on_long_lists(self, instance):
         cost, pairs = instance
-        quote = bos_quote(*kernel_inputs(cost, pairs), cost)
+        quote = bos_quote(*kernel_inputs(cost, pairs))
         sup = moneyed(pairs)
         expected = oracles.naive_bos_quote(cost, [(u, b) for _, u, b in sup])
         assert (quote is None) == (expected is None)
@@ -191,7 +191,7 @@ class TestKernelsAgree:
         cost, pairs = instance
         inputs = kernel_inputs(cost, pairs)
         full = min_rho(*inputs)
-        quote = bos_quote(*inputs, cost)
+        quote = bos_quote(*inputs)
         if full is not None:
             assert quote.ratio <= full.rho
         if quote is not None and quote.alpha == 1:
@@ -228,7 +228,7 @@ class TestProportionalFloor:
         quote = min_rho(project, budgets, profile)
         if quote is not None:
             assert quote.rho >= floor
-        quote = bos_quote(project, budgets, profile, cost)
+        quote = bos_quote(project, budgets, profile)
         if quote is not None:
             assert quote.ratio >= floor
 
@@ -334,7 +334,7 @@ class TestCertificates:
 
     @staticmethod
     def check_bos(cost, pairs, wide):
-        quote = bos_quote(*certificate_inputs(cost, pairs, wide), cost)
+        quote = bos_quote(*certificate_inputs(cost, pairs, wide))
         alpha, rho, payments = oracles.naive_bos_quote(cost, pairs)
         assert (quote.alpha, quote.rho) == (alpha, rho)
         assert dict(quote.payments) == dict(enumerate(payments))

@@ -124,6 +124,10 @@ class TestMes:
         assert out.selected == (0,)
         assert out.rounds[0].rho == F(1, 3)
 
+    def test_endowment_must_be_positive(self, reference_election):
+        with pytest.raises(ValueError, match="endowment must be positive"):
+            mes(reference_election, b_ini=0)
+
     def test_oversized_endowment_flags_infeasible(self, reference_election):
         out = mes(reference_election, b_ini=F(1000000))
         assert not out.feasible
@@ -278,6 +282,14 @@ class TestFresCompletion:
         assert (last.project, last.alpha, last.rho) == (1, F(1, 8), None)
         assert not last.payments
 
+    def test_rejects_an_overspending_partial_outcome(self, reference_election):
+        from eqshares.model import FractionalOutcome
+        e = reference_election
+        every = FractionalOutcome({p.id: F(1) for p in e.projects}, ())
+        assert e.spent(every) > e.budget
+        with pytest.raises(ValueError, match="already exceeds the budget"):
+            fres_utilitarian_completion(e, every)
+
     def test_noop_when_budget_spent(self):
         from eqshares.model import Election
         prof = UtilityProfile.from_rows(1, 2, [{0: 6, 1: 5}])
@@ -298,7 +310,7 @@ class TestBosQuote:
     def test_reference_second_round(self, reference_election):
         balances = [F(50000)] * 6 + [F(100000)] * 4
         quote = bos_quote(reference_election.projects[2], BudgetState(balances),
-                          reference_election.cost_utilities, F(700000))
+                          reference_election.cost_utilities)
         assert quote.alpha == F(5, 6)
         assert quote.rho == F(1, 5)
         assert quote.ratio == F(6, 25)
@@ -307,7 +319,7 @@ class TestBosQuote:
     def test_minority_full_budget_project(self, minority_election):
         budgets = BudgetState.equal_endowment(F(310000, 414), 414)
         quote = bos_quote(minority_election.projects[0], budgets,
-                          minority_election.cost_utilities, F(310000))
+                          minority_election.cost_utilities)
         assert quote.alpha == F(403, 414)
         assert quote.rho == F(1, 403)
         assert quote.ratio == F(414, 403 * 403)
@@ -315,13 +327,13 @@ class TestBosQuote:
     def test_unconstrained_full_purchase(self):
         prof = UtilityProfile.from_rows(2, 1, [{0: 2}, {0: 3}])
         quote = bos_quote(Project(0, "p", 4),
-                          BudgetState([F(10), F(10)]), prof, F(4))
+                          BudgetState([F(10), F(10)]), prof)
         assert quote.alpha == 1
         assert quote.rho == F(4, 5)
 
     def test_no_supporter_money(self):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
-        assert bos_quote(Project(0, "p", 1), BudgetState([F(0)]), prof, F(1)) is None
+        assert bos_quote(Project(0, "p", 1), BudgetState([F(0)]), prof) is None
 
 
 class TestBos:
@@ -416,3 +428,7 @@ class TestRunRule:
     def test_unknown_rule(self, reference_election):
         with pytest.raises(ValueError):
             run_rule("borda", reference_election)
+
+    def test_add1u_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="add1u_step must be positive"):
+            RuleConfig(add1u_step=0)

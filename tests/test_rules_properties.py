@@ -469,7 +469,7 @@ class TestQuoteDominance:
             len(pairs), 1, [{0: u} for u, _ in pairs]
         )
         budgets = BudgetState([F(b) for _, b in pairs])
-        quote = bos_quote(Project(0, "p", cost), budgets, prof, cost)
+        quote = bos_quote(Project(0, "p", cost), budgets, prof)
         assert quote is not None
         for lam in lams:
             raised = sum(

@@ -350,6 +350,32 @@ class TestSerialization:
         records = self.sample_records(reference_election)
         assert records_from_csv(records_to_csv(records)) == records
 
+    def test_csv_without_rounds(self, reference_election):
+        records = self.sample_records(reference_election)
+        assert all(r.rounds for r in records[:2])
+        light = records_from_csv(records_to_csv(records), keep_rounds=False)
+        assert light == [dataclasses.replace(r, rounds=()) for r in records]
+
+    def test_csv_round_cell_syntax_is_checked_only_when_kept(self):
+        rows = list(csv.reader(io.StringIO(records_to_csv([make_record()]))))
+        rows[1][rows[0].index("rounds")] = '[{"alpha": ]'
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+        assert records_from_csv(text, keep_rounds=False) == [make_record()]
+        with pytest.raises(json.JSONDecodeError):
+            records_from_csv(text)
+
+    @pytest.mark.parametrize("keep_rounds", [True, False])
+    def test_jsonl_blank_lines_are_skipped(self, reference_election,
+                                           keep_rounds):
+        records = self.sample_records(reference_election)
+        lines = records_to_jsonl(records).splitlines(keepends=True)
+        text = "\n" + "  \n".join(lines) + "\t\r\n\n"
+        assert records_from_jsonl(text, keep_rounds) == records_from_jsonl(
+            records_to_jsonl(records), keep_rounds
+        )
+
     def test_csv_round_trip_of_a_round_log_over_the_field_limit(self):
         """A round log is one CSV cell, and real ones run to megabytes:
         longer than csv's default field limit of 131,072 characters."""
