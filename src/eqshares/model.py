@@ -412,7 +412,8 @@ class Payments(Mapping[int, Num]):
     payments in the same order.
 
     ``rate``, when positive, is a factor that most numerators share: a
-    quote's uncapped payers each pay ``weight * rate``. It changes no value;
+    quote's uncapped payers each pay ``(weight // unit) * rate``
+    (:class:`~eqshares.rules.AffordabilityQuote`). It changes no value;
     the writer uses it to reduce those payments with one gcd of
     ledger-sized integers per round. The default 0 names no such factor.
     """
@@ -610,6 +611,10 @@ class BudgetState:
         rules decide whether a shortfall is an overdraft or a fault. The
         ledger is then reduced only as the class says: past the bound, or
         at once if it is small.
+
+        The ledger is rescaled only when ``den`` does not divide the
+        working scale. A full quote's ``den`` is the least its payments
+        allow, so most of its debits skip the rescale.
         """
         scale = self.work_scale
         if scale % den:

@@ -208,11 +208,13 @@ class AffordabilityQuote:
     (in ascending b/u order whenever anybody is capped), their balances
     times ``m_scale`` and their utilities times the column scale. The first
     ``capped`` of them pay ``money * cap / den`` and the rest pay
-    ``weight * rate / den``, which is u * rho (u * alpha * rho for a fres
-    share). These payment numerators are formed once, one product per run
-    of a shared weight, and checked to add up to ``cost``. :meth:`charge`
-    debits them, each balance stopping at zero, and reports every voter
-    charged more than she held; ``payments`` is a
+    ``(weight // unit) * rate / den``, which is u * rho (u * alpha * rho for
+    a fres share); ``unit`` divides every uncapped weight, and is 1 except
+    in a full quote (:func:`_full_quote`), whose ``den`` is then the least
+    its payments allow. These payment numerators are formed once, one
+    product per run of a shared weight, and checked to add up to ``cost``.
+    :meth:`charge` debits them, each balance stopping at zero, and reports
+    every voter charged more than she held; ``payments`` is a
     :class:`~eqshares.model.Payments` over the same numerators, which the
     round record keeps and builds rationals from only when they are read.
     It carries ``rate`` too, the factor every uncapped numerator shares,
@@ -232,6 +234,7 @@ class AffordabilityQuote:
     den: int
     m_scale: int
     cost: Num
+    unit: int = 1
     _numerators: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False
     )
@@ -259,10 +262,10 @@ class AffordabilityQuote:
         """
         if self._numerators is None:
             s, voters, weights = self.capped, self.voters, self.weights
-            rate = self.rate
+            rate, unit = self.rate, self.unit
             if _uniform(weights):
                 # One weight (every approval column): one product for all.
-                owed = dict.fromkeys(voters, weights[0] * rate)
+                owed = dict.fromkeys(voters, weights[0] // unit * rate)
             else:
                 # A column's weights come in runs of one object: so do the
                 # products, as the round record keeps them.
@@ -271,7 +274,7 @@ class AffordabilityQuote:
                 last = pay = None
                 for w in weights[s:]:
                     if w is not last:
-                        last, pay = w, w * rate
+                        last, pay = w, w // unit * rate
                     pays.append(pay)
                 owed.update(zip(voters[s:], pays))
             if s:
@@ -306,14 +309,15 @@ class AffordabilityQuote:
         return AffordabilityQuote(
             self.project, self.alpha, self.key, self.voters, self.money[:s],
             self.weights, s, self.cap, self.rate, self.den, self.m_scale,
-            self.cost,
+            self.cost, self.unit,
         )
 
     def drained(self) -> int:
-        """How many voters u * rho would drain (b <= u * rho).
+        """How many voters u * rho would drain (b <= u * rho), for a
+        partial quote (alpha < 1).
 
-        For a partial quote (alpha < 1) the voters are in ascending b/u
-        order, so these are a prefix of them.
+        Its voters are in ascending b/u order, so these are a prefix of
+        them, and its ``unit`` is 1.
         """
         money, weights, rate = self.money, self.weights, self.rate
         factor = self.den // self.m_scale
@@ -514,18 +518,36 @@ def _capped_prefix(
 
 
 def _full_quote(
-    project: Project, prefix: _Prefix, due: int, m_scale: int, u_scale: int
+    project: Project, prefix: _Prefix, due: int, m_scale: int, u_scale: int,
+    uniform: bool,
 ) -> AffordabilityQuote:
     """Quote for alpha = 1 from a :func:`_capped_prefix`: the first s voters
     pay their balance, and the rest, of weight rest_w, share rest (the cost
     left, times m_scale) in proportion to their weights, at
-    rho = rest * u_scale / (m_scale * rest_w), kept as that pair."""
+    rho = rest * u_scale / (m_scale * rest_w), kept as that pair.
+
+    Its payments come over the least denominator they allow, so a ledger
+    whose scale it divides debits them without rescaling. With ``unit`` the
+    gcd of the uncapped weights (their one weight if ``uniform``), a payer
+    of weight w pays (w / unit) * rate / den, rate / den being unit * rest /
+    (m_scale * rest_w) in lowest terms; as the w / unit have gcd 1, den is
+    the lcm of these payments' own denominators. A capped voter pays
+    money / m_scale, so then den becomes lcm(den, m_scale) = cap * m_scale
+    and rate grows by the same factor.
+    """
     voters, money, weights, paid, held, s = prefix
     rest, rest_w = due - paid[s], held[-1] - held[s]
-    den = m_scale * rest_w
+    unit = weights[s] if uniform else math.gcd(*weights[s:])
+    g = math.gcd(unit * rest, m_scale * rest_w)
+    rate, den, cap = unit * rest // g, m_scale * rest_w // g, 0
+    if s:
+        h = math.gcd(den, m_scale)
+        cap = den // h
+        rate *= m_scale // h
+        den = cap * m_scale
     return AffordabilityQuote(
-        project.id, ONE, _Key(rest * u_scale, den), voters, money, weights,
-        s, rest_w, rest, den, m_scale, project.cost,
+        project.id, ONE, _Key(rest * u_scale, m_scale * rest_w), voters,
+        money, weights, s, cap, rate, den, m_scale, project.cost, unit,
     )
 
 
@@ -554,13 +576,15 @@ def min_rho(
     shares, finds whom the purchase caps: nobody when nobody is capped at
     the fully proportional price, else a prefix of the b/u order found by
     bisection on an exact monotone check. The quote's payments are built
-    only when read. The price is never below the project's proportional
-    price (:func:`_floors`), the bound at which the selectors enter it.
+    only when read, over the least denominator they allow
+    (:func:`_full_quote`). The price is never below the project's
+    proportional price (:func:`_floors`), the bound at which the selectors
+    enter it.
     """
     sup = _moneyed(project, budgets, utilities, True)
     if sup is None:
         return None
-    return _full_quote(project, _capped_prefix(*sup), *sup[3:6])
+    return _full_quote(project, _capped_prefix(*sup), *sup[3:6], sup[7])
 
 
 def _floors(election: Election) -> list[_Key]:
@@ -1123,7 +1147,7 @@ def bos_quote(
         # wins outright when nobody is capped (s = 0).
         rest, rest_w = due - paid[s], total_w - held[s]
         if not s or rest * best_r * best_r <= due * due * best_mw * rest_w:
-            return _full_quote(project, prefix, due, m_scale, u_scale)
+            return _full_quote(project, prefix, due, m_scale, u_scale, sup[7])
     # alpha = R / (due * w_best) and rho = money_best * u_scale * due /
     # (m_scale * R), so rho / alpha is the pair below. Voters up to the
     # pinning one are capped at lam = b/u and pay b / alpha = money * due *

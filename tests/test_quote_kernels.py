@@ -14,11 +14,13 @@ apart at ledger scales below and above 2**1024.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,12 @@ from hypothesis import strategies as st
 
 import eqshares
 import oracles
+from eqshares import rules
 from eqshares.model import BudgetState, Election, Project, UtilityProfile
 from eqshares.rules import (
-    _floors, _ratio_order, bos_quote, min_rho,
+    _floors, _ratio_order, add1u, bos_quote, mes, min_rho,
 )
+from instances import random_approval_election, random_cardinal_election
 
 ZERO = F(0)
 TINY = F(1, 10**30)
@@ -255,6 +259,61 @@ class TestProportionalFloor:
         a, b = _floors(election)
         assert a is b
         assert a.value() == 2
+
+
+class TestReducedPayments:
+    """A full quote's payments come over the least denominator they allow,
+    so a ledger whose scale it divides debits them without rescaling."""
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_every_min_rho_quote_pays_the_naive_payments(self, rng, boost):
+        make = rng.choice([random_approval_election, random_cardinal_election])
+        election = make(rng)
+        utilities = election.utilities
+        checked = []
+
+        def checked_min_rho(project, budgets, profile):
+            quote = min_rho(project, budgets, profile)
+            c, units = project.id, budgets.work_units
+            sup = [
+                (i, utilities.value(i, c), F(units[i], budgets.work_scale))
+                for i in utilities.supporters[c] if units[i]
+            ]
+            rho = oracles.naive_min_rho(project.cost, [(u, b) for _, u, b in sup])
+            assert (quote is None) == (rho is None)
+            if quote is not None:
+                paid = dict(quote.payments)
+                assert paid == {i: min(b, u * rho) for i, u, b in sup}
+                if not quote.capped:
+                    assert quote.den == math.lcm(
+                        *(pay.denominator for pay in paid.values())
+                    )
+            checked.append(quote)
+            return quote
+
+        endowment = election.budget / election.n_voters * boost
+        with mock.patch.object(rules, "min_rho", checked_min_rho):
+            mes(election, b_ini=endowment)
+        assert checked
+
+    def test_add1u_debits_rarely_rescale_the_ledger(
+        self, reference_election, monkeypatch
+    ):
+        real_debit = BudgetState.debit
+        debits = rescaled = 0
+
+        def counted(budgets, amounts, den):
+            nonlocal debits, rescaled
+            debits += 1
+            rescaled += budgets.work_scale % den != 0
+            return real_debit(budgets, amounts, den)
+
+        monkeypatch.setattr(BudgetState, "debit", counted)
+        add1u(reference_election)
+        # The scan's 16,001 probes make tens of thousands of purchases.
+        assert debits > 50_000
+        assert 8 * rescaled < debits
 
 
 class TestRatioOrder:

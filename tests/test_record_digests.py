@@ -1,0 +1,104 @@
+"""Committed digests of the ``batch`` records on the bundled fixtures.
+
+What the rules compute is fixed: a change that is meant to leave the
+records alone (a faster kernel, a smaller ledger) must leave these digests
+alone too, and a change that alters a record must update its digest and
+say why. Each digest covers one configuration of ``batch --rules`` with all
+seven rules on ``tests/fixtures``: the cost or score model, with or without
+``--exhaustive-redistribution``.
+
+A record is masked as the benchmark's reference digests mask it: only the
+fields listed below are kept, so ``runtime_sec`` and any field added later
+drop out, and each record is serialised as sorted-key JSON. The digest is
+the sha256 of those lines, in the order ``batch`` writes them.
+
+The test also checks that its inputs still exercise what the digests are
+there to pin: a bos round with coverage below 1, a full quote that caps a
+payer, and the add1u scan.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from eqshares import rules
+from eqshares.cli import main
+
+RULES = "mes,mes-add1u,fres,fres-complete,bos,bos-plus,utilitarian"
+
+RECORD_FIELDS = (
+    "instance", "rule", "model", "ballot_type", "n_voters", "n_projects",
+    "budget", "selected", "fractions", "feasible", "rounds", "metrics",
+    "config_hash",
+)
+ROUND_FIELDS = ("project", "alpha", "rho", "payments", "overspent")
+METRIC_FIELDS = (
+    "score_satisfaction", "cost_satisfaction", "relative_score_satisfaction",
+    "relative_cost_satisfaction", "exclusion_ratio", "budget_spent_fraction",
+    "exhaustive", "ejr_plus_violations",
+)
+
+DIGESTS = {
+    ("cost", False):
+        "c43dccb4644969eedcad9ee9732ca27d00e9b2cf620cdc7d5e5458690f8cfa99",
+    ("cost", True):
+        "95f7f047e39e2e795bee0e499a2655cdaea304a17e637e538317f8cbbd4d37ce",
+    ("score", False):
+        "dad99421ab6f6b8c7a3452b83cbb112c1773606154816a66d630ee652f7f37df",
+    ("score", True):
+        "1accff788288c8603b2a70b27ce9ab42c30770b6122eadd17b04c2b3ab691de3",
+}
+
+
+def masked(record: dict) -> str:
+    """The record's digest text: the listed fields, as sorted-key JSON."""
+    out = {key: record[key] for key in RECORD_FIELDS}
+    out["rounds"] = [
+        {key: r[key] for key in ROUND_FIELDS} for r in record["rounds"]
+    ]
+    out["metrics"] = {
+        key: record["metrics"][key]
+        for key in METRIC_FIELDS if key in record["metrics"]
+    }
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "model, redistribute", sorted(DIGESTS),
+    ids=[f"{m}-{'redistribute' if r else 'plain'}" for m, r in sorted(DIGESTS)],
+)
+def test_batch_records_match_their_digest(
+    model, redistribute, fixtures_dir, tmp_path, monkeypatch
+):
+    capped = []
+    real_full_quote = rules._full_quote
+
+    def watched(*args):
+        quote = real_full_quote(*args)
+        capped.append(quote.capped)
+        return quote
+
+    monkeypatch.setattr(rules, "_full_quote", watched)
+    out = tmp_path / "records.jsonl"
+    argv = ["batch", str(fixtures_dir), "--rules", RULES, "--model", model,
+            "--out", str(out)]
+    if redistribute:
+        argv.append("--exhaustive-redistribution")
+    assert main(argv) == 0
+    with out.open(encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+
+    # The inputs still reach what the digest pins.
+    assert {r["rule"] for r in records} == set(RULES.split(","))
+    assert any(r["rule"] == "mes-add1u" for r in records)
+    assert any(
+        rnd["alpha"] != "1" for r in records if r["rule"] == "bos"
+        for rnd in r["rounds"]
+    )
+    assert any(capped)
+
+    text = "\n".join(masked(r) for r in records)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DIGESTS[model, redistribute]

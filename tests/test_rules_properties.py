@@ -557,11 +557,22 @@ class TestInvariantChecks:
         money."""
         prof = UtilityProfile.from_rows(3, 1, [{0: 1}] * 3)
         lopsided = {0: F(5, 9), 1: F(2, 9), 2: F(2, 9)}
+        real_full_quote = rules._full_quote
+
+        def ninths(*args):
+            # The full quote's payments are 1/3 each, over den 3; the same
+            # payments over 3 * den = 9 let owed write ninths.
+            quote = real_full_quote(*args)
+            quote.den, quote.rate, quote.cap = (
+                3 * quote.den, 3 * quote.rate, 3 * quote.cap
+            )
+            return quote
 
         def owed(quote):
             # The quote's payments are integers over its den, here 9.
             return {i: int(p * quote.den) for i, p in lopsided.items()}
 
+        monkeypatch.setattr(rules, "_full_quote", ninths)
         monkeypatch.setattr(rules.AffordabilityQuote, "_owed", owed)
         return Election((Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST)
 
