@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import click
 
@@ -33,6 +33,7 @@ from .rules import RULE_NAMES, RuleConfig, TieBreaker, run_rule
 from .stats import (
     BUCKET_PRESETS,
     RECORD_METRICS,
+    RecordRow,
     RecordWriter,
     RunRecord,
     aggregate_records,
@@ -76,15 +77,15 @@ def _positive_fraction(ctx, param, value):
 @contextmanager
 def _reading(path: Path, prefix: str = "") -> Iterator[None]:
     """Raise what reading or decoding ``path`` raises, such as a missing
-    CSV column (KeyError) or text that is not UTF-8, as an
-    :class:`InputDataError` that names the file; a :class:`PbParseError`
-    passes unchanged."""
+    CSV column (KeyError), text that is not UTF-8 or a count of
+    ``Infinity`` (OverflowError), as an :class:`InputDataError` that names
+    the file; a :class:`PbParseError` passes unchanged."""
     try:
         yield
     except PbParseError:
         raise
-    except (csv.Error, KeyError, OSError, RecursionError, TypeError,
-            ValueError) as exc:
+    except (ArithmeticError, csv.Error, KeyError, OSError, RecursionError,
+            TypeError, ValueError) as exc:
         raise InputDataError(f"{prefix}{path}: {exc}") from exc
 
 
@@ -419,15 +420,21 @@ def cmd_batch(directory, rules_spec, model, tie_order, add1u_step,
             raise InputDataError("every (instance, rule) cell failed")
 
 
-def _read_records(path: Path) -> list[RunRecord]:
-    """Records for ``aggregate`` and ``plotdata``, read line by line;
-    neither reads round logs, so they are dropped as each line is read."""
+def _read_records(path: Path, read: Callable[[object], object]) -> list:
+    """The records of ``aggregate`` and ``plotdata``, each built by ``read``
+    from its decoded object. Neither command reads round logs, so each is
+    dropped as its line is read; a JSONL file is read in binary, in pieces,
+    so that a round log is never held whole (see
+    :func:`~eqshares.stats.records_from_jsonl`). Either format may begin
+    with a UTF-8 byte-order mark."""
     with _reading(path, "could not read records from "):
         if path.suffix == ".csv":
-            with open(path, encoding="utf-8", newline="") as handle:
-                return records_from_csv(handle, keep_rounds=False)
-        with open(path, encoding="utf-8") as handle:
-            return records_from_jsonl(handle, keep_rounds=False)
+            with open(path, encoding="utf-8-sig", newline="") as handle:
+                return records_from_csv(handle, keep_rounds=False, read=read)
+        # With a buffer as large as the reader's pieces, readline hands
+        # most lines over without joining buffer-sized chunks.
+        with open(path, "rb", buffering=1 << 18) as handle:
+            return records_from_jsonl(handle, keep_rounds=False, read=read)
 
 
 @cli.command("aggregate")
@@ -444,7 +451,7 @@ def _read_records(path: Path) -> list[RunRecord]:
 )
 def cmd_aggregate(records_path, buckets, out_path) -> None:
     """Summarize a record file into exact per-group statistics."""
-    records = _read_records(records_path)
+    records = _read_records(records_path, RecordRow.from_json)
     if not records:
         raise EmptyInputError(f"no records in {records_path}")
     try:
@@ -568,7 +575,7 @@ def cmd_plotdata(records_path, coords_dir, out_dir) -> None:
     exact funded share as weight. One file per benchmark rule is always
     written, plus files for any other rules in the record set.
     """
-    records = _read_records(records_path)
+    records = _read_records(records_path, RunRecord.from_json)
     _out_dir(out_dir)
     sidecars: dict[str, dict[str, tuple[str, str]]] = {}
     by_rule: dict[str, list[list[str]]] = {rule: [] for rule in BENCH_RULES}

@@ -32,16 +32,22 @@ one per payer.
 string buffer.
 
 The readers take a string or an iterable of lines, such as an open file,
-and decode one line at a time. Reading records without their round logs
+and decode one line at a time; :func:`records_from_jsonl` also takes a
+file opened in binary. Reading records without their round logs
 (``keep_rounds=False``, which ``aggregate`` and ``plotdata`` use) cuts each
 line's top-level round log out before decoding, when the line is in the
 layout :class:`RecordWriter` writes; other lines are decoded whole, rounds
-set to ``[]``. A CSV round-log cell is skipped undecoded. The JSON syntax
-of a round log left out is not checked.
+set to ``[]``. From a binary file, such a line is read in bounded pieces
+and its round log is never held whole (:func:`_binary_objects`). A CSV
+round-log cell is skipped undecoded. The JSON syntax of a round log left
+out is not checked. ``aggregate`` reads each record as a
+:class:`RecordRow`, which checks what :meth:`RunRecord.from_json` checks
+but keeps only what aggregation reads.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -50,7 +56,10 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import (
+    BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+    Sequence, TextIO, TypeVar, Union,
+)
 
 from .axioms import AuditReport, audit
 from .model import (
@@ -60,6 +69,7 @@ from .rules import RuleConfig, _ratio_order
 
 __all__ = [
     "RunRecord",
+    "RecordRow",
     "RecordWriter",
     "AggregateRow",
     "BUCKET_PRESETS",
@@ -117,14 +127,35 @@ class RunRecord:
         return {key: _to_json(getattr(self, key)) for key in self.__dataclass_fields__}
 
     @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "RunRecord":
+    def from_json(cls, data: object) -> "RunRecord":
         """Rebuild a record; ``fractions`` and ``rounds`` may be left out."""
-        if not isinstance(data, Mapping):
-            raise TypeError(f"a record must be an object, not {type(data).__name__}")
-        return cls(**{
-            name: read(data[name] if name in data else _JSON_DEFAULTS[name])
-            for name, read in _FROM_JSON.items()
-        })
+        return cls(**_json_fields(data))
+
+
+class RecordRow(NamedTuple):
+    """What aggregation reads of a record, under :class:`RunRecord`'s
+    field names, so :func:`aggregate_records` takes either."""
+
+    rule: str
+    n_projects: int
+    ballot_type: str
+    metrics: Mapping[str, object]
+    runtime_sec: float
+
+    @classmethod
+    def from_json(cls, data: object) -> "RecordRow":
+        """The row of a decoded record, which it accepts or rejects exactly
+        as :meth:`RunRecord.from_json` does, without building the record.
+
+        A record whose every field has the type its read takes unchanged
+        (``_PLAIN``), as ``batch`` writes them, is checked by those types
+        alone; any other goes through the reads themselves.
+        """
+        if not (type(data) is dict
+                and tuple(map(type, map(data.get, _FROM_JSON))) in _PLAIN_TYPES
+                and not data["rounds"]):
+            data = _json_fields(data)
+        return cls(*map(data.__getitem__, cls._fields))
 
 
 def _to_json(value: object) -> object:
@@ -153,6 +184,31 @@ _FROM_JSON = {
     "config_hash": str,
 }
 _JSON_DEFAULTS = {"fractions": None, "rounds": ()}
+# The JSON type of each field on which its read above cannot fail and
+# returns the value, or a copy of it. A decoded record whose fields all have
+# these types, fractions null or an object and the round log empty, passes
+# every read unchanged (RecordRow.from_json).
+_PLAIN = {
+    "instance": str, "rule": str, "model": str, "ballot_type": str,
+    "n_voters": int, "n_projects": int, "budget": str, "selected": list,
+    "fractions": dict, "feasible": bool, "rounds": list, "metrics": dict,
+    "runtime_sec": float, "config_hash": str,
+}
+_PLAIN_TYPES = {
+    tuple(kinds[name] for name in _FROM_JSON)
+    for kinds in (_PLAIN, {**_PLAIN, "fractions": type(None)})
+}
+
+
+def _json_fields(data: object) -> dict[str, object]:
+    """Every :class:`RunRecord` field of a decoded record, read as
+    ``_FROM_JSON`` says."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"a record must be an object, not {type(data).__name__}")
+    return {
+        name: read(data[name] if name in data else _JSON_DEFAULTS[name])
+        for name, read in _FROM_JSON.items()
+    }
 
 
 def config_digest(rule: str, model: str, config: RuleConfig) -> str:
@@ -344,17 +400,26 @@ def _ratio(value: object) -> tuple[int, int]:
     return exact.numerator, exact.denominator
 
 
-def _metric_pairs(record: RunRecord) -> dict[str, tuple[int, int]]:
-    """The numeric metrics of :func:`metric_values`, as (num, den) pairs."""
-    metrics = record.metrics
-    out = {name: _ratio(metrics[name]) for name in RATIONAL_METRICS}
-    out["exhaustive"] = (1 if metrics["exhaustive"] else 0, 1)
-    violations = metrics.get("ejr_plus_violations")
-    if violations is not None:
-        count = int(violations)
-        out["ejr_plus_violations"] = (count, 1)
-        out["ejr_plus_violated"] = (1 if count > 0 else 0, 1)
-    out["runtime_sec"] = record.runtime_sec.as_integer_ratio()
+def _metric_columns(
+    records: Sequence[Union[RunRecord, RecordRow]],
+) -> dict[str, list[tuple[int, int]]]:
+    """The numeric metrics of :func:`metric_values` over ``records``, one
+    column of (num, den) pairs per metric. The EJR+ columns hold the
+    records that have a count; they are left out when none has one."""
+    metrics = [record.metrics for record in records]
+    out = {
+        name: [_ratio(values[name]) for values in metrics]
+        for name in RATIONAL_METRICS
+    }
+    out["exhaustive"] = [(1 if values["exhaustive"] else 0, 1) for values in metrics]
+    counts = [
+        int(violations) for values in metrics
+        if (violations := values.get("ejr_plus_violations")) is not None
+    ]
+    if counts:
+        out["ejr_plus_violations"] = [(count, 1) for count in counts]
+        out["ejr_plus_violated"] = [(1 if count > 0 else 0, 1) for count in counts]
+    out["runtime_sec"] = [record.runtime_sec.as_integer_ratio() for record in records]
     return out
 
 
@@ -368,8 +433,8 @@ def metric_values(record: RunRecord) -> dict[str, Fraction]:
     from binary64.
     """
     return {
-        name: Fraction(num, den)
-        for name, (num, den) in _metric_pairs(record).items()
+        name: Fraction(*column[0])
+        for name, column in _metric_columns([record]).items()
     }
 
 
@@ -469,14 +534,17 @@ def _summary(
 
 
 def aggregate_records(
-    records: Iterable[RunRecord], preset: str = "split15"
+    records: Iterable[Union[RunRecord, RecordRow]], preset: str = "split15"
 ) -> list[AggregateRow]:
-    """Group records and summarize every metric exactly.
+    """Group records, or their rows (:class:`RecordRow`), and summarize
+    every metric exactly.
 
+    Records are grouped before any metric is parsed, and each group's
+    metrics are then read a column at a time (:func:`_metric_columns`).
     Rows come back sorted by rule, metric, bucket lower bound, and
     ballot type.
     """
-    groups: dict[tuple[str, str, str, str], list[tuple[int, int]]] = {}
+    groups: dict[tuple[str, str, str], list[Union[RunRecord, RecordRow]]] = {}
     labels: dict[int, str] = {}
     bucket_low: dict[str, int] = {}
     for record in records:
@@ -484,12 +552,13 @@ def aggregate_records(
         if bucket is None:
             bucket = labels[record.n_projects] = bucket_label(record.n_projects, preset)
             bucket_low[bucket] = int(bucket.rstrip("+").split("-")[0])
-        rule, ballot_type = record.rule, record.ballot_type
-        for metric, pair in _metric_pairs(record).items():
-            groups.setdefault((rule, metric, bucket, ballot_type), []).append(pair)
+        groups.setdefault(
+            (record.rule, bucket, record.ballot_type), []
+        ).append(record)
     rows = [
-        AggregateRow(*key, len(pairs), *_summary(pairs))
-        for key, pairs in groups.items()
+        AggregateRow(rule, metric, bucket, ballot_type, len(pairs), *_summary(pairs))
+        for (rule, bucket, ballot_type), members in groups.items()
+        for metric, pairs in _metric_columns(members).items()
     ]
     rows.sort(key=lambda r: (r.rule, r.metric, bucket_low[r.bucket], r.ballot_type))
     return rows
@@ -535,19 +604,14 @@ def _without_rounds(line: str) -> Optional[dict]:
     return data if data.keys() >= _RECORD_KEYS else None
 
 
-def records_from_jsonl(
-    text: Union[str, Iterable[str]], keep_rounds: bool = True
-) -> list[RunRecord]:
-    """Records of a JSONL text, or of an iterable of its lines such as an
-    open file, one per non-blank line.
+_R = TypeVar("_R")
 
-    With ``keep_rounds=False`` each record's round log is dropped as its
-    line is read, for readers that need only the outcome and metrics; on a
-    line in the layout :class:`RecordWriter` writes, the round log is cut
-    out undecoded (:func:`_without_rounds`).
-    """
-    records = []
-    for line in io.StringIO(text) if isinstance(text, str) else text:
+
+def _line_objects(lines: Iterable[str], keep_rounds: bool) -> Iterator[object]:
+    """The decoded object of each non-blank line; with ``keep_rounds=False``
+    an object's round log is dropped, cut out undecoded when the line is in
+    the layout :class:`RecordWriter` writes (:func:`_without_rounds`)."""
+    for line in lines:
         # Neither test nor cut copies the line, which may hold a long log.
         if not line or line.isspace():
             continue
@@ -556,8 +620,136 @@ def records_from_jsonl(
             data = json.loads(line.strip())
             if not keep_rounds and isinstance(data, dict):
                 data["rounds"] = []
-        records.append(RunRecord.from_json(data))
-    return records
+        yield data
+
+
+# A binary record file is read in pieces of at most this many bytes.
+_PIECE = 1 << 18
+_OPEN_BYTES = _ROUNDS_OPEN.encode()
+_CLOSE_BYTES = _ROUNDS_CLOSE.encode()
+# The bytes a piece carries over to the next, so that a cut pattern split
+# across two pieces is found: one fewer than the longer pattern.
+_CARRY = max(len(_OPEN_BYTES), len(_CLOSE_BYTES)) - 1
+
+
+def _cut_line(
+    piece: bytes, more: Callable[[], bytes]
+) -> tuple[Optional[bytes], Optional[bytes]]:
+    """Read the rest of the line that begins with ``piece``, piece by piece
+    from ``more``, and return its kept text and the whole line.
+
+    The kept text is the line up to the end of its first ``"rounds": [``
+    followed by the line from its last ``], "rule": `` on; it is None when
+    the line lacks either in that order, or holds a carriage return that
+    does not end it as ``\\r\\n`` (text mode would end a line there). The
+    bytes between the two are neither kept nor decoded. The whole line is
+    returned only when it came as one piece.
+    """
+    whole = piece
+    kept: list[bytes] = []  # the line up to the open, then from a close on
+    head = None  # the line up to the open, once found
+    carry = b""
+    clean = True
+    while piece:
+        ends = piece.endswith(b"\n")
+        if clean and (cr := piece.find(b"\r")) >= 0:
+            clean = ends and cr == len(piece) - 2
+        buf = carry + piece
+        skip = len(carry)  # buf's bytes that the last piece already handled
+        opened = 0  # where in buf the text after the open begins
+        if head is None:
+            at = buf.find(_OPEN_BYTES)
+            if at < 0:
+                kept.append(piece)
+            else:
+                opened = at + len(_OPEN_BYTES)
+                kept.append(buf[skip:opened])
+                head, kept = b"".join(kept), []
+        if head is not None:
+            # Text without a "u" holds no close. The round logs RecordWriter
+            # writes hold one only in a null rho, so this memchr passes over
+            # most of their pieces without the slower pattern search.
+            at = buf.rfind(_CLOSE_BYTES, opened) if b"u" in buf else -1
+            if at >= 0:
+                kept = [buf[at:]]
+            elif kept:
+                kept.append(buf[skip:])
+        carry = buf[-_CARRY:]
+        if ends:
+            break
+        piece = more()
+        if piece:
+            whole = None
+    if head is None or not kept or not clean:
+        return None, whole
+    return head + b"".join(kept), whole
+
+
+def _binary_objects(
+    handle: BinaryIO, keep_rounds: bool, limit: int = _PIECE
+) -> Iterator[object]:
+    """:func:`_line_objects` of a binary JSONL stream, whose lines end as
+    in text mode (``\\n``, ``\\r\\n`` or ``\\r``), and whose first line may
+    begin with a UTF-8 byte-order mark.
+
+    Without round logs, each line is read in pieces of at most ``limit``
+    bytes and only its kept text (:func:`_cut_line`) is decoded, through
+    :func:`_without_rounds`. A line whose kept text does not take that cut
+    is read again whole and decoded as text; a stream that cannot seek is
+    read a whole line at a time. So a line in the layout
+    :class:`RecordWriter` writes is never held whole, and its round log is
+    not decoded: its JSON syntax and its UTF-8 are not checked. Every other
+    line reads as it does in text mode.
+    """
+    seekable = handle.seekable()
+    if keep_rounds or not seekable:
+        limit = -1
+    more = functools.partial(handle.readline, limit)
+    start = handle.tell() if seekable else 0
+    first = True
+    while piece := more():
+        kept, whole = (None, piece) if keep_rounds else _cut_line(piece, more)
+        bom = "\ufeff" if first else ""
+        data = None
+        if kept is not None:
+            data = _without_rounds(kept.decode("utf-8").removeprefix(bom))
+        if data is not None:
+            yield data
+        else:
+            if whole is None:
+                handle.seek(start)
+                whole = handle.readline()
+            text = whole.decode("utf-8").removeprefix(bom)
+            yield from _line_objects(io.StringIO(text, newline=None), keep_rounds)
+        start = handle.tell() if seekable else 0
+        first = False
+
+
+def records_from_jsonl(
+    text: Union[str, Iterable[str], BinaryIO],
+    keep_rounds: bool = True,
+    read: Callable[[object], _R] = RunRecord.from_json,
+) -> list[_R]:
+    """Records of a JSONL text, of an iterable of its lines such as a file
+    opened in text mode, or of a file opened in binary mode, one per
+    non-blank line, each built by ``read`` from its decoded object:
+    :meth:`RunRecord.from_json` by default, or
+    :meth:`RecordRow.from_json` for aggregation.
+
+    With ``keep_rounds=False`` each record's round log is dropped as its
+    line is read, for readers that need only the outcome and metrics; on a
+    line in the layout :class:`RecordWriter` writes, the round log is cut
+    out undecoded (:func:`_without_rounds`). A binary file is read as a
+    UTF-8 text file with an optional byte-order mark, and without round
+    logs in memory that does not grow with a line's round log
+    (:func:`_binary_objects`).
+    """
+    if isinstance(text, (io.RawIOBase, io.BufferedIOBase)):
+        objects = _binary_objects(text, keep_rounds)
+    else:
+        lines = io.StringIO(text) if isinstance(text, str) else text
+        objects = _line_objects(lines, keep_rounds)
+    return list(map(read, objects))
 
 
 # Flat CSV schema: the fields but metrics, then one ``metric_<name>`` column
@@ -701,10 +893,13 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
 
 
 def records_from_csv(
-    text: Union[str, Iterable[str]], keep_rounds: bool = True
-) -> list[RunRecord]:
+    text: Union[str, Iterable[str]],
+    keep_rounds: bool = True,
+    read: Callable[[object], _R] = RunRecord.from_json,
+) -> list[_R]:
     """Records of a CSV text, or of an iterable of its lines such as a file
-    opened with ``newline=""``. A round log is one cell, often megabytes
+    opened with ``newline=""``, each built by ``read`` as in
+    :func:`records_from_jsonl`. A round log is one cell, often megabytes
     long, so ``csv``'s process-wide field limit is lifted while reading.
 
     With ``keep_rounds=False`` each round-log cell is left undecoded and
@@ -729,7 +924,7 @@ def records_from_csv(
                     data[key] = None if raw == "" else json.loads(raw)
                 else:
                     data[key] = raw
-            records.append(RunRecord.from_json(data))
+            records.append(read(data))
     finally:
         csv.field_size_limit(limit)
     return records

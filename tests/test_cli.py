@@ -825,6 +825,31 @@ class TestAggregate:
         assert main(["aggregate", str(bad)]) == 2
         assert "error: could not read records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_records_may_begin_with_a_byte_order_mark(
+        self, euclid_dir, tmp_path, capsys, suffix
+    ):
+        """As ``.pb`` and tie-order files may: both commands read a record
+        file with a UTF-8 byte-order mark as the file without it."""
+        plain = tmp_path / f"plain{suffix}"
+        assert main(["batch", str(euclid_dir), "--rules", "bos",
+                     "--out", str(plain)]) == 0
+        marked = tmp_path / f"marked{suffix}"
+        marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+        capsys.readouterr()
+        outputs = []
+        for path in (plain, marked):
+            assert main(["aggregate", str(path)]) == 0
+            summary = capsys.readouterr().out
+            plots = tmp_path / f"plots-{path.stem}"
+            assert main(["plotdata", "--records", str(path), "--coords",
+                         str(euclid_dir), "--out", str(plots)]) == 0
+            outputs.append((summary, {
+                p.name: p.read_text(encoding="utf-8") for p in plots.iterdir()
+            }))
+        assert outputs[0] == outputs[1]
+        assert "bos,exclusion_ratio" in outputs[0][0]
+
     def test_records_nested_too_deep_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")

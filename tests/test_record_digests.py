@@ -12,6 +12,11 @@ fields listed below are kept, so ``runtime_sec`` and any field added later
 drop out, and each record is serialised as sorted-key JSON. The digest is
 the sha256 of those lines, in the order ``batch`` writes them.
 
+The same test pins ``aggregate`` over each configuration's records: the
+sha256 of its summary CSV without the ``runtime_sec`` rows, which are the
+only rows that change from run to run (as the benchmark's aggregate digest
+drops them).
+
 The test also checks that its inputs still exercise what the digests are
 there to pin: a bos round with coverage below 1, a full quote that caps a
 payer, and the add1u scan.
@@ -49,6 +54,12 @@ DIGESTS = {
         "dad99421ab6f6b8c7a3452b83cbb112c1773606154816a66d630ee652f7f37df",
     ("score", True):
         "1accff788288c8603b2a70b27ce9ab42c30770b6122eadd17b04c2b3ab691de3",
+}
+
+# The aggregate does not depend on --exhaustive-redistribution here.
+AGGREGATE_DIGESTS = {
+    "cost": "6c574b8ffa6d02849e5ae0be8fae91f6d82ce973ead37be33c33f6c819a79cb5",
+    "score": "acf04485ea9a17fcdeed20090d631ac8143618185dfb88959c0a0e1822bd7f02",
 }
 
 
@@ -102,3 +113,11 @@ def test_batch_records_match_their_digest(
     text = "\n".join(masked(r) for r in records)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == DIGESTS[model, redistribute]
+
+    summary = tmp_path / "summary.csv"
+    assert main(["aggregate", str(out), "--out", str(summary)]) == 0
+    lines = summary.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(line for line in lines if line.split(",")[1] != "runtime_sec")
+    assert len(kept.splitlines()) == 176
+    digest = hashlib.sha256(kept.encode("utf-8")).hexdigest()
+    assert digest == AGGREGATE_DIGESTS[model]

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import time
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eqshares.cli import BENCH_RULES
+from eqshares.cli import BENCH_RULES, main
 from eqshares.model import Election, Outcome, Payments, PurchaseRecord
 from eqshares.rules import RULE_NAMES, RuleConfig, TieBreaker, fres, mes, run_rule
 from eqshares.stats import (
@@ -24,6 +26,7 @@ from eqshares.stats import (
     RATIONAL_METRICS,
     RECORD_METRICS,
     AggregateRow,
+    RecordRow,
     RecordWriter,
     RunRecord,
     aggregate_records,
@@ -40,7 +43,7 @@ from eqshares.stats import (
     records_to_csv,
     records_to_jsonl,
 )
-from eqshares.stats import _without_rounds
+from eqshares.stats import _binary_objects, _cut_line, _without_rounds
 from eqshares.synth import Dist, EuclideanConfig, VoterCluster, gen_euclidean
 
 FRACTIONS = st.fractions(
@@ -605,6 +608,241 @@ class TestReadWithoutRounds:
         assert read_full(line) is json.JSONDecodeError
         with pytest.raises(json.JSONDecodeError):
             records_from_jsonl(line)
+
+
+def read_text_file(data: bytes):
+    """``aggregate``'s former reader: the file in text mode (universal
+    newlines), records without round logs; or the class of the error it
+    raised. The binary reader must agree with it."""
+    try:
+        return records_from_jsonl(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+            keep_rounds=False,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class Unseekable(io.BytesIO):
+    """A stream that cannot go back, as a pipe."""
+
+    def seekable(self) -> bool:
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def read_pieces(data: bytes, limit: int, stream=io.BytesIO):
+    """The binary reader on ``data`` in pieces of at most ``limit`` bytes,
+    or the class of the error it raised."""
+    try:
+        return [
+            RunRecord.from_json(obj)
+            for obj in _binary_objects(stream(data), False, limit)
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def jsonl_lines(draw) -> str:
+    """A record line as the writer writes it, reformatted out of the
+    writer's layout, or cut off inside its round log."""
+    record = draw(run_records())
+    form = draw(st.sampled_from(["written", "reformatted", "cut off"]))
+    if form == "reformatted":
+        order = draw(st.permutations(range(len(RunRecord.__dataclass_fields__))))
+        return json.dumps(reordered(record, order), separators=(",", ":"))
+    line = records_to_jsonl([record])[:-1]
+    if form == "cut off":
+        return line[: draw(st.integers(0, len(line)))]
+    return line
+
+
+OPEN, CLOSE = b'"rounds": [', b'], "rule": '
+
+
+def names_record() -> RunRecord:
+    """A record whose names and keys look like the cut patterns, and whose
+    round log holds both patterns as nested keys."""
+    names = ['"rounds": [', '], "rule": ', "a]b[c", 'q\\"', "\\", "\\\\"]
+    return dataclasses.replace(
+        make_record(instance=names[0], rule=names[1]),
+        ballot_type=names[2],
+        selected=tuple(names),
+        fractions={name: "1/2" for name in names},
+        rounds=tuple(
+            {"payments": {name: name for name in names}, "project": k,
+             "rounds": [k], "rule": k}
+            for k in range(3)
+        ),
+        metrics=dict(make_record().metrics, **{name: [name] for name in names}),
+    )
+
+
+class TestBinaryReader:
+    """The bounded-memory reader of ``aggregate`` and ``plotdata`` against
+    the text-mode reader it replaced."""
+
+    def test_kept_text_is_the_line_without_its_round_log(self):
+        line = records_to_jsonl([names_record()]).encode()
+        start, end = line.find(OPEN), line.rfind(CLOSE)
+        # The round log holds both patterns, so the cut must take the first
+        # open and the last close.
+        assert line.count(OPEN) == line.count(CLOSE) == 4
+        for limit in range(1, 2 * len(CLOSE) + 2):
+            stream = io.BytesIO(line)
+            more = functools.partial(stream.readline, limit)
+            kept, whole = _cut_line(more(), more)
+            assert kept == line[: start + len(OPEN)] + line[end:], limit
+            assert whole is None
+        stream = io.BytesIO(line)
+        assert _cut_line(stream.readline(), stream.readline) == (
+            line[: start + len(OPEN)] + line[end:], line
+        )
+
+    @given(
+        st.lists(jsonl_lines(), max_size=4),
+        st.lists(st.sampled_from(["", " ", "\t", " "]), max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+        st.integers(1, 24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_text_reader(self, lines, blanks, newline, limit):
+        text = "".join(line + "\n" for line in lines + blanks)
+        data = text.replace("\n", newline).encode()
+        expected = read_text_file(data)
+        assert read_pieces(data, limit) == expected
+        assert read_pieces(data, limit, Unseekable) == expected
+
+    @pytest.mark.parametrize("limit", [1, 5, 11, 64, 1 << 16])
+    def test_lines_end_where_text_mode_ends_them(self, limit):
+        lines = [records_to_jsonl([names_record()]),
+                 records_to_jsonl([make_record()])]
+        for data in [
+            (lines[0][:-1] + "\r" + lines[1][:-1]).encode(),
+            (lines[0][:-1] + "\r\r\n\n" + lines[1][:-1] + "\r").encode(),
+            (lines[0][:-1] + "\r\n" + lines[1][:-1]).encode(),
+        ]:
+            expected = read_text_file(data)
+            assert len(expected) == 2
+            assert read_pieces(data, limit) == expected
+            assert read_pieces(data, limit, Unseekable) == expected
+
+    def test_a_byte_order_mark_starts_the_file_only(self):
+        line = records_to_jsonl([names_record()]).encode()
+        bom = "﻿".encode()
+        assert read_pieces(bom + line, 7) == read_text_file(line)
+        assert read_pieces(line + bom + line, 7) is json.JSONDecodeError
+
+    def test_round_log_is_not_decoded(self):
+        """Bytes that are not UTF-8 inside a round log pass unread, as its
+        JSON syntax does; outside it they are an error."""
+        line = records_to_jsonl([names_record()]).encode()
+        bad = line.replace(b'"project": 1', b'"project": \xff', 1)
+        assert read_pieces(bad, 13) == read_pieces(line, 13)
+        assert read_text_file(bad) is UnicodeDecodeError
+        bad_head = line.replace(b'"budget": "', b'"budget": "\xff', 1)
+        assert read_pieces(bad_head, 13) is UnicodeDecodeError
+
+    def test_memory_does_not_grow_with_the_round_log(self, tmp_path):
+        """A one-line record whose round log is about 30 MB is read in a
+        small fraction of its length."""
+        head, tail = records_to_jsonl([make_record()]).split('"rounds": []')
+        payments = {str(v): "1/3" for v in range(100)}
+        one = json.dumps({"payments": payments, "project": 1}, sort_keys=True)
+        chunk = (one + ", ") * 1000
+        path = tmp_path / "long.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(head + '"rounds": [')
+            for _ in range(24):
+                handle.write(chunk)
+            handle.write(one + "]" + tail)
+        size = path.stat().st_size
+        assert size > 30_000_000
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as handle:
+                records = records_from_jsonl(handle, keep_rounds=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records == [make_record()]
+        assert peak < size / 15, (peak, size)
+
+
+# Values that stand in for a field of the wrong type; "MISSING" drops the key.
+WRONG_VALUES = (None, "MISSING", "x", "7", 7.5, float("inf"), True, [], [1],
+                ["ab"], {}, {"a": "b"})
+
+
+def aggregate_exit(records_path, capsys) -> tuple[int, str]:
+    code = main(["aggregate", str(records_path)])
+    return code, capsys.readouterr().out
+
+
+class TestAggregateRejectsWhatRecordsReject:
+    """``aggregate`` reads rows, not records, and must accept or reject each
+    line as reading it into a :class:`RunRecord` and aggregating that does."""
+
+    @given(
+        st.sampled_from(sorted(RunRecord.__dataclass_fields__)),
+        JSON_VALUES | st.floats() | st.just(10**400),
+    )
+    @example("rounds", [1])
+    @example("n_projects", True)
+    @example("runtime_sec", 1)
+    @example("metrics", [["exhaustive", True]])
+    @settings(max_examples=300, deadline=None)
+    def test_rows_read_as_records_do(self, field, value):
+        data = dict(names_record().to_json(), rounds=[])
+        data[field] = value
+        try:
+            record = RunRecord.from_json(data)
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                RecordRow.from_json(data)
+        else:
+            assert RecordRow.from_json(data) == tuple(
+                getattr(record, name) for name in RecordRow._fields
+            )
+
+    @pytest.mark.parametrize(
+        "field, metric",
+        [(field, None) for field in sorted(RunRecord.__dataclass_fields__)]
+        + [("metrics", metric) for metric in RECORD_METRICS],
+    )
+    def test_each_field_corrupted(self, field, metric, tmp_path, capsys):
+        good = dataclasses.replace(names_record(), rule="mes")
+        codes = set()
+        for value in WRONG_VALUES:
+            data = good.to_json()
+            owner, key = (data, field) if metric is None else (data[field], metric)
+            if value == "MISSING":
+                del owner[key]
+            else:
+                owner[key] = value
+            # The writer's layout: sorted keys, default separators.
+            text = records_to_jsonl([make_record()]) + json.dumps(
+                data, sort_keys=True
+            ) + "\n"
+            path = tmp_path / "records.jsonl"
+            path.write_text(text, encoding="utf-8")
+            try:
+                records = records_from_jsonl(text, keep_rounds=False)
+                summary = aggregate_to_csv(aggregate_records(records))
+            except (ArithmeticError, KeyError, TypeError, ValueError):
+                expected = (2, "")
+            else:
+                expected = (0, summary)
+            assert aggregate_exit(path, capsys) == expected, (key, value)
+            codes.add(expected[0])
+        # Some value is rejected, but for a round log, which is not read.
+        assert (2 in codes) == (key != "rounds"), key
 
 
 BIG_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1, 10**9 + 7, 998244353)
