@@ -404,46 +404,64 @@ class Election:
 class Payments(Mapping[int, Num]):
     """Exact per-voter payments held as integers over one denominator.
 
-    ``payments[i]`` is ``numerators[i] / den``, and iteration follows
-    ``numerators``. The rationals are built on the first read of a value,
-    one per distinct numerator, so a round log that is only written
-    (:class:`~eqshares.stats.RecordWriter` formats the numerators) never
-    builds them. It equals, and has the ``repr`` of, the dict of the same
-    payments in the same order.
+    ``payers[j]`` pays ``amounts[j] / den``. A quote
+    (:class:`~eqshares.rules.AffordabilityQuote`) hands over the payer
+    sequence its kernel built and its numerators as they are: the capped
+    prefix's own, then one numerator object per run of a shared weight,
+    which every payer of the run holds. The uncapped payers of an approval
+    column hold one object. ``Payments(numerators, den)`` holds a
+    voter-to-numerator mapping.
+
+    The ledger's debit (:meth:`BudgetState.debit`) and the record writer
+    (:class:`~eqshares.stats.RecordWriter`) read the two lists. The Mapping
+    view is built only when read: ``numerators``, the dict from voter to
+    numerator, and ``payments[i]``, with one rational per distinct
+    numerator. Iteration follows ``payers``; the view equals, and has the
+    ``repr`` of, the dict of the same payments in the same order.
 
     ``rate``, when positive, is a factor that most numerators share: a
-    quote's uncapped payers each pay ``(weight // unit) * rate``
-    (:class:`~eqshares.rules.AffordabilityQuote`). It changes no value;
-    the writer uses it to reduce those payments with one gcd of
-    ledger-sized integers per round. The default 0 names no such factor.
+    quote's uncapped payers each pay ``(weight // unit) * rate``. It
+    changes no value; the writer uses it to reduce those payments with one
+    gcd of ledger-sized integers per round. The default 0 names no such
+    factor.
     """
 
     def __init__(
         self, numerators: Mapping[int, int], den: int, rate: int = 0
     ) -> None:
-        self.numerators = numerators
+        self.payers: Sequence[int] = list(numerators)
+        self.amounts: list[int] = list(numerators.values())
         self.den = den
         self.rate = rate
 
+    @classmethod
+    def of(
+        cls, payers: Sequence[int], amounts: list[int], den: int, rate: int = 0
+    ) -> "Payments":
+        """``payers[j]`` paying ``amounts[j] / den``; the lists are taken,
+        not copied."""
+        pays = cls.__new__(cls)
+        pays.payers, pays.amounts, pays.den, pays.rate = payers, amounts, den, rate
+        return pays
+
+    @cached_property
+    def numerators(self) -> dict[int, int]:
+        return dict(zip(self.payers, self.amounts))
+
     @cached_property
     def _rationals(self) -> dict[int, Num]:
-        made: dict[int, Num] = {}
-        out = {}
-        for i, n in self.numerators.items():
-            pay = made.get(n)
-            if pay is None:
-                pay = made[n] = Fraction(n, self.den)
-            out[i] = pay
-        return out
+        den = self.den
+        made = {n: Fraction(n, den) for n in set(self.amounts)}
+        return dict(zip(self.payers, map(made.__getitem__, self.amounts)))
 
     def __getitem__(self, voter: int) -> Num:
         return self._rationals[voter]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.numerators)
+        return iter(self.payers)
 
     def __len__(self) -> int:
-        return len(self.numerators)
+        return len(self.payers)
 
     def __repr__(self) -> str:
         return repr(self._rationals)
@@ -606,6 +624,10 @@ class BudgetState:
     ) -> list[tuple[int, Num]]:
         """Take ``amount / den`` from each ``(voter, amount)`` in turn.
 
+        Consecutive voters that hold one amount object (a run of a quote's
+        payers, :class:`Payments`) share one product with the working
+        scale.
+
         A balance stops at zero. The result lists ``(voter, shortfall)``,
         in charge order, for each voter charged more than she held; the
         rules decide whether a shortfall is an overdraft or a fault. The
@@ -625,8 +647,11 @@ class BudgetState:
         factor = scale // den
         units = self.work_units
         short = []
+        last = take = None
         for i, amount in amounts:
-            left = units[i] - amount * factor
+            if amount is not last:
+                last, take = amount, amount * factor
+            left = units[i] - take
             if left < 0:
                 short.append((i, Fraction(-left, scale)))
                 left = 0

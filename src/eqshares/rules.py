@@ -211,14 +211,16 @@ class AffordabilityQuote:
     ``(weight // unit) * rate / den``, which is u * rho (u * alpha * rho for
     a fres share); ``unit`` divides every uncapped weight, and is 1 except
     in a full quote (:func:`_full_quote`), whose ``den`` is then the least
-    its payments allow. These payment numerators are formed once, one
-    product per run of a shared weight, and checked to add up to ``cost``.
-    :meth:`charge` debits them, each balance stopping at zero, and reports
-    every voter charged more than she held; ``payments`` is a
-    :class:`~eqshares.model.Payments` over the same numerators, which the
-    round record keeps and builds rationals from only when they are read.
-    It carries ``rate`` too, the factor every uncapped numerator shares,
-    so the record writer reduces those numerators with one gcd of
+    its payments allow. These payment numerators are formed once, one list
+    aligned with ``voters`` (:meth:`_amounts`) in which a run of a shared
+    weight shares one product, and checked to add up to ``cost``. They are
+    the only form the payments take from then on: :meth:`charge` debits
+    them, each balance stopping at zero, and reports every voter charged
+    more than she held; ``payments`` is a
+    :class:`~eqshares.model.Payments` over ``voters`` and the same list,
+    which the round record keeps and builds a mapping from only when it is
+    read. It carries ``rate`` too, the factor every uncapped numerator
+    shares, so the record writer reduces those numerators with one gcd of
     ledger-sized integers per round.
     """
 
@@ -235,9 +237,7 @@ class AffordabilityQuote:
     m_scale: int
     cost: Num
     unit: int = 1
-    _numerators: Optional[dict[int, int]] = field(
-        default=None, init=False, repr=False
-    )
+    _paid: Optional[list[int]] = field(default=None, init=False, repr=False)
     _ratio: Optional[Num] = field(default=None, init=False, repr=False)
     _rho: Optional[Num] = field(default=None, init=False, repr=False)
 
@@ -254,63 +254,46 @@ class AffordabilityQuote:
             self._rho = ratio if self.alpha == 1 else ratio * self.alpha
         return self._rho
 
-    def _owed(self) -> dict[int, int]:
-        """Payment numerators over ``den``, keyed by voter.
+    def _amounts(self) -> list[int]:
+        """Payment numerators over ``den``, one per voter of ``voters``.
 
         Raises :class:`InvariantError` unless the payments add up to
         ``cost`` exactly.
         """
-        if self._numerators is None:
-            s, voters, weights = self.capped, self.voters, self.weights
-            rate, unit = self.rate, self.unit
-            if _uniform(weights):
-                # One weight (every approval column): one product for all.
-                owed = dict.fromkeys(voters, weights[0] // unit * rate)
-            else:
-                # A column's weights come in runs of one object: so do the
-                # products, as the round record keeps them.
-                owed = dict.fromkeys(voters[:s])
-                pays = []
-                last = pay = None
-                for w in weights[s:]:
-                    if w is not last:
-                        last, pay = w, w // unit * rate
-                    pays.append(pay)
-                owed.update(zip(voters[s:], pays))
-            if s:
-                # The capped voters, first in ``voters``, pay in their place.
-                cap = self.cap
-                owed.update(zip(voters[:s], [m * cap for m in self.money[:s]]))
+        pays = self._paid
+        if pays is None:
+            s, weights = self.capped, self.weights
+            k = len(weights)
+            # The capped voters, first in ``voters``, pay in their place.
+            pays = list(map(self.cap.__mul__, self.money[:s])) if s else []
+            if s < k:
+                unit, rate = self.unit, self.rate
+                if _uniform(weights):
+                    # One weight (every approval column): one product.
+                    pays += [weights[s] // unit * rate] * (k - s)
+                else:
+                    # A column's weights come in runs of one object: so do
+                    # the products, which the debit then takes once a run.
+                    last = pay = None
+                    for w in weights[s:]:
+                        if w is not last:
+                            last, pay = w, w // unit * rate
+                        pays.append(pay)
             num, den = self.cost.as_integer_ratio()
-            if sum(owed.values()) * den != num * self.den:
+            if sum(pays) * den != num * self.den:
                 raise InvariantError(
                     f"payments for project {self.project} do not add up to its cost"
                 )
-            self._numerators = owed
-        return self._numerators
+            self._paid = pays
+        return pays
 
     @property
     def payments(self) -> Payments:
-        return Payments(self._owed(), self.den, self.rate)
+        return Payments.of(self.voters, self._amounts(), self.den, self.rate)
 
     def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
         """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
-        return budgets.debit(self._owed().items(), self.den)
-
-    def compact(self) -> AffordabilityQuote:
-        """The same purchase holding only what ``payments`` reads.
-
-        It keeps the capped prefix's balances, not the others, and no
-        cached numerators, so a caller can hold many of them cheaply. Its
-        ``money`` is that prefix alone, so it serves ``payments`` and
-        nothing else: :meth:`drained` needs every balance.
-        """
-        s = self.capped
-        return AffordabilityQuote(
-            self.project, self.alpha, self.key, self.voters, self.money[:s],
-            self.weights, s, self.cap, self.rate, self.den, self.m_scale,
-            self.cost, self.unit,
-        )
+        return budgets.debit(zip(self.voters, self._amounts()), self.den)
 
     def drained(self) -> int:
         """How many voters u * rho would drain (b <= u * rho), for a
@@ -883,9 +866,9 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     Finally, projects that still fit are appended in descending total score
     order.
 
-    A probe keeps each purchase as a compact quote
-    (:meth:`AffordabilityQuote.compact`); only the kept probe's purchases
-    become round records. Spending only rises within a probe, so a probe
+    A probe keeps each purchase's quote as it stands, with the payment
+    numerators it charged; only the kept probe's quotes become round
+    records. Spending only rises within a probe, so a probe
     ends at the purchase that takes its spend past the budget: the scan
     discards it whatever it would buy next. The probes share one initial
     selector heap, the costs as integers over one denominator and one map
@@ -907,7 +890,7 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
 
     def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
         return _equal_shares(
-            election, config, num, scale, AffordabilityQuote.compact, floors,
+            election, config, num, scale, lambda quote: quote, floors,
             costs, list(heap), near, stop=True,
         )
 

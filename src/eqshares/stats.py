@@ -286,19 +286,17 @@ def _round_text(record: PurchaseRecord, sort_keys: bool, keys: _VoterKeys) -> st
     """
     pays = record.payments
     if isinstance(pays, Payments):
-        nums = pays.numerators
-        texts = _payment_texts(set(nums.values()), pays.den, pays.rate)
-        value = texts.__getitem__
+        texts = _payment_texts(set(pays.amounts), pays.den, pays.rate)
+        voters, values = pays.payers, map(texts.__getitem__, pays.amounts)
     else:
-        nums, value = pays, str
+        voters, values = list(pays), map(str, pays.values())
+    entries = list(map(str.__add__, map(keys.__getitem__, voters), values))
     if sort_keys:
-        entries = list(map(str.__add__, map(keys.__getitem__, nums),
-                           map(value, nums.values())))
         entries.sort()
     else:
-        voters = sorted(nums)
-        entries = list(map(str.__add__, map(keys.__getitem__, voters),
-                           map(value, map(nums.__getitem__, voters))))
+        entries = [
+            entries[j] for j in sorted(range(len(voters)), key=voters.__getitem__)
+        ]
     fields = {
         "project": json.dumps(record.project),
         "alpha": f'"{record.alpha}"',
@@ -910,7 +908,13 @@ def records_from_csv(
     records = []
     limit = csv.field_size_limit(sys.maxsize)
     try:
-        for row in csv.DictReader(lines):
+        reader = csv.DictReader(lines)
+        for row in reader:
+            if None in row:
+                # DictReader keeps the cells past the header under None.
+                raise ValueError(
+                    f"line {reader.line_num}: more cells than the header"
+                )
             metrics: dict[str, object] = {}
             data: dict[str, object] = {"metrics": metrics}
             for key, raw in row.items():

@@ -795,6 +795,21 @@ class TestAggregate:
         assert summaries[0] == summaries[1]
         assert summaries[0].startswith("rule,metric,bucket")
 
+    def test_csv_row_with_more_cells_than_the_header_exits_2(
+        self, batch_dir, tmp_path, capsys
+    ):
+        path = self.write_records(batch_dir, tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            records = records_from_jsonl(handle.read())
+        header, first, *rest = records_to_csv(records).splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, first + ",x", *rest]) + "\n",
+                       encoding="utf-8")
+        assert main(["aggregate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: more cells than the header" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "old,new",
         [('"budget": "', '"budget": '), ('"runtime_sec": ', '"runtime_sec" '),

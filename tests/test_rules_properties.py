@@ -511,14 +511,14 @@ class TestInvariantChecks:
     def test_fres_overdrawn_balance(self, monkeypatch):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        real_owed = rules.AffordabilityQuote._owed
+        real_amounts = rules.AffordabilityQuote._amounts
 
         def doubled(quote):
             # The lone voter's share takes her whole balance; twice it
             # overdraws her.
-            return {i: 2 * n for i, n in real_owed(quote).items()}
+            return [2 * n for n in real_amounts(quote)]
 
-        monkeypatch.setattr(rules.AffordabilityQuote, "_owed", doubled)
+        monkeypatch.setattr(rules.AffordabilityQuote, "_amounts", doubled)
         with pytest.raises(rules.InvariantError, match="fres: voter 0 overdrawn"):
             fres(e)
 
@@ -541,10 +541,10 @@ class TestInvariantChecks:
     def test_payments_must_add_up_to_the_cost(self, monkeypatch, rule):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        # With voter 0 named twice, the quote splits the cost (for fres, the
-        # share's cost) between two payers, and the payment map, keyed by
-        # voter, holds only half of it.
-        monkeypatch.setitem(vars(prof), "supporters", ((0, 0),))
+        # With the column's weights said to sum to 2, not 1, the quote
+        # prices the cost (for fres, the share's cost) over twice the
+        # support, and its one payer's payment holds only half of it.
+        monkeypatch.setitem(vars(prof), "column_sums", ((2, True),))
         with pytest.raises(
             rules.InvariantError, match="payments for project 0 do not add up"
         ):
@@ -569,11 +569,12 @@ class TestInvariantChecks:
             return quote
 
         def owed(quote):
-            # The quote's payments are integers over its den, here 9.
-            return {i: int(p * quote.den) for i, p in lopsided.items()}
+            # The quote's payments are integers over its den, here 9, one
+            # per voter of its voters (0, 1, 2).
+            return [int(p * quote.den) for p in lopsided.values()]
 
         monkeypatch.setattr(rules, "_full_quote", ninths)
-        monkeypatch.setattr(rules.AffordabilityQuote, "_owed", owed)
+        monkeypatch.setattr(rules.AffordabilityQuote, "_amounts", owed)
         return Election((Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST)
 
     def test_mes_charges_nobody_beyond_her_balance(self, monkeypatch):

@@ -1074,7 +1074,13 @@ def integer_rounds(draw):
     Each round has a rate, which is 0 (none) or 1 at times. Some payments
     are multiples w * rate, as uncapped payers' are, and some are not, as
     capped payers' are. Dens share factors with the rate, and a den may
-    divide a payment."""
+    divide a payment.
+
+    Half the payments are held as a quote hands them over
+    (:meth:`Payments.of`): a capped prefix of payers who each pay their own
+    numerator, then runs of payers who share one numerator object, a
+    single run when the weights are uniform, and at times no payer at all.
+    The rest come from a voter-to-numerator dict."""
     if draw(st.integers(0, 4)) == 0:
         return PurchaseRecord(draw(st.integers(0, 200)), draw(FRACTIONS), None, {})
     rate = draw(st.sampled_from([0, 1, 6, 35, 2**64 * 3**5 * 7]))
@@ -1082,18 +1088,40 @@ def integer_rounds(draw):
         st.sampled_from([1, 2, 7, rate or 1])
     )
     weights = st.integers(0, 30) | st.sampled_from([12, 10**9 + 7, 36 * 10**9])
-    numerators = draw(st.dictionaries(
-        st.integers(0, 120),
-        weights.map(lambda w: w * rate)
-        | st.sampled_from([1, 6, 7, 12, 10**12 + 39])
-        | st.tuples(weights, st.integers(1, 5)).map(lambda p: p[0] * rate + p[1]),
-        max_size=25,
-    ))
-    overspent = sorted(draw(st.sets(st.sampled_from(sorted(numerators) or [0]))))
+    capped = (
+        st.sampled_from([1, 6, 7, 12, 10**12 + 39])
+        | st.tuples(weights, st.integers(1, 5)).map(lambda p: p[0] * rate + p[1])
+    )
+    if draw(st.booleans()):
+        payers = draw(st.lists(st.integers(0, 120), unique=True, max_size=25))
+        k = len(payers)
+        s = draw(st.integers(0, k))
+        amounts = [draw(capped) for _ in range(s)]
+        if s < k:
+            stops = [k]
+            if s + 1 < k and not draw(st.booleans()):  # non-uniform weights
+                stops = sorted(draw(st.sets(st.integers(s + 1, k - 1))) | {k})
+            for stop in stops:
+                amounts += [draw(weights) * rate] * (stop - len(amounts))
+        payments = Payments.of(payers, amounts, den, rate)
+    else:
+        payments = Payments(draw(st.dictionaries(
+            st.integers(0, 120), weights.map(lambda w: w * rate) | capped,
+            max_size=25,
+        )), den, rate)
+    overspent = sorted(draw(st.sets(st.sampled_from(sorted(payments) or [0]))))
     return PurchaseRecord(
         draw(st.integers(0, 200)), draw(FRACTIONS), draw(FRACTIONS),
-        Payments(numerators, den, rate), tuple(overspent),
+        payments, tuple(overspent),
     )
+
+
+def lists_as_dict(payments: Payments) -> dict:
+    """The dict of ``payments``, read straight from their two lists."""
+    return {
+        voter: F(n, payments.den)
+        for voter, n in zip(payments.payers, payments.amounts, strict=True)
+    }
 
 
 class TestIntegerRounds:
@@ -1168,6 +1196,22 @@ class TestIntegerRounds:
         ]
         assert as_dicts == rounds
         assert self.written(as_dicts) == jsonl
+        for r in rounds:
+            pays = r.payments
+            if not isinstance(pays, Payments):
+                continue
+            same = lists_as_dict(pays)
+            assert pays == same and same == pays
+            assert list(pays) == list(same) and len(pays) == len(same)
+            assert repr(pays) == repr(same)
+            assert list(pays.items()) == list(same.items())
+            assert all(voter in pays for voter in same) and -1 not in pays
+            # The same payments from a voter-to-numerator dict.
+            numerators = {v: int(p * pays.den) for v, p in same.items()}
+            dict_backed = dataclasses.replace(
+                r, payments=Payments(numerators, pays.den, pays.rate)
+            )
+            assert self.written([dict_backed]) == self.written([r])
 
     def test_rule_logs_match_their_dicts(self, fixture_runs):
         assert any(
