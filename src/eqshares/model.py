@@ -18,6 +18,7 @@ its least common denominator.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -110,11 +111,21 @@ class UtilityProfile:
     ``rows[i]`` maps project id to a strictly positive utility; absent
     entries are zero. Per-project supporter lists are derived lazily and
     are exact inverses of the per-voter support sets.
+
+    A profile of products (:meth:`scaled`, :func:`derive_cost_utilities`)
+    is a source profile with each column's entries times a positive
+    factor, so it has the source's support. Its :attr:`supporters` are
+    the source's tuple and :meth:`supported_by` reads the source's rows;
+    its :attr:`columns` and :attr:`project_totals` are formed from the
+    source's entries times the factors. Its own ``rows`` are built when
+    first read, and it equals the profile built from them.
     """
 
     n_voters: int
     n_projects: int
     rows: tuple[Mapping[int, Num], ...]
+    # A profile of products holds (source profile, factors); see _times.
+    _source = None
 
     @classmethod
     def from_rows(
@@ -143,6 +154,16 @@ class UtilityProfile:
             raise ValueError(f"expected {n_voters} rows, got {len(packed)}")
         return cls(n_voters=n_voters, n_projects=n_projects, rows=tuple(packed))
 
+    def __getattr__(self, name: str):
+        # Only a profile of products is made without rows; they are built
+        # here when first read, and kept.
+        if name != "rows" or self._source is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        rows = self.__dict__["rows"] = _product_rows(*self._source)
+        return rows
+
     def value(self, voter: int, project: int) -> Num:
         return self.rows[voter].get(project, Fraction(0))
 
@@ -156,7 +177,9 @@ class UtilityProfile:
         The scan stops once every project is found, which the voters of a
         large purchase usually reach within their first few hundred.
         """
-        rows, everything = self.rows, self.n_projects
+        source = self._source
+        rows = self.rows if source is None else source[0].rows
+        everything = self.n_projects
         found: set[int] = set()
         for i in voters:
             found.update(rows[i])
@@ -167,6 +190,8 @@ class UtilityProfile:
     @cached_property
     def supporters(self) -> tuple[tuple[int, ...], ...]:
         """For each project, the sorted ids of voters valuing it positively."""
+        if self._source is not None:
+            return self._source[0].supporters
         buckets: list[list[int]] = [[] for _ in range(self.n_projects)]
         for voter, row in enumerate(self.rows):
             for project in row:
@@ -181,8 +206,12 @@ class UtilityProfile:
         lcm of their denominators, and its total is one exact rational, so
         no per-entry rational addition is made. A project's entries often
         come in runs of one shared object, so each run is counted and its
-        numerator and denominator read once.
+        numerator and denominator read once. A profile of products takes
+        its source's totals times the factors.
         """
+        if self._source is not None:
+            profile, factors = self._source
+            return tuple(map(operator.mul, profile.project_totals, factors))
         m = self.n_projects
         nums, dens = [0] * m, [1] * m
         last: list[Num | None] = [None] * m
@@ -221,9 +250,11 @@ class UtilityProfile:
         through :attr:`supporters`, and ``scale`` is the lcm of the column's
         denominators. Entries of a column are often one shared object, so a
         run of the same object reads its denominator and makes its weight
-        once.
+        once. A profile of products reads its source's rows, and forms one
+        product per distinct entry of the column.
         """
-        rows = self.rows
+        source = self._source
+        rows = self.rows if source is None else source[0].rows
         out = []
         for c, voters in enumerate(self.supporters):
             column = [rows[i][c] for i in voters]
@@ -233,12 +264,18 @@ class UtilityProfile:
                 if u is not last:
                     last = u
                     heads.append(u)
-            scale = lcm(*{u.denominator for u in heads})
+            if source is None:
+                pairs = [u.as_integer_ratio() for u in heads]
+            else:
+                pairs = _products(heads, source[1][c])
+            scale = lcm(*{den for _, den in pairs})
             weights = []
+            run = iter(pairs)
             last = weight = None
             for u in column:
                 if u is not last:
-                    last, weight = u, u.numerator * (scale // u.denominator)
+                    num, den = next(run)
+                    last, weight = u, num * (scale // den)
                 weights.append(weight)
             out.append((voters, weights, scale))
         return tuple(out)
@@ -268,23 +305,67 @@ class UtilityProfile:
         return True
 
     def scaled(self, factor: Num) -> "UtilityProfile":
-        """A copy with every entry multiplied by a positive rational.
-
-        The copy shares this profile's :attr:`supporters` tuple.
-        """
+        """This profile with every entry multiplied by a positive rational:
+        a profile of products with ``factor`` for every project (see the
+        class), whose rows are built when first read."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        rows = tuple({c: u * factor for c, u in row.items()} for row in self.rows)
-        return self._same_support(rows)
+        return self._times((factor,) * self.n_projects)
 
-    def _same_support(self, rows: tuple[Mapping[int, Num], ...]) -> "UtilityProfile":
-        """A profile of ``rows``, positive exactly where this profile is,
-        that is handed this profile's :attr:`supporters` instead of deriving
-        them again."""
-        out = UtilityProfile(self.n_voters, self.n_projects, rows)
-        # A cached_property reads the instance dict before computing.
-        out.__dict__["supporters"] = self.supporters
+    def _times(self, factors: Sequence[Num]) -> "UtilityProfile":
+        """The profile of products whose column c is this profile's times
+        ``factors[c]``, each positive."""
+        out = object.__new__(UtilityProfile)
+        # The dataclass is frozen, so the fields go into the instance dict.
+        vars(out).update(
+            n_voters=self.n_voters,
+            n_projects=self.n_projects,
+            _source=(self, tuple(factors)),
+        )
         return out
+
+
+def _products(heads: list[Num], factor: Num) -> list[tuple[int, int]]:
+    """The integer pair of each entry times ``factor``: one product per
+    distinct entry, looked up by its integer pair (hashing a Fraction costs
+    a modular inverse, more than the product)."""
+    made: dict[tuple[int, int], tuple[int, int]] = {}
+    out = []
+    for u in heads:
+        key = u.as_integer_ratio()
+        pair = made.get(key)
+        if pair is None:
+            pair = made[key] = (u * factor).as_integer_ratio()
+        out.append(pair)
+    return out
+
+
+def _product_rows(
+    profile: UtilityProfile, factors: tuple[Num, ...]
+) -> tuple[dict[int, Num], ...]:
+    """``profile``'s rows with each entry of column c times ``factors[c]``.
+
+    One product per distinct (project, entry), shared by every row. Rows
+    often share their entry objects, so each column first checks the last
+    entry it saw by identity; entries are looked up by their integer pair.
+    """
+    products: list[dict[tuple[int, int], Num]] = [{} for _ in factors]
+    last: list[tuple[Num | None, Num | None]] = [(None, None)] * len(factors)
+    rows = []
+    for row in profile.rows:
+        out: dict[int, Num] = {}
+        for c, u in row.items():
+            seen, product = last[c]
+            if seen is not u:
+                column = products[c]
+                key = u.as_integer_ratio()
+                product = column.get(key)
+                if product is None:
+                    product = column[key] = u * factors[c]
+                last[c] = (u, product)
+            out[c] = product
+        rows.append(out)
+    return tuple(rows)
 
 
 def derive_cost_utilities(
@@ -294,32 +375,16 @@ def derive_cost_utilities(
 
     Under approval scores the resulting satisfaction of a voter from an
     outcome equals the amount of funds allocated to projects she approves.
-    Costs are positive, so the support is unchanged: the result shares the
-    scores' :attr:`~UtilityProfile.supporters` tuple.
+    Costs are positive, so the result is a profile of products (see
+    :class:`UtilityProfile`) with each project's cost as its column's
+    factor: it shares the scores' :attr:`~UtilityProfile.supporters`
+    tuple, its :attr:`~UtilityProfile.columns` come from the score rows,
+    and its rows are built only when something reads them. Nothing is
+    computed here.
     """
     if len(projects) != scores.n_projects:
         raise ValueError("project list does not match profile width")
-    # One product per distinct (project, score), shared by every row. Rows
-    # often share their score objects, so each column first checks the last
-    # score it saw by identity. Values are looked up by their integer pair:
-    # hashing a Fraction costs a modular inverse, more than the product.
-    products: list[dict[tuple[int, int], Num]] = [{} for _ in projects]
-    last: list[tuple[Num | None, Num | None]] = [(None, None)] * len(projects)
-    rows = []
-    for row in scores.rows:
-        out: dict[int, Num] = {}
-        for c, u in row.items():
-            seen, product = last[c]
-            if seen is not u:
-                column = products[c]
-                key = u.as_integer_ratio()
-                product = column.get(key)
-                if product is None:
-                    product = column[key] = u * projects[c].cost
-                last[c] = (u, product)
-            out[c] = product
-        rows.append(out)
-    return scores._same_support(tuple(rows))
+    return scores._times([project.cost for project in projects])
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ Rows are read as ``csv.reader`` reads them, so cells may be quoted.
 Multi-valued cells (vote lists, points) are comma-separated. Numbers are
 decimal strings and convert exactly to rationals. Parse failures carry the
 offending line number. :func:`ballots_to_utilities` turns a parsed file into
-an :class:`~eqshares.model.Election`; :func:`write_pb` is its inverse for
-any election expressible in the target ballot type with plain cells.
+an :class:`~eqshares.model.Election`; :func:`load_election` reads a file
+straight into one, with the same checks and conversion and no parsed
+:class:`PbFile` in between. :func:`write_pb` is their inverse for any
+election expressible in the target ballot type with plain cells.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     ONE,
@@ -177,18 +179,20 @@ def _row_id(lineno: int, cells: tuple[str, ...], width: int, seen: set[str], wha
     return row_id
 
 
-def parse_pb(text: str) -> PbFile:
-    """Parse `.pb` text into a :class:`PbFile`.
+# One VOTES row as :func:`_read_pb` checks it: the voter id, the listed
+# projects and the points, if any.
+_Vote = tuple[str, tuple[str, ...], Optional[tuple[Num, ...]]]
 
-    Enforces section order META, PROJECTS, VOTES (each exactly once, each
-    with a header row), semicolon-separated fields, unique keys and ids,
-    numeric budget and costs, a known vote_type, points lists matching
-    their vote lists, and vote references resolving to declared projects.
-    Cells may be quoted as in CSV and are stripped. Every failure raises
-    :class:`PbParseError` with the line number, which for a quoted cell
-    that spans lines is the line its row ends on. A leading UTF-8
-    byte-order mark (U+FEFF) is dropped.
-    """
+
+def _read_pb(
+    text: str,
+) -> tuple[dict[str, str], Num, BallotType, tuple[PbProject, ...], Iterator[_Vote]]:
+    """Check the META and PROJECTS sections of `.pb` text, and return the
+    META dict, the budget, the ballot type, the projects and an iterator
+    that checks the VOTES section and yields each of its rows in turn.
+
+    Everything :func:`parse_pb` enforces is checked here, in file order;
+    the VOTES checks run as the iterator is drawn."""
     rows = _rows(text)
     ahead = next(rows)  # the first row that no section has taken
 
@@ -272,53 +276,176 @@ def parse_pb(text: str) -> PbFile:
         }
         projects.append(PbProject(pid, cost, extra))
 
-    # VOTES
-    body = section("VOTES", ("voter_id", "vote"), None)
-    lineno, header = next(body)
-    vote_col = header.index("vote")
-    points_col = header.index("points") if "points" in header else None
-    needs_points = ballot_type in _POINT_BALLOTS
-    if needs_points and points_col is None:
-        raise PbParseError(
-            lineno, f"{ballot_type.value} ballots require a points column"
-        )
-    votes: list[PbVote] = []
-    seen_voters: set[str] = set()
-    width = len(header)
-    for lineno, cells in body:
-        # The common, valid row is checked inline; _row_id names the fault.
-        if len(cells) != width or not cells[0] or cells[0] in seen_voters:
-            _row_id(lineno, cells, width, seen_voters, "voter")
-        voter_id = cells[0]
-        seen_voters.add(voter_id)
-        raw_vote = cells[vote_col]
-        vote = tuple(map(str.strip, raw_vote.split(","))) if raw_vote else ()
-        if len(set(vote)) != len(vote):
-            raise PbParseError(lineno, "duplicate project in vote")
-        if not seen_projects.issuperset(vote):
-            unknown = next(pid for pid in vote if pid not in seen_projects)
+    def votes() -> Iterator[_Vote]:
+        body = section("VOTES", ("voter_id", "vote"), None)
+        lineno, header = next(body)
+        vote_col = header.index("vote")
+        points_col = header.index("points") if "points" in header else None
+        needs_points = ballot_type in _POINT_BALLOTS
+        if needs_points and points_col is None:
             raise PbParseError(
-                lineno, f"vote references unknown project {unknown!r}"
+                lineno, f"{ballot_type.value} ballots require a points column"
             )
-        points: Optional[tuple[Num, ...]] = None
-        raw_points = "" if points_col is None else cells[points_col]
-        if raw_points:
-            try:
-                points = tuple(map(_parse_decimal, raw_points.split(",")))
-            except ValueError:
-                raise PbParseError(lineno, "non-numeric points") from None
-            if len(points) != len(vote):
+        seen_voters: set[str] = set()
+        width = len(header)
+        for lineno, cells in body:
+            # The common, valid row is checked inline; _row_id names the fault.
+            if len(cells) != width or not cells[0] or cells[0] in seen_voters:
+                _row_id(lineno, cells, width, seen_voters, "voter")
+            voter_id = cells[0]
+            seen_voters.add(voter_id)
+            raw_vote = cells[vote_col]
+            vote = tuple(map(str.strip, raw_vote.split(","))) if raw_vote else ()
+            if len(set(vote)) != len(vote):
+                raise PbParseError(lineno, "duplicate project in vote")
+            if not seen_projects.issuperset(vote):
+                unknown = next(pid for pid in vote if pid not in seen_projects)
                 raise PbParseError(
-                    lineno,
-                    f"points list has {len(points)} entries for "
-                    f"{len(vote)} vote entries",
+                    lineno, f"vote references unknown project {unknown!r}"
                 )
-        elif points_col is not None and not vote:
-            points = ()
-        elif needs_points:  # the header check found a points column
-            raise PbParseError(lineno, "missing points for vote")
-        votes.append(PbVote(voter_id, vote, points))
-    return PbFile(meta=meta, projects=tuple(projects), votes=tuple(votes))
+            points: Optional[tuple[Num, ...]] = None
+            raw_points = "" if points_col is None else cells[points_col]
+            if raw_points:
+                try:
+                    points = tuple(map(_parse_decimal, raw_points.split(",")))
+                except ValueError:
+                    raise PbParseError(lineno, "non-numeric points") from None
+                if len(points) != len(vote):
+                    raise PbParseError(
+                        lineno,
+                        f"points list has {len(points)} entries for "
+                        f"{len(vote)} vote entries",
+                    )
+            elif points_col is not None and not vote:
+                points = ()
+            elif needs_points:  # the header check found a points column
+                raise PbParseError(lineno, "missing points for vote")
+            yield voter_id, vote, points
+
+    return meta, budget, ballot_type, tuple(projects), votes()
+
+
+def parse_pb(text: str) -> PbFile:
+    """Parse `.pb` text into a :class:`PbFile`.
+
+    Enforces section order META, PROJECTS, VOTES (each exactly once, each
+    with a header row), semicolon-separated fields, unique keys and ids,
+    numeric budget and costs, a known vote_type, points lists matching
+    their vote lists, and vote references resolving to declared projects.
+    Cells may be quoted as in CSV and are stripped. Every failure raises
+    :class:`PbParseError` with the line number, which for a quoted cell
+    that spans lines is the line its row ends on. A leading UTF-8
+    byte-order mark (U+FEFF) is dropped.
+
+    These are the checks :func:`load_election` makes as it reads a file;
+    here each checked VOTES row is kept as a :class:`PbVote`.
+    """
+    meta, _, _, projects, votes = _read_pb(text)
+    return PbFile(
+        meta=meta, projects=projects, votes=tuple(PbVote(*v) for v in votes)
+    )
+
+
+def _row_converter(
+    ballot_type: BallotType, kept: Sequence[PbProject]
+) -> Callable[[str, tuple[str, ...], Optional[tuple[Num, ...]]], dict[int, Num]]:
+    """The function that turns one VOTES row into its score row, for
+    ballots of ``ballot_type`` over the ``kept`` projects (see
+    :func:`ballots_to_utilities`). It raises ``ValueError`` for a choose-1
+    ballot that does not list exactly one project, a points ballot without
+    points, and negative points."""
+    index = {project.id: i for i, project in enumerate(kept)}
+    if ballot_type in _APPROVAL_BALLOTS:
+        choose1 = ballot_type is BallotType.CHOOSE1
+
+        def row(voter_id, vote, points):
+            if choose1 and len(vote) != 1:
+                raise ValueError(
+                    f"voter {voter_id!r}: choose-1 ballot must list "
+                    f"exactly one project, got {len(vote)}"
+                )
+            return {index[pid]: ONE for pid in vote if pid in index}
+
+    elif ballot_type in _POINT_BALLOTS:
+
+        def row(voter_id, vote, points):
+            if points is None:
+                raise ValueError(
+                    f"voter {voter_id!r}: {ballot_type.value} ballot has no points"
+                )
+            out: dict[int, Num] = {}
+            for pid, score in zip(vote, points):
+                if type(score) is not Fraction:
+                    score = as_num(score)
+                if score.numerator < 0:
+                    raise ValueError(
+                        f"voter {voter_id!r}: negative points for {pid!r}"
+                    )
+                if pid in index and score.numerator:
+                    out[index[pid]] = score
+            return out
+
+    else:  # ordinal, Borda weights over the full ballot
+
+        def row(voter_id, vote, points):
+            length = len(vote)
+            return {
+                index[pid]: Fraction(length - position)
+                for position, pid in enumerate(vote)
+                if pid in index
+            }
+
+    return row
+
+
+def _to_election(
+    meta: Mapping[str, str],
+    budget: Num,
+    ballot_type: BallotType,
+    projects: Sequence[PbProject],
+    votes: Iterable[_Vote],
+    model: UtilityModel,
+) -> Election:
+    """The election of checked VOTES rows, each converted as it is drawn.
+
+    A conversion fault is raised only once ``votes`` is exhausted, so that
+    a parse fault that drawing it raises comes first, and the
+    dropped-project warning is given only then too. Every entry is a
+    positive rational at a kept project's index, so the profile is built
+    from the rows directly rather than through the per-entry checks of
+    :meth:`~eqshares.model.UtilityProfile.from_rows`.
+    """
+    kept = [project for project in projects if 0 < project.cost <= budget]
+    row = _row_converter(ballot_type, kept)
+    rows: list[dict[int, Num]] = []
+    voter_ids: list[str] = []
+    fault: Optional[ValueError] = None
+    for voter_id, vote, points in votes:
+        voter_ids.append(voter_id)
+        if fault is None:
+            try:
+                rows.append(row(voter_id, vote, points))
+            except ValueError as exc:
+                fault = exc
+    dropped = [p.id for p in projects if not 0 < p.cost <= budget]
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} project(s) with cost outside (0, budget]: "
+            + ", ".join(sorted(dropped)),
+            stacklevel=3,
+        )
+    if fault is not None:
+        raise fault
+    metadata = dict(meta)
+    metadata["pb_voter_ids"] = ",".join(voter_ids)
+    return Election(
+        projects=tuple(Project(i, p.id, p.cost) for i, p in enumerate(kept)),
+        n_voters=len(rows),
+        budget=budget,
+        scores=UtilityProfile(len(rows), len(kept), tuple(rows)),
+        utility_model=model,
+        metadata=metadata,
+    )
 
 
 def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
@@ -329,80 +456,19 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     scoring use the listed points; ordinal uses Borda weights, where a
     ballot ranking r projects gives r − j to the project in 0-based
     position j and 0 to unranked projects. Borda weights are computed on
-    the full ballot before any project is dropped.
+    the full ballot before any project is dropped. A score's sign is read
+    from its numerator.
 
     Projects whose cost exceeds the budget (or is not positive) are dropped
     with a warning and vanish from all ballots; the funding rules assume
     every project is individually affordable.
 
-    A score's sign is read from its numerator. Every entry kept is a
-    positive rational at a kept project's index, so the profile is built
-    from the rows directly rather than through the per-entry checks of
-    :meth:`~eqshares.model.UtilityProfile.from_rows`.
+    :func:`load_election` makes the same conversion of each row of a file
+    as it reads the row.
     """
-    budget = pb.budget
-    ballot_type = pb.ballot_type
-    kept: list[PbProject] = []
-    dropped: list[str] = []
-    for project in pb.projects:
-        if 0 < project.cost <= budget:
-            kept.append(project)
-        else:
-            dropped.append(project.id)
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} project(s) with cost outside (0, budget]: "
-            + ", ".join(sorted(dropped)),
-            stacklevel=2,
-        )
-    index = {project.id: i for i, project in enumerate(kept)}
-
-    rows: list[dict[int, Num]] = []
-    for vote in pb.votes:
-        row: dict[int, Num] = {}
-        if ballot_type in _APPROVAL_BALLOTS:
-            if ballot_type is BallotType.CHOOSE1 and len(vote.vote) != 1:
-                raise ValueError(
-                    f"voter {vote.voter_id!r}: choose-1 ballot must list "
-                    f"exactly one project, got {len(vote.vote)}"
-                )
-            for pid in vote.vote:
-                if pid in index:
-                    row[index[pid]] = ONE
-        elif ballot_type in _POINT_BALLOTS:
-            if vote.points is None:
-                raise ValueError(
-                    f"voter {vote.voter_id!r}: {ballot_type.value} ballot has no points"
-                )
-            for pid, score in zip(vote.vote, vote.points):
-                if type(score) is not Fraction:
-                    score = as_num(score)
-                if score.numerator < 0:
-                    raise ValueError(
-                        f"voter {vote.voter_id!r}: negative points for {pid!r}"
-                    )
-                if pid in index and score.numerator:
-                    row[index[pid]] = score
-        else:  # ordinal, Borda weights over the full ballot
-            length = len(vote.vote)
-            for position, pid in enumerate(vote.vote):
-                if pid in index:
-                    row[index[pid]] = Fraction(length - position)
-        rows.append(row)
-
-    projects = tuple(
-        Project(i, p.id, p.cost) for i, p in enumerate(kept)
-    )
-    profile = UtilityProfile(len(rows), len(projects), tuple(rows))
-    metadata = dict(pb.meta)
-    metadata["pb_voter_ids"] = ",".join(v.voter_id for v in pb.votes)
-    return Election(
-        projects=projects,
-        n_voters=len(rows),
-        budget=budget,
-        scores=profile,
-        utility_model=model,
-        metadata=metadata,
+    votes = ((v.voter_id, v.vote, v.points) for v in pb.votes)
+    return _to_election(
+        pb.meta, pb.budget, pb.ballot_type, pb.projects, votes, model
     )
 
 
@@ -525,6 +591,16 @@ def write_pb(election: Election, ballot_type: BallotType) -> str:
 
 
 def load_election(path: str, model: UtilityModel) -> Election:
-    """Parse a `.pb` file from disk and convert it to an election."""
+    """Read a `.pb` file from disk as an election under ``model``.
+
+    The result equals ``ballots_to_utilities(parse_pb(text), model)``, and
+    so do its faults: the file is read in one pass, each VOTES row checked
+    as :func:`parse_pb` checks it and turned straight into its score row,
+    with no :class:`PbVote` in between. A fault of the conversion (see
+    :func:`ballots_to_utilities`) is raised only once every row has
+    parsed, so that a later :class:`PbParseError` is the one reported, and
+    the dropped-project warning is given only for a file that parses.
+    """
     with open(path, encoding="utf-8") as handle:
-        return ballots_to_utilities(parse_pb(handle.read()), model)
+        text = handle.read()
+    return _to_election(*_read_pb(text), model)

@@ -314,6 +314,26 @@ class TestBatch:
         assert {r.rule for r in records} == {"mes", "bos"}
         assert len(records) == 4
 
+    def test_cost_model_mes_never_builds_the_cost_rows(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys
+    ):
+        # utilitarian, mes, their audits and records read the cost
+        # profile's columns and the scores' rows, never the cost rows.
+        def refuse(*args):
+            raise AssertionError("the cost profile's rows were built")
+
+        monkeypatch.setattr(eqshares.model, "_product_rows", refuse)
+        out = tmp_path / "r.jsonl"
+        assert main([
+            "batch", str(fixtures_dir / "wide"), "--model", "cost",
+            "--rules", "utilitarian,mes", "--out", str(out),
+        ]) == 0
+        assert "warning" not in capsys.readouterr().err
+        records = records_from_jsonl(out.read_text(encoding="utf-8"))
+        assert [(r.instance, r.rule) for r in records] == [
+            ("approval-1000", "mes"), ("approval-1000", "utilitarian"),
+        ]
+
     def test_unknown_rule_exits_3(self, batch_dir, capsys):
         assert main(["batch", str(batch_dir), "--rules", "mes,zeus"]) == 3
         capsys.readouterr()

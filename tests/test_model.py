@@ -160,6 +160,31 @@ class TestUtilityProfile:
                 assert in_support == in_supporters == (prof.value(i, c) > 0)
 
 
+def assert_profile_of_products(out, source, factors):
+    """``out`` is ``source`` with column c's entries times ``factors[c]``:
+    it matches, attribute by attribute, the profile built eagerly from
+    those products. What needs no rows is read first, and must not build
+    ``out``'s rows; ``out`` shares ``source``'s supporters."""
+    eager = UtilityProfile(
+        source.n_voters, source.n_projects,
+        tuple({c: u * factors[c] for c, u in row.items()} for row in source.rows),
+    )
+    assert out.supporters is source.supporters
+    assert out.columns == eager.columns
+    assert out.column_sums == eager.column_sums
+    assert out.project_totals == eager.project_totals
+    for voters in (range(source.n_voters), range(0, source.n_voters, 2), ()):
+        assert out.supported_by(voters) == eager.supported_by(voters)
+    assert "rows" not in vars(out)
+    assert out.rows == eager.rows
+    for i in range(source.n_voters):
+        assert out.support_set(i) == eager.support_set(i)
+        for c in range(source.n_projects):
+            assert out.value(i, c) == eager.value(i, c)
+    assert out.is_approval == eager.is_approval
+    assert out == eager and eager == out
+
+
 class TestDerivationsAgainstNaiveSums:
     @given(mixed_profiles())
     @settings(max_examples=100, deadline=None)
@@ -175,10 +200,22 @@ class TestDerivationsAgainstNaiveSums:
     def test_cost_utilities_entry_by_entry(self, prof):
         costs = [F(7 * c + 3, c + 2) for c in range(prof.n_projects)]
         projects = tuple(Project(c, f"p{c}", costs[c]) for c in range(prof.n_projects))
+        assert_profile_of_products(derive_cost_utilities(prof, projects), prof, costs)
         out = derive_cost_utilities(prof, projects)
         assert len(out.rows) == len(prof.rows)
         for row, derived in zip(prof.rows, out.rows):
             assert derived == {c: u * costs[c] for c, u in row.items()}
+
+    @given(mixed_profiles(), mixed, mixed)
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_profiles_entry_by_entry(self, prof, factor, again):
+        m = prof.n_projects
+        assert_profile_of_products(prof.scaled(factor), prof, [factor] * m)
+        # A profile of products can itself be a source.
+        costs = [F(c + 1, 3) for c in range(m)]
+        projects = tuple(Project(c, f"p{c}", costs[c]) for c in range(m))
+        twice = derive_cost_utilities(prof, projects).scaled(again)
+        assert_profile_of_products(twice, prof, [u * again for u in costs])
 
     @given(elections_with_outcomes())
     @settings(max_examples=150, deadline=None)

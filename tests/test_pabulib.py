@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import tempfile
+import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +29,7 @@ from eqshares.pabulib import (
     write_pb,
 )
 from test_acceptance import fuzzed_election
+from test_model import assert_profile_of_products
 
 MINIMAL = """META
 key;value
@@ -60,9 +64,29 @@ def build(
     )
 
 
+def load_text(text: str, model: UtilityModel = UtilityModel.COST) -> Election:
+    """``load_election`` of ``text`` written to a file as it is."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "election.pb"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_election(str(path), model)
+
+
 def error_for(text: str) -> PbParseError:
+    """The fault ``parse_pb`` reports for ``text``, which ``load_election``
+    of the same text in a file must report too, with the same type, line
+    and message, and without a warning."""
     with pytest.raises(PbParseError) as info:
         parse_pb(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PbParseError) as loaded:
+            load_text(text)
+    assert type(loaded.value) is type(info.value)
+    assert (loaded.value.line, loaded.value.message) == (
+        info.value.line, info.value.message
+    )
+    assert caught == []
     return info.value
 
 
@@ -903,3 +927,136 @@ class TestFirstFaultNamed:
             with pytest.raises(PbWriteError) as info:
                 write_pb(e, ballot_type)
             assert str(info.value) == "voter 'y' has non-approval scores"
+
+
+def parse_and_convert(text: str, model: UtilityModel = UtilityModel.COST) -> Election:
+    return ballots_to_utilities(parse_pb(text), model)
+
+
+READERS = pytest.mark.parametrize(
+    "read", [parse_and_convert, load_text], ids=["parse_pb", "load_election"]
+)
+
+
+class TestLoadFaults:
+    """``load_election`` reports what parsing and then converting the same
+    text reports: a parse fault wins over an earlier conversion fault, and
+    a file that does not parse warns of no dropped project."""
+
+    CHOOSE1 = build(
+        meta="budget;10\nvote_type;choose1",
+        projects="a;1\nb;1\nbig;99",
+        votes="v1;a,b\nv2;zz",
+    )
+    SCORING = build(
+        meta="budget;10\nvote_type;scoring",
+        projects="a;1\nb;1\nbig;99",
+        vote_header="voter_id;vote;points",
+        votes="v1;a;-1\nv2;b;x",
+    )
+
+    @READERS
+    @pytest.mark.parametrize("text, message", [
+        (CHOOSE1, "vote references unknown project 'zz'"),
+        (SCORING, "non-numeric points"),
+    ], ids=["choose1", "negative-points"])
+    def test_a_later_parse_fault_wins(self, read, text, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PbParseError) as info:
+                read(text)
+        assert (info.value.line, info.value.message) == (13, message)
+        assert caught == []
+
+    @READERS
+    @pytest.mark.parametrize("text, message", [
+        (CHOOSE1.replace("v2;zz", "v2;a"),
+         "voter 'v1': choose-1 ballot must list exactly one project, got 2"),
+        (SCORING.replace("v2;b;x", "v2;b;-2"),
+         "voter 'v1': negative points for 'a'"),
+    ], ids=["choose1", "negative-points"])
+    def test_a_conversion_fault_follows_the_warning(self, read, text, message):
+        with pytest.warns(UserWarning, match="dropped 1 project.*: big"):
+            with pytest.raises(ValueError) as info:
+                read(text)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
+NAMES = ("p1", "p2", "p3", "p4", "p5")
+COSTS = ("1", "2.5", "0.25", "7", "60", "0", "-3")
+POINTS = ("0", "1", "2.5", "3", "10")
+
+
+@st.composite
+def pb_texts(draw):
+    """`.pb` text of any ballot type: projects over budget or of cost at
+    most 0, votes quoted or spaced, blank lines, CRLF and a byte-order
+    mark. Some files hold a conversion fault: a choose-1 ballot that does
+    not list one project, or negative points."""
+    ballot_type = draw(st.sampled_from(list(BallotType)))
+    names = NAMES[: draw(st.integers(1, len(NAMES)))]
+    costs = [draw(st.sampled_from(COSTS)) for _ in names]
+    points = ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING)
+    lines = ["META", "key;value", "budget;50", f"vote_type;{ballot_type.value}",
+             "PROJECTS", "project_id;cost",
+             *(f"{name};{cost}" for name, cost in zip(names, costs)),
+             "VOTES", "voter_id;vote;points" if points else "voter_id;vote"]
+    for voter in range(draw(st.integers(1, 5))):
+        vote = draw(st.permutations(names))
+        if ballot_type is BallotType.CHOOSE1 and draw(st.integers(0, 9)):
+            vote = vote[:1]
+        else:
+            vote = vote[: draw(st.integers(0, len(vote)))]
+        sep = draw(st.sampled_from([",", " , "]))
+        cell = sep.join(vote)
+        if draw(st.booleans()):
+            cell = f'"{cell}"'
+        row = f"v{voter};{cell}"
+        if points:
+            scores = [draw(st.sampled_from(POINTS)) for _ in vote]
+            if scores and not draw(st.integers(0, 9)):
+                scores[-1] = "-1"
+            row += ";" + ",".join(scores)
+        lines.append(row)
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["", "  "])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(read):
+    """What ``read()`` gives: its result or the type and text of its fault,
+    and the text of each warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read()
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+class TestLoadMatchesParseAndConvert:
+    @given(pb_texts(), st.sampled_from(list(UtilityModel)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_election_or_fault(self, text, model):
+        loaded, warned = outcome(lambda: load_text(text, model))
+        expected, expected_warned = outcome(lambda: parse_and_convert(text, model))
+        assert warned == expected_warned
+        if not isinstance(expected, Election):
+            assert loaded == expected
+            return
+        assert loaded.projects == expected.projects
+        assert loaded.budget == expected.budget
+        assert loaded.n_voters == expected.n_voters
+        assert loaded.utility_model is expected.utility_model is model
+        assert loaded.metadata == expected.metadata
+        assert loaded.metadata["pb_voter_ids"] == ",".join(
+            v.voter_id for v in parse_pb(text).votes
+        )
+        assert loaded.scores.rows == expected.scores.rows
+        assert_profile_of_products(
+            loaded.cost_utilities, loaded.scores,
+            [p.cost for p in loaded.projects],
+        )

@@ -20,6 +20,13 @@ drops them).
 The test also checks that its inputs still exercise what the digests are
 there to pin: a bos round with coverage below 1, a full quote that caps a
 payer, and the add1u scan.
+
+A second test pins records at scale: ``batch --rules all`` under each
+model on ``tests/fixtures/wide/approval-1000.pb``, a 1,000-voter, 40-project
+approval file written by ``write_pb`` from
+``tests/instances.py::pabulib_approval_election(1000, 1000, 40)``. It runs
+with the coarse ``--add1u-step 100``, so that the add1u scan makes about
+two dozen probes rather than more than 2,000 at the default step of 1.
 """
 from __future__ import annotations
 
@@ -62,6 +69,13 @@ AGGREGATE_DIGESTS = {
     "score": "acf04485ea9a17fcdeed20090d631ac8143618185dfb88959c0a0e1822bd7f02",
 }
 
+WIDE_STEP = "100"
+WIDE_RULES = {"bos", "bos-plus", "fres-complete", "mes-add1u", "utilitarian"}
+WIDE_DIGESTS = {
+    "cost": "1e127347e10aec95502a7854513a538882c25c4b835eb77f2a750aa4028a09d5",
+    "score": "f2841ee1ab89c33efafda7d3bce17275fb4db62aa80d864ba6a3952fcd748492",
+}
+
 
 def masked(record: dict) -> str:
     """The record's digest text: the listed fields, as sorted-key JSON."""
@@ -74,6 +88,11 @@ def masked(record: dict) -> str:
         for key in METRIC_FIELDS if key in record["metrics"]
     }
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def records_digest(records: list[dict]) -> str:
+    text = "\n".join(masked(r) for r in records)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -110,9 +129,7 @@ def test_batch_records_match_their_digest(
     )
     assert any(capped)
 
-    text = "\n".join(masked(r) for r in records)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[model, redistribute]
+    assert records_digest(records) == DIGESTS[model, redistribute]
 
     summary = tmp_path / "summary.csv"
     assert main(["aggregate", str(out), "--out", str(summary)]) == 0
@@ -121,3 +138,33 @@ def test_batch_records_match_their_digest(
     assert len(kept.splitlines()) == 176
     digest = hashlib.sha256(kept.encode("utf-8")).hexdigest()
     assert digest == AGGREGATE_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(WIDE_DIGESTS))
+def test_wide_approval_records_match_their_digest(
+    model, fixtures_dir, tmp_path, monkeypatch
+):
+    probes = []
+    real_loop = rules._equal_shares
+
+    def counted_loop(*args, **kwargs):
+        probes.append(1)
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "_equal_shares", counted_loop)
+    out = tmp_path / "records.jsonl"
+    assert main([
+        "batch", str(fixtures_dir / "wide"), "--rules", "all",
+        "--model", model, "--add1u-step", WIDE_STEP, "--out", str(out),
+    ]) == 0
+    with out.open(encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+
+    assert {r["rule"] for r in records} == WIDE_RULES
+    assert {(r["n_voters"], r["n_projects"]) for r in records} == {(1000, 40)}
+    assert len(probes) > 10  # the add1u scan grew the endowment
+    assert any(
+        rnd["alpha"] != "1" for r in records if r["rule"] == "bos"
+        for rnd in r["rounds"]
+    )
+    assert records_digest(records) == WIDE_DIGESTS[model]
