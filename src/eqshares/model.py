@@ -12,8 +12,6 @@ share times cost, :meth:`Election.profile` picks the score or cost profile
 for a utility model, and :func:`voter_utilities` is every voter's
 share-weighted utility, one row sum per voter. Rules, audits and records
 use these rather than deriving any of the four again.
-:func:`scaled_voter_utilities` is the same satisfaction as integers over
-its least common denominator.
 """
 from __future__ import annotations
 
@@ -46,7 +44,6 @@ __all__ = [
     "derive_cost_utilities",
     "outcome_utility",
     "voter_utilities",
-    "scaled_voter_utilities",
     "is_feasible",
 ]
 
@@ -607,9 +604,8 @@ class BudgetState:
     ``gcd(scale, *units)`` is divided out only when the scale's bit length
     passes ``2 * r + SLACK_BITS``, r being its bit length at the last
     reduction, so many purchases share one gcd pass. The working scale's
-    bit length never exceeds that bound after an operation. A ledger of at
-    most ``EAGER_BALANCES`` balances is reduced after every change instead:
-    there a gcd pass costs less than the larger integers it would leave.
+    bit length never exceeds that bound after an operation, whatever the
+    ledger's size.
 
     The public views ``units``, ``scale`` and ``balances`` reduce the
     ledger before they are read, so ``scale`` is always the lcm of the
@@ -620,7 +616,6 @@ class BudgetState:
     __slots__ = ("work_units", "work_scale", "_limit")
 
     SLACK_BITS = 64
-    EAGER_BALANCES = 64
 
     def __init__(self, balances: Iterable[Num]) -> None:
         pairs = [b.as_integer_ratio() for b in balances]
@@ -658,10 +653,7 @@ class BudgetState:
     def _start(self, units: list[int], scale: int) -> None:
         """Hold ``units`` over ``scale``, which is already minimal."""
         self.work_units, self.work_scale = units, scale
-        if len(units) <= self.EAGER_BALANCES:
-            self._limit = -1
-        else:
-            self._limit = 2 * scale.bit_length() + self.SLACK_BITS
+        self._limit = 2 * scale.bit_length() + self.SLACK_BITS
 
     @property
     def units(self) -> list[int]:
@@ -696,8 +688,7 @@ class BudgetState:
         A balance stops at zero. The result lists ``(voter, shortfall)``,
         in charge order, for each voter charged more than she held; the
         rules decide whether a shortfall is an overdraft or a fault. The
-        ledger is then reduced only as the class says: past the bound, or
-        at once if it is small.
+        ledger is then reduced only if its scale has passed the bound.
 
         The ledger is rescaled only when ``den`` does not divide the
         working scale. A full quote's ``den`` is the least its payments
@@ -751,30 +742,12 @@ class BudgetState:
             if g > 1:
                 self.work_units = [u // g for u in self.work_units]
                 self.work_scale = scale = scale // g
-        if self._limit >= 0:
-            self._limit = 2 * scale.bit_length() + self.SLACK_BITS
+        self._limit = 2 * scale.bit_length() + self.SLACK_BITS
 
 
 def _row_utility(row: Mapping[int, Num], shares: Mapping[int, Num]) -> Num:
     """Sum of share·u over the funded projects in one ballot row."""
     return sum((shares[c] * u for c, u in row.items() if c in shares), ZERO)
-
-
-def scaled_voter_utilities(
-    election: Election,
-    outcome: Outcome | FractionalOutcome,
-    model: UtilityModel | None = None,
-) -> tuple[list[int], int]:
-    """Every voter's utility from an outcome as integers over one scale.
-
-    Returns ``(sats, scale)`` with ``sats[i] / scale`` voter i's
-    :func:`voter_utilities` entry; ``scale`` is the lcm of their
-    denominators, the least common one. ``model`` overrides the election's
-    utility model.
-    """
-    utilities = voter_utilities(election, outcome, model)
-    scale = lcm(*(u.denominator for u in utilities))
-    return [u.numerator * (scale // u.denominator) for u in utilities], scale
 
 
 def voter_utilities(

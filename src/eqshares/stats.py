@@ -31,18 +31,19 @@ one per payer.
 :func:`records_to_jsonl` and :func:`records_to_csv` are the writer on a
 string buffer.
 
-The readers take a string or an iterable of lines, such as an open file,
-and decode one line at a time; :func:`records_from_jsonl` also takes a
-file opened in binary. Reading records without their round logs
+The readers decode one line at a time. :func:`records_from_csv` takes a
+string or an iterable of lines, such as an open file;
+:func:`records_from_jsonl` takes a string or a file opened in binary, and
+reads both through one binary reader (:func:`_binary_objects`), a string
+as its UTF-8 bytes. Reading records without their round logs
 (``keep_rounds=False``, which ``aggregate`` and ``plotdata`` use) cuts each
 line's top-level round log out before decoding, when the line is in the
-layout :class:`RecordWriter` writes; other lines are decoded whole, rounds
-set to ``[]``. From a binary file, such a line is read in bounded pieces
-and its round log is never held whole (:func:`_binary_objects`). A CSV
-round-log cell is skipped undecoded. The JSON syntax of a round log left
-out is not checked. ``aggregate`` reads each record as a
-:class:`RecordRow`, which checks what :meth:`RunRecord.from_json` checks
-but keeps only what aggregation reads.
+layout :class:`RecordWriter` writes; such a line is read in bounded pieces
+and its round log is never held whole. Other lines are decoded whole,
+rounds set to ``[]``. A CSV round-log cell is skipped undecoded. The
+JSON syntax of a round log left out is not checked. ``aggregate`` reads
+each record as a :class:`RecordRow`, which checks what
+:meth:`RunRecord.from_json` checks but keeps only what aggregation reads.
 """
 from __future__ import annotations
 
@@ -605,22 +606,6 @@ def _without_rounds(line: str) -> Optional[dict]:
 _R = TypeVar("_R")
 
 
-def _line_objects(lines: Iterable[str], keep_rounds: bool) -> Iterator[object]:
-    """The decoded object of each non-blank line; with ``keep_rounds=False``
-    an object's round log is dropped, cut out undecoded when the line is in
-    the layout :class:`RecordWriter` writes (:func:`_without_rounds`)."""
-    for line in lines:
-        # Neither test nor cut copies the line, which may hold a long log.
-        if not line or line.isspace():
-            continue
-        data = None if keep_rounds else _without_rounds(line)
-        if data is None:
-            data = json.loads(line.strip())
-            if not keep_rounds and isinstance(data, dict):
-                data["rounds"] = []
-        yield data
-
-
 # A binary record file is read in pieces of at most this many bytes.
 _PIECE = 1 << 18
 _OPEN_BYTES = _ROUNDS_OPEN.encode()
@@ -686,18 +671,19 @@ def _cut_line(
 def _binary_objects(
     handle: BinaryIO, keep_rounds: bool, limit: int = _PIECE
 ) -> Iterator[object]:
-    """:func:`_line_objects` of a binary JSONL stream, whose lines end as
-    in text mode (``\\n``, ``\\r\\n`` or ``\\r``), and whose first line may
-    begin with a UTF-8 byte-order mark.
+    """The decoded object of each non-blank line of a binary JSONL
+    stream, whose lines end as in text mode (``\\n``, ``\\r\\n`` or
+    ``\\r``), and whose first line may begin with a UTF-8 byte-order mark;
+    with ``keep_rounds=False`` an object's round log is dropped.
 
     Without round logs, each line is read in pieces of at most ``limit``
     bytes and only its kept text (:func:`_cut_line`) is decoded, through
     :func:`_without_rounds`. A line whose kept text does not take that cut
-    is read again whole and decoded as text; a stream that cannot seek is
-    read a whole line at a time. So a line in the layout
-    :class:`RecordWriter` writes is never held whole, and its round log is
-    not decoded: its JSON syntax and its UTF-8 are not checked. Every other
-    line reads as it does in text mode.
+    is read again whole, split into lines as text mode splits it, and each
+    is decoded whole; a stream that cannot seek is read a whole line at a
+    time. So a line in the layout :class:`RecordWriter` writes is never
+    held whole, and its round log is not decoded: its JSON syntax and its
+    UTF-8 are not checked. Every other line reads as it does in text mode.
     """
     seekable = handle.seekable()
     if keep_rounds or not seekable:
@@ -718,36 +704,44 @@ def _binary_objects(
                 handle.seek(start)
                 whole = handle.readline()
             text = whole.decode("utf-8").removeprefix(bom)
-            yield from _line_objects(io.StringIO(text, newline=None), keep_rounds)
+            for line in io.StringIO(text, newline=None):
+                if line.isspace():
+                    continue
+                data = json.loads(line.strip())
+                if not keep_rounds and isinstance(data, dict):
+                    data["rounds"] = []
+                yield data
         start = handle.tell() if seekable else 0
         first = False
 
 
 def records_from_jsonl(
-    text: Union[str, Iterable[str], BinaryIO],
+    text: Union[str, BinaryIO],
     keep_rounds: bool = True,
     read: Callable[[object], _R] = RunRecord.from_json,
 ) -> list[_R]:
-    """Records of a JSONL text, of an iterable of its lines such as a file
-    opened in text mode, or of a file opened in binary mode, one per
+    """Records of a JSONL text or of a file opened in binary mode, one per
     non-blank line, each built by ``read`` from its decoded object:
     :meth:`RunRecord.from_json` by default, or
-    :meth:`RecordRow.from_json` for aggregation.
+    :meth:`RecordRow.from_json` for aggregation. Any other input is a
+    ``TypeError``.
 
-    With ``keep_rounds=False`` each record's round log is dropped as its
-    line is read, for readers that need only the outcome and metrics; on a
-    line in the layout :class:`RecordWriter` writes, the round log is cut
-    out undecoded (:func:`_without_rounds`). A binary file is read as a
-    UTF-8 text file with an optional byte-order mark, and without round
-    logs in memory that does not grow with a line's round log
-    (:func:`_binary_objects`).
+    Both are read by one reader (:func:`_binary_objects`), a text as its
+    UTF-8 bytes: as a UTF-8 file with an optional byte-order mark, its
+    lines ending as in text mode. With ``keep_rounds=False`` each record's
+    round log is dropped as its line is read, for readers that need only
+    the outcome and metrics; on a line in the layout :class:`RecordWriter`
+    writes, the round log is cut out undecoded (:func:`_without_rounds`),
+    and a file is read in memory that does not grow with a line's round
+    log.
     """
-    if isinstance(text, (io.RawIOBase, io.BufferedIOBase)):
-        objects = _binary_objects(text, keep_rounds)
-    else:
-        lines = io.StringIO(text) if isinstance(text, str) else text
-        objects = _line_objects(lines, keep_rounds)
-    return list(map(read, objects))
+    if isinstance(text, str):
+        text = io.BytesIO(text.encode("utf-8"))
+    elif not isinstance(text, (io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError(
+            f"expected a str or a binary file, not {type(text).__name__}"
+        )
+    return list(map(read, _binary_objects(text, keep_rounds)))
 
 
 # Flat CSV schema: the fields but metrics, then one ``metric_<name>`` column
@@ -897,18 +891,21 @@ def records_from_csv(
 ) -> list[_R]:
     """Records of a CSV text, or of an iterable of its lines such as a file
     opened with ``newline=""``, each built by ``read`` as in
-    :func:`records_from_jsonl`. A round log is one cell, often megabytes
-    long, so ``csv``'s process-wide field limit is lifted while reading.
+    :func:`records_from_jsonl`. A text may begin with a byte-order mark, as
+    a file opened with ``utf-8-sig`` may. A round log is one cell, often
+    megabytes long, so ``csv``'s process-wide field limit is lifted while
+    reading.
 
     With ``keep_rounds=False`` each round-log cell is left undecoded and
     the record's ``rounds`` are empty, as :func:`records_from_jsonl` does;
     the cell's JSON syntax is then not checked.
     """
-    lines = io.StringIO(text) if isinstance(text, str) else text
+    if isinstance(text, str):
+        text = io.StringIO(text.removeprefix("\ufeff"))
     records = []
     limit = csv.field_size_limit(sys.maxsize)
     try:
-        reader = csv.DictReader(lines)
+        reader = csv.DictReader(text)
         for row in reader:
             if None in row:
                 # DictReader keeps the cells past the header under None.

@@ -26,7 +26,6 @@ from eqshares.model import (
     derive_cost_utilities,
     is_feasible,
     outcome_utility,
-    scaled_voter_utilities,
     voter_utilities,
 )
 from eqshares.pabulib import load_election
@@ -235,27 +234,7 @@ class TestDerivationsAgainstNaiveSums:
                      if c in shares), ZERO)
                 for row in e.scores.rows
             ]
-            sats, scale = scaled_voter_utilities(e, outcome, model)
-            assert isinstance(scale, int) and scale > 0
-            assert all(isinstance(s, int) for s in sats)
-            assert [F(s, scale) for s in sats] == naive
             assert voter_utilities(e, outcome, model) == naive
-
-
-class TestScaledVoterUtilitiesScale:
-    @given(elections_with_outcomes())
-    @settings(max_examples=150, deadline=None)
-    def test_scale_is_least_common_denominator(self, case):
-        e, outcome = case
-        for model in (UtilityModel.SCORE, UtilityModel.COST):
-            utilities = voter_utilities(e, outcome, model)
-            sats, scale = scaled_voter_utilities(e, outcome, model)
-            assert scale == math.lcm(*(u.denominator for u in utilities))
-            assert [F(s, scale) for s in sats] == utilities
-
-    def test_halves_add_up_to_a_whole(self):
-        e = tiny_election([1, 1], [{0: F(1, 2), 1: F(1, 2)}], 2)
-        assert scaled_voter_utilities(e, Outcome((0, 1), ())) == ([1], 1)
 
 
 class TestDeriveCostUtilities:
@@ -450,7 +429,7 @@ class TestBudgetState:
         with pytest.raises(ValueError):
             BudgetState.equal_units(-num - 1, den, 3)
 
-    @pytest.mark.parametrize("size", [3, BudgetState.EAGER_BALANCES + 1])
+    @pytest.mark.parametrize("size", [1, 3, 100])
     def test_from_units_builds_the_minimal_ledger(self, size):
         units = [12, 0, 30] * size
         state = BudgetState.from_units(list(units), 36)
@@ -526,13 +505,8 @@ big_dens = st.sampled_from([2, 3, 5, 7, 10**9 + 7, 10**9 + 9, 998_244_353])
 
 
 class TestDeferredReduction:
-    """A ledger of more than ``EAGER_BALANCES`` balances is reduced only past
-    its bound; the public views are minimal whenever they are read."""
-
-    # Voters charged by the long runs below; the others keep whole
-    # balances, so the minimal scale stays small while the working one
-    # grows.
-    charged = 4
+    """A ledger of any size is reduced only past its bound; the public
+    views are minimal whenever they are read."""
 
     @staticmethod
     def within_bound(state, largest_minimal_bits):
@@ -542,13 +516,12 @@ class TestDeferredReduction:
         bound = 2 * largest_minimal_bits + BudgetState.SLACK_BITS
         assert state.work_scale.bit_length() <= bound
 
-    @given(st.lists(amounts, min_size=1, max_size=charged), st.data())
+    @given(st.lists(amounts, min_size=1, max_size=6), st.data())
     @settings(max_examples=100, deadline=None)
     def test_long_sequences_match_a_fraction_list(self, start, data):
-        start = start + [F(3)] * BudgetState.EAGER_BALANCES
         state = BudgetState(start)
         balances = list(start)
-        voters = st.integers(0, self.charged - 1)
+        voters = st.integers(0, len(start) - 1)
         largest = state.work_scale.bit_length()
         for _ in range(data.draw(st.integers(20, 60))):
             if data.draw(st.integers(0, 4)):
@@ -566,7 +539,7 @@ class TestDeferredReduction:
                 assert short == expected
             else:
                 leaving = data.draw(st.sets(voters))
-                stayers = data.draw(st.sets(st.integers(0, len(start) - 1)))
+                stayers = data.draw(st.sets(voters))
                 stayers = sorted(stayers - leaving)
                 pot = sum((balances[i] for i in leaving), ZERO)
                 for i in leaving:
@@ -586,7 +559,7 @@ class TestDeferredReduction:
 
     def test_reduction_is_deferred_until_the_bound(self):
         primes = [10**9 + 7, 10**9 + 9, 998_244_353, 10**9 + 21, 10**9 + 33]
-        state = BudgetState([F(10)] + [F(5)] * BudgetState.EAGER_BALANCES)
+        state = BudgetState([F(10), F(5), F(5)])
         scales = []
         for p in primes:
             # Voter 0 pays 1/p, then (p - 1)/p: her balance is whole again.
@@ -598,15 +571,9 @@ class TestDeferredReduction:
         assert scales[:2] == [primes[0], primes[0] * primes[1]]
         assert scales[2] == primes[2]
         self.within_bound(state, primes[2].bit_length())
-        assert state.balances == [F(5)] * (1 + BudgetState.EAGER_BALANCES)
+        assert state.balances == [F(5)] * 3
         assert state.scale == 1 and state.units[:2] == [5, 5]
         assert state.work_scale == 1
-
-    def test_small_ledgers_reduce_after_every_change(self):
-        state = BudgetState([F(10)] * BudgetState.EAGER_BALANCES)
-        state.debit([(0, 1)], 10**9 + 7)
-        state.debit([(0, 10**9 + 6)], 10**9 + 7)
-        assert state.work_scale == 1 and state.work_units[0] == 9
 
 
 class TestPayments:

@@ -379,6 +379,32 @@ class TestSerialization:
             records_to_jsonl(records), keep_rounds
         )
 
+    @pytest.mark.parametrize("keep_rounds", [True, False])
+    def test_a_string_reads_as_its_utf8_bytes(self, reference_election,
+                                              keep_rounds):
+        """A byte-order mark, ``\\r\\n`` and a lone ``\\r`` act in a string as
+        they do in a file: a lone ``\\r`` ends a line."""
+        records = self.sample_records(reference_election)[:2]
+        one, two = records_to_jsonl(records).splitlines()
+        expected = (
+            records if keep_rounds
+            else [dataclasses.replace(r, rounds=()) for r in records]
+        )
+        for text in ["\ufeff" + one + "\n" + two + "\n",
+                     one + "\r\n" + two + "\r\n",
+                     one + "\r" + two]:
+            assert records_from_jsonl(text, keep_rounds) == expected
+            assert records_from_jsonl(
+                io.BytesIO(text.encode()), keep_rounds
+            ) == expected
+
+    def test_csv_string_may_begin_with_a_byte_order_mark(self):
+        text = records_to_csv([make_record()])
+        assert records_from_csv("\ufeff" + text) == [make_record()]
+        assert records_from_csv(
+            "\ufeff" + text, keep_rounds=False
+        ) == records_from_csv(text, keep_rounds=False)
+
     def test_csv_round_trip_of_a_round_log_over_the_field_limit(self):
         """A round log is one CSV cell, and real ones run to megabytes:
         longer than csv's default field limit of 131,072 characters."""
@@ -611,14 +637,15 @@ class TestReadWithoutRounds:
 
 
 def read_text_file(data: bytes):
-    """``aggregate``'s former reader: the file in text mode (universal
-    newlines), records without round logs; or the class of the error it
-    raised. The binary reader must agree with it."""
+    """A naive reader, the binary reader's oracle: the file in text mode
+    (universal newlines), each non-blank line decoded whole into a record
+    without its round log; or the class of the error it raised."""
     try:
-        return records_from_jsonl(
-            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-            keep_rounds=False,
-        )
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as lines:
+            return [
+                RunRecord.from_json({**json.loads(line), "rounds": []})
+                for line in lines if line.strip()
+            ]
     except (KeyError, TypeError, ValueError) as exc:
         return type(exc)
 
@@ -686,7 +713,7 @@ def names_record() -> RunRecord:
 
 class TestBinaryReader:
     """The bounded-memory reader of ``aggregate`` and ``plotdata`` against
-    the text-mode reader it replaced."""
+    a naive text-mode reader."""
 
     def test_kept_text_is_the_line_without_its_round_log(self):
         line = records_to_jsonl([names_record()]).encode()
@@ -1046,10 +1073,12 @@ class TestRecordWriter:
     def test_readers_take_lines(self, reference_election):
         records = TestSerialization().sample_records(reference_election)
         jsonl = records_to_jsonl(records)
-        assert records_from_jsonl(io.StringIO(jsonl)) == records
-        assert records_from_jsonl(
-            io.StringIO(jsonl), keep_rounds=False
-        ) == records_from_jsonl(jsonl, keep_rounds=False)
+        for keep_rounds in (True, False):
+            assert records_from_jsonl(jsonl, keep_rounds) == records_from_jsonl(
+                io.BytesIO(jsonl.encode()), keep_rounds
+            )
+        with pytest.raises(TypeError):
+            records_from_jsonl(io.StringIO(jsonl))
         assert records_from_csv(io.StringIO(records_to_csv(records))) == records
 
 
