@@ -100,6 +100,12 @@ class Project:
         if self.cost <= 0:
             raise ValueError(f"project {self.name!r}: cost must be positive")
 
+    @cached_property
+    def cost_pair(self) -> tuple[int, int]:
+        """The cost as the integer pair (numerator, denominator), in lowest
+        terms, read once: every quote of the project prices from it."""
+        return self.cost.as_integer_ratio()
+
 
 @dataclass(frozen=True)
 class UtilityProfile:

@@ -195,9 +195,11 @@ class AffordabilityQuote:
     """One purchase: a share ``alpha`` of a project at utility price
     ``rho``, with the per-voter payments that fund it.
 
-    ``cost`` is what the payments add up to: the project's cost, even for
-    a bos quote whose coverage alpha is below 1, and alpha times it for a
-    :func:`fres` share. ``key`` is rho/alpha, the price of one utility unit
+    ``cost`` is what the payments add up to, as the integer pair
+    (numerator, denominator): the project's cost (its
+    :attr:`~eqshares.model.Project.cost_pair`), even for a bos quote whose
+    coverage alpha is below 1, and alpha times it for a :func:`fres` share.
+    ``key`` is rho/alpha, the price of one utility unit
     through this quote with the share accounted for, as the unnormalised
     integer pair its kernel found (:class:`_Key`); the selectors order
     quotes by it, and for a full purchase (alpha = 1) it is rho. ``ratio``
@@ -211,9 +213,11 @@ class AffordabilityQuote:
     ``(weight // unit) * rate / den``, which is u * rho (u * alpha * rho for
     a fres share); ``unit`` divides every uncapped weight, and is 1 except
     in a full quote (:func:`_full_quote`), whose ``den`` is then the least
-    its payments allow. These payment numerators are formed once, one list
-    aligned with ``voters`` (:meth:`_amounts`) in which a run of a shared
-    weight shares one product, and checked to add up to ``cost``. They are
+    its payments allow. ``uniform`` is whether every weight is the same,
+    as :func:`_moneyed` read it. These payment numerators are formed once,
+    one list aligned with ``voters`` (:meth:`_amounts`) in which a run of a
+    shared weight shares one product (all of them one, when ``uniform``),
+    and checked to add up to ``cost``. They are
     the only form the payments take from then on: :meth:`charge` debits
     them, each balance stopping at zero, and reports every voter charged
     more than she held; ``payments`` is a
@@ -235,8 +239,9 @@ class AffordabilityQuote:
     rate: int
     den: int
     m_scale: int
-    cost: Num
+    cost: tuple[int, int]
     unit: int = 1
+    uniform: bool = False
     _paid: Optional[list[int]] = field(default=None, init=False, repr=False)
     _ratio: Optional[Num] = field(default=None, init=False, repr=False)
     _rho: Optional[Num] = field(default=None, init=False, repr=False)
@@ -268,7 +273,7 @@ class AffordabilityQuote:
             pays = list(map(self.cap.__mul__, self.money[:s])) if s else []
             if s < k:
                 unit, rate = self.unit, self.rate
-                if _uniform(weights):
+                if self.uniform:
                     # One weight (every approval column): one product.
                     pays += [weights[s] // unit * rate] * (k - s)
                 else:
@@ -279,7 +284,7 @@ class AffordabilityQuote:
                         if w is not last:
                             last, pay = w, w // unit * rate
                         pays.append(pay)
-            num, den = self.cost.as_integer_ratio()
+            num, den = self.cost
             if sum(pays) * den != num * self.den:
                 raise InvariantError(
                     f"payments for project {self.project} do not add up to its cost"
@@ -333,13 +338,14 @@ def _moneyed(
     ``uniform`` whether every weight is the same; when no supporter is
     broke they are the column's own (:attr:`UtilityProfile.column_sums`).
     Sums of these integers are exact sums of the rationals, and ratios of
-    them order and price exactly like the rationals.
+    them order and price exactly like the rationals. The cost comes from
+    :attr:`~eqshares.model.Project.cost_pair`, read once per project.
     """
     c = project.id
     voters, weights, u_scale = utilities.columns[c]
     units, scale = budgets.work_units, budgets.work_scale
     money = [units[i] for i in voters]
-    num, den = project.cost.as_integer_ratio()
+    num, den = project.cost_pair
     if full and sum(money) * den < num * scale:
         return None
     # Balances never go negative, so a nonzero balance is a positive one.
@@ -426,38 +432,33 @@ def _ratio_order(
     return order
 
 
-# Whom a full purchase caps: (voters, money, weights, paid, held, s).
-_Prefix = tuple[Sequence[int], list[int], list[int], list[int], list[int], int]
+# Whom a full purchase caps: (voters, money, weights, s, rest, rest_w, sums).
+_Prefix = tuple[
+    Sequence[int], list[int], list[int], int, int, int,
+    Optional[tuple[list[int], list[int]]],
+]
 
 
-def _capped_prefix(
-    voters: Sequence[int],
-    money: list[int],
-    weights: list[int],
-    due: int,
-    m_scale: int,
-    u_scale: int,
-    total_w: int,
-    uniform: bool,
-) -> _Prefix:
-    """The supporters in capped-prefix order, their prefix sums, and s.
+def _capped_prefix(sup: _Moneyed) -> Optional[_Prefix]:
+    """Whom a full purchase caps, from :func:`_moneyed`'s integers: None
+    when nobody is, else the supporters in ascending b/u order and s.
 
-    Takes :func:`_moneyed`'s integers. A full purchase caps the first s
-    supporters at their balance and charges the rest u * rho_s, where
-    rho_s = (cost - paid[s]) / (held[-1] - held[s]); ``paid[j]`` and
-    ``held[j]`` are the money and weight of the first j supporters, for
-    j <= s. s = len(money) when all of them together fall short.
+    A full purchase caps the first s supporters at their balance and
+    charges the rest u * rho_s, where rho_s = rest / rest_w, ``rest``
+    being the cost (times m_scale) less the first s balances and
+    ``rest_w`` the weight of the others. s = len(money) when all of them
+    together fall short.
 
-    When nobody is capped at the fully proportional price cost / sum(u),
-    the column order stays, s = 0, and the sums are only ``[0]`` and
-    ``[0, total_w]``. With equal weights every voter then owes due / k, so
-    the poorest one decides. Otherwise one key pass decides
-    (:func:`_ratio_keys`): every supporter's b/u and the proportional price
-    get a correctly rounded float, all times one power of two. Rounding is
-    monotone, so a least key above the price's key proves that nobody is
-    capped and one below it proves that somebody is; only keys equal to
-    the price's are checked in exact integers. On overflow the keys are
-    exact ``Fraction`` values, and the same test reads them.
+    Nobody is capped at the fully proportional price cost / sum(u)
+    exactly when every b/u is at least that price. With equal weights
+    every voter then owes due / k, so the poorest one decides. Otherwise
+    one key pass decides (:func:`_ratio_keys`): every supporter's b/u and
+    the proportional price get a correctly rounded float, all times one
+    power of two. Rounding is monotone, so a least key above the price's
+    key proves that nobody is capped and one below it proves that
+    somebody is; only keys equal to the price's are checked in exact
+    integers. On overflow the keys are exact ``Fraction`` values, and the
+    same test reads them.
 
     When somebody is capped, the supporters go in ascending b/u order
     (:func:`_ratio_order`, on the same keys; balance order when the weights
@@ -465,49 +466,74 @@ def _capped_prefix(
     whose voter is uncapped (rho_s * u_s <= b_s), checked in exact
     integers. The check is monotone in s: if it holds at s then rho_{s+1}
     <= rho_s <= b_s/u_s <= b_{s+1}/u_{s+1}, so it holds at s + 1, and
-    bisection finds s.
+    bisection finds s; the first voter, whose b/u is below the price, is
+    capped. With equal weights the weight of the first j voters is j
+    times the one weight, so the bisection keeps only the money below its
+    lower end, adding that of each half it moves past, and makes no list.
+    Otherwise it reads lists of prefix sums of the money and weights,
+    ``sums``, which :func:`bos_quote`'s scan reads too; None when the
+    weights are equal.
     """
+    voters, money, weights, due, m_scale, u_scale, total_w, uniform = sup
+    k = len(money)
     if uniform:
-        if min(money) * len(money) >= due:
-            return voters, money, weights, [0], [0, total_w], 0
-        order = sorted(range(len(money)), key=money.__getitem__)
-    else:
-        # Keys of every b/u and, last, of cost / sum(u), all times one
-        # constant below 2**961, so that they stay in float range at any
-        # ledger scale. A shift makes the divisors long, so small scales
-        # take none.
-        keys = _ratio_keys(
-            [*money, due], [*weights, total_w],
-            max(0, m_scale.bit_length() - u_scale.bit_length() - 960),
+        if min(money) * k >= due:
+            return None
+        order = sorted(range(k), key=money.__getitem__)
+        money = [money[j] for j in order]
+        # uncapped(j), over the one weight: due - paid_j <= money[j] * (k - j).
+        lo, hi, paid = 1, k, money[0]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            paid_mid = paid + sum(money[lo:mid])
+            if due - paid_mid <= money[mid] * (k - mid):
+                hi = mid
+            else:
+                lo, paid = mid + 1, paid_mid + money[mid]
+        return (
+            [voters[j] for j in order], money, weights, lo, due - paid,
+            total_w - lo * weights[0], None,
         )
-        bar = keys.pop()
-        low = min(keys)
-        if low > bar or low == bar and all(
-            w * due <= m * total_w
-            for m, w, key in zip(money, weights, keys) if key == bar
-        ):
-            return voters, money, weights, [0], [0, total_w], 0
-        order = _ratio_order(money, weights, keys)
-        weights = [weights[j] for j in order]
+    # Keys of every b/u and, last, of cost / sum(u), all times one constant
+    # below 2**961, so that they stay in float range at any ledger scale. A
+    # shift makes the divisors long, so small scales take none.
+    keys = _ratio_keys(
+        [*money, due], [*weights, total_w],
+        max(0, m_scale.bit_length() - u_scale.bit_length() - 960),
+    )
+    bar = keys.pop()
+    low = min(keys)
+    if low > bar or low == bar and all(
+        w * due <= m * total_w
+        for m, w, key in zip(money, weights, keys) if key == bar
+    ):
+        return None
+    order = _ratio_order(money, weights, keys)
     money = [money[j] for j in order]
+    weights = [weights[j] for j in order]
     paid = list(accumulate(money, initial=0))
     held = list(accumulate(weights, initial=0))
 
-    def uncapped(s: int) -> bool:
-        return (due - paid[s]) * weights[s] <= money[s] * (total_w - held[s])
+    def uncapped(j: int) -> bool:
+        return (due - paid[j]) * weights[j] <= money[j] * (total_w - held[j])
 
-    s = bisect_left(range(len(money)), True, key=uncapped)
-    return [voters[j] for j in order], money, weights, paid, held, s
+    s = bisect_left(range(k), True, lo=1, key=uncapped)
+    return (
+        [voters[j] for j in order], money, weights, s, due - paid[s],
+        total_w - held[s], (paid, held),
+    )
 
 
 def _full_quote(
-    project: Project, prefix: _Prefix, due: int, m_scale: int, u_scale: int,
-    uniform: bool,
+    project: Project, sup: _Moneyed, prefix: Optional[_Prefix]
 ) -> AffordabilityQuote:
-    """Quote for alpha = 1 from a :func:`_capped_prefix`: the first s voters
-    pay their balance, and the rest, of weight rest_w, share rest (the cost
-    left, times m_scale) in proportion to their weights, at
-    rho = rest * u_scale / (m_scale * rest_w), kept as that pair.
+    """Quote for alpha = 1 from :func:`_moneyed`'s integers and their
+    :func:`_capped_prefix`: the first s voters pay their balance, and the
+    rest, of weight rest_w, share rest (the cost left, times m_scale) in
+    proportion to their weights, at rho = rest * u_scale / (m_scale *
+    rest_w), kept as that pair. When nobody is capped (``prefix`` None)
+    the supporters stay in column order, s = 0, rest is ``due`` and
+    rest_w is ``total_w``.
 
     Its payments come over the least denominator they allow, so a ledger
     whose scale it divides debits them without rescaling. With ``unit`` the
@@ -518,8 +544,10 @@ def _full_quote(
     money / m_scale, so then den becomes lcm(den, m_scale) = cap * m_scale
     and rate grows by the same factor.
     """
-    voters, money, weights, paid, held, s = prefix
-    rest, rest_w = due - paid[s], held[-1] - held[s]
+    voters, money, weights, due, m_scale, u_scale, total_w, uniform = sup
+    s, rest, rest_w = 0, due, total_w
+    if prefix is not None:
+        voters, money, weights, s, rest, rest_w, _ = prefix
     unit = weights[s] if uniform else math.gcd(*weights[s:])
     g = math.gcd(unit * rest, m_scale * rest_w)
     rate, den, cap = unit * rest // g, m_scale * rest_w // g, 0
@@ -530,7 +558,8 @@ def _full_quote(
         den = cap * m_scale
     return AffordabilityQuote(
         project.id, ONE, _Key(rest * u_scale, m_scale * rest_w), voters,
-        money, weights, s, cap, rate, den, m_scale, project.cost, unit,
+        money, weights, s, cap, rate, den, m_scale, project.cost_pair, unit,
+        uniform,
     )
 
 
@@ -557,17 +586,18 @@ def min_rho(
     turned away before anything is filtered or sorted. Otherwise
     :func:`_capped_prefix`, the search :func:`bos_quote`
     shares, finds whom the purchase caps: nobody when nobody is capped at
-    the fully proportional price, else a prefix of the b/u order found by
-    bisection on an exact monotone check. The quote's payments are built
-    only when read, over the least denominator they allow
-    (:func:`_full_quote`). The price is never below the project's
+    the fully proportional price, and the quote is then made from the
+    moneyed supporters' integers as they are, else a prefix of the b/u
+    order found by bisection on an exact monotone check. The quote's
+    payments are built only when read, over the least denominator they
+    allow (:func:`_full_quote`). The price is never below the project's
     proportional price (:func:`_floors`), the bound at which the selectors
     enter it.
     """
     sup = _moneyed(project, budgets, utilities, True)
     if sup is None:
         return None
-    return _full_quote(project, _capped_prefix(*sup), *sup[3:6], sup[7])
+    return _full_quote(project, sup, _capped_prefix(sup))
 
 
 def _floors(election: Election) -> list[_Key]:
@@ -588,7 +618,7 @@ def _floors(election: Election) -> list[_Key]:
         election.projects, election.utilities.columns,
         election.utilities.column_sums,
     ):
-        num, den = project.cost.as_integer_ratio()
+        num, den = project.cost_pair
         num, den = (num * scale, den * total) if total else (0, 1)
         g = math.gcd(num, den)
         pair = (num // g, den // g)
@@ -600,7 +630,7 @@ def _cost_units(election: Election) -> tuple[list[int], int]:
     """Each project's cost and the budget as integers over one shared
     denominator, so a running spend is one integer sum. Every integral
     rule keeps its public budget in these units."""
-    pairs = [p.cost.as_integer_ratio() for p in election.projects]
+    pairs = [p.cost_pair for p in election.projects]
     b_num, b_den = election.budget.as_integer_ratio()
     scale = math.lcm(b_den, *(den for _, den in pairs))
     return [num * (scale // den) for num, den in pairs], b_num * (scale // b_den)
@@ -986,7 +1016,7 @@ def fres(election: Election, config: RuleConfig = RuleConfig()) -> FractionalOut
             c, alpha,
             _Key(key.num * alpha.denominator, key.den * alpha.numerator),
             voters, money, weights, 0, 0, rate, den * u_scale, m_scale,
-            alpha * projects[c].cost,
+            (alpha * projects[c].cost).as_integer_ratio(), 1, uniform,
         )
         for i, _ in quote.charge(budgets):
             raise InvariantError(f"fres: voter {i} overdrawn buying {c}")
@@ -1097,9 +1127,16 @@ def bos_quote(
         return None
     # Cap prices from the first uncapped index s on raise at least the cost,
     # and are dominated by the exact full-coverage price of that segment.
-    prefix = _capped_prefix(*sup)
-    voters, money, weights, paid, held, s = prefix
-    due, m_scale, u_scale, total_w = sup[3:7]
+    prefix = _capped_prefix(sup)
+    if prefix is None:
+        return _full_quote(project, sup, None)
+    voters, money, weights, s, rest, rest_w, sums = prefix
+    due, m_scale, u_scale, total_w, uniform = sup[3:]
+    # paid[j] and held[j] are the money and weight of the first j voters.
+    paid, held = sums or (
+        list(accumulate(money[:s], initial=0)),
+        list(accumulate(weights[:s], initial=0)),
+    )
     # Below s, cap price lam_j = b_j/u_j raises R_j / (m_scale * w_j) with
     # R_j = paid_j * w_j + money_j * (weight from j on), so alpha_j =
     # R_j / (due * w_j) < 1, and rho_j / alpha_j = lam_j / alpha_j**2 is
@@ -1125,12 +1162,11 @@ def bos_quote(
             if lhs > rhs or (lhs == rhs and r * weights[best] <= best_r * w):
                 continue
         best, best_r, best_mw, best_f = j, r, mw, f
-    if s < len(money):
-        # The full-coverage price (alpha = 1) wins ties on rho / alpha, and
-        # wins outright when nobody is capped (s = 0).
-        rest, rest_w = due - paid[s], total_w - held[s]
-        if not s or rest * best_r * best_r <= due * due * best_mw * rest_w:
-            return _full_quote(project, prefix, due, m_scale, u_scale, sup[7])
+    # The full-coverage price (alpha = 1) wins ties on rho / alpha.
+    if s < len(money) and (
+        rest * best_r * best_r <= due * due * best_mw * rest_w
+    ):
+        return _full_quote(project, sup, prefix)
     # alpha = R / (due * w_best) and rho = money_best * u_scale * due /
     # (m_scale * R), so rho / alpha is the pair below. Voters up to the
     # pinning one are capped at lam = b/u and pay b / alpha = money * due *
@@ -1141,7 +1177,8 @@ def bos_quote(
     return AffordabilityQuote(
         project.id, Fraction(best_r, due * w_best),
         _Key(rate * u_scale * due * w_best, den * best_r), voters, money,
-        weights, best + 1, due * w_best, rate, den, m_scale, project.cost,
+        weights, best + 1, due * w_best, rate, den, m_scale,
+        project.cost_pair, 1, uniform,
     )
 
 

@@ -7,6 +7,7 @@ against the package at run time.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
 from fractions import Fraction
@@ -125,6 +126,69 @@ def naive_bos_quote(
         candidates.append((full, -ONE, full, ONE, full))
     _, _, rho, alpha, lam = min(candidates)
     return alpha, rho, [min(b, u * lam) / alpha for u, b in supporters]
+
+
+def sorted_bisection_quote(
+    cost: Fraction,
+    column: list[tuple[int, Fraction]],
+    balances: Sequence[Fraction],
+    scale: int,
+) -> Optional[dict]:
+    """``min_rho``'s full quote, field by field, from a plain stable sort
+    and a bisection; None when the supporters' balances fall short.
+
+    ``column`` lists every supporter of the project as (voter, utility) in
+    voter order, ``balances`` holds every voter's balance and ``scale`` is
+    the ledger's working scale. The moneyed supporters are stably sorted by
+    b/u; s is the first index of that order whose voter is not capped, that
+    is, whose u times rho_s = (cost - balances before s) / (utilities from
+    s on) is at most her balance, found by bisection. Nobody is capped when
+    s is 0, and the voters then stay in column order.
+
+    The fields: ``voters`` in that order; ``money`` and ``weights``, each
+    b * m_scale and u * u_scale, with m_scale = lcm(scale, the cost's
+    denominator) and u_scale the lcm of the column's utility denominators;
+    ``capped`` = s; ``rho`` = rho_s; ``unit``, the gcd of the uncapped
+    weights; ``rate`` / ``den``, unit * rho / u_scale in lowest terms, over
+    lcm(den, m_scale) when somebody is capped; ``cap`` = den / m_scale
+    then, else 0; ``payments``, each voter's min(b, u * rho), in order.
+    """
+    u_scale = math.lcm(*(u.denominator for _, u in column))
+    m_scale = math.lcm(scale, cost.denominator)
+    moneyed = [(i, u, balances[i]) for i, u in column if balances[i] > 0]
+    if not moneyed or sum(b for _, _, b in moneyed) < cost:
+        return None
+    ranked = sorted(moneyed, key=lambda voter: voter[2] / voter[1])
+
+    def rho_at(s: int) -> Fraction:
+        paid = sum((b for _, _, b in ranked[:s]), ZERO)
+        return (cost - paid) / sum(u for _, u, _ in ranked[s:])
+
+    def uncapped(s: int) -> bool:
+        _, u, b = ranked[s]
+        return u * rho_at(s) <= b
+
+    s = bisect.bisect_left(range(len(ranked)), True, key=uncapped)
+    order = ranked if s else moneyed
+    rho = rho_at(s)
+    unit = math.gcd(*(int(u * u_scale) for _, u, _ in order[s:]))
+    share = unit * rho / u_scale
+    rate, den, cap = share.numerator, share.denominator, 0
+    if s:
+        den = math.lcm(den, m_scale)
+        rate, cap = int(share * den), den // m_scale
+    return {
+        "voters": [i for i, _, _ in order],
+        "money": [int(b * m_scale) for _, _, b in order],
+        "weights": [int(u * u_scale) for _, u, _ in order],
+        "capped": s,
+        "rho": rho,
+        "unit": unit,
+        "rate": rate,
+        "den": den,
+        "cap": cap,
+        "payments": [(i, min(b, u * rho)) for i, u, b in order],
+    }
 
 
 def naive_mes(

@@ -82,6 +82,26 @@ def test_bos_plus_quotes_fewer_than_a_full_rescan(blocks_election, quote_calls):
     assert 0 < quotes < full_rescan_quotes(blocks_election, outcome)
 
 
+def test_add1u_scan_work_on_the_reference_fixture(
+    reference_election, quote_calls, monkeypatch
+):
+    """The kernel work of add1u's scan on reference.pb under the cost model:
+    16,001 probes, each one run of the mes loop, and 112,006 min_rho quotes
+    over them. A faster kernel must make the same quotes, no more."""
+    probes = []
+    real_loop = rules._equal_shares
+
+    def counted_loop(*args, **kwargs):
+        probes.append(1)
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "_equal_shares", counted_loop)
+    run_rule("mes-add1u", reference_election)
+    assert len(probes) == 16_001
+    assert len(quote_calls["min_rho"]) == 112_006
+    assert quote_calls["bos_quote"] == []
+
+
 def partial_rounds(election, rounds) -> list[bool]:
     """For each round, whether the best buyout quote on the real balances
     before it covers only a share alpha < 1 (ties by ascending id)."""

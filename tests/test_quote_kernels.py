@@ -9,7 +9,10 @@ their proven error. The instances here aim at the places where floats alone
 would decide wrongly: exact b/u ties, near-ties far below float resolution,
 numerators and denominators around 10^12, zero balances, and ratios that
 overflow or underflow a float. ``TestCertificates`` puts near-ties 10^-30
-apart at ledger scales below and above 2**1024.
+apart at ledger scales below and above 2**1024. ``TestSortedBisection``
+checks every field of min_rho's quotes, the voter order included, against
+a plain stable sort and bisection, on ledgers drawn at and around the
+price at which nobody is capped.
 """
 from __future__ import annotations
 
@@ -440,6 +443,148 @@ class TestCertificates:
             i: min(b, u * rho) for i, (u, b) in enumerate(pairs)
         }
         assert self.check_bos(cost, pairs, wide).alpha == 1
+
+
+# ---------------------------------------------------------------------------
+# min_rho's quotes, field by field, against a plain stable sort and
+# bisection (oracles.sorted_bisection_quote).
+
+
+def quote_fields(quote):
+    """A quote's fields, named as ``oracles.sorted_bisection_quote`` names
+    them."""
+    return {
+        "voters": list(quote.voters),
+        "money": list(quote.money),
+        "weights": list(quote.weights),
+        "capped": quote.capped,
+        "rho": quote.key.value(),
+        "unit": quote.unit,
+        "rate": quote.rate,
+        "den": quote.den,
+        "cap": quote.cap,
+        "payments": list(quote.payments.items()),
+    }
+
+
+def oracle_checked_min_rho(project, budgets, utilities):
+    """``min_rho``'s quote, once it has matched the oracle's."""
+    quote = min_rho(project, budgets, utilities)
+    c, scale = project.id, budgets.work_scale
+    column = [(i, utilities.value(i, c)) for i in utilities.supporters[c]]
+    # The working ledger as it stands: reading ``balances`` would reduce it.
+    balances = [F(units, scale) for units in budgets.work_units]
+    expected = oracles.sorted_bisection_quote(
+        project.cost, column, balances, scale
+    )
+    assert (quote is None) == (expected is None)
+    if quote is not None:
+        assert quote_fields(quote) == expected
+    return quote
+
+
+@st.composite
+def boundary_ledgers(draw):
+    """(project, ledger, profile): a project of a random election with
+    equal-weight (approval) or mixed (cardinal) columns, and balances at
+    and around the price at which its purchase caps nobody.
+
+    At that price, cost / sum(u), a supporter of utility u owes the share
+    u * cost / sum(u). A "tight" supporter holds her share times the
+    ledger scale, rounded down, plus -2 to 2 units: with equal weights the
+    poorest such one puts min(money) * k at, just below or just above the
+    cost, and with mixed weights her b/u ties the price exactly or, at the
+    scale 10**30, lies below float resolution from it, so that the float
+    keys tie while the exact ratios may not. The others hold more than
+    their share, less, or nothing. The cost is sometimes divided by 3 or a
+    large prime, so that the kernel's money scale must take in its
+    denominator.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    make = draw(st.sampled_from(
+        [random_approval_election, random_cardinal_election]
+    ))
+    election = make(rng)
+    utilities = election.utilities
+    supported = [
+        c for c in range(len(election.projects)) if utilities.supporters[c]
+    ]
+    if not supported:
+        supported = [0]
+    c = draw(st.sampled_from(supported))
+    cost = election.projects[c].cost / draw(st.sampled_from([1, 3, 10**9 + 7]))
+    column = [(i, utilities.value(i, c)) for i in utilities.supporters[c]]
+    total = sum((u for _, u in column), ZERO)
+    shares = {i: u * cost / total for i, u in column}
+    scale = cost.denominator * draw(st.sampled_from([1, 2, 3])) * draw(
+        st.sampled_from([1, 10**30])
+    )
+    if draw(st.booleans()):
+        # Every share is a whole number of units: the boundary is reachable.
+        scale = math.lcm(scale, *(u.denominator for u in shares.values()))
+    units = []
+    for i in range(election.n_voters):
+        share = shares.get(i)
+        kind = draw(st.sampled_from(
+            ["tight"] * 3 + ["above"] * 3 + ["below", "none"]
+            if share is not None else ["other"]
+        ))
+        if kind == "tight":
+            held = math.floor(share * scale) + draw(st.integers(-2, 2))
+        elif kind == "above":
+            more = F(draw(st.integers(101, 400)), 100)
+            held = math.ceil(share * scale * more)
+        elif kind == "below":
+            less = F(draw(st.integers(1, 99)), 100)
+            held = math.floor(share * scale * less)
+        elif kind == "other":
+            held = draw(st.integers(0, 5 * scale))
+        else:
+            held = 0
+        units.append(F(max(0, held), scale))
+    return Project(c, "p", cost), BudgetState(units), utilities
+
+
+class TestSortedBisection:
+    """Every field of a min_rho quote, the voter order included, is the one
+    a plain stable sort and bisection give."""
+
+    @given(boundary_ledgers())
+    @settings(max_examples=500, deadline=None)
+    def test_quotes_at_and_around_the_proportional_price(self, drawn):
+        oracle_checked_min_rho(*drawn)
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_every_quote_of_a_mes_run(self, rng, boost):
+        make = rng.choice([random_approval_election, random_cardinal_election])
+        election = make(rng)
+        seen = []
+
+        def watched(project, budgets, utilities):
+            seen.append(project.id)
+            return oracle_checked_min_rho(project, budgets, utilities)
+
+        endowment = election.budget / election.n_voters * boost
+        with mock.patch.object(rules, "min_rho", watched):
+            mes(election, b_ini=endowment)
+        assert seen
+
+    def test_a_3000_supporter_equal_weight_column_half_capped(self):
+        n = 3000
+        profile = UtilityProfile.from_rows(
+            n, 1, [{0: F(5, 2)} for _ in range(n)]
+        )
+        # Balances in thirds with many ties, in no order.
+        balances = [F((i * 7919) % 2003 + 1, 3) for i in range(n)]
+        # The cost that leaves voter 1,500 of the balance order just
+        # uncapped: she owes exactly her balance.
+        ranked = sorted(balances)
+        cost = sum(ranked[:1500], ZERO) + ranked[1500] * (n - 1500)
+        quote = oracle_checked_min_rho(
+            Project(0, "p", cost), BudgetState(balances), profile
+        )
+        assert 1000 < quote.capped <= 1500
 
 
 # ---------------------------------------------------------------------------
