@@ -276,7 +276,11 @@ def _batch_file(args: tuple, writer: RecordWriter) -> _FileResult:
      exhaustive_redistribution, repeats) = args
     path = Path(path_str)
     try:
+        start = time.perf_counter()
         election = _load(path, model)
+        log.info("load instance=%s voters=%d projects=%d load_sec=%r",
+                 path.stem, election.n_voters, len(election.projects),
+                 time.perf_counter() - start)
         config = _make_config(
             election, tie_names, Fraction(step_str),
             exhaustive_redistribution, strict=False,

@@ -253,8 +253,10 @@ class UtilityProfile:
         through :attr:`supporters`, and ``scale`` is the lcm of the column's
         denominators. Entries of a column are often one shared object, so a
         run of the same object reads its denominator and makes its weight
-        once. A profile of products reads its source's rows, and forms one
-        product per distinct entry of the column.
+        once, and a column of one shared object (every parsed approval
+        column) is its one weight repeated. A profile of products reads its
+        source's rows, and forms one product per distinct entry of the
+        column.
         """
         source = self._source
         rows = self.rows if source is None else source[0].rows
@@ -271,6 +273,10 @@ class UtilityProfile:
                 pairs = [u.as_integer_ratio() for u in heads]
             else:
                 pairs = _products(heads, source[1][c])
+            if len(pairs) == 1:
+                num, den = pairs[0]
+                out.append((voters, [num] * len(column), den))
+                continue
             scale = lcm(*{den for _, den in pairs})
             weights = []
             run = iter(pairs)

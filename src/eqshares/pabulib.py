@@ -22,6 +22,11 @@ an :class:`~eqshares.model.Election`; :func:`load_election` reads a file
 straight into one, with the same checks and conversion and no parsed
 :class:`PbFile` in between. :func:`write_pb` is their inverse for any
 election expressible in the target ballot type with plain cells.
+
+:func:`parse_pb` and :func:`load_election` share one loop over the VOTES
+rows. Cells are stripped, but a VOTES section with no quote, non-ASCII
+character or whitespace other than line ends is read as written, which
+stripping would not change.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     ONE,
@@ -150,23 +155,34 @@ def _parse_decimal(text: str) -> Num:
     return Fraction(numerator, 10 ** len(frac))
 
 
-def _rows(text: str) -> Iterator[tuple[int, Optional[tuple[str, ...]]]]:
-    """(the line it ends on, its stripped cells) of each row ``csv.reader``
-    reads but blank (whitespace only) lines; then (last line + 1, None)."""
-    lines = text.removeprefix("\ufeff").splitlines(keepends=True)
-    reader = csv.reader(lines, delimiter=";")
-    end = 0
+# The ASCII whitespace but the line ends, which ``csv.reader`` leaves in no
+# unquoted cell, and the quote that may wrap a cell's whitespace.
+_ASCII_STRIPPED = '"\t\x0b\x0c\x1c\x1d\x1e\x1f '
+
+
+def _blank(row: Sequence[str], start: int, end: int, lines: Sequence[str]) -> bool:
+    """Whether ``row``, read from lines ``start`` to ``end``, is a blank
+    line: one line of whitespace only."""
+    return len(row) <= 1 and start == end and lines[end - 1].isspace()
+
+
+def _rows(
+    reader: Iterator[list[str]], lines: Sequence[str]
+) -> Iterator[tuple[int, Optional[tuple[str, ...]]]]:
+    """(the line it ends on, its stripped cells) of each row ``reader``
+    reads from ``lines`` but blank lines; then (last line + 1, None)."""
+    end = reader.line_num
     try:
         for row in reader:
             start, end = end + 1, reader.line_num
-            if len(row) > 1 or start < end or not lines[end - 1].isspace():
+            if not _blank(row, start, end, lines):
                 yield end, tuple(map(str.strip, row))
     except csv.Error as exc:
         raise PbParseError(reader.line_num, str(exc)) from None
     yield len(lines) + 1, None
 
 
-def _row_id(lineno: int, cells: tuple[str, ...], width: int, seen: set[str], what: str) -> str:
+def _row_id(lineno: int, cells: Sequence[str], width: int, seen: Container[str], what: str) -> str:
     """The id of a PROJECTS or VOTES row of ``width`` cells, new to ``seen``."""
     if len(cells) != width:
         raise PbParseError(lineno, f"expected {width} fields, got {len(cells)}")
@@ -175,31 +191,41 @@ def _row_id(lineno: int, cells: tuple[str, ...], width: int, seen: set[str], wha
         raise PbParseError(lineno, f"empty {what} id")
     if row_id in seen:
         raise PbParseError(lineno, f"duplicate {what} id {row_id!r}")
-    seen.add(row_id)
     return row_id
 
 
-# One VOTES row as :func:`_read_pb` checks it: the voter id, the listed
-# projects and the points, if any.
-_Vote = tuple[str, tuple[str, ...], Optional[tuple[Num, ...]]]
+# The VOTES loop of :func:`_read_pb` hands each checked row (voter id,
+# listed projects, points if any) to a ``take`` function, and returns the
+# voter ids in file order, what ``take`` returned of each row, and the
+# first ``ValueError`` that ``take`` raised, if any.
+_Take = Callable[[str, tuple[str, ...], Optional[tuple[Num, ...]]], object]
+_Votes = tuple[Iterable[str], Sequence, Optional[ValueError]]
 
 
 def _read_pb(
     text: str,
-) -> tuple[dict[str, str], Num, BallotType, tuple[PbProject, ...], Iterator[_Vote]]:
-    """Check the META and PROJECTS sections of `.pb` text, and return the
-    META dict, the budget, the ballot type, the projects and an iterator
-    that checks the VOTES section and yields each of its rows in turn.
+) -> tuple[dict[str, str], Num, BallotType, tuple[PbProject, ...], Callable[[_Take], _Votes]]:
+    """Check `.pb` text up to its VOTES rows, and return the META dict, the
+    budget, the ballot type, the projects and the function that reads the
+    VOTES rows.
 
-    Everything :func:`parse_pb` enforces is checked here, in file order;
-    the VOTES checks run as the iterator is drawn."""
-    rows = _rows(text)
+    Everything :func:`parse_pb` enforces is checked here, in file order.
+    The VOTES rows are checked as that function reads them, in one loop
+    over the ``csv.reader`` rows that hands each checked row to ``take``.
+    Once ``take`` raises ``ValueError`` the rows are only checked, so that
+    a later parse fault is the one raised. Cells and vote entries are
+    stripped only when the VOTES rows hold a quote, a non-ASCII character
+    or whitespace other than line ends.
+    """
+    text = text.removeprefix("\ufeff")
+    lines = text.splitlines(keepends=True)
+    reader = csv.reader(lines, delimiter=";")
+    rows = _rows(reader, lines)
     ahead = next(rows)  # the first row that no section has taken
 
-    def section(name: str, required: tuple[str, str], stop: Optional[tuple[str]]):
-        """Check section ``name``'s line and header row; yield the header's
-        line number and columns, then each row before the row ``stop``."""
-        nonlocal ahead
+    def section(name: str, required: tuple[str, str]) -> tuple[int, tuple[str, ...]]:
+        """Check section ``name``'s line and header row; return the
+        header's line number and columns."""
         lineno, header = ahead  # the section line, then the header row
         if header == (name,):
             lineno, header = next(rows)
@@ -220,20 +246,24 @@ def _read_pb(
             )
         if len(set(header)) != len(header):
             raise PbParseError(lineno, f"duplicate column in {name} header")
-        yield lineno, header
+        return lineno, header
+
+    def body(stop: tuple[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+        """Each row before the row ``stop`` or the end of the file, which
+        is left in ``ahead``."""
+        nonlocal ahead
         for ahead in rows:
             if ahead[1] is None or ahead[1] == stop:
                 return
             yield ahead
 
     # META
-    body = section("META", ("key", "value"), ("PROJECTS",))
-    lineno, header = next(body)
+    lineno, header = section("META", ("key", "value"))
     if header != ("key", "value"):
         raise PbParseError(lineno, "META header must be 'key;value'")
     meta: dict[str, str] = {}
     meta_lines: dict[str, int] = {}
-    for lineno, cells in body:
+    for lineno, cells in body(("PROJECTS",)):
         if len(cells) != 2:
             raise PbParseError(lineno, "META rows must have exactly 2 fields")
         key, value = cells
@@ -258,13 +288,13 @@ def _read_pb(
         raise PbParseError(meta_lines["vote_type"], str(exc)) from None
 
     # PROJECTS
-    body = section("PROJECTS", ("project_id", "cost"), ("VOTES",))
-    lineno, header = next(body)
+    lineno, header = section("PROJECTS", ("project_id", "cost"))
     cost_col = header.index("cost")
     projects: list[PbProject] = []
     seen_projects: set[str] = set()
-    for lineno, cells in body:
+    for lineno, cells in body(("VOTES",)):
         pid = _row_id(lineno, cells, len(header), seen_projects, "project")
+        seen_projects.add(pid)
         try:
             cost = _parse_decimal(cells[cost_col])
         except ValueError:
@@ -276,53 +306,76 @@ def _read_pb(
         }
         projects.append(PbProject(pid, cost, extra))
 
-    def votes() -> Iterator[_Vote]:
-        body = section("VOTES", ("voter_id", "vote"), None)
-        lineno, header = next(body)
-        vote_col = header.index("vote")
-        points_col = header.index("points") if "points" in header else None
-        needs_points = ballot_type in _POINT_BALLOTS
-        if needs_points and points_col is None:
-            raise PbParseError(
-                lineno, f"{ballot_type.value} ballots require a points column"
-            )
-        seen_voters: set[str] = set()
-        width = len(header)
-        for lineno, cells in body:
-            # The common, valid row is checked inline; _row_id names the fault.
-            if len(cells) != width or not cells[0] or cells[0] in seen_voters:
-                _row_id(lineno, cells, width, seen_voters, "voter")
-            voter_id = cells[0]
-            seen_voters.add(voter_id)
-            raw_vote = cells[vote_col]
-            vote = tuple(map(str.strip, raw_vote.split(","))) if raw_vote else ()
-            if len(set(vote)) != len(vote):
-                raise PbParseError(lineno, "duplicate project in vote")
-            if not seen_projects.issuperset(vote):
-                unknown = next(pid for pid in vote if pid not in seen_projects)
-                raise PbParseError(
-                    lineno, f"vote references unknown project {unknown!r}"
-                )
-            points: Optional[tuple[Num, ...]] = None
-            raw_points = "" if points_col is None else cells[points_col]
-            if raw_points:
-                try:
-                    points = tuple(map(_parse_decimal, raw_points.split(",")))
-                except ValueError:
-                    raise PbParseError(lineno, "non-numeric points") from None
-                if len(points) != len(vote):
-                    raise PbParseError(
-                        lineno,
-                        f"points list has {len(points)} entries for "
-                        f"{len(vote)} vote entries",
-                    )
-            elif points_col is not None and not vote:
-                points = ()
-            elif needs_points:  # the header check found a points column
-                raise PbParseError(lineno, "missing points for vote")
-            yield voter_id, vote, points
+    # VOTES: its header here, its rows read from ``reader`` by read_votes.
+    lineno, header = section("VOTES", ("voter_id", "vote"))
+    vote_col = header.index("vote")
+    points_col = header.index("points") if "points" in header else None
+    needs_points = ballot_type in _POINT_BALLOTS
+    if needs_points and points_col is None:
+        raise PbParseError(
+            lineno, f"{ballot_type.value} ballots require a points column"
+        )
+    width = len(header)
+    rest = text[sum(map(len, lines[: reader.line_num])):]
+    strip = not rest.isascii() or any(c in rest for c in _ASCII_STRIPPED)
 
-    return meta, budget, ballot_type, tuple(projects), votes()
+    def read_votes(take: _Take) -> _Votes:
+        voters: dict[str, None] = {}  # a set that keeps file order
+        taken = []
+        fault: Optional[ValueError] = None
+        end = reader.line_num
+        try:
+            for row in reader:
+                start, end = end + 1, reader.line_num
+                if strip:
+                    row = [*map(str.strip, row)]
+                # The common, valid row is checked inline; _row_id names
+                # the fault of any other row but a blank line.
+                if len(row) != width or not row[0] or row[0] in voters:
+                    if _blank(row, start, end, lines):
+                        continue
+                    _row_id(end, row, width, voters, "voter")
+                voter_id = row[0]
+                voters[voter_id] = None
+                raw_vote = row[vote_col]
+                vote = tuple(raw_vote.split(",")) if raw_vote else ()
+                if strip:
+                    vote = tuple(map(str.strip, vote))
+                if len(set(vote)) != len(vote):
+                    raise PbParseError(end, "duplicate project in vote")
+                if not seen_projects.issuperset(vote):
+                    unknown = next(pid for pid in vote if pid not in seen_projects)
+                    raise PbParseError(
+                        end, f"vote references unknown project {unknown!r}"
+                    )
+                points: Optional[tuple[Num, ...]] = None
+                if points_col is not None:
+                    raw_points = row[points_col]
+                    if raw_points:
+                        try:
+                            points = tuple(map(_parse_decimal, raw_points.split(",")))
+                        except ValueError:
+                            raise PbParseError(end, "non-numeric points") from None
+                        if len(points) != len(vote):
+                            raise PbParseError(
+                                end,
+                                f"points list has {len(points)} entries for "
+                                f"{len(vote)} vote entries",
+                            )
+                    elif not vote:
+                        points = ()
+                    elif needs_points:
+                        raise PbParseError(end, "missing points for vote")
+                if fault is None:
+                    try:
+                        taken.append(take(voter_id, vote, points))
+                    except ValueError as exc:
+                        fault = exc
+        except csv.Error as exc:
+            raise PbParseError(reader.line_num, str(exc)) from None
+        return voters, taken, fault
+
+    return meta, budget, ballot_type, tuple(projects), read_votes
 
 
 def parse_pb(text: str) -> PbFile:
@@ -337,13 +390,13 @@ def parse_pb(text: str) -> PbFile:
     that spans lines is the line its row ends on. A leading UTF-8
     byte-order mark (U+FEFF) is dropped.
 
-    These are the checks :func:`load_election` makes as it reads a file;
-    here each checked VOTES row is kept as a :class:`PbVote`.
+    These are the checks :func:`load_election` makes as it reads a file,
+    in the same loop over the VOTES rows; here that loop keeps each
+    checked row as a :class:`PbVote`.
     """
-    meta, _, _, projects, votes = _read_pb(text)
-    return PbFile(
-        meta=meta, projects=projects, votes=tuple(PbVote(*v) for v in votes)
-    )
+    meta, _, _, projects, read_votes = _read_pb(text)
+    _, votes, _ = read_votes(PbVote)
+    return PbFile(meta=meta, projects=projects, votes=tuple(votes))
 
 
 def _row_converter(
@@ -403,30 +456,21 @@ def _to_election(
     budget: Num,
     ballot_type: BallotType,
     projects: Sequence[PbProject],
-    votes: Iterable[_Vote],
+    read_votes: Callable[[_Take], _Votes],
     model: UtilityModel,
 ) -> Election:
-    """The election of checked VOTES rows, each converted as it is drawn.
+    """The election of the VOTES rows ``read_votes`` reads, each handed to
+    the score-row converter as it is checked.
 
-    A conversion fault is raised only once ``votes`` is exhausted, so that
-    a parse fault that drawing it raises comes first, and the
+    A conversion fault is raised only once every row is read, so that a
+    parse fault that reading them raises comes first, and the
     dropped-project warning is given only then too. Every entry is a
     positive rational at a kept project's index, so the profile is built
     from the rows directly rather than through the per-entry checks of
     :meth:`~eqshares.model.UtilityProfile.from_rows`.
     """
     kept = [project for project in projects if 0 < project.cost <= budget]
-    row = _row_converter(ballot_type, kept)
-    rows: list[dict[int, Num]] = []
-    voter_ids: list[str] = []
-    fault: Optional[ValueError] = None
-    for voter_id, vote, points in votes:
-        voter_ids.append(voter_id)
-        if fault is None:
-            try:
-                rows.append(row(voter_id, vote, points))
-            except ValueError as exc:
-                fault = exc
+    voter_ids, rows, fault = read_votes(_row_converter(ballot_type, kept))
     dropped = [p.id for p in projects if not 0 < p.cost <= budget]
     if dropped:
         warnings.warn(
@@ -466,9 +510,16 @@ def ballots_to_utilities(pb: PbFile, model: UtilityModel) -> Election:
     :func:`load_election` makes the same conversion of each row of a file
     as it reads the row.
     """
-    votes = ((v.voter_id, v.vote, v.points) for v in pb.votes)
+
+    def read_votes(take: _Take) -> _Votes:
+        try:
+            taken = [take(v.voter_id, v.vote, v.points) for v in pb.votes]
+        except ValueError as exc:
+            return (), (), exc
+        return [v.voter_id for v in pb.votes], taken, None
+
     return _to_election(
-        pb.meta, pb.budget, pb.ballot_type, pb.projects, votes, model
+        pb.meta, pb.budget, pb.ballot_type, pb.projects, read_votes, model
     )
 
 
@@ -594,12 +645,13 @@ def load_election(path: str, model: UtilityModel) -> Election:
     """Read a `.pb` file from disk as an election under ``model``.
 
     The result equals ``ballots_to_utilities(parse_pb(text), model)``, and
-    so do its faults: the file is read in one pass, each VOTES row checked
-    as :func:`parse_pb` checks it and turned straight into its score row,
-    with no :class:`PbVote` in between. A fault of the conversion (see
-    :func:`ballots_to_utilities`) is raised only once every row has
-    parsed, so that a later :class:`PbParseError` is the one reported, and
-    the dropped-project warning is given only for a file that parses.
+    so do its faults: the file is read in one pass, and the VOTES loop
+    :func:`parse_pb` runs hands each checked row straight to the score-row
+    converter, with no :class:`PbVote` in between. A fault of the
+    conversion (see :func:`ballots_to_utilities`) is raised only once
+    every row has parsed, so that a later :class:`PbParseError` is the one
+    reported, and the dropped-project warning is given only for a file
+    that parses.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()

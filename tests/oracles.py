@@ -8,7 +8,9 @@ against the package at run time.
 from __future__ import annotations
 
 import bisect
+import csv
 import math
+import re
 import statistics
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -642,3 +644,217 @@ def second_quantiles(values: list[Fraction]) -> dict[int, Fraction]:
         return {p: values[0] for p in (10, 25, 50, 75, 90)}
     cuts = statistics.quantiles(values, n=20, method="inclusive")
     return {10: cuts[1], 25: cuts[4], 50: cuts[9], 75: cuts[14], 90: cuts[17]}
+
+
+# ---------------------------------------------------------------------------
+# A second `.pb` reader: every row read first and every cell stripped, then
+# the checks made row by row in file order, then the rows converted.
+
+
+class _PbFault(Exception):
+    def __init__(self, line: Optional[int], message: str) -> None:
+        super().__init__(line, message)
+        self.line, self.message = line, message
+
+
+def _naive_decimal(text: str) -> Fraction:
+    match = re.fullmatch(r"([+-]?)(\d*)(?:\.(\d*))?", text.strip())
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(text)
+    whole, frac = match[2], match[3] or ""
+    value = Fraction(int(whole + frac), 10 ** len(frac))
+    return -value if match[1] == "-" else value
+
+
+def _naive_rows(lines: list[str]) -> list:
+    """(the line it ends on, its stripped cells) of every row but blank
+    lines; a ``csv.Error`` ends the list as (its line, the error)."""
+    reader = csv.reader(lines, delimiter=";")
+    rows: list = []
+    last = 0
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return rows
+        except csv.Error as exc:
+            rows.append((reader.line_num, exc))
+            return rows
+        first, last = last + 1, reader.line_num
+        if first == last and len(cells) <= 1 and lines[last - 1].strip() == "":
+            continue
+        rows.append((last, [cell.strip() for cell in cells]))
+
+
+def _naive_parse(text: str):
+    """The ballot type, budget, project costs and ballots of `.pb` text."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = text.splitlines(keepends=True)
+    rows = _naive_rows(lines)
+    rows.append((len(lines) + 1, None))  # the end of the file
+    at = 0
+
+    def peek() -> tuple[int, Optional[list[str]]]:
+        line, cells = rows[at]
+        if isinstance(cells, csv.Error):
+            raise _PbFault(line, str(cells))
+        return line, cells
+
+    def header(name: str, required: tuple[str, str]) -> tuple[int, list[str]]:
+        nonlocal at
+        line, cells = peek()
+        if cells is None:
+            raise _PbFault(line, "unexpected end of file")
+        if cells != [name]:
+            raise _PbFault(line, f"expected {name} section, got {';'.join(cells)!r}")
+        at += 1
+        line, cells = peek()
+        if cells is None:
+            raise _PbFault(line, "unexpected end of file")
+        for column in required:
+            if column not in cells:
+                raise _PbFault(line, f"{name} header must include {column!r}")
+        if cells[0] != required[0]:
+            raise _PbFault(line, f"{name} header must start with {required[0]!r}")
+        if len(set(cells)) != len(cells):
+            raise _PbFault(line, f"duplicate column in {name} header")
+        at += 1
+        return line, cells
+
+    def body(stop: Optional[str]):
+        nonlocal at
+        while True:
+            line, cells = peek()
+            if cells is None or cells == [stop]:
+                return
+            at += 1
+            yield line, cells
+
+    def row_id(line: int, cells: list[str], width: int, seen, what: str) -> str:
+        if len(cells) != width:
+            raise _PbFault(line, f"expected {width} fields, got {len(cells)}")
+        if cells[0] == "":
+            raise _PbFault(line, f"empty {what} id")
+        if cells[0] in seen:
+            raise _PbFault(line, f"duplicate {what} id {cells[0]!r}")
+        return cells[0]
+
+    line, columns = header("META", ("key", "value"))
+    if columns != ["key", "value"]:
+        raise _PbFault(line, "META header must be 'key;value'")
+    meta: dict[str, tuple[int, str]] = {}
+    for line, cells in body("PROJECTS"):
+        if len(cells) != 2:
+            raise _PbFault(line, "META rows must have exactly 2 fields")
+        if cells[0] in meta:
+            raise _PbFault(line, f"duplicate META key {cells[0]!r}")
+        meta[cells[0]] = (line, cells[1])
+    for key in ("budget", "vote_type"):
+        if key not in meta:
+            raise _PbFault(peek()[0], f"META is missing required key {key!r}")
+    line, value = meta["budget"]
+    try:
+        budget = _naive_decimal(value)
+    except ValueError:
+        raise _PbFault(line, "non-numeric budget") from None
+    if budget <= 0:
+        raise _PbFault(line, "budget must be positive")
+    line, value = meta["vote_type"]
+    ballot = value.lower().replace("-", "").replace("_", "")
+    if ballot not in ("approval", "ordinal", "cumulative", "scoring", "choose1"):
+        raise _PbFault(line, f"unknown vote_type {value!r}")
+
+    line, columns = header("PROJECTS", ("project_id", "cost"))
+    costs: dict[str, Fraction] = {}
+    for line, cells in body("VOTES"):
+        pid = row_id(line, cells, len(columns), costs, "project")
+        try:
+            costs[pid] = _naive_decimal(cells[columns.index("cost")])
+        except ValueError:
+            raise _PbFault(line, "non-numeric cost") from None
+
+    line, columns = header("VOTES", ("voter_id", "vote"))
+    has_points = "points" in columns
+    if ballot in ("cumulative", "scoring") and not has_points:
+        raise _PbFault(line, f"{ballot} ballots require a points column")
+    ballots: dict[str, tuple[list[str], Optional[list[Fraction]]]] = {}
+    for line, cells in body(None):
+        voter = row_id(line, cells, len(columns), ballots, "voter")
+        cell = cells[columns.index("vote")]
+        vote = [pid.strip() for pid in cell.split(",")] if cell else []
+        if len(set(vote)) < len(vote):
+            raise _PbFault(line, "duplicate project in vote")
+        for pid in vote:
+            if pid not in costs:
+                raise _PbFault(line, f"vote references unknown project {pid!r}")
+        points = None
+        cell = cells[columns.index("points")] if has_points else ""
+        if cell:
+            try:
+                points = [_naive_decimal(p) for p in cell.split(",")]
+            except ValueError:
+                raise _PbFault(line, "non-numeric points") from None
+            if len(points) != len(vote):
+                raise _PbFault(
+                    line,
+                    f"points list has {len(points)} entries for "
+                    f"{len(vote)} vote entries",
+                )
+        elif has_points and not vote:
+            points = []
+        elif ballot in ("cumulative", "scoring"):
+            raise _PbFault(line, "missing points for vote")
+        ballots[voter] = (vote, points)
+
+    return ballot, budget, costs, ballots
+
+
+def naive_read_pb(text: str) -> dict:
+    """What reading ``text`` as a `.pb` file and converting its ballots
+    gives, written from the format's rules alone: ``voter_ids`` and the
+    score ``rows`` over the kept projects, the dropped-project ``warning``
+    (or None), and the ``fault`` as (line, message). A fault of the
+    conversion has line None and comes after the warning.
+
+    Rows are those ``csv.reader`` reads from the text's lines, split as
+    ``str.splitlines`` splits them; a row of one line of whitespace is
+    blank and skipped. Every cell and vote entry is stripped, and the
+    checks are made in file order.
+    """
+    result = {"voter_ids": None, "rows": None, "warning": None, "fault": None}
+    try:
+        ballot, budget, costs, ballots = _naive_parse(text)
+    except _PbFault as fault:
+        result["fault"] = (fault.line, fault.message)
+        return result
+    kept = [pid for pid, cost in costs.items() if 0 < cost <= budget]
+    dropped = sorted(pid for pid in costs if pid not in kept)
+    if dropped:
+        result["warning"] = (
+            f"dropped {len(dropped)} project(s) with cost outside (0, budget]: "
+            + ", ".join(dropped)
+        )
+    rows = []
+    for voter, (vote, points) in ballots.items():
+        if ballot == "choose1" and len(vote) != 1:
+            result["fault"] = (None, f"voter {voter!r}: choose-1 ballot must "
+                                     f"list exactly one project, got {len(vote)}")
+            return result
+        if ballot in ("approval", "choose1"):
+            scores = [ONE] * len(vote)
+        elif ballot == "ordinal":  # Borda weights over the full ballot
+            scores = [Fraction(len(vote) - j) for j in range(len(vote))]
+        else:
+            scores = points
+        for pid, score in zip(vote, scores):
+            if score < 0:
+                result["fault"] = (None, f"voter {voter!r}: negative points for {pid!r}")
+                return result
+        rows.append({
+            kept.index(pid): score
+            for pid, score in zip(vote, scores)
+            if pid in kept and score != 0
+        })
+    result["voter_ids"], result["rows"] = list(ballots), rows
+    return result

@@ -20,6 +20,8 @@ import pytest
 import eqshares
 from eqshares import rules
 from eqshares.cli import BENCH_RULES, main
+from eqshares.model import UtilityModel
+from eqshares.pabulib import load_election
 from eqshares.stats import (
     records_from_csv,
     records_from_jsonl,
@@ -632,6 +634,24 @@ class TestBatchStreaming:
         assert [float(cell[3]) for cell in cells] == [
             r.runtime_sec for r in records
         ]
+        loads = re.findall(
+            r"INFO load instance=(\S+) voters=(\d+) projects=(\d+) "
+            r"load_sec=([0-9.e+-]+)\n", done.stderr,
+        )
+        elections = [
+            load_election(str(pair_dir / name), UtilityModel.COST)
+            for name in ("minority.pb", "tail.pb")
+        ]
+        assert [load[:3] for load in loads] == [
+            (stem, str(e.n_voters), str(len(e.projects)))
+            for stem, e in zip(("minority", "tail"), elections)
+        ]
+        assert all(float(load[3]) > 0 for load in loads)
+        # A file's load is logged before its cells.
+        order = re.findall(r"INFO (load|cell) instance=(\S+)", done.stderr)
+        assert order == [("load", "minority"), ("cell", "minority"),
+                         ("cell", "minority"), ("load", "tail"),
+                         ("cell", "tail"), ("cell", "tail")]
 
     def test_records_do_not_depend_on_the_hash_seed(self, tmp_path,
                                                     fixtures_dir):

@@ -237,6 +237,40 @@ class TestDerivationsAgainstNaiveSums:
             assert voter_utilities(e, outcome, model) == naive
 
 
+def naive_columns(prof: UtilityProfile) -> list:
+    """Each project's supporters, and their utilities as integers over the
+    lcm of the column's denominators, entry by entry."""
+    out = []
+    for c in range(prof.n_projects):
+        voters = [i for i, row in enumerate(prof.rows) if c in row]
+        values = [prof.rows[i][c] for i in voters]
+        scale = math.lcm(*(u.denominator for u in values))
+        weights = [u.numerator * (scale // u.denominator) for u in values]
+        out.append((voters, weights, scale))
+    return out
+
+
+class TestColumnsAgainstNaiveEntries:
+    """Columns of one shared object (as parsed approval columns are), of
+    equal but distinct objects, and of mixed values; and an empty one."""
+
+    @pytest.mark.parametrize("kind", ["shared", "equal", "mixed"])
+    def test_columns(self, kind):
+        n, two_thirds = 9, F(2, 3)
+        entries = {
+            "shared": [two_thirds] * n,
+            "equal": [F(2, 3) for _ in range(n)],
+            "mixed": [F(k + 1, k % 4 + 2) for k in range(n)],
+        }[kind]
+        rows = [{0: u, 1: F(1)} if i % 3 else {0: u} for i, u in enumerate(entries)]
+        prof = UtilityProfile.from_rows(n, 3, rows)
+        projects = tuple(Project(c, f"p{c}", F(5 * c + 1, 4)) for c in range(3))
+        for out in (prof, prof.scaled(F(6, 7)), derive_cost_utilities(prof, projects)):
+            columns = [(list(v), w, scale) for v, w, scale in out.columns]
+            assert columns == naive_columns(out)
+            assert all(type(w) is list for _, w, _ in out.columns)
+
+
 class TestDeriveCostUtilities:
     def test_approval_times_cost(self):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])

@@ -21,6 +21,7 @@ from eqshares.pabulib import (
     PbProject,
     PbVote,
     PbWriteError,
+    _ASCII_STRIPPED,
     _decimal_str,
     _parse_decimal,
     ballots_to_utilities,
@@ -28,6 +29,7 @@ from eqshares.pabulib import (
     parse_pb,
     write_pb,
 )
+from oracles import naive_read_pb
 from test_acceptance import fuzzed_election
 from test_model import assert_profile_of_products
 
@@ -988,13 +990,27 @@ COSTS = ("1", "2.5", "0.25", "7", "60", "0", "-3")
 POINTS = ("0", "1", "2.5", "3", "10")
 
 
+# Whitespace beside a cell: tab, line tabulation, form feed, file and unit
+# separators, next line, no-break space, line separator and ideographic
+# space. Some end a line for ``str.splitlines``.
+ODD_SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+              "\u2028", "\u3000")
+
+
 @st.composite
 def pb_texts(draw):
     """`.pb` text of any ballot type: projects over budget or of cost at
-    most 0, votes quoted or spaced, blank lines, CRLF and a byte-order
+    most 0, blank lines, LF, CRLF or lone-CR line ends and a byte-order
     mark. Some files hold a conversion fault: a choose-1 ballot that does
-    not list one project, or negative points."""
+    not list one project, or negative points.
+
+    The VOTES rows are one of: plain (no whitespace but the line ends and
+    no quote, so that cells are read as written); plain but for one
+    ``ODD_SPACES`` character beside a voter id or cell, or on a line of its
+    own; or spaced, with votes quoted or spaced and quoted cells holding a
+    space or a line break."""
     ballot_type = draw(st.sampled_from(list(BallotType)))
+    style = draw(st.sampled_from(["plain", "odd", "odd", "spaced"]))
     names = NAMES[: draw(st.integers(1, len(NAMES)))]
     costs = [draw(st.sampled_from(COSTS)) for _ in names]
     points = ballot_type in (BallotType.CUMULATIVE, BallotType.SCORING)
@@ -1002,26 +1018,49 @@ def pb_texts(draw):
              "PROJECTS", "project_id;cost",
              *(f"{name};{cost}" for name, cost in zip(names, costs)),
              "VOTES", "voter_id;vote;points" if points else "voter_id;vote"]
+    votes_at = len(lines)
     for voter in range(draw(st.integers(1, 5))):
         vote = draw(st.permutations(names))
         if ballot_type is BallotType.CHOOSE1 and draw(st.integers(0, 9)):
             vote = vote[:1]
         else:
             vote = vote[: draw(st.integers(0, len(vote)))]
-        sep = draw(st.sampled_from([",", " , "]))
-        cell = sep.join(vote)
-        if draw(st.booleans()):
-            cell = f'"{cell}"'
-        row = f"v{voter};{cell}"
+        cells = [f"v{voter}", ",".join(vote)]
+        if style == "spaced":
+            cells[1] = draw(st.sampled_from([",", " , "])).join(vote)
+            quoted = draw(st.sampled_from([0, 1, 1, 2, 3]))
+            at = draw(st.integers(0, 1))
+            if quoted == 1:
+                cells[1] = f'"{cells[1]}"'
+            elif quoted == 2:
+                cells[at] = f'" {cells[at]}"'
+            elif quoted == 3:
+                cells[at] = f'"{cells[at]}\n"'
         if points:
             scores = [draw(st.sampled_from(POINTS)) for _ in vote]
             if scores and not draw(st.integers(0, 9)):
                 scores[-1] = "-1"
-            row += ";" + ",".join(scores)
-        lines.append(row)
+            cells.append(",".join(scores))
+        lines.append(";".join(cells))
         if not draw(st.integers(0, 4)):
-            lines.append(draw(st.sampled_from(["", "  "])))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+            lines.append("  " if style == "spaced" and draw(st.booleans()) else "")
+    if style == "odd":
+        row = draw(st.integers(votes_at, len(lines) - 1))
+        line = lines[row]
+        # Beside the voter id, beside the vote (most often after it, where
+        # a line-ending space leaves the row's cells as they were), or on a
+        # line of its own.
+        first = line.find(";")
+        after = line.find(";", first + 1)
+        if after < 0:
+            after = len(line)
+        at = draw(st.sampled_from([0, first, first + 1, after, after, None]))
+        space = draw(st.sampled_from(ODD_SPACES))
+        if at is None:
+            lines.insert(row, space)
+        else:
+            lines[row] = line[:at] + space + line[at:]
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
@@ -1060,3 +1099,58 @@ class TestLoadMatchesParseAndConvert:
             loaded.cost_utilities, loaded.scores,
             [p.cost for p in loaded.projects],
         )
+
+
+class TestReadersMatchTheNaiveReader:
+    """``load_election`` and ``parse_pb`` share one loop over the VOTES
+    rows, which reads a section without whitespace or quotes as written.
+    The naive reader shares no code with them: it strips every cell."""
+
+    @given(pb_texts(), st.sampled_from(list(UtilityModel)))
+    @settings(max_examples=300, deadline=None)
+    @example(build(votes="v1;p1\xa0"), UtilityModel.COST)
+    @example(build(votes="\xa0v1;p1,p2"), UtilityModel.COST)
+    @example(build(votes="v1;p1\x1c"), UtilityModel.SCORE)
+    @example(build(votes="v1;p2\nv2;p1\x1f"), UtilityModel.SCORE)
+    @example(build(votes='v1;"p1,\np2"'), UtilityModel.COST)
+    def test_same_voters_rows_warning_or_fault(self, text, model):
+        expected = naive_read_pb(text)
+        for read in (load_text, parse_and_convert):
+            got, warned = outcome(lambda: read(text, model))
+            assert warned == [w for w in [expected["warning"]] if w]
+            if expected["fault"] is None:
+                assert isinstance(got, Election), got
+                assert got.metadata["pb_voter_ids"] == ",".join(
+                    expected["voter_ids"]
+                )
+                assert got.scores.rows == tuple(expected["rows"])
+                continue
+            line, message = expected["fault"]
+            if line is None:
+                assert got == (ValueError, message)
+            else:
+                assert got == (PbParseError, f"line {line}: {message}")
+
+    def test_the_strip_check_covers_ascii_whitespace_and_quotes(self):
+        ascii_spaces = {chr(c) for c in range(128) if chr(c).isspace()}
+        assert set(_ASCII_STRIPPED) == ascii_spaces - {"\r", "\n"} | {'"'}
+
+
+@pytest.mark.parametrize("model", list(UtilityModel))
+def test_a_spaced_copy_of_the_wide_fixture_loads_as_the_fixture(
+    fixtures_dir, tmp_path, model
+):
+    path = fixtures_dir / "wide" / "approval-1000.pb"
+    text = path.read_text(encoding="utf-8")
+    votes = text.index("\nVOTES\n") + len("\nVOTES\n")
+    spaced = tmp_path / path.name
+    spaced.write_text(
+        text[:votes] + text[votes:].replace(";", "; ").replace(",", ", "),
+        encoding="utf-8",
+    )
+    got = load_election(str(spaced), model)
+    want = load_election(str(path), model)
+    assert got.projects == want.projects
+    assert got.scores.rows == want.scores.rows
+    assert got.metadata["pb_voter_ids"] == want.metadata["pb_voter_ids"]
+    assert got.n_voters == 1000
