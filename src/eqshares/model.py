@@ -116,12 +116,14 @@ class UtilityProfile:
     are exact inverses of the per-voter support sets.
 
     A profile of products (:meth:`scaled`, :func:`derive_cost_utilities`)
-    is a source profile with each column's entries times a positive
-    factor, so it has the source's support. Its :attr:`supporters` are
-    the source's tuple and :meth:`supported_by` reads the source's rows;
-    its :attr:`columns` and :attr:`project_totals` are formed from the
-    source's entries times the factors. Its own ``rows`` are built when
-    first read, and it equals the profile built from them.
+    is a plain source profile with each column's entries times a positive
+    factor (one made from another keeps its source and multiplies the
+    factors), so it has the source's support: its :attr:`supporters` are
+    the source's tuple and :meth:`supported_by` reads the source's rows.
+    Its own ``rows`` are built when first read, and it equals the profile
+    built from them. Each per-project datum is derived once: approval
+    :attr:`columns` from the supporter lists, :attr:`project_totals` from
+    the columns or, on approval ballots, the supporter counts.
     """
 
     n_voters: int
@@ -203,46 +205,20 @@ class UtilityProfile:
 
     @cached_property
     def project_totals(self) -> tuple[Num, ...]:
-        """Total utility each project receives across all voters.
-
-        Each project's entries are summed as one integer numerator over the
-        lcm of their denominators, and its total is one exact rational, so
-        no per-entry rational addition is made. A project's entries often
-        come in runs of one shared object, so each run is counted and its
-        numerator and denominator read once. A profile of products takes
-        its source's totals times the factors.
-        """
+        """Total utility each project receives across all voters: its
+        column's weight sum (:attr:`column_sums`) over the column's scale,
+        one exact rational. An approval profile's are its supporter counts,
+        read without building its columns. A profile of products takes its
+        source's totals times the factors."""
         if self._source is not None:
             profile, factors = self._source
             return tuple(map(operator.mul, profile.project_totals, factors))
-        m = self.n_projects
-        nums, dens = [0] * m, [1] * m
-        last: list[Num | None] = [None] * m
-        runs = [0] * m
-
-        def close(c: int) -> None:
-            num, den = last[c].as_integer_ratio()
-            num *= runs[c]
-            have = dens[c]
-            if den == have:
-                nums[c] += num
-            else:
-                common = lcm(have, den)
-                nums[c] = nums[c] * (common // have) + num * (common // den)
-                dens[c] = common
-
-        for row in self.rows:
-            for c, value in row.items():
-                if value is last[c]:
-                    runs[c] += 1
-                else:
-                    if runs[c]:
-                        close(c)
-                    last[c], runs[c] = value, 1
-        for c in range(m):
-            if runs[c]:
-                close(c)
-        return tuple(map(Fraction, nums, dens))
+        if self.is_approval:
+            return tuple(Fraction(len(voters)) for voters in self.supporters)
+        return tuple(
+            Fraction(total, scale)
+            for (total, _), (_, _, scale) in zip(self.column_sums, self.columns)
+        )
 
     @cached_property
     def columns(self) -> tuple[tuple[Sequence[int], list[int], int], ...]:
@@ -251,15 +227,24 @@ class UtilityProfile:
 
         ``weights[j] / scale`` is the utility of ``voters[j]``, which runs
         through :attr:`supporters`, and ``scale`` is the lcm of the column's
-        denominators. Entries of a column are often one shared object, so a
-        run of the same object reads its denominator and makes its weight
-        once, and a column of one shared object (every parsed approval
-        column) is its one weight repeated. A profile of products reads its
-        source's rows, and forms one product per distinct entry of the
-        column.
+        denominators. Over an approval source (:attr:`is_approval`) a column
+        is one weight, 1 or factor c's integer pair, repeated, and no row is
+        read; an empty column is ``((), [], 1)``. Other columns read the
+        source's rows: a run of one shared entry object reads its
+        denominator and makes its weight once, and a profile of products
+        forms one product per distinct entry.
         """
         source = self._source
-        rows = self.rows if source is None else source[0].rows
+        plain = self if source is None else source[0]
+        if plain.is_approval:
+            factors = (ONE,) * self.n_projects if source is None else source[1]
+            return tuple(
+                (voters, [num] * len(voters), den if voters else 1)
+                for voters, (num, den) in zip(
+                    plain.supporters, (f.as_integer_ratio() for f in factors)
+                )
+            )
+        rows = plain.rows
         out = []
         for c, voters in enumerate(self.supporters):
             column = [rows[i][c] for i in voters]
@@ -299,10 +284,10 @@ class UtilityProfile:
 
     @cached_property
     def is_approval(self) -> bool:
-        """Whether every positive entry is 1 (approval ballots).
-
-        Entries are often one shared object, so only an entry that is not
-        the last one seen has its integer pair tested.
+        """Whether every positive entry is 1 (approval ballots): then the
+        :attr:`columns` come from the supporter lists and the totals are
+        supporter counts. Entries are often one shared object, so only an
+        entry that is not the last one seen has its integer pair tested.
         """
         last = None
         for row in self.rows:
@@ -323,13 +308,17 @@ class UtilityProfile:
 
     def _times(self, factors: Sequence[Num]) -> "UtilityProfile":
         """The profile of products whose column c is this profile's times
-        ``factors[c]``, each positive."""
+        ``factors[c]``, each positive; its source is always plain."""
+        source = self
+        if self._source is not None:
+            source, inner = self._source
+            factors = map(operator.mul, inner, factors)
         out = object.__new__(UtilityProfile)
         # The dataclass is frozen, so the fields go into the instance dict.
         vars(out).update(
             n_voters=self.n_voters,
             n_projects=self.n_projects,
-            _source=(self, tuple(factors)),
+            _source=(source, tuple(factors)),
         )
         return out
 
@@ -387,8 +376,9 @@ def derive_cost_utilities(
     Costs are positive, so the result is a profile of products (see
     :class:`UtilityProfile`) with each project's cost as its column's
     factor: it shares the scores' :attr:`~UtilityProfile.supporters`
-    tuple, its :attr:`~UtilityProfile.columns` come from the score rows,
-    and its rows are built only when something reads them. Nothing is
+    tuple, its :attr:`~UtilityProfile.columns` come from the score rows
+    (approval scores' from the supporter lists and the costs alone), and
+    its rows are built only when something reads them. Nothing is
     computed here.
     """
     if len(projects) != scores.n_projects:

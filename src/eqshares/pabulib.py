@@ -341,9 +341,10 @@ def _read_pb(
                 vote = tuple(raw_vote.split(",")) if raw_vote else ()
                 if strip:
                     vote = tuple(map(str.strip, vote))
-                if len(set(vote)) != len(vote):
+                chosen = set(vote)
+                if len(chosen) != len(vote):
                     raise PbParseError(end, "duplicate project in vote")
-                if not seen_projects.issuperset(vote):
+                if not seen_projects.issuperset(chosen):
                     unknown = next(pid for pid in vote if pid not in seen_projects)
                     raise PbParseError(
                         end, f"vote references unknown project {unknown!r}"

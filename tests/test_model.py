@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqshares.model import (
+    ONE,
     BudgetState,
     Election,
     FractionalOutcome,
@@ -250,9 +251,43 @@ def naive_columns(prof: UtilityProfile) -> list:
     return out
 
 
+def naive_totals(prof: UtilityProfile) -> tuple:
+    """Each project's entries summed one rational at a time."""
+    totals = [ZERO] * prof.n_projects
+    for row in prof.rows:
+        for c, u in row.items():
+            totals[c] += u
+    return tuple(totals)
+
+
+class Unreadable(tuple):
+    """Rows that fail when anything reads them."""
+
+    def __getitem__(self, index):
+        raise AssertionError("a row was read")
+
+    def __iter__(self):
+        raise AssertionError("the rows were read")
+
+
 class TestColumnsAgainstNaiveEntries:
     """Columns of one shared object (as parsed approval columns are), of
-    equal but distinct objects, and of mixed values; and an empty one."""
+    equal but distinct objects, and of mixed values; approval columns,
+    which come from the supporter lists; and an empty one. Each profile is
+    checked as it is, scaled, and cost-weighted, and its totals with
+    them."""
+
+    @staticmethod
+    def check(prof):
+        projects = tuple(
+            Project(c, f"p{c}", F(5 * c + 1, 4)) for c in range(prof.n_projects)
+        )
+        for out in (prof, prof.scaled(F(6, 7)), derive_cost_utilities(prof, projects)):
+            columns = [(list(v), w, scale) for v, w, scale in out.columns]
+            totals = out.project_totals
+            assert columns == naive_columns(out)
+            assert all(type(w) is list for _, w, _ in out.columns)
+            assert totals == naive_totals(out)
 
     @pytest.mark.parametrize("kind", ["shared", "equal", "mixed"])
     def test_columns(self, kind):
@@ -263,12 +298,50 @@ class TestColumnsAgainstNaiveEntries:
             "mixed": [F(k + 1, k % 4 + 2) for k in range(n)],
         }[kind]
         rows = [{0: u, 1: F(1)} if i % 3 else {0: u} for i, u in enumerate(entries)]
+        self.check(UtilityProfile.from_rows(n, 3, rows))
+
+    @pytest.mark.parametrize("n", [9, 0])
+    @pytest.mark.parametrize("kind", ["shared", "fresh", "three-thirds"])
+    def test_approval_columns(self, kind, n):
+        one = {
+            "shared": lambda: ONE,
+            "fresh": lambda: F(1),
+            "three-thirds": lambda: F(3, 3),
+        }[kind]
+        # Nobody approves project 2.
+        rows = [{0: one(), 1: one()} if i % 3 else {0: one()} for i in range(n)]
         prof = UtilityProfile.from_rows(n, 3, rows)
+        assert prof.is_approval
+        self.check(prof)
+        assert prof.columns[2] == ((), [], 1)
+
+    def test_cardinal_totals(self):
+        # Decimal scores over 10^9, nearly all distinct, and integers.
+        n = 40
+        rows = [
+            {0: F((k * 7919) % 10**9 + 1, 10**9), 1: k % 3 + 1} if k % 4
+            else {0: F(k + 1, 10**9)}
+            for k in range(n)
+        ]
+        prof = UtilityProfile.from_rows(n, 3, rows)
+        assert not prof.is_approval
+        self.check(prof)
+
+    def test_approval_columns_read_no_row(self):
+        rows = [{0: ONE, 1: ONE} if i % 3 else {0: ONE} for i in range(9)]
+        twin = UtilityProfile.from_rows(9, 3, rows)
         projects = tuple(Project(c, f"p{c}", F(5 * c + 1, 4)) for c in range(3))
-        for out in (prof, prof.scaled(F(6, 7)), derive_cost_utilities(prof, projects)):
-            columns = [(list(v), w, scale) for v, w, scale in out.columns]
-            assert columns == naive_columns(out)
-            assert all(type(w) is list for _, w, _ in out.columns)
+        wanted = [
+            (p.columns, p.column_sums, p.project_totals)
+            for p in (twin, twin.scaled(F(6, 7)), derive_cost_utilities(twin, projects))
+        ]
+        prof = UtilityProfile.from_rows(9, 3, rows)
+        assert prof.is_approval and prof.supporters == twin.supporters
+        object.__setattr__(prof, "rows", Unreadable(prof.rows))
+        made = (prof, prof.scaled(F(6, 7)), derive_cost_utilities(prof, projects))
+        for out, want in zip(made, wanted):
+            assert (out.columns, out.column_sums, out.project_totals) == want
+        assert all("rows" not in vars(out) for out in made[1:])
 
 
 class TestDeriveCostUtilities:

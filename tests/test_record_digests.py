@@ -27,6 +27,14 @@ approval file written by ``write_pb`` from
 ``tests/instances.py::pabulib_approval_election(1000, 1000, 40)``. It runs
 with the coarse ``--add1u-step 100``, so that the add1u scan makes about
 two dozen probes rather than more than 2,000 at the default step of 1.
+
+A third test pins records of decimal scores: ``batch --rules all`` under
+each model on ``tests/fixtures/euclidean``, three 150-voter,
+150-candidate instances written by ``eqshares gen euclidean --dist D
+--seed 0`` for D = 1, 2, 3. Their scores are decimals over 10^9, nearly all
+distinct, so each column's entries have large, different denominators.
+The files are committed, not generated, since numpy does not promise its
+samplers' streams across versions.
 """
 from __future__ import annotations
 
@@ -74,6 +82,12 @@ WIDE_RULES = {"bos", "bos-plus", "fres-complete", "mes-add1u", "utilitarian"}
 WIDE_DIGESTS = {
     "cost": "1e127347e10aec95502a7854513a538882c25c4b835eb77f2a750aa4028a09d5",
     "score": "f2841ee1ab89c33efafda7d3bce17275fb4db62aa80d864ba6a3952fcd748492",
+}
+
+EUCLIDEAN_RULES = WIDE_RULES
+EUCLIDEAN_DIGESTS = {
+    "cost": "9677d23dceaffa3d5325adc10cfeb13a914ba56e7707dd1502b9d3adf6df3976",
+    "score": "75bf4db192fa5aca0004fc98ac697920698f7c2af90b14d11aecf2c151c5023c",
 }
 
 
@@ -168,3 +182,20 @@ def test_wide_approval_records_match_their_digest(
         for rnd in r["rounds"]
     )
     assert records_digest(records) == WIDE_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(EUCLIDEAN_DIGESTS))
+def test_decimal_score_records_match_their_digest(model, fixtures_dir, tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert main([
+        "batch", str(fixtures_dir / "euclidean"), "--rules", "all",
+        "--model", model, "--out", str(out),
+    ]) == 0
+    with out.open(encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+
+    assert {r["rule"] for r in records} == EUCLIDEAN_RULES
+    assert {r["instance"] for r in records} == {
+        f"euclid_d{d}_s0000" for d in (1, 2, 3)
+    }
+    assert records_digest(records) == EUCLIDEAN_DIGESTS[model]
