@@ -229,10 +229,11 @@ class UtilityProfile:
         through :attr:`supporters`, and ``scale`` is the lcm of the column's
         denominators. Over an approval source (:attr:`is_approval`) a column
         is one weight, 1 or factor c's integer pair, repeated, and no row is
-        read; an empty column is ``((), [], 1)``. Other columns read the
-        source's rows: a run of one shared entry object reads its
-        denominator and makes its weight once, and a profile of products
-        forms one product per distinct entry.
+        read; an empty column is ``((), [], 1)``. A plain profile's other
+        columns read its rows: a run of one shared entry object reads its
+        denominator and makes its weight once. A profile of products takes
+        the source's column times the factor (:func:`_product_column`),
+        with no row and no rational read.
         """
         source = self._source
         plain = self if source is None else source[0]
@@ -244,6 +245,8 @@ class UtilityProfile:
                     plain.supporters, (f.as_integer_ratio() for f in factors)
                 )
             )
+        if source is not None:
+            return tuple(map(_product_column, plain.columns, source[1]))
         rows = plain.rows
         out = []
         for c, voters in enumerate(self.supporters):
@@ -253,18 +256,14 @@ class UtilityProfile:
             for u in column:
                 if u is not last:
                     last = u
-                    heads.append(u)
-            if source is None:
-                pairs = [u.as_integer_ratio() for u in heads]
-            else:
-                pairs = _products(heads, source[1][c])
-            if len(pairs) == 1:
-                num, den = pairs[0]
+                    heads.append(u.as_integer_ratio())
+            if len(heads) == 1:
+                num, den = heads[0]
                 out.append((voters, [num] * len(column), den))
                 continue
-            scale = lcm(*{den for _, den in pairs})
+            scale = lcm(*{den for _, den in heads})
             weights = []
-            run = iter(pairs)
+            run = iter(heads)
             last = weight = None
             for u in column:
                 if u is not last:
@@ -323,19 +322,27 @@ class UtilityProfile:
         return out
 
 
-def _products(heads: list[Num], factor: Num) -> list[tuple[int, int]]:
-    """The integer pair of each entry times ``factor``: one product per
-    distinct entry, looked up by its integer pair (hashing a Fraction costs
-    a modular inverse, more than the product)."""
-    made: dict[tuple[int, int], tuple[int, int]] = {}
-    out = []
-    for u in heads:
-        key = u.as_integer_ratio()
-        pair = made.get(key)
-        if pair is None:
-            pair = made[key] = (u * factor).as_integer_ratio()
-        out.append(pair)
-    return out
+def _product_column(
+    column: tuple[Sequence[int], list[int], int], factor: Num
+) -> tuple[Sequence[int], list[int], int]:
+    """A source column ``(voters, weights, scale)`` times ``factor`` =
+    n/d, over the lcm of the products' denominators.
+
+    Each product is weight * n / D with D = scale * d, and the lcm of
+    their reduced denominators is D / g with g = gcd(D, n * gcd(weights)):
+    one gcd per column. A run of one weight object keeps one product
+    object.
+    """
+    voters, weights, scale = column
+    num, den = factor.as_integer_ratio()
+    g = gcd(scale * den, num * gcd(*weights))
+    products = []
+    last = product = None
+    for w in weights:
+        if w is not last:
+            last, product = w, w * num // g
+        products.append(product)
+    return voters, products, scale * den // g
 
 
 def _product_rows(
@@ -679,13 +686,21 @@ class BudgetState:
         return Fraction(sum(self.work_units), self.work_scale)
 
     def debit(
-        self, amounts: Iterable[tuple[int, int]], den: int
+        self,
+        payers: Iterable[int],
+        weights: Iterable[int],
+        rate: int,
+        den: int,
+        unit: int = 1,
     ) -> list[tuple[int, Num]]:
-        """Take ``amount / den`` from each ``(voter, amount)`` in turn.
-
-        Consecutive voters that hold one amount object (a run of a quote's
-        payers, :class:`Payments`) share one product with the working
-        scale.
+        """Take ``(weight // unit) * rate / den`` from each payer in turn,
+        ``weights`` holding the payers' weights in the same order: a
+        quote's uncapped payers with its ``unit`` and ``rate``, or its
+        capped payers with their money at its ``cap``
+        (:meth:`~eqshares.rules.AffordabilityQuote.charge`). Payers that
+        hold one weight object, a run, share one product with the working
+        scale, so all of an approval column's do. Payments of ``amount /
+        den`` each are ``(payers, amounts, 1, den)``.
 
         A balance stops at zero. The result lists ``(voter, shortfall)``,
         in charge order, for each voter charged more than she held; the
@@ -702,13 +717,15 @@ class BudgetState:
             factor = scale // self.work_scale
             self.work_units = [u * factor for u in self.work_units]
             self.work_scale = scale
-        factor = scale // den
+        # rate and the scale factor are multiplied once, so a run's product
+        # is its weight's multiple of a ledger-sized integer.
+        rate *= scale // den
         units = self.work_units
         short = []
         last = take = None
-        for i, amount in amounts:
-            if amount is not last:
-                last, take = amount, amount * factor
+        for i, w in zip(payers, weights):
+            if w is not last:
+                last, take = w, w // unit * rate
             left = units[i] - take
             if left < 0:
                 short.append((i, Fraction(-left, scale)))

@@ -468,7 +468,9 @@ def _to_election(
     dropped-project warning is given only then too. Every entry is a
     positive rational at a kept project's index, so the profile is built
     from the rows directly rather than through the per-entry checks of
-    :meth:`~eqshares.model.UtilityProfile.from_rows`.
+    :meth:`~eqshares.model.UtilityProfile.from_rows`; on approval and
+    choose-1 ballots every entry is ``ONE``, so the profile's
+    :attr:`~eqshares.model.UtilityProfile.is_approval` is set, not walked.
     """
     kept = [project for project in projects if 0 < project.cost <= budget]
     voter_ids, rows, fault = read_votes(_row_converter(ballot_type, kept))
@@ -483,11 +485,16 @@ def _to_election(
         raise fault
     metadata = dict(meta)
     metadata["pb_voter_ids"] = ",".join(voter_ids)
+    scores = UtilityProfile(len(rows), len(kept), tuple(rows))
+    if ballot_type in _APPROVAL_BALLOTS:
+        # Every entry is the shared ONE, so the profile's cached
+        # is_approval is known without a walk over its entries.
+        vars(scores)["is_approval"] = True
     return Election(
         projects=tuple(Project(i, p.id, p.cost) for i, p in enumerate(kept)),
         n_voters=len(rows),
         budget=budget,
-        scores=UtilityProfile(len(rows), len(kept), tuple(rows)),
+        scores=scores,
         utility_model=model,
         metadata=metadata,
     )

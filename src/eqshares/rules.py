@@ -29,8 +29,9 @@ Every voter-funded purchase is an :class:`AffordabilityQuote` over the
 moneyed supporters' units on one integer ledger
 (:class:`~eqshares.model.BudgetState`) and their utilities in the
 profile's cached integer columns. A quote checks that its payments add up
-to what it buys and charges them through the ledger's one debit, which
-stops each balance at zero and reports who was charged more than she held.
+to what it buys and charges them through the ledger's one debit, straight
+from its own integers; the debit stops each balance at zero and reports
+who was charged more than she held.
 :func:`_record` keeps the same integer numerators in the round record
 (:class:`~eqshares.model.Payments`): the winner of a round, and in an
 add1u scan only the winners of the kept probe.
@@ -47,6 +48,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
+from operator import itemgetter
 from typing import (
     Callable, Generic, Iterable, Mapping, NamedTuple, Optional, Sequence,
     TypeVar,
@@ -214,15 +216,15 @@ class AffordabilityQuote:
     a fres share); ``unit`` divides every uncapped weight, and is 1 except
     in a full quote (:func:`_full_quote`), whose ``den`` is then the least
     its payments allow. ``uniform`` is whether every weight is the same,
-    as :func:`_moneyed` read it. These payment numerators are formed once,
-    one list aligned with ``voters`` (:meth:`_amounts`) in which a run of a
-    shared weight shares one product (all of them one, when ``uniform``),
-    and checked to add up to ``cost``. They are
-    the only form the payments take from then on: :meth:`charge` debits
-    them, each balance stopping at zero, and reports every voter charged
-    more than she held; ``payments`` is a
-    :class:`~eqshares.model.Payments` over ``voters`` and the same list,
-    which the round record keeps and builds a mapping from only when it is
+    as :func:`_moneyed` read it. These integers are the payments:
+    :meth:`charge` checks that they add up to ``cost`` and debits them
+    straight from ``money`` and ``weights``, each balance stopping at
+    zero, with one product per run of a shared weight (one for all of a
+    ``uniform`` quote's uncapped payers) and no payment list, and reports
+    every voter charged more than she held. ``payments`` is a
+    :class:`~eqshares.model.Payments` over ``voters`` and the numerator
+    list of the same integers (:meth:`_amounts`), made only when a round
+    record reads it; the record builds a mapping from it only when that is
     read. It carries ``rate`` too, the factor every uncapped numerator
     shares, so the record writer reduces those numerators with one gcd of
     ledger-sized integers per round.
@@ -232,7 +234,7 @@ class AffordabilityQuote:
     alpha: Num
     key: _Key
     voters: Sequence[int]
-    money: list[int]
+    money: Sequence[int]
     weights: list[int]
     capped: int
     cap: int
@@ -242,7 +244,6 @@ class AffordabilityQuote:
     cost: tuple[int, int]
     unit: int = 1
     uniform: bool = False
-    _paid: Optional[list[int]] = field(default=None, init=False, repr=False)
     _ratio: Optional[Num] = field(default=None, init=False, repr=False)
     _rho: Optional[Num] = field(default=None, init=False, repr=False)
 
@@ -260,36 +261,23 @@ class AffordabilityQuote:
         return self._rho
 
     def _amounts(self) -> list[int]:
-        """Payment numerators over ``den``, one per voter of ``voters``.
-
-        Raises :class:`InvariantError` unless the payments add up to
-        ``cost`` exactly.
-        """
-        pays = self._paid
-        if pays is None:
-            s, weights = self.capped, self.weights
-            k = len(weights)
-            # The capped voters, first in ``voters``, pay in their place.
-            pays = list(map(self.cap.__mul__, self.money[:s])) if s else []
-            if s < k:
-                unit, rate = self.unit, self.rate
-                if self.uniform:
-                    # One weight (every approval column): one product.
-                    pays += [weights[s] // unit * rate] * (k - s)
-                else:
-                    # A column's weights come in runs of one object: so do
-                    # the products, which the debit then takes once a run.
-                    last = pay = None
-                    for w in weights[s:]:
-                        if w is not last:
-                            last, pay = w, w // unit * rate
-                        pays.append(pay)
-            num, den = self.cost
-            if sum(pays) * den != num * self.den:
-                raise InvariantError(
-                    f"payments for project {self.project} do not add up to its cost"
-                )
-            self._paid = pays
+        """Payment numerators over ``den``, one per voter of ``voters``:
+        the capped voters' own, then one product per run of a shared
+        weight, which every voter of the run holds. Only a round record
+        reads them (``payments``); :meth:`charge` checks their sum."""
+        s, weights = self.capped, self.weights
+        k = len(weights)
+        pays = list(map(self.cap.__mul__, self.money[:s])) if s else []
+        if s < k:
+            unit, rate = self.unit, self.rate
+            if self.uniform:
+                pays += [weights[s] // unit * rate] * (k - s)
+            else:
+                last = pay = None
+                for w in weights[s:]:
+                    if w is not last:
+                        last, pay = w, w // unit * rate
+                    pays.append(pay)
         return pays
 
     @property
@@ -297,8 +285,37 @@ class AffordabilityQuote:
         return Payments.of(self.voters, self._amounts(), self.den, self.rate)
 
     def charge(self, budgets: BudgetState) -> list[tuple[int, Num]]:
-        """Debit the payments from ``budgets`` (see :meth:`BudgetState.debit`)."""
-        return budgets.debit(zip(self.voters, self._amounts()), self.den)
+        """Debit the payments from ``budgets`` straight from the quote's
+        integers, with no payment list, and return the debit's shortfalls
+        (:meth:`BudgetState.debit`): the capped voters with their money at
+        rate ``cap``, then the others with their weights at ``rate``.
+
+        Raises :class:`InvariantError` first unless the payments add up to
+        ``cost`` exactly: cap * sum(capped money) + rate * sum(weight //
+        unit) over ``den``, where ``unit`` divides every uncapped weight.
+        """
+        s, weights, unit = self.capped, self.weights, self.unit
+        k = len(weights)
+        if self.uniform:
+            shares = weights[0] // unit * (k - s)
+        else:
+            shares = sum(weights[s:] if s else weights) // unit
+        paid = 0
+        if s:
+            head, cap = self.money[:s], self.cap
+            paid = cap * sum(head)
+        voters, rate, den = self.voters, self.rate, self.den
+        num, cost_den = self.cost
+        if (paid + rate * shares) * cost_den != num * den:
+            raise InvariantError(
+                f"payments for project {self.project} do not add up to its cost"
+            )
+        if not s:
+            return budgets.debit(voters, weights, rate, den, unit)
+        short = budgets.debit(voters[:s], head, cap, den)
+        if s < k:
+            short += budgets.debit(voters[s:], weights[s:], rate, den, unit)
+        return short
 
     def drained(self) -> int:
         """How many voters u * rho would drain (b <= u * rho), for a
@@ -317,7 +334,9 @@ class AffordabilityQuote:
 
 # A project's moneyed supporters: (voters, money, weights, due, m_scale,
 # u_scale, total_w, uniform).
-_Moneyed = tuple[Sequence[int], list[int], list[int], int, int, int, int, bool]
+_Moneyed = tuple[
+    Sequence[int], Sequence[int], list[int], int, int, int, int, bool
+]
 
 
 def _moneyed(
@@ -344,7 +363,11 @@ def _moneyed(
     c = project.id
     voters, weights, u_scale = utilities.columns[c]
     units, scale = budgets.work_units, budgets.work_scale
-    money = [units[i] for i in voters]
+    # itemgetter gathers in C; of one item it returns the item itself.
+    money = (
+        itemgetter(*voters)(units) if len(voters) > 1
+        else [units[i] for i in voters]
+    )
     num, den = project.cost_pair
     if full and sum(money) * den < num * scale:
         return None
@@ -434,7 +457,7 @@ def _ratio_order(
 
 # Whom a full purchase caps: (voters, money, weights, s, rest, rest_w, sums).
 _Prefix = tuple[
-    Sequence[int], list[int], list[int], int, int, int,
+    Sequence[int], Sequence[int], list[int], int, int, int,
     Optional[tuple[list[int], list[int]]],
 ]
 
@@ -480,7 +503,9 @@ def _capped_prefix(sup: _Moneyed) -> Optional[_Prefix]:
         if min(money) * k >= due:
             return None
         order = sorted(range(k), key=money.__getitem__)
-        money = [money[j] for j in order]
+        if k > 1:  # else the one supporter is in order already
+            reorder = itemgetter(*order)
+            money, voters = reorder(money), reorder(voters)
         # uncapped(j), over the one weight: due - paid_j <= money[j] * (k - j).
         lo, hi, paid = 1, k, money[0]
         while lo < hi:
@@ -491,8 +516,8 @@ def _capped_prefix(sup: _Moneyed) -> Optional[_Prefix]:
             else:
                 lo, paid = mid + 1, paid_mid + money[mid]
         return (
-            [voters[j] for j in order], money, weights, lo, due - paid,
-            total_w - lo * weights[0], None,
+            voters, money, weights, lo, due - paid, total_w - lo * weights[0],
+            None,
         )
     # Keys of every b/u and, last, of cost / sum(u), all times one constant
     # below 2**961, so that they stay in float range at any ledger scale. A
@@ -787,16 +812,15 @@ def _equal_shares(
     config: RuleConfig,
     num: int,
     den: int,
-    keep: Callable[[AffordabilityQuote], Q],
     floors: Sequence[_Key],
     costs: tuple[list[int], int],
     heap: Optional[list[_Entry]] = None,
     near: Optional[dict[int, Sequence[int]]] = None,
     stop: bool = False,
-) -> tuple[list[Q], bool]:
+) -> tuple[list[AffordabilityQuote], bool]:
     """The MES purchase loop from an endowment of num / den per voter.
 
-    Returns ``keep(quote)`` of each purchase in order, and whether the
+    Returns the quote of each purchase in order, and whether the
     money spent stays within the budget. ``floors`` are the election's
     :func:`_floors` and ``costs`` its :func:`_cost_units`, from which the
     loop keeps a running spend: the sum of the costs bought so far, one
@@ -838,7 +862,7 @@ def _equal_shares(
         # Nobody pays more than min(b, u * rho), so nobody falls short.
         for i, _ in best.charge(budgets):
             raise InvariantError(f"mes: voter {i} overdrawn buying {c}")
-        bought.append(keep(best))
+        bought.append(best)
         spent += cost_units[c]
         if stop and spent > budget:
             return bought, False
@@ -877,11 +901,11 @@ def mes(
     )
     if endowment <= 0:
         raise ValueError("initial endowment must be positive")
-    records, feasible = _equal_shares(
-        election, config, *endowment.as_integer_ratio(), _record,
-        _floors(election), _cost_units(election),
+    bought, feasible = _equal_shares(
+        election, config, *endowment.as_integer_ratio(), _floors(election),
+        _cost_units(election),
     )
-    return _outcome(records, feasible)
+    return _outcome([_record(quote) for quote in bought], feasible)
 
 
 def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
@@ -896,11 +920,11 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
     Finally, projects that still fit are appended in descending total score
     order.
 
-    A probe keeps each purchase's quote as it stands, with the payment
-    numerators it charged; only the kept probe's quotes become round
-    records. Spending only rises within a probe, so a probe
-    ends at the purchase that takes its spend past the budget: the scan
-    discards it whatever it would buy next. The probes share one initial
+    A probe keeps each purchase's quote as it stands, with the integers it
+    charged from; only the kept probe's quotes become round records.
+    Spending only rises within a probe, so a probe ends at the purchase
+    that takes its spend past the budget: the scan discards it whatever it
+    would buy next. The probes share one initial
     selector heap, the costs as integers over one denominator and one map
     from project to the projects its supporters value.
     """
@@ -920,8 +944,8 @@ def add1u(election: Election, config: RuleConfig = RuleConfig()) -> Outcome:
 
     def probe(num: int) -> tuple[list[AffordabilityQuote], bool]:
         return _equal_shares(
-            election, config, num, scale, lambda quote: quote, floors,
-            costs, list(heap), near, stop=True,
+            election, config, num, scale, floors, costs, list(heap), near,
+            stop=True,
         )
 
     kept, feasible = probe(units)

@@ -13,7 +13,7 @@ import math
 import re
 import statistics
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -472,6 +472,26 @@ def naive_add1u(
             remaining -= costs[c]
             chosen.append(c)
     return sorted(chosen), kept
+
+
+# ---------------------------------------------------------------------------
+# Debiting a purchase one voter at a time.
+
+
+def naive_debit(
+    balances: list[Fraction], payments: Mapping[int, Fraction]
+) -> list[tuple[int, Fraction]]:
+    """Take each payment from ``balances`` in the payments' order, each
+    balance stopping at zero; returns (voter, shortfall) for every voter
+    charged more than she held, in that order."""
+    short = []
+    for i, pay in payments.items():
+        left = balances[i] - pay
+        if left < 0:
+            short.append((i, -left))
+            left = ZERO
+        balances[i] = left
+    return short
 
 
 # ---------------------------------------------------------------------------

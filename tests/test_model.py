@@ -576,7 +576,10 @@ class TestBudgetLedger:
             if op == "charge":
                 charges = data.draw(st.lists(st.tuples(voters, amounts), max_size=5))
                 den = math.lcm(*(a.denominator for _, a in charges))
-                short = state.debit([(i, int(a * den)) for i, a in charges], den)
+                short = state.debit(
+                    [i for i, _ in charges], [int(a * den) for _, a in charges],
+                    1, den,
+                )
                 expected = []
                 for i, a in charges:
                     balances[i] -= a
@@ -636,7 +639,9 @@ class TestDeferredReduction:
                 charges = data.draw(st.lists(
                     st.tuples(voters, st.integers(0, 3 * den)), max_size=4
                 ))
-                short = state.debit(charges, den)
+                short = state.debit(
+                    [i for i, _ in charges], [a for _, a in charges], 1, den
+                )
                 expected = []
                 for i, amount in charges:
                     balances[i] -= F(amount, den)
@@ -670,8 +675,8 @@ class TestDeferredReduction:
         scales = []
         for p in primes:
             # Voter 0 pays 1/p, then (p - 1)/p: her balance is whole again.
-            state.debit([(0, 1)], p)
-            state.debit([(0, p - 1)], p)
+            state.debit([0], [1], 1, p)
+            state.debit([0], [p - 1], 1, p)
             scales.append(state.work_scale)
         # Every balance is whole after the first pair, yet the working scale
         # keeps p until the third prime pushes it past 2 * 1 + 64 bits.

@@ -940,6 +940,25 @@ READERS = pytest.mark.parametrize(
 )
 
 
+@READERS
+@pytest.mark.parametrize("meta, header, votes, preset", [
+    ("vote_type;approval", "voter_id;vote", "v1;p1,p2\nv2;p2\nv3;", True),
+    ("vote_type;choose1", "voter_id;vote", "v1;p2\nv2;p1", True),
+    # Points of 1 are approval scores too, found by the walk.
+    ("vote_type;cumulative", "voter_id;vote;points", "v1;p1,p2;1,1", False),
+    ("vote_type;cumulative", "voter_id;vote;points", "v1;p1,p2;1,2", False),
+], ids=["approval", "choose1", "points-of-one", "points"])
+def test_approval_ballots_need_no_walk(read, meta, header, votes, preset):
+    """On approval and choose-1 ballots every entry is the shared ONE, so
+    the loaded profile's is_approval is set when it is built; it always
+    equals the walk over the entries."""
+    e = read(build(meta="budget;10\n" + meta, votes=votes, vote_header=header))
+    scores = e.scores
+    assert ("is_approval" in vars(scores)) == preset
+    walked = UtilityProfile(scores.n_voters, scores.n_projects, scores.rows)
+    assert scores.is_approval == walked.is_approval
+
+
 class TestLoadFaults:
     """``load_election`` reports what parsing and then converting the same
     text reports: a parse fault wins over an earlier conversion fault, and

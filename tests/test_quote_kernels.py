@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -34,7 +35,7 @@ import oracles
 from eqshares import rules
 from eqshares.model import BudgetState, Election, Project, UtilityProfile
 from eqshares.rules import (
-    _floors, _ratio_order, add1u, bos_quote, mes, min_rho,
+    _floors, _ratio_order, add1u, bos_quote, fres, mes, min_rho,
 )
 from instances import random_approval_election, random_cardinal_election
 
@@ -303,20 +304,140 @@ class TestReducedPayments:
     def test_add1u_debits_rarely_rescale_the_ledger(
         self, reference_election, monkeypatch
     ):
-        real_debit = BudgetState.debit
+        # One count per purchase: a capped quote debits its capped and its
+        # uncapped payers by two calls, and only the first can rescale.
+        real_charge = rules.AffordabilityQuote.charge
         debits = rescaled = 0
 
-        def counted(budgets, amounts, den):
+        def counted(quote, budgets):
             nonlocal debits, rescaled
             debits += 1
-            rescaled += budgets.work_scale % den != 0
-            return real_debit(budgets, amounts, den)
+            rescaled += budgets.work_scale % quote.den != 0
+            return real_charge(quote, budgets)
 
-        monkeypatch.setattr(BudgetState, "debit", counted)
+        monkeypatch.setattr(rules.AffordabilityQuote, "charge", counted)
         add1u(reference_election)
         # The scan's 16,001 probes make tens of thousands of purchases.
         assert debits > 50_000
         assert 8 * rescaled < debits
+
+
+def shared_object_column(rng: random.Random):
+    """One project's column over 1 to 10 voters with random balances. The
+    utilities come from a pool of one to three shared objects, so a column
+    is uniform when the pool has one, and its runs of a shared weight are
+    often longer than one voter when it has more."""
+    n = rng.randint(1, 10)
+    pool = [
+        F(rng.randint(1, 9), rng.randint(1, 4))
+        for _ in range(rng.choice([1, 1, 2, 3]))
+    ]
+    u, rows = rng.choice(pool), []
+    for _ in range(n):
+        if rng.random() < 0.4:
+            u = rng.choice(pool)
+        rows.append({0: u})
+    balances = [F(rng.randint(0, 12), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+    money = sum(balances, ZERO)
+    cost = money * F(rng.randint(1, 30), 20) if money else F(1)
+    profile = UtilityProfile.from_rows(n, 1, rows)
+    return Project(0, "p", cost), BudgetState(balances), profile
+
+
+def charged_fres_shares(rng: random.Random):
+    """Each share a fres run on a random election buys, with the ledger's
+    units and scale just before its charge."""
+    election = rng.choice([random_approval_election, random_cardinal_election])(rng)
+    shares = []
+    real_charge = rules.AffordabilityQuote.charge
+
+    def spy(quote, budgets):
+        shares.append((quote, list(budgets.work_units), budgets.work_scale))
+        return real_charge(quote, budgets)
+
+    with mock.patch.object(rules.AffordabilityQuote, "charge", spy):
+        fres(election)
+    return shares
+
+
+def check_charge(quote, units, scale, lower=None):
+    """Charge ``quote`` on a ledger of ``units`` over ``scale``, first
+    lowering some balances with the random ``lower`` if given, and check it
+    against the naive debit of its ``payments``; return the shortfalls."""
+    if lower is not None:
+        units = [
+            u if lower.random() < 0.5 else u * lower.randint(0, 2) // 3
+            for u in units
+        ]
+    ledger = BudgetState.from_units(list(units), scale)
+    balances = ledger.balances
+    expected = oracles.naive_debit(balances, quote.payments)
+    assert quote.charge(ledger) == expected
+    assert ledger.balances == balances
+    return expected
+
+
+class TestCharge:
+    """A quote's one-pass charge leaves the balances, and reports the
+    shortfalls, of debiting its payments one voter at a time on rationals,
+    on the ledger it was quoted from and on one lowered after quoting."""
+
+    def test_kernel_quotes_match_the_naive_debit(self):
+        seen, shortfalls = set(), 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            project, budgets, profile = shared_object_column(rng)
+            for kernel in (min_rho, bos_quote):
+                quote = kernel(project, budgets, profile)
+                if quote is None:
+                    continue
+                seen.add((
+                    kernel.__name__, quote.alpha == 1, bool(quote.capped),
+                    quote.uniform,
+                ))
+                units, scale = budgets.work_units, budgets.work_scale
+                assert check_charge(quote, units, scale) == [] or (
+                    quote.alpha < 1
+                )
+                shortfalls += bool(check_charge(quote, units, scale, rng))
+        # min_rho capped and uncapped, on equal and mixed weights, and
+        # partial bos quotes on both.
+        for capped in (False, True):
+            for uniform in (False, True):
+                assert ("min_rho", True, capped, uniform) in seen
+        assert ("bos_quote", False, True, False) in seen
+        assert ("bos_quote", False, True, True) in seen
+        assert shortfalls > 50
+
+    def test_fres_shares_match_the_naive_debit(self):
+        shares = shortfalls = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            for quote, units, scale in charged_fres_shares(rng):
+                shares += 1
+                assert check_charge(quote, units, scale) == []
+                shortfalls += bool(check_charge(quote, units, scale, rng))
+        assert shares > 40 and shortfalls > 10
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+    def test_a_rate_off_by_one_fails_the_charge(self, capped):
+        # Three voters of utility 1 holding 1, 4 and 4 buy a project of
+        # cost 6: capped, voter 0 pays her 1 and the others 5/2 each;
+        # uncapped at cost 3, each pays 1.
+        cost = 6 if capped else 3
+        project, budgets, profile = kernel_inputs(
+            F(cost), [(F(1), F(1)), (F(1), F(4)), (F(1), F(4))]
+        )
+        quote = min_rho(project, budgets, profile)
+        assert bool(quote.capped) == capped
+        units = list(budgets.work_units)
+        quote.rate += 1
+        with pytest.raises(
+            rules.InvariantError, match="payments for project 0 do not add up"
+        ):
+            quote.charge(budgets)
+        # Nothing was debited.
+        assert budgets.work_units == units
 
 
 class TestRatioOrder:

@@ -168,17 +168,11 @@ class TestAdd1u:
         probes = []
         real_loop = rules._equal_shares
 
-        def counted_loop(election, config, num, den, keep, *args, **kwargs):
-            made = []
-
-            def kept(quote):
-                made.append(quote.project)
-                return keep(quote)
-
+        def counted_loop(election, config, num, den, *args, **kwargs):
             bought, feasible = real_loop(
-                election, config, num, den, kept, *args, **kwargs
+                election, config, num, den, *args, **kwargs
             )
-            probes.append((F(num, den), len(made), feasible))
+            probes.append((F(num, den), len(bought), feasible))
             return bought, feasible
 
         monkeypatch.setattr(rules, "_equal_shares", counted_loop)
@@ -199,18 +193,17 @@ class TestAdd1u:
         probes = []
         real_loop = rules._equal_shares
 
-        def traced_loop(election, config, num, den, keep, *args, **kwargs):
-            def kept(quote):
+        def traced_loop(election, config, num, den, *args, **kwargs):
+            digest.update(f"probe {num}/{den}\n".encode())
+            bought, feasible = real_loop(
+                election, config, num, den, *args, **kwargs
+            )
+            # The loop returns every purchase's quote, in order.
+            for quote in bought:
                 paid = " ".join(
                     f"{i}:{p}" for i, p in sorted(quote.payments.items())
                 )
                 digest.update(f"{quote.project} {quote.rho} {paid}\n".encode())
-                return keep(quote)
-
-            digest.update(f"probe {num}/{den}\n".encode())
-            bought, feasible = real_loop(
-                election, config, num, den, kept, *args, **kwargs
-            )
             probes.append(feasible)
             digest.update(f"feasible {feasible}\n".encode())
             return bought, feasible

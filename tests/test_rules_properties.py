@@ -511,14 +511,14 @@ class TestInvariantChecks:
     def test_fres_overdrawn_balance(self, monkeypatch):
         prof = UtilityProfile.from_rows(1, 1, [{0: 1}])
         e = Election((Project(0, "a", 1),), 1, F(1), prof)
-        real_amounts = rules.AffordabilityQuote._amounts
 
-        def doubled(quote):
+        def doubled(quote, budgets):
             # The lone voter's share takes her whole balance; twice it
             # overdraws her.
-            return [2 * n for n in real_amounts(quote)]
+            amounts = [2 * n for n in quote._amounts()]
+            return budgets.debit(quote.voters, amounts, 1, quote.den)
 
-        monkeypatch.setattr(rules.AffordabilityQuote, "_amounts", doubled)
+        monkeypatch.setattr(rules.AffordabilityQuote, "charge", doubled)
         with pytest.raises(rules.InvariantError, match="fres: voter 0 overdrawn"):
             fres(e)
 
@@ -568,13 +568,14 @@ class TestInvariantChecks:
             )
             return quote
 
-        def owed(quote):
-            # The quote's payments are integers over its den, here 9, one
-            # per voter of its voters (0, 1, 2).
-            return [int(p * quote.den) for p in lopsided.values()]
+        def owed(quote, budgets):
+            # Debit integers over the quote's den, here 9, one per voter of
+            # its voters (0, 1, 2).
+            amounts = [int(p * quote.den) for p in lopsided.values()]
+            return budgets.debit(quote.voters, amounts, 1, quote.den)
 
         monkeypatch.setattr(rules, "_full_quote", ninths)
-        monkeypatch.setattr(rules.AffordabilityQuote, "_amounts", owed)
+        monkeypatch.setattr(rules.AffordabilityQuote, "charge", owed)
         return Election((Project(0, "a", 1),), 3, F(1), prof, UtilityModel.COST)
 
     def test_mes_charges_nobody_beyond_her_balance(self, monkeypatch):
@@ -642,7 +643,9 @@ class TestBoostedLedger:
         voters = st.integers(0, n - 1)
         charges = data.draw(st.lists(st.tuples(voters, ledger_amounts), max_size=5))
         den = math.lcm(*(a.denominator for _, a in charges))
-        state.debit([(i, int(a * den)) for i, a in charges], den)
+        state.debit(
+            [i for i, _ in charges], [int(a * den) for _, a in charges], 1, den
+        )
         balances = [F(u, state.work_scale) for u in state.work_units]
         boost = data.draw(ledger_amounts)
         used = data.draw(st.dictionaries(voters, ledger_amounts.filter(bool)))
